@@ -3,10 +3,10 @@
 The weight distribution counts codewords by weight.  The b-th binomial
 moment sums, over all supports of size b, the number of codewords carried
 by the support; each summand is a power of q with exponent the dimension of
-the supported part, so moments are computed rank-theoretically without
-touching individual codewords (the codeword route lives in the oracle
-module as the independent cross-check).  Binomial transforms convert each
-table into the other exactly over the integers.
+the supported part, so moments are read from the space's shared support
+table without touching individual codewords (the codeword route lives in
+the oracle module as the independent cross-check).  Binomial transforms
+convert each table into the other exactly over the integers.
 
 Enumerator polynomials are homogeneous of degree n in (x, y) and stored as
 integer coefficient vectors indexed by x-degree; one counts all codewords
@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import math
 
-from .anticodes import all_anticodes, intersect_with_anticode
-from .errors import DEFAULT_BUDGET, check_budget
+from .anticodes import _space_of
+from .errors import DEFAULT_BUDGET
+from .invariants import support_dims
 from .report import CheckResult
 
 __all__ = [
@@ -43,10 +44,6 @@ __all__ = [
     "evaluate_enumerator",
     "macwilliams_check",
 ]
-
-
-def _space_of(obj):
-    return obj.space if hasattr(obj, "space") else obj
 
 
 def _as_code(obj):
@@ -66,10 +63,9 @@ def binomial_moments(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Moments indexed 0..n, computed from supported-part dimensions."""
     space = _space_of(code)
     n, q = space.n, space.q
-    check_budget(2**n, budget, "support scan")
     moments = [0] * (n + 1)
-    for a in all_anticodes(n):
-        moments[a.dim] += q ** intersect_with_anticode(space, a).dim_f
+    for supp, e in support_dims(space, budget).items():
+        moments[len(supp)] += q**e.dim
     return moments
 
 
@@ -155,25 +151,17 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     conditional unshifted-exponent form that requires a trivial radical.
     """
     space = _space_of(code)
-    dual = space.perp()
     n, q = space.n, space.q
-    check_budget(2**n, budget, "support scan")
+    dims = support_dims(space, budget)
     k = space.sym_dim
     dim_f = space.dim_f
     full = frozenset(range(n))
 
-    self_dims = {}
-    dual_dims = {}
-    for a in all_anticodes(n):
-        self_dims[a.support] = intersect_with_anticode(space, a).dim_f
-        dual_dims[a.support] = intersect_with_anticode(dual, a).dim_f
-
     per_items = []
-    for a in all_anticodes(n):
-        comp = full - a.support
-        lhs = dual_dims[a.support]
-        rhs = 2 * a.dim - dim_f + self_dims[comp]
-        per_items.append((sorted(a.support), lhs, rhs, lhs == rhs))
+    for supp, e in dims.items():
+        lhs = e.dual
+        rhs = 2 * len(supp) - dim_f + dims[full - supp].dim
+        per_items.append((sorted(supp), lhs, rhs, lhs == rhs))
     checks = [
         CheckResult(
             "macwilliams-per-anticode",
@@ -193,10 +181,9 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     moments_self = [0] * (n + 1)
     moments_dual = [0] * (n + 1)
-    for supp, df in self_dims.items():
-        moments_self[len(supp)] += q**df
-    for supp, df in dual_dims.items():
-        moments_dual[len(supp)] += q**df
+    for supp, e in dims.items():
+        moments_self[len(supp)] += q**e.dim
+        moments_dual[len(supp)] += q**e.dual
     agg_items = []
     for b in range(n + 1):
         lhs = moments_dual[b] * q**dim_f

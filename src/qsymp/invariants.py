@@ -7,11 +7,14 @@ Two integer maps drive everything here.  For a code C and an anticode A:
   the radical's part supported in A.
 
 Because the anticode lattice is the subset lattice of the factor set, both
-maps are tabulated over all 2^n supports; profiles take maxima at fixed
-support size, generalized weights take minima at prescribed map values, and
-all the inequalities those quantities satisfy (monotone steps, the Galois
-correspondences, and the Singleton-type bounds) are replayed as explicit
-integer checks by :func:`verify_bounds`.
+maps are tabulated over all 2^n supports, from ranks in the space's shared
+support table: alpha is half the Gram rank of the supported part, beta its
+dimension minus alpha minus that of the (isotropic) radical's part.
+Profiles take maxima at fixed support size; generalized weights are the
+least sizes at which the per-size maxima of alpha, beta and alpha + beta
+reach a level, so they need no second scan.  All the inequalities these
+satisfy (monotone steps, the Galois correspondences, and the Singleton-type
+bounds) are replayed as explicit integer checks by :func:`verify_bounds`.
 
 Extrema are taken over free-support anticodes only.  That convention is
 forced by the characterization of anticodes as free subspaces: a subspace
@@ -27,13 +30,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anticodes import Anticode, all_anticodes, intersect_with_anticode
+from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
 from .report import CheckResult
+from .symplectic import SupportDims
 
 __all__ = [
     "alpha",
     "beta",
+    "support_dims",
     "support_table",
     "profiles",
     "generalized_weights",
@@ -41,10 +46,6 @@ __all__ = [
     "invariant_table",
     "verify_bounds",
 ]
-
-
-def _space_of(obj):
-    return obj.space if hasattr(obj, "space") else obj
 
 
 def alpha(code, a: Anticode) -> int:
@@ -60,28 +61,36 @@ def beta(code, a: Anticode) -> int:
     return inner.isorank - rad_inner.isorank
 
 
+def support_dims(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, SupportDims]:
+    """The space's shared support table, after the budget check for its scan.
+
+    Every support-indexed result in the library is read from this table,
+    which is built once per space (see :class:`qsymp.symplectic.SupportDims`).
+    """
+    space = _space_of(code)
+    check_budget(2**space.n, budget, "support scan")
+    return space._support_dims
+
+
 def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[int, int]]:
     """(alpha, beta) for every support, keyed by frozen support set.
 
-    Cached on the code object; the scan covers all 2^n supports and is
-    guarded by the budget.
+    Read from the space's shared support table; the scan covers all 2^n
+    supports and is guarded by the budget on every call.
     """
-    cached = getattr(code, "_support_table_cache", None)
-    if cached is not None:
-        return cached
-    space = _space_of(code)
-    check_budget(2**space.n, budget, "support scan")
-    rad = space.radical()
-    table: dict[frozenset, tuple[int, int]] = {}
-    for a in all_anticodes(space.n):
-        inner = intersect_with_anticode(space, a)
-        rad_inner = intersect_with_anticode(rad, a)
-        table[a.support] = (inner.sym_dim, inner.isorank - rad_inner.isorank)
-    try:
-        code._support_table_cache = table
-    except AttributeError:
-        pass
-    return table
+    return {s: (e.alpha, e.beta) for s, e in support_dims(code, budget).items()}
+
+
+def _size_maxima(code, budget: int) -> tuple[list[int], list[int], list[int]]:
+    """Maxima of alpha, beta and alpha + beta over the supports of each size 0..n."""
+    n = _space_of(code).n
+    theta, phi, both = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for supp, e in support_dims(code, budget).items():
+        b = len(supp)
+        theta[b] = max(theta[b], e.alpha)
+        phi[b] = max(phi[b], e.beta)
+        both[b] = max(both[b], e.alpha + e.beta)
+    return theta, phi, both
 
 
 def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
@@ -89,16 +98,12 @@ def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
 
     Size 0 only sees the zero anticode, so both profiles start at 0.
     """
-    space = _space_of(code)
-    table = support_table(code, budget)
-    n = space.n
-    theta = [0] * (n + 1)
-    phi = [0] * (n + 1)
-    for supp, (a_val, b_val) in table.items():
-        b = len(supp)
-        theta[b] = max(theta[b], a_val)
-        phi[b] = max(phi[b], b_val)
+    theta, phi, _ = _size_maxima(code, budget)
     return theta, phi
+
+
+def _first_reach(maxima: list[int], level: int) -> int | None:
+    return next((b for b, m in enumerate(maxima) if m >= level), None)
 
 
 def generalized_weights(
@@ -108,31 +113,20 @@ def generalized_weights(
 
     Returns three lists indexed by the level ``a = 1..k``: the least support
     size with ``alpha >= a``, with ``beta >= a``, and with
-    ``alpha + beta >= 2a``.  Entries are ``None`` only if no support
-    qualifies, which cannot happen for ``a <= k`` since the full support
-    attains ``alpha = beta = k``; the sentinel is kept for defensive
-    completeness.  Supports are scanned by increasing size, lexicographic
-    within a size, stopping at the first hit.
+    ``alpha + beta >= 2a``.  A support of size b reaches a level iff the
+    maximum over size b does, so each weight is the first size at which the
+    per-size maximum reaches the level (Wei's first-hit levels).  Entries
+    are ``None`` only if no support qualifies, which cannot happen for
+    ``a <= k`` since the full support attains ``alpha = beta = k``; the
+    sentinel is kept for defensive completeness.
     """
-    space = _space_of(code)
-    table = support_table(code, budget)
-    k = space.sym_dim
-    vartheta: list[int | None] = [None] * k
-    varphi: list[int | None] = [None] * k
-    delta: list[int | None] = [None] * k
-    for a_level in range(1, k + 1):
-        for anticode in all_anticodes(space.n):
-            a_val, b_val = table[anticode.support]
-            idx = a_level - 1
-            if vartheta[idx] is None and a_val >= a_level:
-                vartheta[idx] = anticode.dim
-            if varphi[idx] is None and b_val >= a_level:
-                varphi[idx] = anticode.dim
-            if delta[idx] is None and a_val + b_val >= 2 * a_level:
-                delta[idx] = anticode.dim
-            if vartheta[idx] is not None and varphi[idx] is not None and delta[idx] is not None:
-                break
-    return vartheta, varphi, delta
+    theta, phi, both = _size_maxima(code, budget)
+    levels = range(1, _space_of(code).sym_dim + 1)
+    return (
+        [_first_reach(theta, a) for a in levels],
+        [_first_reach(phi, a) for a in levels],
+        [_first_reach(both, 2 * a) for a in levels],
+    )
 
 
 @dataclass
@@ -182,6 +176,7 @@ class InvariantTable:
 
 def invariant_table(code, budget: int = DEFAULT_BUDGET) -> InvariantTable:
     space = _space_of(code)
+    check_budget(2**space.n, budget, "support scan")
     theta, phi = profiles(code, budget)
     vartheta, varphi, delta = generalized_weights(code, budget)
     return InvariantTable(
@@ -207,6 +202,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     space = _space_of(code)
     code_obj = code if isinstance(code, Code) else Code(space)
     n, k = space.n, space.sym_dim
+    dims = support_dims(space, budget)
     table = support_table(code_obj, budget)
     theta, phi = profiles(code_obj, budget)
     vartheta, varphi, delta = generalized_weights(code_obj, budget)
@@ -239,17 +235,12 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         "alpha-le-beta",
         [(sorted(s), a_val, b_val, a_val <= b_val) for s, (a_val, b_val) in table.items()],
     )
-    dual_space = space.perp()
-    dual_dims = {
-        a.support: intersect_with_anticode(dual_space, a).dim_f for a in all_anticodes(n)
-    }
-    self_dims = {a.support: intersect_with_anticode(space, a).dim_f for a in all_anticodes(n)}
     full = frozenset(range(n))
     rank_items = []
     for s in table:
         comp = full - s
-        lhs = self_dims[s]
-        rhs = space.dim_f - 2 * len(comp) + dual_dims[comp]
+        lhs = dims[s].dim
+        rhs = space.dim_f - 2 * len(comp) + dims[comp].dual
         rank_items.append((sorted(s), lhs, rhs, lhs == rhs))
     add_all("duality-rank-identity", rank_items)
 

@@ -31,7 +31,7 @@ def _is_prime(q: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic context for the prime field with ``q`` elements."""
+    """The prime field with ``q`` elements; construction rejects non-primes."""
 
     __slots__ = ("q",)
 
@@ -39,27 +39,6 @@ class PrimeField:
         if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or not _is_prime(int(q)):
             raise ValueError(f"field order must be a prime integer, got {q!r}")
         self.q = int(q)
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        a %= self.q
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
@@ -142,11 +121,9 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
         return np.zeros((0, cols), dtype=np.int64)
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    if cols <= 62:
-        weights = np.int64(1) << np.arange(cols, dtype=np.int64)
-        packed = [int(x) for x in (a & 1) @ weights]
-    else:
-        packed = [int("".join("1" if x & 1 else "0" for x in row[::-1]), 2) for row in a]
+    nbytes = (cols + 7) // 8
+    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
+    packed = [int.from_bytes(row.tobytes(), "little") for row in bits]
     r = 0
     for c in range(cols):
         if r == m:
@@ -165,12 +142,9 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
             if i != r and packed[i] & mask:
                 packed[i] ^= row
         r += 1
-    out = np.zeros((r, cols), dtype=np.int64)
-    for i in range(r):
-        x = packed[i]
-        for j in range(cols):
-            out[i, j] = (x >> j) & 1
-    return out
+    buf = b"".join(x.to_bytes(nbytes, "little") for x in packed[:r])
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(r, nbytes)
+    return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
 
 def rank(a: Matrix, q: int) -> int:
@@ -179,7 +153,7 @@ def rank(a: Matrix, q: int) -> int:
 
 def pivot_columns(rref_matrix: Matrix) -> list[int]:
     """Pivot column of each row of a matrix already in canonical form."""
-    return [int(np.argmax(row != 0)) for row in rref_matrix]
+    return np.argmax(rref_matrix != 0, axis=1).tolist() if rref_matrix.shape[0] else []
 
 
 def kernel(a: Matrix, q: int) -> Matrix:
@@ -198,10 +172,8 @@ def kernel(a: Matrix, q: int) -> Matrix:
     pivset = set(piv)
     free = [j for j in range(n) if j not in pivset]
     out = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        out[idx, f] = 1
-        for i, p in enumerate(piv):
-            out[idx, p] = (-int(r[i, f])) % q
+    out[np.arange(len(free)), free] = 1
+    out[:, piv] = (-r[:, free].T) % q
     return out
 
 
@@ -271,8 +243,6 @@ def matrix_from_text(text: str) -> tuple[Matrix, int]:
     data = []
     for i in range(rows):
         lineno = i + 2
-        if lineno - 1 >= len(lines) + 1 and i >= len(lines) - 1:
-            raise ParseError("missing matrix row", line=lineno)
         if i + 1 >= len(lines):
             raise ParseError("missing matrix row", line=lineno)
         parts = lines[i + 1].split()

@@ -10,13 +10,10 @@ independence from the fast paths, which these functions exist to check.
 
 from __future__ import annotations
 
+from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET, check_budget
 
 Word = tuple[int, ...]
-
-
-def _space_of(obj):
-    return obj.space if hasattr(obj, "space") else obj
 
 
 def _form(u: Word, v: Word, q: int) -> int:

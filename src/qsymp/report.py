@@ -54,7 +54,3 @@ class CheckResult:
 
 def all_pass(results: list[CheckResult]) -> bool:
     return all(r.passed for r in results)
-
-
-def failures(results: list[CheckResult]) -> list[CheckResult]:
-    return [r for r in results if not r.passed]

@@ -273,25 +273,19 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 def _per_support_general(tally: _Tally, code: Code, tag: str, budget: int) -> None:
     space = code.space
     n = space.n
-    table = iv.support_table(code, budget)
-    dual = space.perp()
+    dims = iv.support_dims(code, budget)
     full = frozenset(range(n))
-    dual_dims = {}
-    self_dims = {}
-    for a in ac.all_anticodes(n):
-        self_dims[a.support] = ac.intersect_with_anticode(space, a).dim_f
-        dual_dims[a.support] = ac.intersect_with_anticode(dual, a).dim_f
     for a in ac.all_anticodes(n):
         s = a.support
         comp = full - s
-        lhs = self_dims[s]
-        rhs = space.dim_f - 2 * len(comp) + dual_dims[comp]
+        lhs = dims[s].dim
+        rhs = space.dim_f - 2 * len(comp) + dims[comp].dual
         tally.add(
             "duality-rank-identity",
             lhs == rhs,
             {"instance": tag, "support": sorted(s), "lhs": lhs, "rhs": rhs},
         )
-        a_val, b_val = table[s]
+        a_val, b_val = dims[s].alpha, dims[s].beta
         tally.add(
             "alpha-le-beta",
             a_val <= b_val,
@@ -351,11 +345,12 @@ def _perp_identities(tally: _Tally, w: Subspace, tag: str) -> None:
         (rad == p) == w.is_stabilizer(),
         {"instance": tag},
     )
-    tally.add(
-        "splitting-consistency",
-        w.dim_f == w.sym_dim + w.isorank,
-        {"instance": tag, "lhs": w.dim_f, "rhs": w.sym_dim + w.isorank},
-    )
+    # The rank route against an explicit splitting: pair count, and pair
+    # count plus radical rows.
+    split = w.orthogonal_split()
+    lhs = [w.sym_dim, w.isorank]
+    rhs = [split.pair_count, split.pair_count + split.radical_basis.shape[0]]
+    tally.add("splitting-consistency", lhs == rhs, {"instance": tag, "lhs": lhs, "rhs": rhs})
 
 
 def general_identity_suite(
@@ -455,14 +450,14 @@ def _stabilizer_code_checks(tally: _Tally, code: Code, tag: str, budget: int) ->
         tally.add_result(result, tag)
     for result in en.macwilliams_check(code, budget):
         tally.add_result(result, tag)
+    dims = iv.support_dims(code, budget)
     full = frozenset(range(n))
     for a in ac.all_anticodes(n):
         s = a.support
-        comp_a = ac.Anticode(n, full - s)
-        inner_comp = ac.intersect_with_anticode(space, comp_a)
-        rad_inner = ac.intersect_with_anticode(rad, a)
-        lhs = comp_a.dim - inner_comp.sym_dim - inner_comp.isorank
-        rhs = a.dim - rad_inner.isorank - space.sym_dim
+        # Pair count plus isorank of a part is its dim_F; the radical's part
+        # is isotropic, so its isorank is its dim_F.
+        lhs = n - a.dim - dims[full - s].dim
+        rhs = a.dim - dims[s].rad - space.sym_dim
         tally.add(
             "macwilliams-dim-irk",
             lhs == rhs,
@@ -581,9 +576,9 @@ def _oracle_code_checks(tally: _Tally, code: Code, tag: str, budget: int, suppor
     )
     if supports is None:
         supports = [a.support for a in ac.all_anticodes(space.n)]
+    table = iv.support_table(code, budget)
     for s in supports:
-        a = ac.Anticode(space.n, s)
-        fast = (iv.alpha(code, a), iv.beta(code, a))
+        fast = table[s]
         brute = oracle.brute_alpha_beta(space, s, budget)
         tally.add(
             "oracle-alpha-beta",

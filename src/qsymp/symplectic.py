@@ -9,9 +9,13 @@ product 1.  The bilinear product of two vectors is
 
 which vanishes on every single vector, so every one-dimensional space is
 isotropic.  Subspaces are canonicalized on construction and expose their
-orthogonal complement, radical, orthogonal splitting into symplectic pairs
-plus radical, and the two invariants derived from any splitting: the pair
-count (``sym_dim``) and the maximal isotropic dimension (``isorank``).
+orthogonal complement, radical, and two invariants read off the Gram
+matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
+and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  An
+explicit splitting into symplectic pairs plus radical is built only on
+request.  Each subspace also carries one table over its 2^n supports,
+built by a single scan on first use, from which every support-indexed
+invariant (alpha/beta, profiles, weights, moments, duality) is read.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .linalg import (
     in_row_space,
     intersect,
     kernel,
+    rank,
     rref,
     subspace_sum,
 )
@@ -105,6 +112,25 @@ class SplitDecomposition:
         if not rows:
             return np.zeros((0, self.radical_basis.shape[1]), dtype=np.int64)
         return np.array(rows, dtype=np.int64)
+
+
+class SupportDims(NamedTuple):
+    """Dimensions seen inside one support S, for a space C."""
+
+    dim: int  # dim_F of C's part in F_S
+    gram_rank: int  # rank of the product on that part: twice its pair count
+    rad: int  # dim_F of the radical's part in F_S
+    dual: int  # dim_F of the dual's part in F_S
+
+    @property
+    def alpha(self) -> int:
+        """Pair count of C's part in F_S."""
+        return self.gram_rank // 2
+
+    @property
+    def beta(self) -> int:
+        """Isorank of C's part, minus the (isotropic) radical part's dimension."""
+        return self.dim - self.gram_rank // 2 - self.rad
 
 
 class Subspace:
@@ -180,7 +206,7 @@ class Subspace:
     @cached_property
     def _gram(self) -> Matrix:
         j = gram_form_matrix(self.n, self.q)
-        return (self.basis @ j @ self.basis.T) % self.q
+        return (((self.basis @ j) % self.q) @ self.basis.T) % self.q
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
@@ -253,13 +279,41 @@ class Subspace:
 
     @cached_property
     def sym_dim(self) -> int:
-        """Number of symplectic pairs in any orthogonal splitting."""
-        return self._split.pair_count
+        """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
+        return rank(self._gram, self.q) // 2
 
     @cached_property
     def isorank(self) -> int:
         """Largest dimension of an isotropic subspace inside this one."""
-        return self._split.pair_count + self._radical.dim_f
+        return self.dim_f - self.sym_dim
+
+    @cached_property
+    def _support_dims(self) -> dict[frozenset, SupportDims]:
+        """:class:`SupportDims` for every support, by size then lexicographic.
+
+        One pass over the 2^n supports with no budget check of its own:
+        the public entry points check the budget before reading it.  For
+        each support, the coefficient vectors whose combination of basis
+        rows vanishes outside it span the supported part; the radical's and
+        the dual's parts come from ranks on their own bases.
+        """
+        q, n = self.q, self.n
+        basis, gram = self.basis, self._gram
+        rad, dual = self._radical.basis, self._perp.basis
+        table: dict[frozenset, SupportDims] = {}
+        for size in range(n + 1):
+            for support in combinations(range(n), size):
+                inside = set(support)
+                outside = [c for j in range(n) if j not in inside for c in (2 * j, 2 * j + 1)]
+                coeffs = kernel(basis[:, outside].T, q)
+                inner_gram = (((coeffs @ gram) % q) @ coeffs.T) % q
+                table[frozenset(support)] = SupportDims(
+                    dim=coeffs.shape[0],
+                    gram_rank=rank(inner_gram, q),
+                    rad=rad.shape[0] - rank(rad[:, outside], q),
+                    dual=dual.shape[0] - rank(dual[:, outside], q),
+                )
+        return table
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank saturates the ambient bound ``n``."""

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qsymp
 from qsymp import cli
@@ -276,3 +279,24 @@ def test_report_is_deterministic(capsys):
     rc2, out2 = run_inproc(["analyze", "--fixture", "shor"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+# sha256 of stdout for fixed inputs and seed.  JSON reports are a contract:
+# a change of implementation must leave these bytes as they are.
+PINNED_REPORTS = {
+    ("verify", "--suite", "all", "--seed", "7"):
+        "c7e99927ad8fdb3b85cbca7a8d72fa70a963dce8a8f2aacac8d975a143c77b54",
+    ("analyze", "--full", "--fixture", "repetition"):
+        "b74927bf30010ad16e2d65df0b4d1420fb4313e4957ff6e6117364b6458f9129",
+    ("analyze", "--full", "--fixture", "bacon-shor"):
+        "e357988affa352775a306c2df55fa8d33f99520929ec1d3c367e0d4d1e29d8cf",
+    ("analyze", "--full", "--fixture", "shor"):
+        "1a05e55084ab7b20a0919ebff878033cabf4c2129181b0f3969ba3c5c5db9aa0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS), ids=" ".join)
+def test_report_bytes_are_pinned(argv, capsys):
+    rc, out = run_inproc(list(argv), capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]

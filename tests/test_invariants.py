@@ -1,7 +1,8 @@
 import pytest
 
 from qsymp.anticodes import Anticode, all_anticodes
-from qsymp.codes import Code, random_code, random_stabilizer_code
+from qsymp.codes import Code, random_code, random_stabilizer_code, shor_code
+from qsymp.enumerators import binomial_moments, macwilliams_check
 from qsymp.errors import BudgetExceededError
 from qsymp.invariants import (
     alpha,
@@ -9,6 +10,7 @@ from qsymp.invariants import (
     generalized_weights,
     invariant_table,
     profiles,
+    support_dims,
     support_table,
     verify_bounds,
 )
@@ -139,6 +141,55 @@ def test_invariant_table_round_trip(bacon_shor):
 def test_support_scan_budget_guard(shor):
     with pytest.raises(BudgetExceededError):
         profiles(Code(shor.space), budget=100)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        support_dims,
+        support_table,
+        profiles,
+        generalized_weights,
+        invariant_table,
+        binomial_moments,
+        macwilliams_check,
+        verify_bounds,
+    ],
+)
+def test_budget_is_checked_before_the_shared_table(entry):
+    # The table is cached on the space; a cached table must not let a call
+    # with a smaller budget through.
+    shor = shor_code()
+    support_table(shor)
+    with pytest.raises(BudgetExceededError) as err:
+        entry(shor, budget=1)
+    assert (err.value.needed, err.value.task) == (512, "support scan")
+
+
+def _first_hit_weights(code):
+    """Generalized weights by a literal scan: supports by size, then
+    lexicographic, stopping at the first that reaches each level; alpha and
+    beta come pointwise from the intersected subspaces, not from the table."""
+    values = [(a.dim, alpha(code, a), beta(code, a)) for a in all_anticodes(code.n)]
+    tests = (
+        lambda lvl, a, b: a >= lvl,
+        lambda lvl, a, b: b >= lvl,
+        lambda lvl, a, b: a + b >= 2 * lvl,
+    )
+    levels = range(1, code.k + 1)
+    return tuple(
+        [next((size for size, a, b in values if hit(lvl, a, b)), None) for lvl in levels]
+        for hit in tests
+    )
+
+
+def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor, shor):
+    codes = [repetition, bacon_shor.normalizer, bacon_shor.gauge, shor]
+    for t in range(30):
+        codes.append(random_code(rng, (2, 3, 5)[t % 3], int(rng.integers(1, 5))))
+        codes.append(random_stabilizer_code(rng, int(rng.integers(1, 6))))
+    for code in codes:
+        assert tuple(generalized_weights(code)) == _first_hit_weights(code)
 
 
 # ---------------------------------------------------------------------------

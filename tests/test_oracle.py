@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsymp.anticodes import Anticode, all_anticodes
+from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
 from qsymp.codes import random_code
 from qsymp.enumerators import binomial_moments, weight_distribution
 from qsymp.errors import BudgetExceededError
-from qsymp.invariants import alpha, beta
+from qsymp.invariants import alpha, beta, support_dims
 from qsymp.oracle import (
     brute_alpha_beta,
     brute_binomial_moments,
@@ -87,3 +89,40 @@ def test_codeword_set_is_a_subspace(rng):
     code = random_code(rng, 3, 2)
     words = brute_codeword_set(code.space)
     assert len(words) == 3**code.dim_f
+
+
+# ---------------------------------------------------------------------------
+# the rank route and the shared support table against the counting route
+
+
+@st.composite
+def small_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5}, with n <= 3 factors."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 2 * n))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=small_spaces())
+def test_rank_route_matches_counting_route(w):
+    assert (w.sym_dim, w.isorank) == brute_sym_dim_irk(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=small_spaces())
+def test_support_table_matches_oracle_and_literal_intersections(w):
+    dims = support_dims(w)
+    assert list(dims) == [a.support for a in all_anticodes(w.n)]
+    rad, dual = w.radical(), w.perp()
+    for a in all_anticodes(w.n):
+        entry = dims[a.support]
+        inner = intersect_with_anticode(w, a)
+        assert entry.dim == inner.dim_f
+        assert entry.gram_rank == 2 * inner.orthogonal_split().pair_count
+        assert entry.rad == intersect_with_anticode(rad, a).dim_f
+        assert entry.dual == intersect_with_anticode(dual, a).dim_f
+        assert (entry.alpha, entry.beta) == brute_alpha_beta(w, a.support)

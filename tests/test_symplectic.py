@@ -171,9 +171,14 @@ def test_dim_irk_on_worked_examples():
 
 
 def test_dim_f_splits_between_invariants(rng):
+    # The invariants come from the Gram rank; an explicit splitting is an
+    # independent route to the same counts.
     for q in (2, 3):
         for _ in range(40):
             w = random_subspace(rng, q, int(rng.integers(1, 4)))
+            split = w.orthogonal_split()
+            assert w.sym_dim == split.pair_count
+            assert w.isorank == split.pair_count + split.radical_basis.shape[0]
             assert w.dim_f == w.sym_dim + w.isorank
 
 
