@@ -4,9 +4,15 @@ The weight distribution counts codewords by weight.  The b-th binomial
 moment sums, over all supports of size b, the number of codewords carried
 by the support; each summand is a power of q with exponent the dimension of
 the supported part, so moments are read from the space's shared support
-table without touching individual codewords (the codeword route lives in
-the oracle module as the independent cross-check).  Binomial transforms
-convert each table into the other exactly over the integers.
+table without touching individual codewords.  Binomial transforms convert
+each table into the other exactly over the integers.
+
+Weight distributions and both enumerators are read from the code's one pair
+of weight tables (all codewords, radical codewords), which
+:meth:`qsymp.codes.Code._weight_tables` builds by one of two routes: from
+the moments of the support table when ``q**dim_f > SUPPORT_COST * 2**n``,
+by enumerating codewords otherwise.  The pure-Python counting routes of the
+oracle module are the independent cross-check for both.
 
 Enumerator polynomials are homogeneous of degree n in (x, y) and stored as
 integer coefficient vectors indexed by x-degree; one counts all codewords
@@ -54,19 +60,22 @@ def _as_code(obj):
 
 def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Codeword counts by weight, indices 0..n; entry 0 is always 1."""
-    code = _as_code(code)
-    all_counts, _ = code._weight_tables(budget)
-    return [int(x) for x in all_counts]
+    all_counts, _ = _as_code(code)._weight_tables(budget)
+    return list(all_counts)
+
+
+def supported_moments(dims: dict, q: int, n: int, field: str) -> list[int]:
+    """Sums of ``q**entry.<field>`` over the supports of each size 0..n."""
+    moments = [0] * (n + 1)
+    for supp, e in dims.items():
+        moments[len(supp)] += q ** getattr(e, field)
+    return moments
 
 
 def binomial_moments(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Moments indexed 0..n, computed from supported-part dimensions."""
     space = _space_of(code)
-    n, q = space.n, space.q
-    moments = [0] * (n + 1)
-    for supp, e in support_dims(space, budget).items():
-        moments[len(supp)] += q**e.dim
-    return moments
+    return supported_moments(support_dims(space, budget), space.q, space.n, "dim")
 
 
 def moments_from_distribution(w: list[int]) -> list[int]:
@@ -85,13 +94,12 @@ def distribution_from_moments(b: list[int]) -> list[int]:
 
 
 def enumerator_polys(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
-    """Coefficient vectors (radical enumerator, full enumerator) by x-degree."""
-    code = _as_code(code)
-    from .codes import Code
+    """Coefficient vectors (radical enumerator, full enumerator) by x-degree.
 
-    rad_counts = weight_distribution(Code(code.space.radical()), budget)
-    full_counts = weight_distribution(code, budget)
-    return rad_counts, full_counts
+    Both come from the code's one weight table, whichever route built it.
+    """
+    all_counts, rad_counts = _as_code(code)._weight_tables(budget)
+    return list(rad_counts), list(all_counts)
 
 
 def poly_from_moments(moments: list[int]) -> list[int]:
@@ -179,11 +187,8 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         )
     ]
 
-    moments_self = [0] * (n + 1)
-    moments_dual = [0] * (n + 1)
-    for supp, e in dims.items():
-        moments_self[len(supp)] += q**e.dim
-        moments_dual[len(supp)] += q**e.dual
+    moments_self = supported_moments(dims, q, n, "dim")
+    moments_dual = supported_moments(dims, q, n, "dual")
     agg_items = []
     for b in range(n + 1):
         lhs = moments_dual[b] * q**dim_f

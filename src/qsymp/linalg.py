@@ -116,12 +116,21 @@ def _rref_dense(a: Matrix, q: int) -> Matrix:
 
 
 def _rref_gf2_packed(a: Matrix) -> Matrix:
-    m, cols = a.shape
-    if m == 0:
+    cols = a.shape[1]
+    rows = _eliminate_gf2(a)
+    if not rows:
         return np.zeros((0, cols), dtype=np.int64)
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
     nbytes = (cols + 7) // 8
+    buf = b"".join(x.to_bytes(nbytes, "little") for x in rows)
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
+
+
+def _eliminate_gf2(a: Matrix) -> list[int]:
+    """Nonzero rows of the canonical form over GF(2), as ints with bit j = column j."""
+    m, cols = a.shape
+    if m == 0 or cols == 0:
+        return []
     bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
     packed = [int.from_bytes(row.tobytes(), "little") for row in bits]
     r = 0
@@ -142,12 +151,13 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
             if i != r and packed[i] & mask:
                 packed[i] ^= row
         r += 1
-    buf = b"".join(x.to_bytes(nbytes, "little") for x in packed[:r])
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(r, nbytes)
-    return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
+    return packed[:r]
 
 
 def rank(a: Matrix, q: int) -> int:
+    """Row rank; over GF(2) the packed rows are counted without unpacking."""
+    if q == 2:
+        return len(_eliminate_gf2(np.atleast_2d(np.asarray(a, dtype=np.int64))))
     return rref(a, q).shape[0]
 
 

@@ -141,21 +141,27 @@ def brute_binomial_moments(space, budget: int = DEFAULT_BUDGET) -> list[int]:
     return moments
 
 
-def brute_alpha_beta(space, support, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
-    """(alpha, beta) for one support by membership filtering and counting."""
+def brute_alpha_beta(space, supports, budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
+    """(alpha, beta) for each support, by membership filtering and counting.
+
+    The codewords and the radical's codewords, with their support masks, are
+    enumerated once; each support then filters both sets and counts.
+    """
     space = _space_of(space)
-    support = frozenset(int(j) for j in support)
-    jmask = 0
-    for j in support:
-        jmask |= 1 << j
     q = space.q
-    words = list(enumerate_codewords(space, budget))
-    inside = [w for w in words if _support_mask(w) & ~jmask == 0]
-    rad = _radical_set(words, q)
-    rad_inside = [w for w in rad if _support_mask(w) & ~jmask == 0]
-    pairs, irk = _dim_irk_of_set(inside, q)
-    _, rad_irk = _dim_irk_of_set(rad_inside, q)
-    return pairs, irk - rad_irk
+    words = [(w, _support_mask(w)) for w in enumerate_codewords(space, budget)]
+    rad = [(w, _support_mask(w)) for w in _radical_set([w for w, _ in words], q)]
+    out = []
+    for support in supports:
+        jmask = 0
+        for j in support:
+            jmask |= 1 << int(j)
+        inside = [w for w, mask in words if mask & ~jmask == 0]
+        rad_inside = [w for w, mask in rad if mask & ~jmask == 0]
+        pairs, irk = _dim_irk_of_set(inside, q)
+        _, rad_irk = _dim_irk_of_set(rad_inside, q)
+        out.append((pairs, irk - rad_irk))
+    return out
 
 
 def brute_sym_dim_irk(space, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:

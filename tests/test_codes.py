@@ -1,6 +1,10 @@
+from math import comb
+
+import numpy as np
 import pytest
 
 from qsymp.codes import (
+    SUPPORT_COST,
     Code,
     bacon_shor_code,
     codeword_batches,
@@ -16,6 +20,7 @@ from qsymp.codes import (
     subsystem_from_gauge,
     vector_to_pauli,
 )
+from qsymp.enumerators import enumerator_polys, weight_distribution
 from qsymp.errors import BudgetExceededError, CommutationError, ParseError
 from qsymp.symplectic import Subspace
 
@@ -177,11 +182,34 @@ def test_isotropic_code_has_no_distance():
 
 
 def test_distance_budget_guard(shor):
+    # Shor: 2^10 codewords against 2^9 supports stays on enumeration
+    assert shor.q**shor.dim_f <= SUPPORT_COST * 2**shor.n
     fresh = shor_code()
     with pytest.raises(BudgetExceededError) as err:
         fresh.distance(budget=100)
-    assert err.value.needed == 2**10
+    assert (err.value.needed, err.value.task) == (2**10, "codeword enumeration")
     assert err.value.to_dict()["error"] == "budget-exceeded"
+
+
+def test_full_space_beyond_the_enumeration_budget():
+    # 31^14 codewords against 2^7 supports: only the support route can answer
+    code = Code(Subspace(np.eye(14, dtype=np.int64), 31, 7))
+    w = weight_distribution(code)
+    assert w == [comb(7, b) * 960**b for b in range(8)]
+    assert all(type(c) is int for c in w)
+    assert code.distance() == 1
+    assert code.max_weight() == 7
+    assert enumerator_polys(code) == ([1] + [0] * 7, w)
+
+
+def test_support_route_budget():
+    # the full space at q=5, n=4: 5^8 codewords against 2^4 supports
+    code = Code(Subspace(np.eye(8, dtype=np.int64), 5, 4))
+    assert code.q**code.dim_f > SUPPORT_COST * 2**code.n
+    with pytest.raises(BudgetExceededError) as err:
+        code.params(budget=2**4 - 1)
+    assert (err.value.needed, err.value.task) == (2**4, "support scan")
+    assert code.params(budget=5**8) == (4, 4, 4, 1, 4)
 
 
 def test_codeword_batches_cover_the_code(repetition):

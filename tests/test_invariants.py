@@ -243,8 +243,7 @@ def test_flat_step_items_can_fail_beyond_the_binary_field():
     assert phi[2] == phi[1] + 2 and theta[2] != theta[1]
     from qsymp.oracle import brute_alpha_beta
 
-    assert brute_alpha_beta(w, frozenset({0, 1})) == (0, 2)
-    assert brute_alpha_beta(w, frozenset({0, 3})) == (1, 1)
+    assert brute_alpha_beta(w, [frozenset({0, 1}), frozenset({0, 3})]) == [(0, 2), (1, 1)]
     checks = by_identity(verify_bounds(code))
     assert not checks["profile-steps"].passed
     others = [c for c in checks.values() if c.identity != "profile-steps"]

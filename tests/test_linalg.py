@@ -100,6 +100,7 @@ def test_packed_path_wide_matrix(rng):
             assert packed.dtype == dense.dtype == np.int64
             assert packed.shape == dense.shape, (rows, cols)
             assert (packed == dense).all(), (rows, cols)
+            assert rank(a, 2) == dense.shape[0], (rows, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
-from qsymp.codes import random_code
-from qsymp.enumerators import binomial_moments, weight_distribution
+from qsymp.codes import Code, random_code, weights_from_codewords, weights_from_supports
+from qsymp.enumerators import binomial_moments, distance_from_enumerators, weight_distribution
 from qsymp.errors import BudgetExceededError
 from qsymp.invariants import alpha, beta, support_dims
 from qsymp.oracle import (
@@ -60,9 +60,9 @@ def test_brute_matches_fast_paths_on_fixtures(repetition, bacon_shor):
         assert brute_weight_distribution(code.space) == weight_distribution(code)
         assert brute_binomial_moments(code.space) == binomial_moments(code)
         assert brute_sym_dim_irk(code.space) == (code.k, code.s)
-        for a in all_anticodes(code.n):
-            fast = (alpha(code, a), beta(code, a))
-            assert brute_alpha_beta(code.space, a.support) == fast
+        anticodes = list(all_anticodes(code.n))
+        brute = brute_alpha_beta(code.space, [a.support for a in anticodes])
+        assert brute == [(alpha(code, a), beta(code, a)) for a in anticodes]
 
 
 def test_brute_matches_fast_paths_on_random_codes(rng):
@@ -74,15 +74,15 @@ def test_brute_matches_fast_paths_on_random_codes(rng):
         assert brute_weight_distribution(code.space) == weight_distribution(code)
         assert brute_binomial_moments(code.space) == binomial_moments(code)
         assert brute_sym_dim_irk(code.space) == (code.k, code.s)
-        for a in all_anticodes(n):
-            fast = (alpha(code, a), beta(code, a))
-            assert brute_alpha_beta(code.space, a.support) == fast
+        anticodes = list(all_anticodes(n))
+        brute = brute_alpha_beta(code.space, [a.support for a in anticodes])
+        assert brute == [(alpha(code, a), beta(code, a)) for a in anticodes]
 
 
 def test_brute_shor_support_values(shor):
     front = frozenset(range(4))
     a = Anticode(9, front)
-    assert brute_alpha_beta(shor.space, front) == (alpha(shor, a), beta(shor, a))
+    assert brute_alpha_beta(shor.space, [front]) == [(alpha(shor, a), beta(shor, a))]
 
 
 def test_codeword_set_is_a_subspace(rng):
@@ -118,11 +118,40 @@ def test_support_table_matches_oracle_and_literal_intersections(w):
     dims = support_dims(w)
     assert list(dims) == [a.support for a in all_anticodes(w.n)]
     rad, dual = w.radical(), w.perp()
-    for a in all_anticodes(w.n):
+    brute = brute_alpha_beta(w, list(dims))
+    for a, pair in zip(all_anticodes(w.n), brute):
         entry = dims[a.support]
         inner = intersect_with_anticode(w, a)
         assert entry.dim == inner.dim_f
         assert entry.gram_rank == 2 * inner.orthogonal_split().pair_count
         assert entry.rad == intersect_with_anticode(rad, a).dim_f
         assert entry.dual == intersect_with_anticode(dual, a).dim_f
-        assert (entry.alpha, entry.beta) == brute_alpha_beta(w, a.support)
+        assert (entry.alpha, entry.beta) == pair
+
+
+# ---------------------------------------------------------------------------
+# both weight-table routes against the counting route
+
+
+@st.composite
+def route_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5}, n <= 4, q**dim_F <= 2**12."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, min(2 * n, {2: 12, 3: 7, 5: 5}[q])))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=route_spaces())
+def test_weight_routes_match_counting_route(w):
+    expected = (brute_weight_distribution(w), brute_weight_distribution(w.radical()))
+    d = brute_min_distance(w)
+    for route in (weights_from_supports, weights_from_codewords):
+        all_counts, rad_counts = route(w)
+        assert (all_counts, rad_counts) == expected, route.__name__
+        assert all(type(c) is int for c in all_counts + rad_counts), route.__name__
+        assert distance_from_enumerators(rad_counts, all_counts) == d, route.__name__
+    assert Code(w).distance() == d
