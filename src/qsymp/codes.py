@@ -12,8 +12,9 @@ radical all come from one pair of per-weight tables, built by one of two
 exact routes chosen from the input size alone: the 2^n support scan (moments
 of the supported dimensions, inverted by the binomial transform) when the
 ``q**dim_f`` codewords outnumber the supports by more than
-:data:`SUPPORT_COST`, and batched codeword enumeration otherwise.  The budget
-caps whichever of the two costs the chosen route pays.
+:data:`SUPPORT_COST_GF2` (q=2) or :data:`SUPPORT_COST_ODD` (odd q), and
+batched codeword enumeration otherwise.  The budget caps whichever of the
+two costs the chosen route pays.
 """
 
 from __future__ import annotations
@@ -31,17 +32,21 @@ from .symplectic import Subspace, Vector
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
 # The weight tables take the support route when codewords outnumber supports
-# by more than this factor.  Per-unit costs, best of 3 on 2 CPUs (Python 3.11,
-# numpy 2.4), fresh spaces: one support of the scan takes 80-175 us at q=2
-# (n=6..12) and 100-430 us at q=3, 5, 7 (n=3..8); one enumerated codeword takes
-# 1.25-1.9 us at q=2 and 0.3-0.95 us at q>2.  Break-even is therefore 56-109
-# codewords per support at q=2 and 150-560 at q>2.  At q=2 the ratio moves in
-# powers of two, so any value in [64, 128) enumerates at 64 (1.2-1.5x faster
-# than the scan) and scans at 128 (1.2-1.8x faster than enumeration).  At
-# q>2, codes with 100-450 codewords per support take the scan although
-# enumeration is up to 5x faster on them (q=3, n=5, dim_F=7: 8.2 ms against
-# 1.5 ms; q=3, n=8, dim_F=10: 110 ms against 55 ms).
-SUPPORT_COST = 100
+# by more than this factor: SUPPORT_COST_GF2 at q=2, SUPPORT_COST_ODD at odd q.
+# Whole routes on fresh spaces, best of 3 on 2 CPUs (Python 3.11, numpy 2.4):
+# one support of the walk costs 10-20 us at q=2 for n=8..12 (27-47 us at
+# n=6, where seeding the walk dominates) and 45-150 us at q=3, 5, 7 for
+# n=3..8; one enumerated codeword costs 0.9-2.4 us at q=2 and 0.4-1.2 us at
+# odd q.  Measured break-even, in codewords per support: at q=2, 16-32 at
+# n=6, 8-16 at n=8 and 4-8 at n=10, 12; at odd q, 90-400 at n=3, 4, 70-200
+# at n=5 and 25-100 at n=6..8.  At q=2 the ratio moves in powers of two, and
+# any value in [8, 16) scans from 16 on (1.1-2x faster than enumeration at
+# n >= 8, up to 1.9x slower, about 1 ms, at n=6) and enumerates at 8 (up to
+# 1.25x slower than the scan at n >= 10).  At odd q the largest misses of
+# 100 are q=3, n=8, ratio 77 (enumeration 22.6 ms against 12.5 ms) and
+# q=3, n=4, ratio 137 (scan 1.6 ms against 1.2 ms).
+SUPPORT_COST_GF2 = 8
+SUPPORT_COST_ODD = 100
 
 PAULI_TO_FACTOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 FACTOR_TO_PAULI = {v: k for k, v in PAULI_TO_FACTOR.items()}
@@ -164,12 +169,17 @@ class Code:
 
         Two exact routes, chosen from the input size alone: the support
         route (:func:`weights_from_supports`) when ``q**dim_f`` exceeds
-        ``SUPPORT_COST * 2**n``, codeword enumeration
-        (:func:`weights_from_codewords`) otherwise.  Each route checks the
-        budget against its own cost.
+        ``2**n`` times the field's support cost, codeword enumeration
+        (:func:`weights_from_codewords`) otherwise.  The budget is checked
+        against the chosen route's cost on every call, cached or not.
         """
+        cost = SUPPORT_COST_GF2 if self.q == 2 else SUPPORT_COST_ODD
+        by_supports = self.q**self.dim_f > cost * 2**self.n
+        if by_supports:
+            check_budget(2**self.n, budget, "support scan")
+        else:
+            check_budget(self.q**self.dim_f, budget, "codeword enumeration")
         if self._weight_tables_cache is None:
-            by_supports = self.q**self.dim_f > SUPPORT_COST * 2**self.n
             route = weights_from_supports if by_supports else weights_from_codewords
             self._weight_tables_cache = route(self.space, budget)
         return self._weight_tables_cache

@@ -126,13 +126,18 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
     return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
 
+def pack_gf2(a: Matrix) -> list[int]:
+    """Rows of a matrix over GF(2) as Python ints with bit j = column j."""
+    bits = np.packbits((np.asarray(a) & 1).astype(bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
 def _eliminate_gf2(a: Matrix) -> list[int]:
     """Nonzero rows of the canonical form over GF(2), as ints with bit j = column j."""
     m, cols = a.shape
     if m == 0 or cols == 0:
         return []
-    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
-    packed = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    packed = pack_gf2(a)
     r = 0
     for c in range(cols):
         if r == m:

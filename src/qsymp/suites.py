@@ -568,7 +568,8 @@ def _oracle_code_checks(tally: _Tally, code: Code, tag: str, budget: int, suppor
 
     ``oracle-distance`` and ``oracle-distribution`` compare different routes:
     the code's weight tables come from the support scan when codewords
-    outnumber supports (see :data:`qsymp.codes.SUPPORT_COST`) and from numpy
+    outnumber supports (see :data:`qsymp.codes.SUPPORT_COST_GF2` and
+    :data:`qsymp.codes.SUPPORT_COST_ODD`) and from numpy
     codeword batches otherwise, while the oracle always counts the codewords
     one by one in pure Python.  The oracle's words and radical are
     enumerated once for all the supports checked.

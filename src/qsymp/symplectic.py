@@ -14,8 +14,34 @@ matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
 and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  An
 explicit splitting into symplectic pairs plus radical is built only on
 request.  Each subspace also carries one table over its 2^n supports,
-built by a single scan on first use, from which every support-indexed
-invariant (alpha/beta, profiles, weights, moments, duality) is read.
+built on first use, from which every support-indexed invariant
+(alpha/beta, profiles, weights, moments, duality) is read.
+
+The table is built by a depth-first walk of the support lattice.  The walk
+starts at the full support and reaches each support S minus {j} from S by
+cutting the coordinates 2j and 2j+1, that is by intersecting with the
+hyperplane where the coordinate c is zero.  It carries a symplectic basis
+of C's part in F_S (pairs (e_i, f_i) with product 1 plus radical rows,
+seeded from the orthogonal splitting) and plain bases of the radical's and
+the dual's parts.  With lambda(v) = v[c], a cut follows three rules:
+
+(a) if a radical row r has lambda(r) != 0, clear c from every other row
+    with r and drop r: the pair count stays;
+(b) otherwise, if some pair is nonzero at c, append
+    u = sum_i (lambda(e_i) f_i - lambda(f_i) e_i) to the radical rows, drop
+    the first such pair, and clear c from the other pairs with whichever of
+    its two vectors is nonzero at c: the pair count falls by one;
+(c) otherwise nothing changes.
+
+Rule (b) lowers the pair count by exactly one because <v, u> = lambda(v)
+for every v in the part, so the cut part is u's orthogonal inside it, and u
+lies in the cut part orthogonal to all of it: the dimension falls by one
+and the radical grows by one.  Clearing with a vector of a dropped pair
+keeps the other pairs symplectic, since it is orthogonal to them and to
+itself.  The plain bases use rule (a) only.  So each support costs a few
+row operations and no elimination or evaluation of the product.  Over
+GF(2) rows are packed Python ints and clearing is an XOR; over odd q they
+are tuples of residues.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -41,6 +67,7 @@ from .linalg import (
     in_row_space,
     intersect,
     kernel,
+    pack_gf2,
     rank,
     rref,
     subspace_sum,
@@ -131,6 +158,101 @@ class SupportDims(NamedTuple):
     def beta(self) -> int:
         """Isorank of C's part, minus the (isotropic) radical part's dimension."""
         return self.dim - self.gram_rank // 2 - self.rad
+
+
+class _Gf2Rows:
+    """Row operations of the support walk over GF(2): rows are packed ints."""
+
+    rows = staticmethod(pack_gf2)
+
+    @staticmethod
+    def first(rows: list, c: int) -> int | None:
+        """Index of the first row nonzero at coordinate c."""
+        bit = 1 << c
+        for i, r in enumerate(rows):
+            if r & bit:
+                return i
+        return None
+
+    @staticmethod
+    def unit(p, c: int):
+        return p
+
+    @staticmethod
+    def clear(rows: list, p, c: int) -> list:
+        """Each row minus the multiple of ``p`` (unit at c) that zeroes c."""
+        bit = 1 << c
+        return [r ^ p if r & bit else r for r in rows]
+
+    @staticmethod
+    def dual(pairs: list, c: int):
+        """sum_i (lambda(e_i) f_i - lambda(f_i) e_i) over flat pairs e_1, f_1, ..."""
+        u = 0
+        for i in range(0, len(pairs), 2):
+            e, f = pairs[i], pairs[i + 1]
+            if e >> c & 1:
+                u ^= f
+            if f >> c & 1:
+                u ^= e
+        return u
+
+
+class _OddRows:
+    """Row operations of the support walk over odd q: rows are residue tuples."""
+
+    def __init__(self, q: int):
+        self.q = q
+
+    @staticmethod
+    def rows(a: Matrix) -> list:
+        return [tuple(r) for r in a.tolist()]
+
+    @staticmethod
+    def first(rows: list, c: int) -> int | None:
+        for i, r in enumerate(rows):
+            if r[c]:
+                return i
+        return None
+
+    def unit(self, p: tuple, c: int) -> tuple:
+        q = self.q
+        inv = pow(p[c], q - 2, q)
+        return tuple(a * inv % q for a in p)
+
+    def clear(self, rows: list, p: tuple, c: int) -> list:
+        q = self.q
+        return [tuple((a - r[c] * b) % q for a, b in zip(r, p)) if r[c] else r for r in rows]
+
+    def dual(self, pairs: list, c: int) -> tuple:
+        q = self.q
+        u = [0] * len(pairs[0])
+        for i in range(0, len(pairs), 2):
+            e, f = pairs[i], pairs[i + 1]
+            if e[c] or f[c]:
+                u = [x + e[c] * b - f[c] * a for x, a, b in zip(u, e, f)]
+        return tuple(x % q for x in u)
+
+
+def _cut_plain(ops, rows: list, c: int) -> list:
+    """Rule (a) on a plain basis: a basis of its part where coordinate c is 0."""
+    i = ops.first(rows, c)
+    if i is None:
+        return rows
+    return ops.clear(rows[:i] + rows[i + 1 :], ops.unit(rows[i], c), c)
+
+
+def _cut_symplectic(ops, rad: list, pairs: list, c: int) -> tuple[list, list]:
+    """Rules (a)-(c) on a symplectic basis: radical rows, flat pairs e_1, f_1, ..."""
+    i = ops.first(rad, c)
+    if i is not None:
+        p = ops.unit(rad[i], c)
+        return ops.clear(rad[:i] + rad[i + 1 :], p, c), ops.clear(pairs, p, c)
+    i = ops.first(pairs, c)
+    if i is None:
+        return rad, pairs
+    p = ops.unit(pairs[i], c)
+    i -= i % 2
+    return rad + [ops.dual(pairs, c)], ops.clear(pairs[:i] + pairs[i + 2 :], p, c)
 
 
 class Subspace:
@@ -291,29 +413,47 @@ class Subspace:
     def _support_dims(self) -> dict[frozenset, SupportDims]:
         """:class:`SupportDims` for every support, by size then lexicographic.
 
-        One pass over the 2^n supports with no budget check of its own:
-        the public entry points check the budget before reading it.  For
-        each support, the coefficient vectors whose combination of basis
-        rows vanishes outside it span the supported part; the radical's and
-        the dual's parts come from ranks on their own bases.
+        One depth-first walk of the support lattice with no budget check of
+        its own: the public entry points check the budget before reading
+        it.  The walk removes factors in decreasing order, so it reaches
+        every support once, and cuts the two coordinates of each removed
+        factor from three bases by the rules in the module docstring: a
+        symplectic basis of C's part (rules (a)-(c)) and plain bases of the
+        radical's and the dual's parts (rule (a)).  Every entry is read off
+        row counts: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
+        2 * pairs, ``rad`` and ``dual`` the plain bases' row counts.
         """
-        q, n = self.q, self.n
-        basis, gram = self.basis, self._gram
-        rad, dual = self._radical.basis, self._perp.basis
-        table: dict[frozenset, SupportDims] = {}
-        for size in range(n + 1):
-            for support in combinations(range(n), size):
-                inside = set(support)
-                outside = [c for j in range(n) if j not in inside for c in (2 * j, 2 * j + 1)]
-                coeffs = kernel(basis[:, outside].T, q)
-                inner_gram = (((coeffs @ gram) % q) @ coeffs.T) % q
-                table[frozenset(support)] = SupportDims(
-                    dim=coeffs.shape[0],
-                    gram_rank=rank(inner_gram, q),
-                    rad=rad.shape[0] - rank(rad[:, outside], q),
-                    dual=dual.shape[0] - rank(dual[:, outside], q),
-                )
-        return table
+        n = self.n
+        ops = _Gf2Rows if self.q == 2 else _OddRows(self.q)
+        split = self.orthogonal_split()
+        found: dict[int, SupportDims] = {}
+
+        def cut(state, c):
+            rad, pairs, rad_part, dual_part = state
+            return (
+                *_cut_symplectic(ops, rad, pairs, c),
+                _cut_plain(ops, rad_part, c),
+                _cut_plain(ops, dual_part, c),
+            )
+
+        def visit(mask, below, state):
+            rad, pairs, rad_part, dual_part = state
+            found[mask] = SupportDims(len(rad) + len(pairs), len(pairs), len(rad_part), len(dual_part))
+            for j in range(below):
+                visit(mask ^ 1 << j, j, cut(cut(state, 2 * j), 2 * j + 1))
+
+        rows = ops.rows(split.spanning_rows())
+        r = split.radical_basis.shape[0]
+        visit(
+            (1 << n) - 1,
+            n,
+            (rows[:r], rows[r:], ops.rows(self._radical.basis), ops.rows(self._perp.basis)),
+        )
+        return {
+            frozenset(support): found[sum(1 << j for j in support)]
+            for size in range(n + 1)
+            for support in combinations(range(n), size)
+        }
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank saturates the ambient bound ``n``."""

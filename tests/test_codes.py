@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsymp.codes import (
-    SUPPORT_COST,
+    SUPPORT_COST_GF2,
+    SUPPORT_COST_ODD,
     Code,
     bacon_shor_code,
     codeword_batches,
@@ -183,7 +184,7 @@ def test_isotropic_code_has_no_distance():
 
 def test_distance_budget_guard(shor):
     # Shor: 2^10 codewords against 2^9 supports stays on enumeration
-    assert shor.q**shor.dim_f <= SUPPORT_COST * 2**shor.n
+    assert shor.q**shor.dim_f <= SUPPORT_COST_GF2 * 2**shor.n
     fresh = shor_code()
     with pytest.raises(BudgetExceededError) as err:
         fresh.distance(budget=100)
@@ -205,11 +206,35 @@ def test_full_space_beyond_the_enumeration_budget():
 def test_support_route_budget():
     # the full space at q=5, n=4: 5^8 codewords against 2^4 supports
     code = Code(Subspace(np.eye(8, dtype=np.int64), 5, 4))
-    assert code.q**code.dim_f > SUPPORT_COST * 2**code.n
+    assert code.q**code.dim_f > SUPPORT_COST_ODD * 2**code.n
     with pytest.raises(BudgetExceededError) as err:
         code.params(budget=2**4 - 1)
     assert (err.value.needed, err.value.task) == (2**4, "support scan")
     assert code.params(budget=5**8) == (4, 4, 4, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "make, big, needed, task",
+    [
+        (shor_code, 10**6, 2**10, "codeword enumeration"),
+        (lambda: Code(Subspace(np.eye(8, dtype=np.int64), 5, 4)), 5**8, 2**4, "support scan"),
+    ],
+    ids=["shor-enumeration", "full-q5-n4-supports"],
+)
+def test_weight_tables_check_the_budget_on_every_call(make, big, needed, task):
+    code = make()
+    code.params(budget=big)
+    calls = [
+        lambda b: code.distance(budget=b),
+        lambda b: code.max_weight(budget=b),
+        lambda b: weight_distribution(code, budget=b),
+        lambda b: enumerator_polys(code, budget=b),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetExceededError) as err:
+            call(needed - 1)
+        assert (err.value.needed, err.value.task) == (needed, task)
+        call(needed)
 
 
 def test_codeword_batches_cover_the_code(repetition):

@@ -106,6 +106,17 @@ def small_spaces(draw):
     return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
 
 
+@st.composite
+def route_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5}, n <= 4, q**dim_F <= 2**12."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, min(2 * n, {2: 12, 3: 7, 5: 5}[q])))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
 @settings(max_examples=80, deadline=None)
 @given(w=small_spaces())
 def test_rank_route_matches_counting_route(w):
@@ -113,7 +124,7 @@ def test_rank_route_matches_counting_route(w):
 
 
 @settings(max_examples=40, deadline=None)
-@given(w=small_spaces())
+@given(w=route_spaces())
 def test_support_table_matches_oracle_and_literal_intersections(w):
     dims = support_dims(w)
     assert list(dims) == [a.support for a in all_anticodes(w.n)]
@@ -131,17 +142,6 @@ def test_support_table_matches_oracle_and_literal_intersections(w):
 
 # ---------------------------------------------------------------------------
 # both weight-table routes against the counting route
-
-
-@st.composite
-def route_spaces(draw):
-    """Span of drawn rows over F_q, q in {2, 3, 5}, n <= 4, q**dim_F <= 2**12."""
-    q = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, 4))
-    rows = draw(st.integers(0, min(2 * n, {2: 12, 3: 7, 5: 5}[q])))
-    cells = rows * 2 * n
-    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
-    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymp.codes import from_pauli, random_subspace
+from qsymp.anticodes import all_anticodes, intersect_with_anticode
+from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace
 from qsymp.errors import DimensionMismatchError
 from qsymp.symplectic import (
     Subspace,
@@ -285,3 +286,40 @@ def test_basis_is_immutable():
     w = Subspace([vec(E, E)], 2, 2)
     with pytest.raises(ValueError):
         w.basis[0, 0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the support walk against literal intersections, beyond brute force
+
+
+def _walk_case(name: str) -> Subspace:
+    rng = np.random.default_rng(20241018)
+    if name == "stabilizer-q2-n8":
+        return random_stabilizer_code(rng, 8).space
+    if name == "gauge-q2-n8":
+        # an odd dimension forces a nonzero radical
+        return random_subspace(rng, 2, 8, rows=9)
+    if name == "q3-n5":
+        return random_subspace(rng, 3, 5, rows=6)
+    q, n = {"zero-q2-n6": (2, 6), "zero-q3-n4": (3, 4), "full-q2-n6": (2, 6), "full-q3-n4": (3, 4)}[name]
+    return Subspace.zero(q, n) if name.startswith("zero") else Subspace.full(q, n)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["stabilizer-q2-n8", "gauge-q2-n8", "q3-n5", "zero-q2-n6", "zero-q3-n4", "full-q2-n6", "full-q3-n4"],
+)
+def test_support_walk_matches_literal_intersections(name):
+    w = _walk_case(name)
+    if name == "gauge-q2-n8":
+        assert w.dim_f == 9 and w.radical().dim_f > 0 and w.sym_dim > 0
+    dims = w._support_dims
+    anticodes = list(all_anticodes(w.n))
+    assert list(dims) == [a.support for a in anticodes]
+    rad, dual = w.radical(), w.perp()
+    for a in anticodes:
+        inner = intersect_with_anticode(w, a)
+        entry = dims[a.support]
+        assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
+        assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
+        assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
