@@ -11,8 +11,9 @@ Weight distributions and both enumerators are read from the code's one pair
 of weight tables (all codewords, radical codewords), which
 :meth:`qsymp.codes.Code._weight_tables` builds by one of two routes: from
 the moments of the support table when ``q**dim_f`` exceeds ``2**n`` times
-the field's support cost, by enumerating codewords otherwise.  The pure-Python counting routes of the
-oracle module are the independent cross-check for both.
+the field's support cost, by enumerating codewords otherwise.  The
+pure-Python counting routes of the oracle module are the independent
+cross-check for both.
 
 Enumerator polynomials are homogeneous of degree n in (x, y) and stored as
 integer coefficient vectors indexed by x-degree; one counts all codewords

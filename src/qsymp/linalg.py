@@ -128,7 +128,7 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
 
 def pack_gf2(a: Matrix) -> list[int]:
     """Rows of a matrix over GF(2) as Python ints with bit j = column j."""
-    bits = np.packbits((np.asarray(a) & 1).astype(bool), axis=1, bitorder="little")
+    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 

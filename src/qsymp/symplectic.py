@@ -438,7 +438,9 @@ class Subspace:
 
         def visit(mask, below, state):
             rad, pairs, rad_part, dual_part = state
-            found[mask] = SupportDims(len(rad) + len(pairs), len(pairs), len(rad_part), len(dual_part))
+            found[mask] = SupportDims(
+                len(rad) + len(pairs), len(pairs), len(rad_part), len(dual_part)
+            )
             for j in range(below):
                 visit(mask ^ 1 << j, j, cut(cut(state, 2 * j), 2 * j + 1))
 

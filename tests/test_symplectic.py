@@ -301,14 +301,23 @@ def _walk_case(name: str) -> Subspace:
         return random_subspace(rng, 2, 8, rows=9)
     if name == "q3-n5":
         return random_subspace(rng, 3, 5, rows=6)
-    q, n = {"zero-q2-n6": (2, 6), "zero-q3-n4": (3, 4), "full-q2-n6": (2, 6), "full-q3-n4": (3, 4)}[name]
-    return Subspace.zero(q, n) if name.startswith("zero") else Subspace.full(q, n)
+    kind, q, n = name.split("-")
+    make = Subspace.zero if kind == "zero" else Subspace.full
+    return make(int(q[1:]), int(n[1:]))
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["stabilizer-q2-n8", "gauge-q2-n8", "q3-n5", "zero-q2-n6", "zero-q3-n4", "full-q2-n6", "full-q3-n4"],
-)
+WALK_CASES = [
+    "stabilizer-q2-n8",
+    "gauge-q2-n8",
+    "q3-n5",
+    "zero-q2-n6",
+    "zero-q3-n4",
+    "full-q2-n6",
+    "full-q3-n4",
+]
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
 def test_support_walk_matches_literal_intersections(name):
     w = _walk_case(name)
     if name == "gauge-q2-n8":
