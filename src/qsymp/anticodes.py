@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kernel, subspace_sum, in_row_space
+from .errors import DimensionMismatchError
+from .linalg import kernel, rref_gf2, vanishing_part_gf2
 from .report import CheckResult
 from .symplectic import Subspace
 
@@ -106,19 +107,25 @@ def _inside_columns(a: Anticode) -> list[int]:
     return cols
 
 
+def _check_factors(space: Subspace, a: Anticode) -> None:
+    if space.n != a.n:
+        raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
+
+
 def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     """The part of a subspace supported inside the anticode.
 
     Equivalent to intersecting with the materialized free subspace, but
-    computed as the kernel of the coordinates outside the support.
+    computed as the kernel of the coordinates outside the support (at q=2,
+    by eliminating the packed rows on those coordinates).
     """
-    if space.n != a.n:
-        from .errors import DimensionMismatchError
-
-        raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
+    _check_factors(space, a)
     outside = _outside_columns(a)
     if not outside:
         return space
+    if space.q == 2:
+        mask = sum(1 << c for c in outside)
+        return Subspace._gf2(space.n, vanishing_part_gf2(space._rows, mask))
     m = space.basis[:, outside]
     coeffs = kernel(m.T, space.q)
     return Subspace((coeffs @ space.basis) % space.q, space.q, space.n)
@@ -131,10 +138,16 @@ def _space_of(obj) -> Subspace:
 def puncture(obj, a: Anticode) -> Subspace:
     """Project a code onto the anticode's factors (sorted factor order)."""
     space = _space_of(obj)
-    if space.n != a.n:
-        from .errors import DimensionMismatchError
-
-        raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
+    _check_factors(space, a)
+    if space.q == 2:
+        factors = a.sorted_support()
+        rows = []
+        for r in space._rows:
+            v = 0
+            for i, j in enumerate(factors):
+                v |= ((r >> 2 * j) & 3) << 2 * i
+            rows.append(v)
+        return Subspace._gf2(a.dim, rref_gf2(rows))
     cols = _inside_columns(a)
     rows = space.basis[:, cols] if cols else np.zeros((space.dim_f, 0), dtype=np.int64)
     return Subspace(rows, space.q, a.dim)
@@ -225,15 +238,15 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
                 raise ValueError("supplied rows must lie in the radical")
         if Subspace(rows, space.q, space.n) != rad:
             raise ValueError("supplied rows must span the radical")
-    current = subspace_sum(rad_in_a.basis, rad_in_aperp.basis, space.q)
-    target = rad.dim_f
+    current = rad_in_a + rad_in_aperp
     chosen = []
     for row in rows:
-        if current.shape[0] == target:
+        if current.dim_f == rad.dim_f:
             break
-        if not in_row_space(current, row, space.q):
+        bigger = current + Subspace(row.reshape(1, -1), space.q, space.n)
+        if bigger.dim_f > current.dim_f:
             chosen.append(row)
-            current = subspace_sum(current, row.reshape(1, -1), space.q)
+            current = bigger
     s_prime = (
         Subspace(np.array(chosen, dtype=np.int64), space.q, space.n)
         if chosen

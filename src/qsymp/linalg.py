@@ -1,11 +1,18 @@
 """Exact linear algebra over prime fields.
 
-All matrices are dense row-major numpy ``int64`` arrays with entries reduced
+Matrices are dense row-major numpy ``int64`` arrays with entries reduced
 modulo a prime ``q``.  A subspace is always represented by the reduced row
 echelon form of a spanning set with zero rows dropped, so two spanning sets
 generate the same subspace iff their canonical forms are byte-identical.
 Elimination is deterministic: pivots are chosen as the first usable row in
 the first nonzero column, scanning left to right.
+
+Over GF(2) a row is also kept word-packed, as a Python int with bit j =
+column j (:func:`pack_gf2`, :func:`unpack_gf2`); adding rows is an XOR.
+The ``*_gf2`` functions work on lists of such ints, and
+:class:`~qsymp.symplectic.Subspace` stores its q=2 basis in this form.  The
+canonical form is unique, so the packed routes agree bit for bit with the
+dense one: a packed row's pivot is its lowest set bit.
 """
 
 from __future__ import annotations
@@ -70,21 +77,18 @@ def as_matrix(rows, q: int, cols: int | None = None) -> Matrix:
     return a % q
 
 
-def rref(a: Matrix, q: int, *, packed: bool | None = None) -> Matrix:
+def rref(a: Matrix, q: int) -> Matrix:
     """Reduced row echelon form with zero rows removed (the canonical form).
 
     Row space is preserved; output rows have strictly increasing pivot
     columns with unit pivots and zeros elsewhere in pivot columns.  For
-    ``q == 2`` a word-packed elimination is used by default; it follows the
-    identical pivot rule and is bit-exact with the dense path.
+    ``q == 2`` the rows are eliminated word-packed (:func:`rref_gf2`).
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if packed is None:
-        packed = q == 2
-    if packed and q == 2:
-        return _rref_gf2_packed(a)
+    if q == 2:
+        return unpack_gf2(rref_gf2(pack_gf2(a)), a.shape[1])
     return _rref_dense(a % q, q)
 
 
@@ -115,9 +119,14 @@ def _rref_dense(a: Matrix, q: int) -> Matrix:
     return a[:r]
 
 
-def _rref_gf2_packed(a: Matrix) -> Matrix:
-    cols = a.shape[1]
-    rows = _eliminate_gf2(a)
+def pack_gf2(a: Matrix) -> list[int]:
+    """Rows of a matrix over GF(2) as Python ints with bit j = column j."""
+    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def unpack_gf2(rows, cols: int) -> Matrix:
+    """The inverse of :func:`pack_gf2`: an int64 matrix with ``cols`` columns."""
     if not rows:
         return np.zeros((0, cols), dtype=np.int64)
     nbytes = (cols + 7) // 8
@@ -126,43 +135,100 @@ def _rref_gf2_packed(a: Matrix) -> Matrix:
     return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
 
-def pack_gf2(a: Matrix) -> list[int]:
-    """Rows of a matrix over GF(2) as Python ints with bit j = column j."""
-    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+def rref_gf2(rows) -> list[int]:
+    """Canonical form over GF(2) of packed rows: nonzero rows sorted by pivot.
+
+    Rows are inserted one at a time into an echelon basis keyed by pivot
+    bit (each insert clears the basis pivots it meets, lowest first), then
+    the basis is reduced from the highest pivot down.
+    """
+    basis: dict[int, int] = {}
+    pivots = 0
+    for r in rows:
+        x = r & pivots
+        while x:
+            r ^= basis[x & -x]
+            x = r & pivots
+        if r:
+            low = r & -r
+            basis[low] = r
+            pivots |= low
+    order = sorted(basis)
+    for low in reversed(order):
+        r = basis[low]
+        x = (r & pivots) ^ low
+        while x:
+            bit = x & -x
+            r ^= basis[bit]
+            x ^= bit
+        basis[low] = r
+    return [basis[low] for low in order]
 
 
-def _eliminate_gf2(a: Matrix) -> list[int]:
-    """Nonzero rows of the canonical form over GF(2), as ints with bit j = column j."""
-    m, cols = a.shape
-    if m == 0 or cols == 0:
-        return []
-    packed = pack_gf2(a)
-    r = 0
+def in_span_gf2(rows: list[int], v: int) -> bool:
+    """Whether packed ``v`` lies in the span of canonical packed ``rows``."""
+    for r in rows:
+        if v & r & -r:
+            v ^= r
+    return not v
+
+
+def kernel_gf2(rows: list[int], cols: int) -> list[int]:
+    """Canonical basis of the packed vectors orthogonal to every row (plain dot product)."""
+    basis = rref_gf2(rows)
+    pivots = 0
+    for r in basis:
+        pivots |= r & -r
+    out = []
     for c in range(cols):
-        if r == m:
-            break
-        mask = 1 << c
-        piv = None
-        for i in range(r, m):
-            if packed[i] & mask:
-                piv = i
-                break
-        if piv is None:
+        bit = 1 << c
+        if pivots & bit:
             continue
-        packed[r], packed[piv] = packed[piv], packed[r]
-        row = packed[r]
-        for i in range(m):
-            if i != r and packed[i] & mask:
-                packed[i] ^= row
-        r += 1
-    return packed[:r]
+        v = bit
+        for r in basis:
+            if r & bit:
+                v |= r & -r
+        out.append(v)
+    return rref_gf2(out)
+
+
+def vanishing_part_gf2(rows: list[int], mask: int) -> list[int]:
+    """Canonical basis of the span's vectors that are zero on every bit of ``mask``.
+
+    Each row is reduced on its masked bits against earlier rows, lowest
+    masked bit first; a row whose masked bits all clear joins the part,
+    any other is kept as the pivot of its lowest masked bit.
+    """
+    pivots: dict[int, int] = {}
+    part = []
+    for r in rows:
+        x = r & mask
+        while x and (x & -x) in pivots:
+            r ^= pivots[x & -x]
+            x = r & mask
+        if x:
+            pivots[x & -x] = r
+        else:
+            part.append(r)
+    return rref_gf2(part)
+
+
+def intersect_gf2(a: list[int], b: list[int], cols: int) -> list[int]:
+    """Canonical basis of the intersection of two packed row spaces (Zassenhaus).
+
+    The rows ``(x, x)`` for x in ``a`` and ``(y, 0)`` for y in ``b`` (left
+    half in the low bits) are reduced; the rows whose pivot falls in the
+    right half are, shifted down, the canonical basis of the intersection.
+    """
+    low = (1 << cols) - 1
+    joint = rref_gf2([x | x << cols for x in a] + list(b))
+    return [r >> cols for r in joint if not r & low]
 
 
 def rank(a: Matrix, q: int) -> int:
     """Row rank; over GF(2) the packed rows are counted without unpacking."""
     if q == 2:
-        return len(_eliminate_gf2(np.atleast_2d(np.asarray(a, dtype=np.int64))))
+        return len(rref_gf2(pack_gf2(np.atleast_2d(np.asarray(a, dtype=np.int64)))))
     return rref(a, q).shape[0]
 
 
@@ -195,7 +261,7 @@ def kernel(a: Matrix, q: int) -> Matrix:
 def in_row_space(basis: Matrix, v, q: int) -> bool:
     """Membership test against a canonical (rref) basis."""
     v = np.array(v, dtype=np.int64).reshape(-1) % q
-    if basis.shape[0] and basis.shape[1] != v.shape[0]:
+    if basis.shape[1] != v.shape[0]:
         raise DimensionMismatchError(
             f"vector of length {v.shape[0]} against basis with {basis.shape[1]} columns"
         )

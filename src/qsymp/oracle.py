@@ -6,9 +6,13 @@ No Gaussian elimination, no rank arguments: dimensions come from logarithms
 of set sizes, radicals come from filtering on the product, and spanning
 sets come from incremental closure by enumeration.  The point is
 independence from the fast paths, which these functions exist to check.
+Each route takes a space, a code, or a :class:`Codewords` enumeration
+that several routes share.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET, check_budget
@@ -39,25 +43,51 @@ def enumerate_codewords(space, budget: int = DEFAULT_BUDGET):
     """Yield every codeword exactly once as a tuple of ints.
 
     Codeword i uses the mixed-radix digits of i (least significant first)
-    as coefficients against the basis rows.
+    as coefficients against the basis rows.  The words are stepped by a
+    counter: raising digit t adds row t once more, and a digit that wraps
+    from q - 1 to 0 has then added its row q times, which is zero, before
+    the carry moves to digit t + 1.
     """
     space = _space_of(space)
     q, k = space.q, space.dim_f
     check_budget(q**k, budget, "codeword enumeration")
-    basis = [tuple(int(x) for x in row) for row in space.basis]
-    width = 2 * space.n
-    for idx in range(q**k):
-        coeffs = []
-        rem = idx
-        for _ in range(k):
-            coeffs.append(rem % q)
-            rem //= q
-        word = [0] * width
-        for c, row in zip(coeffs, basis):
-            if c:
-                for j in range(width):
-                    word[j] = (word[j] + c * row[j]) % q
+    basis = space.basis.tolist()
+    word = [0] * (2 * space.n)
+    digits = [0] * k
+    yield tuple(word)
+    for _ in range(q**k - 1):
+        for t, row in enumerate(basis):
+            word = [(x + y) % q for x, y in zip(word, row)]
+            digits[t] += 1
+            if digits[t] < q:
+                break
+            digits[t] = 0
         yield tuple(word)
+
+
+class Codewords:
+    """One enumeration of a space's codewords, shared by the brute routes.
+
+    Every brute route accepts one in place of a space; it still checks the
+    budget against the full enumeration cost, as it would if it enumerated.
+    The radical's codewords are filtered out on first use.
+    """
+
+    def __init__(self, space, budget: int = DEFAULT_BUDGET):
+        self.space = _space_of(space)
+        self.words = list(enumerate_codewords(self.space, budget))
+
+    @cached_property
+    def radical(self) -> list[Word]:
+        return _radical_set(self.words, self.space.q)
+
+
+def _enumerated(obj, budget: int) -> Codewords:
+    """``obj`` if it is an enumeration (after the budget check), else a fresh one."""
+    if isinstance(obj, Codewords):
+        check_budget(obj.space.q**obj.space.dim_f, budget, "codeword enumeration")
+        return obj
+    return Codewords(obj, budget)
 
 
 def _log_size(count: int, q: int) -> int:
@@ -92,20 +122,21 @@ def _radical_set(words: list[Word], q: int) -> list[Word]:
     return [v for v in words if all(_form(v, g, q) == 0 for g in gens)]
 
 
-def _dim_irk_of_set(words: list[Word], q: int) -> tuple[int, int]:
+def _dim_irk_of_set(
+    words: list[Word], q: int, radical: list[Word] | None = None
+) -> tuple[int, int]:
     dim_f = _log_size(len(words), q)
-    rad_dim = _log_size(len(_radical_set(words, q)), q)
+    rad_dim = _log_size(len(_radical_set(words, q) if radical is None else radical), q)
     pairs = (dim_f - rad_dim) // 2
     return pairs, pairs + rad_dim
 
 
 def brute_min_distance(space, budget: int = DEFAULT_BUDGET) -> int | None:
     """Least weight over codewords outside the radical, by full scan."""
-    space = _space_of(space)
-    words = list(enumerate_codewords(space, budget))
-    rad = set(_radical_set(words, space.q))
+    enum = _enumerated(space, budget)
+    rad = set(enum.radical)
     best = None
-    for w in words:
+    for w in enum.words:
         if w in rad:
             continue
         wt = _weight(w)
@@ -115,9 +146,9 @@ def brute_min_distance(space, budget: int = DEFAULT_BUDGET) -> int | None:
 
 
 def brute_weight_distribution(space, budget: int = DEFAULT_BUDGET) -> list[int]:
-    space = _space_of(space)
-    counts = [0] * (space.n + 1)
-    for w in enumerate_codewords(space, budget):
+    enum = _enumerated(space, budget)
+    counts = [0] * (enum.space.n + 1)
+    for w in enum.words:
         counts[_weight(w)] += 1
     return counts
 
@@ -126,9 +157,9 @@ def brute_binomial_moments(space, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Moments by counting codewords inside each support, one support at a time."""
     from itertools import combinations
 
-    space = _space_of(space)
-    n = space.n
-    words = list(enumerate_codewords(space, budget))
+    enum = _enumerated(space, budget)
+    n = enum.space.n
+    words = enum.words
     check_budget(2**n * max(len(words), 1), budget, "support scan")
     masks = [_support_mask(w) for w in words]
     moments = [0] * (n + 1)
@@ -147,10 +178,10 @@ def brute_alpha_beta(space, supports, budget: int = DEFAULT_BUDGET) -> list[tupl
     The codewords and the radical's codewords, with their support masks, are
     enumerated once; each support then filters both sets and counts.
     """
-    space = _space_of(space)
-    q = space.q
-    words = [(w, _support_mask(w)) for w in enumerate_codewords(space, budget)]
-    rad = [(w, _support_mask(w)) for w in _radical_set([w for w, _ in words], q)]
+    enum = _enumerated(space, budget)
+    q = enum.space.q
+    words = [(w, _support_mask(w)) for w in enum.words]
+    rad = [(w, _support_mask(w)) for w in enum.radical]
     out = []
     for support in supports:
         jmask = 0
@@ -166,10 +197,9 @@ def brute_alpha_beta(space, supports, budget: int = DEFAULT_BUDGET) -> list[tupl
 
 def brute_sym_dim_irk(space, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(pair count, isorank) of a whole subspace by the counting route."""
-    space = _space_of(space)
-    words = list(enumerate_codewords(space, budget))
-    return _dim_irk_of_set(words, space.q)
+    enum = _enumerated(space, budget)
+    return _dim_irk_of_set(enum.words, enum.space.q, enum.radical)
 
 
 def brute_codeword_set(space, budget: int = DEFAULT_BUDGET) -> set[Word]:
-    return set(enumerate_codewords(space, budget))
+    return set(_enumerated(space, budget).words)

@@ -572,35 +572,38 @@ def _oracle_code_checks(tally: _Tally, code: Code, tag: str, budget: int, suppor
     :data:`qsymp.codes.SUPPORT_COST_ODD`) and from numpy
     codeword batches otherwise, while the oracle always counts the codewords
     one by one in pure Python.  The oracle's words and radical are
-    enumerated once for all the supports checked.
+    enumerated once per code and shared by its five brute routes, each of
+    which still counts literally and checks the budget.
     """
     space = code.space
+    distance = code.distance(budget)
+    words = oracle.Codewords(space, budget)
     tally.add(
         "oracle-distance",
-        code.distance(budget) == oracle.brute_min_distance(space, budget),
+        distance == oracle.brute_min_distance(words, budget),
         {"instance": tag},
     )
     tally.add(
         "oracle-distribution",
-        en.weight_distribution(code, budget) == oracle.brute_weight_distribution(space, budget),
+        en.weight_distribution(code, budget) == oracle.brute_weight_distribution(words, budget),
         {"instance": tag},
     )
     tally.add(
         "oracle-moments",
-        en.binomial_moments(code, budget) == oracle.brute_binomial_moments(space, budget),
+        en.binomial_moments(code, budget) == oracle.brute_binomial_moments(words, budget),
         {"instance": tag},
     )
     if supports is None:
         supports = [a.support for a in ac.all_anticodes(space.n)]
     table = iv.support_table(code, budget)
-    for s, brute in zip(supports, oracle.brute_alpha_beta(space, supports, budget)):
+    for s, brute in zip(supports, oracle.brute_alpha_beta(words, supports, budget)):
         fast = table[s]
         tally.add(
             "oracle-alpha-beta",
             fast == brute,
             {"instance": tag, "support": sorted(s), "lhs": list(fast), "rhs": list(brute)},
         )
-    pairs, irk = oracle.brute_sym_dim_irk(space, budget)
+    pairs, irk = oracle.brute_sym_dim_irk(words, budget)
     tally.add(
         "oracle-dim-irk",
         (space.sym_dim, space.isorank) == (pairs, irk),

@@ -11,19 +11,34 @@ which vanishes on every single vector, so every one-dimensional space is
 isotropic.  Subspaces are canonicalized on construction and expose their
 orthogonal complement, radical, and two invariants read off the Gram
 matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
-and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  An
-explicit splitting into symplectic pairs plus radical is built only on
-request.  Each subspace also carries one table over its 2^n supports,
-built on first use, from which every support-indexed invariant
-(alpha/beta, profiles, weights, moments, duality) is read.
+and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  Each
+subspace also carries one table over its 2^n supports, built on first use,
+from which every support-indexed invariant (alpha/beta, profiles, weights,
+moments, duality) is read.
+
+Over GF(2) a subspace stores its canonical basis as packed Python ints
+(bit j = coordinate j, as in :func:`~qsymp.linalg.pack_gf2`), and sums,
+intersections, complements, radicals, membership, equality and the Gram
+matrix all run on those ints: the product <u, v> is the parity of
+``u & swap(v)``, where swap exchanges x_i and z_i on every factor.  The
+numpy ``basis`` is unpacked on first use, for JSON, the CLI and numpy
+callers.  Over odd q the basis is a dense int64 matrix; the choice follows
+q alone.
+
+An explicit splitting into symplectic pairs plus radical is built only on
+request, by one symplectic Gram-Schmidt pass over the basis rows: the
+first remaining row u takes the first later row v with <u, v> != 0 as its
+partner w = v / <u, v>, every other remaining row is projected off the
+pair, and a row that finds no partner is a radical row.  The rows left
+unpaired are a basis of the radical.
 
 The table is built by a depth-first walk of the support lattice.  The walk
 starts at the full support and reaches each support S minus {j} from S by
 cutting the coordinates 2j and 2j+1, that is by intersecting with the
 hyperplane where the coordinate c is zero.  It carries a symplectic basis
 of C's part in F_S (pairs (e_i, f_i) with product 1 plus radical rows,
-seeded from the orthogonal splitting) and plain bases of the radical's and
-the dual's parts.  With lambda(v) = v[c], a cut follows three rules:
+seeded from the Gram-Schmidt splitting) and plain bases of the radical's
+and the dual's parts.  With lambda(v) = v[c], a cut follows three rules:
 
 (a) if a radical row r has lambda(r) != 0, clear c from every other row
     with r and drop r: the pair count stays;
@@ -65,12 +80,17 @@ from .linalg import (
     PrimeField,
     as_matrix,
     in_row_space,
+    in_span_gf2,
     intersect,
+    intersect_gf2,
     kernel,
+    kernel_gf2,
     pack_gf2,
     rank,
     rref,
+    rref_gf2,
     subspace_sum,
+    unpack_gf2,
 )
 
 Vector = np.ndarray
@@ -118,10 +138,11 @@ def vector_from_factors(factors, q: int = 2) -> Vector:
 
 @dataclass(frozen=True)
 class SplitDecomposition:
-    """An orthogonal splitting: radical plus explicit symplectic pairs.
+    """An orthogonal splitting: a radical basis plus explicit symplectic pairs.
 
     Every pair ``(u, w)`` has product 1, distinct pairs are mutually
-    orthogonal, and every radical vector is orthogonal to everything.
+    orthogonal, and every radical vector is orthogonal to everything.  The
+    radical basis spans the radical but is not its canonical basis.
     """
 
     radical_basis: Matrix
@@ -161,9 +182,23 @@ class SupportDims(NamedTuple):
 
 
 class _Gf2Rows:
-    """Row operations of the support walk over GF(2): rows are packed ints."""
+    """Row operations over GF(2) on n factors: rows are packed ints (bit j = coordinate j)."""
 
-    rows = staticmethod(pack_gf2)
+    def __init__(self, n: int):
+        self.even = (4**n - 1) // 3  # bits 0, 2, ..., 2n - 2: the x coordinates
+
+    def swap(self, v: int) -> int:
+        """v with x_i and z_i exchanged on every factor: <u, v> is the parity of u & swap(v)."""
+        return (v & self.even) << 1 | (v >> 1) & self.even
+
+    def forms(self, rows: list, u: int) -> list:
+        """The products <v, u> for v in rows."""
+        su = self.swap(u)
+        return [(v & su).bit_count() & 1 for v in rows]
+
+    @staticmethod
+    def scale(v: int, c: int) -> int:
+        return v
 
     @staticmethod
     def first(rows: list, c: int) -> int | None:
@@ -185,6 +220,11 @@ class _Gf2Rows:
         return [r ^ p if r & bit else r for r in rows]
 
     @staticmethod
+    def combine(rows: list, u, by_w: list, w, by_u: list) -> list:
+        """Each row v minus by_w[i] * u plus by_u[i] * w."""
+        return [v ^ (u if a else 0) ^ (w if b else 0) for v, a, b in zip(rows, by_w, by_u)]
+
+    @staticmethod
     def dual(pairs: list, c: int):
         """sum_i (lambda(e_i) f_i - lambda(f_i) e_i) over flat pairs e_1, f_1, ..."""
         u = 0
@@ -198,14 +238,24 @@ class _Gf2Rows:
 
 
 class _OddRows:
-    """Row operations of the support walk over odd q: rows are residue tuples."""
+    """Row operations over odd q: rows are residue tuples."""
 
     def __init__(self, q: int):
         self.q = q
 
-    @staticmethod
-    def rows(a: Matrix) -> list:
-        return [tuple(r) for r in a.tolist()]
+    def forms(self, rows: list, u: tuple) -> list:
+        """The products <v, u> for v in rows."""
+        ux, uz = u[0::2], u[1::2]
+        return [
+            (sum(map(int.__mul__, v[0::2], uz)) - sum(map(int.__mul__, v[1::2], ux))) % self.q
+            for v in rows
+        ]
+
+    def scale(self, v: tuple, c: int) -> tuple:
+        """v divided by the (nonzero) scalar c."""
+        q = self.q
+        inv = pow(c % q, q - 2, q)
+        return tuple(a * inv % q for a in v)
 
     @staticmethod
     def first(rows: list, c: int) -> int | None:
@@ -215,13 +265,19 @@ class _OddRows:
         return None
 
     def unit(self, p: tuple, c: int) -> tuple:
-        q = self.q
-        inv = pow(p[c], q - 2, q)
-        return tuple(a * inv % q for a in p)
+        return self.scale(p, p[c])
 
     def clear(self, rows: list, p: tuple, c: int) -> list:
         q = self.q
         return [tuple((a - r[c] * b) % q for a, b in zip(r, p)) if r[c] else r for r in rows]
+
+    def combine(self, rows: list, u: tuple, by_w: list, w: tuple, by_u: list) -> list:
+        """Each row v minus by_w[i] * u plus by_u[i] * w."""
+        q = self.q
+        return [
+            tuple((x - a * y + b * z) % q for x, y, z in zip(v, u, w)) if a or b else v
+            for v, a, b in zip(rows, by_w, by_u)
+        ]
 
     def dual(self, pairs: list, c: int) -> tuple:
         q = self.q
@@ -231,6 +287,31 @@ class _OddRows:
             if e[c] or f[c]:
                 u = [x + e[c] * b - f[c] * a for x, a, b in zip(u, e, f)]
         return tuple(x % q for x in u)
+
+
+def _gram_schmidt(ops, rows) -> tuple[list, list]:
+    """One symplectic Gram-Schmidt pass: (radical rows, flat pairs e_1, f_1, ...).
+
+    The first remaining row u is paired with the first later row v that has
+    a nonzero product with it, scaled to w = v / <u, v>; every other
+    remaining row v is replaced by v - <v, w> u + <v, u> w, which is
+    orthogonal to both.  A row with no partner is orthogonal to all the
+    remaining rows and to every pair, so it lies in the radical, and the
+    rows left without partners are a basis of the radical.
+    """
+    rad, pairs = [], []
+    rest = list(rows)
+    while rest:
+        u = rest.pop(0)
+        by_u = ops.forms(rest, u)
+        i = next((i for i, c in enumerate(by_u) if c), None)
+        if i is None:
+            rad.append(u)
+            continue
+        w = ops.scale(rest.pop(i), -by_u.pop(i))
+        pairs += (u, w)
+        rest = ops.combine(rest, u, ops.forms(rest, w), w, by_u)
+    return rad, pairs
 
 
 def _cut_plain(ops, rows: list, c: int) -> list:
@@ -255,26 +336,56 @@ def _cut_symplectic(ops, rad: list, pairs: list, c: int) -> tuple[list, list]:
     return rad + [ops.dual(pairs, c)], ops.clear(pairs[:i] + pairs[i + 2 :], p, c)
 
 
+# The Gram matrix needs 2n * (q - 1)**2 to fit in a signed 64-bit product sum.
+_INT64_LIMIT = 2**63
+
+
 class Subspace:
     """A linear subspace of the n-factor space, stored in canonical form.
 
     Immutable after construction; equal subspaces compare (and hash) equal
     because the stored basis is the reduced row echelon form of any spanning
-    set.  Derived data (complement, radical, splitting) is cached lazily.
+    set.  At q=2 the canonical rows are stored packed (``_rows``, ints with
+    bit j = coordinate j) and every operation runs on them; ``basis`` is
+    unpacked on first use.  At odd q ``basis`` is stored and ``_rows``
+    (residue tuples, for the support walk) is derived on first use.
+    Derived data (complement, radical, splitting) is cached lazily.
+
+    Construction rejects fields outside the supported range,
+    ``2n (q - 1)**2 < 2**63``, where the int64 Gram product cannot overflow.
     """
 
     def __init__(self, rows, q: int = 2, n: int | None = None):
-        self.field = PrimeField(q)
-        self.q = self.field.q
-        basis = as_matrix(rows, self.q, cols=None if n is None else 2 * n)
+        q = PrimeField(q).q
+        basis = as_matrix(rows, q, cols=None if n is None else 2 * n)
         if basis.shape[1] % 2:
             raise DimensionMismatchError("ambient width must be even (2 per factor)")
-        self.n = basis.shape[1] // 2
-        if n is not None and n != self.n:
-            raise DimensionMismatchError(f"expected {n} factors, rows have {self.n}")
-        basis = rref(basis, self.q)
-        basis.setflags(write=False)
-        self.basis = basis
+        if n is not None and 2 * n != basis.shape[1]:
+            raise DimensionMismatchError(f"expected {n} factors, rows have {basis.shape[1] // 2}")
+        n = basis.shape[1] // 2
+        if 2 * n * (q - 1) ** 2 >= _INT64_LIMIT:
+            raise ValueError(
+                f"field order {q} is too large for n={n}: the supported range is "
+                "2n (q - 1)^2 < 2^63"
+            )
+        self._set(q, n, rref_gf2(pack_gf2(basis)) if q == 2 else rref(basis, q))
+
+    def _set(self, q: int, n: int, canonical) -> None:
+        self.q, self.n = q, n
+        if q == 2:
+            self._rows = tuple(canonical)
+            self.dim_f = len(canonical)
+        else:
+            canonical.setflags(write=False)
+            self.basis = canonical
+            self.dim_f = canonical.shape[0]
+
+    @classmethod
+    def _gf2(cls, n: int, canonical: list[int]) -> "Subspace":
+        """A q=2 space from rows already in packed canonical form (no re-elimination)."""
+        space = cls.__new__(cls)
+        space._set(2, n, canonical)
+        return space
 
     @classmethod
     def zero(cls, q: int, n: int) -> "Subspace":
@@ -284,16 +395,42 @@ class Subspace:
     def full(cls, q: int, n: int) -> "Subspace":
         return cls(np.eye(2 * n, dtype=np.int64), q, n)
 
-    @property
-    def dim_f(self) -> int:
-        """Dimension as a plain vector space (basis row count)."""
-        return self.basis.shape[0]
+    @cached_property
+    def basis(self) -> Matrix:
+        """The canonical basis as a read-only int64 matrix (stored at odd q)."""
+        basis = unpack_gf2(self._rows, 2 * self.n)
+        basis.setflags(write=False)
+        return basis
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The canonical rows in the support walk's form (stored at q=2)."""
+        return tuple(map(tuple, self.basis.tolist()))
+
+    @cached_property
+    def _ops(self):
+        return _Gf2Rows(self.n) if self.q == 2 else _OddRows(self.q)
+
+    def _matrix(self, rows) -> Matrix:
+        """Rows in the walk's form as an int64 matrix."""
+        if self.q == 2:
+            return unpack_gf2(rows, 2 * self.n)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * self.n)
 
     def __contains__(self, v) -> bool:
+        v = np.array(v, dtype=np.int64).reshape(-1) % self.q
+        if v.shape[0] != 2 * self.n:
+            raise DimensionMismatchError(
+                f"vector of length {v.shape[0]} against a space on {self.n} factors"
+            )
+        if self.q == 2:
+            return in_span_gf2(self._rows, pack_gf2(v.reshape(1, -1))[0])
         return in_row_space(self.basis, v, self.q)
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
+        if self.q == 2:
+            return all(in_span_gf2(self._rows, r) for r in other._rows)
         return all(in_row_space(self.basis, row, self.q) for row in other.basis)
 
     def __eq__(self, other) -> bool:
@@ -301,12 +438,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.q == other.q
             and self.n == other.n
-            and self.basis.shape == other.basis.shape
-            and bool((self.basis == other.basis).all())
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self.basis.shape, self.basis.tobytes()))
+        return hash((self.q, self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, n={self.n}, dim_f={self.dim_f})"
@@ -319,19 +455,35 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
+        if self.q == 2:
+            return Subspace._gf2(self.n, rref_gf2(self._rows + other._rows))
         return Subspace(subspace_sum(self.basis, other.basis, self.q), self.q, self.n)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
+        if self.q == 2:
+            return Subspace._gf2(self.n, intersect_gf2(self._rows, other._rows, 2 * self.n))
         return Subspace(intersect(self.basis, other.basis, self.q), self.q, self.n)
 
     @cached_property
+    def _gram_gf2(self) -> list[int]:
+        """q=2: the Gram matrix rows packed, bit j of row i = <b_i, b_j>."""
+        forms = self._ops.forms
+        return [
+            sum(c << j for j, c in enumerate(forms(self._rows, u))) for u in self._rows
+        ]
+
+    @cached_property
     def _gram(self) -> Matrix:
+        if self.q == 2:
+            return unpack_gf2(self._gram_gf2, self.dim_f)
         j = gram_form_matrix(self.n, self.q)
         return (((self.basis @ j) % self.q) @ self.basis.T) % self.q
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
+        if self.q == 2:
+            return not any(self._gram_gf2)
         return not self._gram.any()
 
     def perp(self) -> "Subspace":
@@ -340,6 +492,10 @@ class Subspace:
 
     @cached_property
     def _perp(self) -> "Subspace":
+        if self.q == 2:
+            # <b, v> is the plain dot product of v with swap(b).
+            swapped = [self._ops.swap(b) for b in self._rows]
+            return Subspace._gf2(self.n, kernel_gf2(swapped, 2 * self.n))
         j = gram_form_matrix(self.n, self.q)
         constraints = (self.basis @ j) % self.q
         return Subspace(kernel(constraints, self.q), self.q, self.n)
@@ -351,57 +507,42 @@ class Subspace:
     @cached_property
     def _radical(self) -> "Subspace":
         # Coefficient vectors killed by the restricted product give the radical.
+        if self.q == 2:
+            rows = []
+            for c in kernel_gf2(self._gram_gf2, self.dim_f):
+                v = 0
+                for j, b in enumerate(self._rows):
+                    if c >> j & 1:
+                        v ^= b
+                rows.append(v)
+            return Subspace._gf2(self.n, rref_gf2(rows))
         coeffs = kernel(self._gram, self.q)
         return Subspace((coeffs @ self.basis) % self.q, self.q, self.n)
 
     def orthogonal_split(self) -> SplitDecomposition:
-        """Split into the radical plus pairwise-orthogonal symplectic pairs.
+        """Split into a radical basis plus pairwise-orthogonal symplectic pairs.
 
-        The radical is computed first; its basis is extended to a basis of
-        the whole subspace, and the complement is paired up deterministically
-        (always the lexicographically first vector with a usable partner,
-        partner scaled so the pair product is 1, remaining vectors projected
-        off the pair's span).
+        One symplectic Gram-Schmidt pass over the canonical basis rows (see
+        :func:`_gram_schmidt`): each pair has product 1, and the rows left
+        without a partner are the radical basis.
         """
-        return self._split
+        rad, pairs = self._split
+        flat = self._matrix(pairs)
+        return SplitDecomposition(
+            radical_basis=self._matrix(rad),
+            pairs=tuple((flat[i], flat[i + 1]) for i in range(0, len(pairs), 2)),
+        )
 
     @cached_property
-    def _split(self) -> SplitDecomposition:
-        q = self.q
-        rad = self._radical.basis
-        current = rad
-        complement: list[Vector] = []
-        for row in self.basis:
-            if not in_row_space(current, row, q):
-                current = subspace_sum(current, row.reshape(1, -1), q)
-                complement.append(row.copy())
-        pairs: list[tuple[Vector, Vector]] = []
-        vs = complement
-        while vs:
-            u = vs[0]
-            partner = None
-            for idx in range(1, len(vs)):
-                val = symplectic_form(u, vs[idx], q)
-                if val:
-                    partner = idx
-                    break
-            if partner is None:
-                raise AssertionError("complement of the radical must pair up")
-            w = (vs[partner] * pow(val, q - 2, q)) % q
-            rest = []
-            for k, v in enumerate(vs):
-                if k == 0 or k == partner:
-                    continue
-                coeff_u = symplectic_form(v, w, q)
-                coeff_w = symplectic_form(v, u, q)
-                rest.append((v - coeff_u * u + coeff_w * w) % q)
-            pairs.append((u, w))
-            vs = rest
-        return SplitDecomposition(radical_basis=rad, pairs=tuple(pairs))
+    def _split(self) -> tuple[list, list]:
+        """(radical rows, flat pairs e_1, f_1, ...) in the walk's row form."""
+        return _gram_schmidt(self._ops, self._rows)
 
     @cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
+        if self.q == 2:
+            return len(rref_gf2(self._gram_gf2)) // 2
         return rank(self._gram, self.q) // 2
 
     @cached_property
@@ -424,8 +565,7 @@ class Subspace:
         2 * pairs, ``rad`` and ``dual`` the plain bases' row counts.
         """
         n = self.n
-        ops = _Gf2Rows if self.q == 2 else _OddRows(self.q)
-        split = self.orthogonal_split()
+        ops = self._ops
         found: dict[int, SupportDims] = {}
 
         def cut(state, c):
@@ -444,12 +584,11 @@ class Subspace:
             for j in range(below):
                 visit(mask ^ 1 << j, j, cut(cut(state, 2 * j), 2 * j + 1))
 
-        rows = ops.rows(split.spanning_rows())
-        r = split.radical_basis.shape[0]
+        rad, pairs = self._split
         visit(
             (1 << n) - 1,
             n,
-            (rows[:r], rows[r:], ops.rows(self._radical.basis), ops.rows(self._perp.basis)),
+            (rad, pairs, list(self._radical._rows), list(self._perp._rows)),
         )
         return {
             frozenset(support): found[sum(1 << j for j in support)]
@@ -462,11 +601,7 @@ class Subspace:
         return self.isorank == self.n
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "basis": [[int(x) for x in row] for row in self.basis],
-        }
+        return {"q": self.q, "n": self.n, "basis": self.basis.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Subspace":

@@ -132,6 +132,14 @@ def test_import_pauli_alias(tmp_path, capsys):
     assert json.loads(out)["params"]["d"] == 1
 
 
+def test_analyze_rejects_a_field_beyond_the_range(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("2147483659 1 2\n1 2\n")
+    rc = cli.main(["analyze", "--matrix", str(path)])
+    assert rc == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
 def test_input_option_is_required(capsys):
     rc = cli.main(["analyze"])
     assert rc == 3

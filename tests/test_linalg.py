@@ -83,8 +83,8 @@ def test_packed_and_dense_paths_are_bit_exact(rng):
         m = int(rng.integers(0, 8))
         n = int(rng.integers(1, 12))
         a = rng.integers(0, 2, size=(m, n))
-        packed = rref(a, 2, packed=True)
-        dense = rref(a, 2, packed=False)
+        packed = rref(a, 2)
+        dense = _rref_dense(a % 2, 2)
         assert packed.shape == dense.shape
         assert (packed == dense).all()
 
@@ -95,7 +95,7 @@ def test_packed_path_wide_matrix(rng):
     for rows in (0, 1, 10):
         for cols in (1, 62, 63, 64, 65, 70, 200):
             a = rng.integers(0, 2, size=(rows, cols))
-            packed = rref(a, 2, packed=True)
+            packed = rref(a, 2)
             dense = _rref_dense(a % 2, 2)
             assert packed.dtype == dense.dtype == np.int64
             assert packed.shape == dense.shape, (rows, cols)

@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
+from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
 from qsymp.codes import Code, random_code, weights_from_codewords, weights_from_supports
 from qsymp.enumerators import binomial_moments, distance_from_enumerators, weight_distribution
 from qsymp.errors import BudgetExceededError
@@ -27,6 +29,20 @@ def test_enumeration_of_repetition_matches_listed_codewords(repetition):
         (0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 1, 1, 1),
         (0, 1, 0, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1),
     }
+
+
+@pytest.mark.parametrize("q, n, rows", [(2, 3, 5), (3, 2, 4), (5, 2, 3)])
+def test_counter_enumeration_follows_the_digit_formula(q, n, rows):
+    space = Subspace(np.random.default_rng(rows).integers(0, q, size=(rows, 2 * n)), q, n)
+    basis = space.basis.tolist()
+    k = len(basis)
+    expected = []
+    for idx in range(q**k):
+        digits = [idx // q**t % q for t in range(k)]
+        expected.append(
+            tuple(sum(c * row[j] for c, row in zip(digits, basis)) % q for j in range(2 * n))
+        )
+    assert list(enumerate_codewords(space)) == expected
 
 
 def test_enumeration_of_zero_code():
@@ -155,3 +171,57 @@ def test_weight_routes_match_counting_route(w):
         assert all(type(c) is int for c in all_counts + rad_counts), route.__name__
         assert distance_from_enumerators(rad_counts, all_counts) == d, route.__name__
     assert Code(w).distance() == d
+
+
+# ---------------------------------------------------------------------------
+# every packed GF(2) operation against literal codeword sets
+
+
+@st.composite
+def binary_pairs(draw):
+    """Two spans of drawn rows over F_2 on the same n <= 3 factors."""
+    n = draw(st.integers(1, 3))
+
+    def space():
+        rows = draw(st.integers(0, 2 * n))
+        cells = draw(st.lists(st.integers(0, 1), min_size=rows * 2 * n, max_size=rows * 2 * n))
+        return Subspace(np.array(cells, dtype=np.int64).reshape(rows, 2 * n), 2, n)
+
+    return space(), space(), frozenset(draw(st.sets(st.integers(0, n - 1))))
+
+
+def _orthogonal(u, v):
+    return sum(u[i] * v[i + 1] + u[i + 1] * v[i] for i in range(0, len(u), 2)) % 2 == 0
+
+
+def _inside(v, support):
+    return all(v[2 * j] == v[2 * j + 1] == 0 for j in range(len(v) // 2) if j not in support)
+
+
+def _project(v, support):
+    return tuple(x for j in sorted(support) for x in v[2 * j : 2 * j + 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=binary_pairs())
+def test_packed_operations_match_codeword_sets(case):
+    a, b, support = case
+    n = a.n
+    words_a, words_b = brute_codeword_set(a), brute_codeword_set(b)
+    ambient = set(product(range(2), repeat=2 * n))
+    sums = {tuple((x + y) % 2 for x, y in zip(u, v)) for u in words_a for v in words_b}
+    assert brute_codeword_set(a + b) == sums
+    assert brute_codeword_set(a & b) == words_a & words_b
+    assert brute_codeword_set(a.perp()) == {
+        v for v in ambient if all(_orthogonal(u, v) for u in words_a)
+    }
+    assert brute_codeword_set(a.radical()) == {
+        v for v in words_a if all(_orthogonal(u, v) for u in words_a)
+    }
+    assert {v for v in ambient if v in a} == words_a
+    assert a.contains_space(b) == (words_b <= words_a)
+    anticode = Anticode(n, support)
+    inner = {v for v in words_a if _inside(v, support)}
+    assert brute_codeword_set(intersect_with_anticode(a, anticode)) == inner
+    assert brute_codeword_set(puncture(a, anticode)) == {_project(v, support) for v in words_a}
+    assert brute_codeword_set(shorten(a, anticode)) == {_project(v, support) for v in inner}

@@ -136,12 +136,32 @@ def _assert_valid_split(w: Subspace):
                 assert symplectic_form(a, b, q) == 0
     assert Subspace(split.spanning_rows(), q, w.n) == w
     assert 2 * len(split.pairs) + rad.shape[0] == w.dim_f
+    # the rows left without a partner are a basis of the radical
+    assert Subspace(rad, q, w.n) == w.radical()
 
 
 def test_split_invariants_random(rng):
     for q in (2, 3, 5):
         for _ in range(25):
             _assert_valid_split(random_subspace(rng, q, int(rng.integers(1, 4))))
+
+
+@st.composite
+def spanned_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5}, with n <= 4 factors."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=spanned_spaces())
+def test_gram_schmidt_split_is_valid(w):
+    _assert_valid_split(w)
+    assert w.orthogonal_split().pair_count == w.sym_dim
 
 
 def test_split_counts_are_basis_independent(rng):
@@ -280,6 +300,38 @@ def test_ambient_checks():
         Subspace([[1, 0, 0]], 2)  # odd width
     with pytest.raises(DimensionMismatchError):
         Subspace([[1, 0, 0, 0]], 2, 2) & Subspace([[1, 0]], 2, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_membership_checks_the_vector_length(q):
+    zero = Subspace.zero(q, 3)
+    assert [0] * 6 in zero
+    assert [1] + [0] * 5 not in zero
+    for bad in ([0, 0], [0] * 8):
+        with pytest.raises(DimensionMismatchError):
+            bad in zero
+        with pytest.raises(DimensionMismatchError):
+            bad in Subspace.full(q, 3)
+
+
+# ---------------------------------------------------------------------------
+# the supported field range: 2n (q - 1)^2 < 2^63
+
+
+def test_largest_field_is_exact_at_one_factor():
+    q = 2**31 - 1
+    rows = [[q - 1, q - 2], [q - 3, 5]]
+    w = Subspace(rows, q, 1)
+    b = [[int(x) for x in row] for row in w.basis]
+    exact = [[(u[0] * v[1] - u[1] * v[0]) % q for v in b] for u in b]
+    assert w._gram.tolist() == exact
+    assert w.sym_dim == 1
+
+
+@pytest.mark.parametrize("q, n", [(2**31 - 1, 2), (2147483659, 1)])
+def test_fields_beyond_the_range_are_rejected(q, n):
+    with pytest.raises(ValueError, match="supported range"):
+        Subspace([[1] * (2 * n)], q, n)
 
 
 def test_basis_is_immutable():
