@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import kernel, rref_gf2, vanishing_part_gf2
+from .linalg import rref, rref_gf2, vanishing_part_gf2
 from .report import CheckResult
 from .symplectic import Subspace
 
@@ -116,38 +116,61 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     """The part of a subspace supported inside the anticode.
 
     Equivalent to intersecting with the materialized free subspace, but
-    computed as the kernel of the coordinates outside the support (at q=2,
-    by eliminating the packed rows on those coordinates).
+    computed by one elimination of the basis with the coordinates outside
+    the support taken first: the rows that vanish there, with the columns
+    moved back, are the part's canonical basis (the inside columns keep
+    their order, so pivots and reduced columns stay in place).  At q=2 the
+    packed rows are reduced on the outside bits alone
+    (:func:`~qsymp.linalg.vanishing_part_gf2`).
     """
     _check_factors(space, a)
     outside = _outside_columns(a)
     if not outside:
         return space
     if space.q == 2:
-        mask = sum(1 << c for c in outside)
-        return Subspace._gf2(space.n, vanishing_part_gf2(space._rows, mask))
-    m = space.basis[:, outside]
-    coeffs = kernel(m.T, space.q)
-    return Subspace((coeffs @ space.basis) % space.q, space.q, space.n)
+        rows = vanishing_part_gf2(space._rows, sum(1 << c for c in outside))
+    else:
+        order = outside + _inside_columns(a)
+        moved = rref(space.basis[:, order], space.q)
+        kept = moved[~moved[:, : len(outside)].any(axis=1)]
+        rows = np.empty_like(kept)
+        rows[:, order] = kept
+    return Subspace._canonical(space.q, space.n, rows)
 
 
 def _space_of(obj) -> Subspace:
     return obj.space if hasattr(obj, "space") else obj
 
 
+def _factor_runs(factors: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Maximal runs of consecutive factors as packed moves (shift in, mask, shift out)."""
+    runs: list[list[int]] = []  # [first factor, its position in factors, length]
+    for i, j in enumerate(factors):
+        if runs and runs[-1][0] + runs[-1][2] == j:
+            runs[-1][2] += 1
+        else:
+            runs.append([j, i, 1])
+    return [(2 * j, (1 << 2 * length) - 1, 2 * i) for j, i, length in runs]
+
+
 def puncture(obj, a: Anticode) -> Subspace:
-    """Project a code onto the anticode's factors (sorted factor order)."""
+    """Project a code onto the anticode's factors (sorted factor order).
+
+    At q=2 each maximal run of consecutive support factors moves into place
+    with one shift and mask of the packed row, and the projected rows are
+    re-eliminated; at odd q the support's columns are taken and eliminated.
+    """
     space = _space_of(obj)
     _check_factors(space, a)
     if space.q == 2:
-        factors = a.sorted_support()
+        moves = _factor_runs(a.sorted_support())
         rows = []
         for r in space._rows:
             v = 0
-            for i, j in enumerate(factors):
-                v |= ((r >> 2 * j) & 3) << 2 * i
+            for shift_in, mask, shift_out in moves:
+                v |= (r >> shift_in & mask) << shift_out
             rows.append(v)
-        return Subspace._gf2(a.dim, rref_gf2(rows))
+        return Subspace._canonical(2, a.dim, rref_gf2(rows))
     cols = _inside_columns(a)
     rows = space.basis[:, cols] if cols else np.zeros((space.dim_f, 0), dtype=np.int64)
     return Subspace(rows, space.q, a.dim)
@@ -272,8 +295,9 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     p_b = puncture(dec.s_prime, comp)
     rad_p_a = puncture(rad, a)
     rad_p_b = puncture(rad, comp)
-    rad_s_a = shorten(rad, a)
-    rad_s_b = shorten(rad, comp)
+    # The radical's parts in A and in its complement are already in dec.
+    rad_s_a = puncture(dec.rad_in_a, a)
+    rad_s_b = puncture(dec.rad_in_aperp, comp)
     checks = [
         CheckResult("sprime-puncture-dim", p_a.sym_dim == p_b.sym_dim, p_a.sym_dim, p_b.sym_dim),
         CheckResult("sprime-puncture-irk", p_a.isorank == p_b.isorank, p_a.isorank, p_b.isorank),

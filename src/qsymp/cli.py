@@ -24,8 +24,10 @@ from .codes import (
     Code,
     SubsystemCode,
     bacon_shor_code,
+    check_commuting,
     from_pauli,
     parse_pauli_text,
+    pauli_to_vector,
     repetition_code,
     shor_code,
     stabilizer_code_from_isotropic,
@@ -106,6 +108,7 @@ def _load(args) -> tuple[Code | SubsystemCode, str]:
         if args.q != 2:
             raise ParseError("Pauli input is defined over the two-element field only")
         generators = parse_pauli_text(_read_text(args.pauli))
+        rows = [pauli_to_vector(g) for g in generators]
         if generators:
             space = from_pauli(generators)
         else:
@@ -118,6 +121,7 @@ def _load(args) -> tuple[Code | SubsystemCode, str]:
         if not isinstance(data, dict):
             raise ParseError("top-level JSON value must be an object")
         space = Subspace.from_json_dict(data)
+        rows = data["basis"]
         if role is None and data.get("role") in ("stabilizer", "gauge", "code"):
             role = data["role"]
         source = f"json:{args.json_file}"
@@ -127,6 +131,8 @@ def _load(args) -> tuple[Code | SubsystemCode, str]:
         source = f"matrix:{args.matrix}"
     role = role or "code"
     if role == "stabilizer":
+        # Name the input's generators, not the rows of the canonical basis.
+        check_commuting(rows, space.q, space.n)
         return stabilizer_code_from_isotropic(space), source
     if role == "gauge":
         return subsystem_from_gauge(Code(space)), source

@@ -27,6 +27,7 @@ import numpy as np
 from .enumerators import distance_from_enumerators, distribution_from_moments, supported_moments
 from .errors import DEFAULT_BUDGET, CommutationError, ParseError, check_budget
 from .invariants import support_dims
+from .linalg import as_matrix
 from .symplectic import Subspace, Vector
 
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
@@ -276,10 +277,26 @@ def weights_from_supports(
     )
 
 
+def check_commuting(rows, q: int, n: int) -> None:
+    """Reject generators with a nonzero pairwise product, naming them in input order.
+
+    Raises :class:`CommutationError` for the first pair ``i < j`` (by
+    ``i``, then ``j``) of the given rows that do not commute.
+    """
+    rows = as_matrix(rows, q, cols=2 * n)
+    x, z = rows[:, 0::2], rows[:, 1::2]
+    bad = np.argwhere(np.triu((x @ z.T - z @ x.T) % q, 1))
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise CommutationError(i, j, int((x[i] @ z[j] - z[i] @ x[j]) % q))
+
+
 def stabilizer_code_from_isotropic(s: Subspace) -> Code:
     """The code whose radical is exactly ``s``: its orthogonal complement.
 
-    Rejects non-isotropic input, naming the first offending generator pair.
+    Rejects non-isotropic input, naming the first offending pair of
+    canonical basis rows of ``s`` (see :func:`check_commuting` for the
+    input's own generators).
     """
     gram = s._gram
     bad = np.argwhere(gram % s.q != 0)
@@ -320,7 +337,6 @@ def subsystem_from_gauge(gauge: Code | Subspace) -> SubsystemCode:
 # Named fixture codes used throughout the test-suite and the demos.
 
 REPETITION_STABILIZERS = ("ZZ",)
-BACON_SHOR_GAUGE = ("XXII", "IIXX", "ZIZI", "IZIZ")
 SHOR_STABILIZERS = (
     "ZZIIIIIII",
     "IZZIIIIII",
@@ -338,9 +354,52 @@ def repetition_code() -> Code:
     return stabilizer_code_from_isotropic(from_pauli(list(REPETITION_STABILIZERS)))
 
 
-def bacon_shor_code() -> SubsystemCode:
-    """The 2x2 Bacon-Shor subsystem code, a [[4,1,2]] code."""
-    return subsystem_from_gauge(Code(from_pauli(list(BACON_SHOR_GAUGE))))
+def _span_of_terms(n: int, terms: list[dict[int, str]]) -> Subspace:
+    """Span over the binary field of Pauli terms given as ``{factor: letter}``."""
+    rows = np.zeros((len(terms), 2 * n), dtype=np.int64)
+    for i, term in enumerate(terms):
+        for j, letter in term.items():
+            rows[i, 2 * j : 2 * j + 2] = PAULI_TO_FACTOR[letter]
+    return Subspace(rows, 2, n)
+
+
+def rotated_surface_code(d: int) -> Code:
+    """The rotated surface code of distance ``d``, a [[d^2, 1, d]] stabilizer code.
+
+    Factor i * d + j sits at (i, j) of a d x d grid.  Plaquette (r, c), for
+    r, c in -1..d-1, acts on the grid factors among (r..r+1, c..c+1) and is
+    X type when r + c is even.  Weight-2 plaquettes are kept on the top and
+    bottom edges for X and on the left and right edges for Z: d^2 - 1
+    generators.
+    """
+    if d < 1:
+        raise ValueError(f"distance must be at least 1, got {d}")
+    terms = []
+    for r in range(-1, d):
+        for c in range(-1, d):
+            cells = [(i, j) for i in (r, r + 1) for j in (c, c + 1) if 0 <= i < d and 0 <= j < d]
+            letter = "X" if (r + c) % 2 == 0 else "Z"
+            if len(cells) == 2:
+                if (letter == "X") != (r in (-1, d - 1)):
+                    continue
+            elif len(cells) != 4:
+                continue
+            terms.append({i * d + j: letter for i, j in cells})
+    return stabilizer_code_from_isotropic(_span_of_terms(d * d, terms))
+
+
+def bacon_shor_code(m: int = 2) -> SubsystemCode:
+    """The m x m Bacon-Shor subsystem code: m^2 factors, one logical pair.
+
+    Factor i * m + j sits at (i, j) of the grid; the gauge generators are XX
+    on horizontal neighbours and ZZ on vertical neighbours.  The default is
+    the [[4,1,2]] code.
+    """
+    if m < 1:
+        raise ValueError(f"grid side must be at least 1, got {m}")
+    terms = [{i * m + j: "X", i * m + j + 1: "X"} for i in range(m) for j in range(m - 1)]
+    terms += [{i * m + j: "Z", (i + 1) * m + j: "Z"} for i in range(m - 1) for j in range(m)]
+    return subsystem_from_gauge(_span_of_terms(m * m, terms))
 
 
 def shor_code() -> Code:

@@ -37,13 +37,17 @@ def _is_prime(q: int) -> bool:
     return True
 
 
+def _is_order(q) -> bool:
+    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+
+
 class PrimeField:
     """The prime field with ``q`` elements; construction rejects non-primes."""
 
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or not _is_prime(int(q)):
+        if not _is_order(q) or not _is_prime(int(q)):
             raise ValueError(f"field order must be a prime integer, got {q!r}")
         self.q = int(q)
 
@@ -57,8 +61,28 @@ class PrimeField:
         return f"PrimeField({self.q})"
 
 
-def as_matrix(rows, q: int, cols: int | None = None) -> Matrix:
-    """Normalize ``rows`` to a 2-D int64 array reduced mod ``q``.
+def _in_range(q: int, n: int) -> bool:
+    """Whether a Gram product sum on n factors, 2n (q - 1)**2 at most, fits in int64."""
+    return 2 * n * (q - 1) ** 2 < 2**63
+
+
+def checked_order(q, n: int) -> int:
+    """``q`` as an int, once it is in the supported range for n factors and prime.
+
+    The range, ``2n (q - 1)**2 < 2**63``, keeps every int64 Gram product
+    sum exact.  It is checked before the primality test, so an order far
+    beyond it is refused at once.
+    """
+    if _is_order(q) and not _in_range(int(q), n):
+        raise ValueError(
+            f"field order {q} is too large for n={n}: the supported range is "
+            "2n (q - 1)^2 < 2^63"
+        )
+    return PrimeField(q).q
+
+
+def as_matrix(rows, q: int | None, cols: int | None = None) -> Matrix:
+    """Normalize ``rows`` to a 2-D int64 array reduced mod ``q`` (unreduced if None).
 
     ``cols`` is required when ``rows`` is empty, since the ambient width
     cannot be inferred from nothing.
@@ -74,7 +98,7 @@ def as_matrix(rows, q: int, cols: int | None = None) -> Matrix:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {a.ndim}")
-    return a % q
+    return a if q is None else a % q
 
 
 def rref(a: Matrix, q: int) -> Matrix:
@@ -317,10 +341,13 @@ def matrix_from_text(text: str) -> tuple[Matrix, int]:
         q, rows, cols = (int(x) for x in head)
     except ValueError:
         raise ParseError("header must contain three integers", line=1) from None
-    if not _is_prime(q):
-        raise ParseError(f"modulus {q} is not prime", line=1)
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions", line=1)
+    # Any space on at least one factor refuses q beyond the one-factor range.
+    if not _in_range(q, max(cols // 2, 1)):
+        raise ParseError(f"modulus {q} is beyond the supported range 2n (q - 1)^2 < 2^63", line=1)
+    if not _is_prime(q):
+        raise ParseError(f"modulus {q} is not prime", line=1)
     data = []
     for i in range(rows):
         lineno = i + 2

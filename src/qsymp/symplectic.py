@@ -21,9 +21,14 @@ Over GF(2) a subspace stores its canonical basis as packed Python ints
 intersections, complements, radicals, membership, equality and the Gram
 matrix all run on those ints: the product <u, v> is the parity of
 ``u & swap(v)``, where swap exchanges x_i and z_i on every factor.  The
-numpy ``basis`` is unpacked on first use, for JSON, the CLI and numpy
-callers.  Over odd q the basis is a dense int64 matrix; the choice follows
-q alone.
+Gram matrix is built from the transposed rows of swap(B), one int per
+coordinate: row i is the XOR of the transposed rows picked by the set bits
+of basis row i, so it costs the total weight of the rows, not dim_F^2
+products.  The numpy ``basis`` is unpacked on first use, for JSON, the CLI
+and numpy callers.  Over odd q the basis is a dense int64 matrix; the
+choice follows q alone.  Results that an operation already returns in
+canonical form (sums, intersections, anticode parts) are stored as they
+are, at either q, without a second elimination.
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the
@@ -77,8 +82,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .linalg import (
     Matrix,
-    PrimeField,
     as_matrix,
+    checked_order,
     in_row_space,
     in_span_gf2,
     intersect,
@@ -336,8 +341,14 @@ def _cut_symplectic(ops, rad: list, pairs: list, c: int) -> tuple[list, list]:
     return rad + [ops.dual(pairs, c)], ops.clear(pairs[:i] + pairs[i + 2 :], p, c)
 
 
-# The Gram matrix needs 2n * (q - 1)**2 to fit in a signed 64-bit product sum.
-_INT64_LIMIT = 2**63
+def _set_bits(v: int) -> list[int]:
+    """The indices of the set bits of a packed row, lowest first."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 class Subspace:
@@ -356,18 +367,14 @@ class Subspace:
     """
 
     def __init__(self, rows, q: int = 2, n: int | None = None):
-        q = PrimeField(q).q
-        basis = as_matrix(rows, q, cols=None if n is None else 2 * n)
+        basis = as_matrix(rows, None, cols=None if n is None else 2 * n)
         if basis.shape[1] % 2:
             raise DimensionMismatchError("ambient width must be even (2 per factor)")
         if n is not None and 2 * n != basis.shape[1]:
             raise DimensionMismatchError(f"expected {n} factors, rows have {basis.shape[1] // 2}")
         n = basis.shape[1] // 2
-        if 2 * n * (q - 1) ** 2 >= _INT64_LIMIT:
-            raise ValueError(
-                f"field order {q} is too large for n={n}: the supported range is "
-                "2n (q - 1)^2 < 2^63"
-            )
+        q = checked_order(q, n)
+        basis %= q
         self._set(q, n, rref_gf2(pack_gf2(basis)) if q == 2 else rref(basis, q))
 
     def _set(self, q: int, n: int, canonical) -> None:
@@ -381,10 +388,10 @@ class Subspace:
             self.dim_f = canonical.shape[0]
 
     @classmethod
-    def _gf2(cls, n: int, canonical: list[int]) -> "Subspace":
-        """A q=2 space from rows already in packed canonical form (no re-elimination)."""
+    def _canonical(cls, q: int, n: int, canonical) -> "Subspace":
+        """A space from rows already in canonical form (packed ints at q=2), not re-eliminated."""
         space = cls.__new__(cls)
-        space._set(2, n, canonical)
+        space._set(q, n, canonical)
         return space
 
     @classmethod
@@ -456,22 +463,40 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         if self.q == 2:
-            return Subspace._gf2(self.n, rref_gf2(self._rows + other._rows))
-        return Subspace(subspace_sum(self.basis, other.basis, self.q), self.q, self.n)
+            rows = rref_gf2(self._rows + other._rows)
+        else:
+            rows = subspace_sum(self.basis, other.basis, self.q)
+        return Subspace._canonical(self.q, self.n, rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         if self.q == 2:
-            return Subspace._gf2(self.n, intersect_gf2(self._rows, other._rows, 2 * self.n))
-        return Subspace(intersect(self.basis, other.basis, self.q), self.q, self.n)
+            rows = intersect_gf2(self._rows, other._rows, 2 * self.n)
+        else:
+            rows = intersect(self.basis, other.basis, self.q)
+        return Subspace._canonical(self.q, self.n, rows)
 
     @cached_property
     def _gram_gf2(self) -> list[int]:
-        """q=2: the Gram matrix rows packed, bit j of row i = <b_i, b_j>."""
-        forms = self._ops.forms
-        return [
-            sum(c << j for j, c in enumerate(forms(self._rows, u))) for u in self._rows
-        ]
+        """q=2: the Gram matrix rows packed, bit j of row i = <b_i, b_j>.
+
+        Built from the transposed rows of swap(B): ``cols[k ^ 1]`` has bit j
+        set when row j has bit k, and row i of the Gram matrix is the XOR of
+        ``cols[k]`` over the set bits k of row i.  The cost is the total
+        weight of the rows, not dim_F^2 products.
+        """
+        bits = [_set_bits(r) for r in self._rows]
+        cols = [0] * (2 * self.n)
+        for j, row_bits in enumerate(bits):
+            for k in row_bits:
+                cols[k ^ 1] |= 1 << j
+        gram = []
+        for row_bits in bits:
+            g = 0
+            for k in row_bits:
+                g ^= cols[k]
+            gram.append(g)
+        return gram
 
     @cached_property
     def _gram(self) -> Matrix:
@@ -495,7 +520,7 @@ class Subspace:
         if self.q == 2:
             # <b, v> is the plain dot product of v with swap(b).
             swapped = [self._ops.swap(b) for b in self._rows]
-            return Subspace._gf2(self.n, kernel_gf2(swapped, 2 * self.n))
+            return Subspace._canonical(2, self.n, kernel_gf2(swapped, 2 * self.n))
         j = gram_form_matrix(self.n, self.q)
         constraints = (self.basis @ j) % self.q
         return Subspace(kernel(constraints, self.q), self.q, self.n)
@@ -511,11 +536,10 @@ class Subspace:
             rows = []
             for c in kernel_gf2(self._gram_gf2, self.dim_f):
                 v = 0
-                for j, b in enumerate(self._rows):
-                    if c >> j & 1:
-                        v ^= b
+                for j in _set_bits(c):
+                    v ^= self._rows[j]
                 rows.append(v)
-            return Subspace._gf2(self.n, rref_gf2(rows))
+            return Subspace._canonical(2, self.n, rref_gf2(rows))
         coeffs = kernel(self._gram, self.q)
         return Subspace((coeffs @ self.basis) % self.q, self.q, self.n)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymp.anticodes import (
     Anticode,
@@ -18,6 +19,7 @@ from qsymp.codes import (
     repetition_code,
     shor_stabilizer_rows,
 )
+from qsymp.linalg import unpack_gf2
 from qsymp.oracle import brute_codeword_set
 from qsymp.report import all_pass
 from qsymp.suites import all_subspaces
@@ -133,6 +135,47 @@ def test_intersect_with_anticode_matches_generic_intersection(rng):
         space = random_code(rng, q, n).space
         for a in all_anticodes(n):
             assert intersect_with_anticode(space, a) == (space & a.subspace(q))
+
+
+def _columns(support) -> list[int]:
+    return [c for j in sorted(support) for c in (2 * j, 2 * j + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gathered_puncture_matches_column_selection(data):
+    n = data.draw(st.integers(1, 16))
+    words = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 1))
+    space = Subspace(unpack_gf2(words, 2 * n), 2, n)
+    drawn = data.draw(st.sets(st.integers(0, n - 1)))
+    supports = [
+        frozenset(),
+        frozenset(range(n)),
+        frozenset(range(n // 3, n // 3 + (n + 1) // 2)),  # one run
+        frozenset(range(0, n, 2)),  # alternate factors
+        frozenset(range(1, n, 2)),
+        frozenset(drawn),
+    ]
+    for support in supports:
+        expected = Subspace(space.basis[:, _columns(support)], 2, len(support))
+        assert puncture(space, Anticode(n, support)) == expected, sorted(support)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_odd_q_anticode_part_matches_literal_intersection(data):
+    q = data.draw(st.sampled_from([3, 5]))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    space = Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+    a = Anticode(n, data.draw(st.sets(st.integers(0, n - 1))))
+    literal = space & a.subspace(q)
+    part = intersect_with_anticode(space, a)
+    assert part == literal
+    assert part.basis.tolist() == literal.basis.tolist()
+    assert shorten(space, a) == Subspace(literal.basis[:, _columns(a.support)], q, a.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,34 @@ def test_analyze_rejects_a_field_beyond_the_range(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
+def test_analyze_refuses_a_huge_modulus_at_once(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("2305843009213693951 1 2\n1 2\n")
+    proc = run_cli(["analyze", "--matrix", str(path)], env={"PATH": "/usr/bin:/bin"}, timeout=30)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["error"] == "input"
+
+
+NON_COMMUTING_INPUTS = {
+    "pauli": "ZZI\nIZZ\nXII\n",
+    "matrix": "2 3 6\n0 1 0 1 0 0\n0 0 0 1 0 1\n1 0 0 0 0 0\n",
+    "json": json.dumps(
+        {"q": 2, "n": 3, "basis": [[0, 1, 0, 1, 0, 0], [0, 0, 0, 1, 0, 1], [1, 0, 0, 0, 0, 0]]}
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_COMMUTING_INPUTS))
+def test_stabilizer_input_names_the_non_commuting_generators(kind, tmp_path, capsys):
+    # ZZI and IZZ commute; ZZI and XII do not.  The canonical basis would
+    # put XII first, so the indices must come from the input's own order.
+    path = tmp_path / f"gens.{kind}"
+    path.write_text(NON_COMMUTING_INPUTS[kind])
+    rc = cli.main(["import", f"--{kind}", str(path), "--as", "stabilizer"])
+    assert rc == 3
+    assert "generators 1 and 3 " in json.loads(capsys.readouterr().err)["detail"]
+
+
 def test_input_option_is_required(capsys):
     rc = cli.main(["analyze"])
     assert rc == 3

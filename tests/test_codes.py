@@ -16,6 +16,7 @@ from qsymp.codes import (
     random_isotropic,
     random_stabilizer_code,
     repetition_code,
+    rotated_surface_code,
     shor_code,
     stabilizer_code_from_isotropic,
     subsystem_from_gauge,
@@ -133,6 +134,32 @@ def test_bacon_shor_subsystem():
     assert sub.gauge.space.contains_space(sub.normalizer.space.perp())
     assert sub.normalizer.space.contains_space(sub.gauge.space)
     assert sub.gauge.space.radical() == sub.normalizer.space.perp()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_rotated_surface_code_parameters(d):
+    c = rotated_surface_code(d)
+    assert (c.n, c.dim_f, c.k, c.s) == (d * d, d * d + 1, 1, d * d)
+    assert c.is_stabilizer()
+    assert c.radical_space().dim_f == d * d - 1
+
+
+def test_rotated_surface_code_distance():
+    assert rotated_surface_code(3).distance() == 3
+
+
+def test_bacon_shor_default_is_the_two_by_two_code():
+    assert bacon_shor_code().gauge.space == from_pauli(["XXII", "IIXX", "ZIZI", "IZIZ"])
+    assert bacon_shor_code(2).gauge == bacon_shor_code().gauge
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_bacon_shor_family(m):
+    sub = bacon_shor_code(m)
+    assert sub.normalizer.n == m * m
+    assert sub.logical_count == 1
+    assert sub.stabilizer.dim_f == 2 * (m - 1)
+    assert sub.stabilizer.is_isotropic()
 
 
 def test_isotropic_gauge_degenerates():

@@ -1,10 +1,18 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsymp
+
 from qsymp.anticodes import all_anticodes, intersect_with_anticode
 from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace
 from qsymp.errors import DimensionMismatchError
+from qsymp.linalg import unpack_gf2
+from qsymp.oracle import _form
 from qsymp.symplectic import (
     Subspace,
     hamming_weight,
@@ -155,6 +163,17 @@ def spanned_spaces(draw):
     cells = rows * 2 * n
     entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
     return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_transposed_gram_rows_give_the_product_matrix(data):
+    n = data.draw(st.integers(1, 12))
+    words = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 1))
+    w = Subspace(unpack_gf2(words, 2 * n), 2, n)
+    basis = [tuple(int(x) for x in row) for row in w.basis]
+    literal = [sum(_form(u, v, 2) << j for j, v in enumerate(basis)) for u in basis]
+    assert w._gram_gf2 == literal
 
 
 @settings(max_examples=80, deadline=None)
@@ -332,6 +351,27 @@ def test_largest_field_is_exact_at_one_factor():
 def test_fields_beyond_the_range_are_rejected(q, n):
     with pytest.raises(ValueError, match="supported range"):
         Subspace([[1] * (2 * n)], q, n)
+
+
+def test_a_field_far_beyond_the_range_is_refused_at_once():
+    # The range is checked before the primality test, which would take
+    # hours of trial division on this modulus.
+    code = (
+        "from qsymp import Subspace\n"
+        "try:\n"
+        "    Subspace([[1, 2]], 2**61 - 1, 1)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    root = str(Path(qsymp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={"PYTHONPATH": root, "PATH": "/usr/bin:/bin"},
+    )
+    assert "supported range" in proc.stdout
 
 
 def test_basis_is_immutable():
