@@ -285,10 +285,11 @@ def check_commuting(rows, q: int, n: int) -> None:
     """
     rows = as_matrix(rows, q, cols=2 * n)
     x, z = rows[:, 0::2], rows[:, 1::2]
-    bad = np.argwhere(np.triu((x @ z.T - z @ x.T) % q, 1))
+    gram = (x @ z.T - z @ x.T) % q
+    bad = np.argwhere(np.triu(gram, 1))
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        raise CommutationError(i, j, int((x[i] @ z[j] - z[i] @ x[j]) % q))
+        raise CommutationError(i, j, int(gram[i, j]))
 
 
 def stabilizer_code_from_isotropic(s: Subspace) -> Code:

@@ -37,17 +37,13 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _is_order(q) -> bool:
-    return isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-
-
 class PrimeField:
     """The prime field with ``q`` elements; construction rejects non-primes."""
 
     __slots__ = ("q",)
 
     def __init__(self, q: int):
-        if not _is_order(q) or not _is_prime(int(q)):
+        if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or not _is_prime(int(q)):
             raise ValueError(f"field order must be a prime integer, got {q!r}")
         self.q = int(q)
 
@@ -73,7 +69,7 @@ def checked_order(q, n: int) -> int:
     sum exact.  It is checked before the primality test, so an order far
     beyond it is refused at once.
     """
-    if _is_order(q) and not _in_range(int(q), n):
+    if isinstance(q, (int, np.integer)) and not _in_range(int(q), n):
         raise ValueError(
             f"field order {q} is too large for n={n}: the supported range is "
             "2n (q - 1)^2 < 2^63"
