@@ -26,8 +26,7 @@ from qsymp.codes import (
     stabilizer_code_from_isotropic,
 )
 
-# sha256 of _digest(space) for each case, taken before the anticode layer's
-# packed gathers and one-pass eliminations: a change of implementation must
+# sha256 of _digest(space) for each case: a change of implementation must
 # leave them as they are.
 PINNED = {
     "surface-d5": "06f27d075d9e99c5de5be1cb45ec0aefb9a548758cd0964810ff78d5456649f7",
