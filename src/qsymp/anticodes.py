@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import rref, rref_gf2, vanishing_part_gf2
+from .linalg import as_matrix, pivot_columns, rref, rref_gf2, vanishing_part, vanishing_part_gf2
 from .report import CheckResult
 from .symplectic import Subspace
 
@@ -116,11 +116,10 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     """The part of a subspace supported inside the anticode.
 
     Equivalent to intersecting with the materialized free subspace, but
-    computed by one elimination of the basis with the coordinates outside
-    the support taken first: the rows that vanish there, with the columns
-    moved back, are the part's canonical basis (the inside columns keep
-    their order, so pivots and reduced columns stay in place).  At q=2 the
-    packed rows are reduced on the outside bits alone
+    computed as the basis's vanishing part on the coordinates outside the
+    support: one elimination with those columns taken first
+    (:func:`~qsymp.linalg.vanishing_part`), or at q=2 the packed rows
+    reduced on the outside bits alone
     (:func:`~qsymp.linalg.vanishing_part_gf2`).
     """
     _check_factors(space, a)
@@ -130,11 +129,7 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     if space.q == 2:
         rows = vanishing_part_gf2(space._rows, sum(1 << c for c in outside))
     else:
-        order = outside + _inside_columns(a)
-        moved = rref(space.basis[:, order], space.q)
-        kept = moved[~moved[:, : len(outside)].any(axis=1)]
-        rows = np.empty_like(kept)
-        rows[:, order] = kept
+        rows = vanishing_part(space.basis, outside, space.q)
     return Subspace._canonical(space.q, space.n, rows)
 
 
@@ -246,7 +241,9 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     usable rows of ``radical_rows`` (default: the canonical radical basis).
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
-    of that choice.
+    of that choice.  The greedy choice is read off one elimination: with the
+    parts' basis and then the rows as columns, the pivot columns past the
+    parts' basis are the rows that extend the span.
     """
     space = _space_of(code)
     rad = space.radical()
@@ -255,26 +252,16 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     if radical_rows is None:
         rows = rad.basis
     else:
-        rows = np.asarray(radical_rows, dtype=np.int64) % space.q
-        for row in rows:
-            if row not in rad:
-                raise ValueError("supplied rows must lie in the radical")
-        if Subspace(rows, space.q, space.n) != rad:
+        rows = as_matrix(radical_rows, space.q, cols=2 * space.n)
+        span = Subspace(rows, space.q, space.n)
+        if not rad.contains_space(span):
+            raise ValueError("supplied rows must lie in the radical")
+        if span != rad:
             raise ValueError("supplied rows must span the radical")
-    current = rad_in_a + rad_in_aperp
-    chosen = []
-    for row in rows:
-        if current.dim_f == rad.dim_f:
-            break
-        bigger = current + Subspace(row.reshape(1, -1), space.q, space.n)
-        if bigger.dim_f > current.dim_f:
-            chosen.append(row)
-            current = bigger
-    s_prime = (
-        Subspace(np.array(chosen, dtype=np.int64), space.q, space.n)
-        if chosen
-        else Subspace.zero(space.q, space.n)
-    )
+    current = (rad_in_a + rad_in_aperp).basis
+    pivots = pivot_columns(rref(np.vstack([current, rows]).T, space.q))
+    chosen = [p - len(current) for p in pivots if p >= len(current)]
+    s_prime = Subspace(rows[chosen], space.q, space.n)
     return SPrimeDecomposition(rad_in_a=rad_in_a, rad_in_aperp=rad_in_aperp, s_prime=s_prime)
 
 

@@ -28,7 +28,7 @@ from .enumerators import distance_from_enumerators, distribution_from_moments, s
 from .errors import DEFAULT_BUDGET, CommutationError, ParseError, check_budget
 from .invariants import support_dims
 from .linalg import as_matrix
-from .symplectic import Subspace, Vector
+from .symplectic import Subspace, Vector, _swap
 
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
@@ -284,8 +284,7 @@ def check_commuting(rows, q: int, n: int) -> None:
     ``i``, then ``j``) of the given rows that do not commute.
     """
     rows = as_matrix(rows, q, cols=2 * n)
-    x, z = rows[:, 0::2], rows[:, 1::2]
-    gram = (x @ z.T - z @ x.T) % q
+    gram = (_swap(rows, q) @ rows.T) % q
     bad = np.argwhere(np.triu(gram, 1))
     if bad.size:
         i, j = (int(v) for v in bad[0])

@@ -10,9 +10,21 @@ the first nonzero column, scanning left to right.
 Over GF(2) a row is also kept word-packed, as a Python int with bit j =
 column j (:func:`pack_gf2`, :func:`unpack_gf2`); adding rows is an XOR.
 The ``*_gf2`` functions work on lists of such ints, and
-:class:`~qsymp.symplectic.Subspace` stores its q=2 basis in this form.  The
-canonical form is unique, so the packed routes agree bit for bit with the
-dense one: a packed row's pivot is its lowest set bit.
+:class:`~qsymp.symplectic.Subspace` stores its q=2 basis in this form.
+The canonical form is unique, so the packed routes agree bit for bit with
+the dense one: a packed row's pivot is its lowest set bit.  Each field has
+one routine per question:
+
+- canonical form: :func:`rref` (dense; packed at q=2) and :func:`rref_gf2`;
+- kernel: :func:`kernel` and :func:`kernel_gf2`;
+- vanishing part, the span's vectors that are zero on given columns:
+  :func:`vanishing_part` and :func:`vanishing_part_gf2`;
+- membership: :func:`in_row_space` and :func:`in_span_gf2`.
+
+A sum is the canonical form of the stacked rows.  An intersection is a
+vanishing part (Zassenhaus): the rows ``(x, x)`` for x in A and ``(y, 0)``
+for y in B span vectors whose first half vanishes exactly when their
+second half lies in both A and B.
 """
 
 from __future__ import annotations
@@ -66,10 +78,11 @@ def checked_order(q, n: int) -> int:
     """``q`` as an int, once it is in the supported range for n factors and prime.
 
     The range, ``2n (q - 1)**2 < 2**63``, keeps every int64 Gram product
-    sum exact.  It is checked before the primality test, so an order far
-    beyond it is refused at once.
+    sum exact.  It is checked before the primality test, with n at least 1
+    (as in :func:`matrix_from_text`), so an order far beyond the one-factor
+    range is refused at once even for a space on no factors.
     """
-    if isinstance(q, (int, np.integer)) and not _in_range(int(q), n):
+    if isinstance(q, (int, np.integer)) and not _in_range(int(q), max(n, 1)):
         raise ValueError(
             f"field order {q} is too large for n={n}: the supported range is "
             "2n (q - 1)^2 < 2^63"
@@ -233,25 +246,6 @@ def vanishing_part_gf2(rows: list[int], mask: int) -> list[int]:
     return rref_gf2(part)
 
 
-def intersect_gf2(a: list[int], b: list[int], cols: int) -> list[int]:
-    """Canonical basis of the intersection of two packed row spaces (Zassenhaus).
-
-    The rows ``(x, x)`` for x in ``a`` and ``(y, 0)`` for y in ``b`` (left
-    half in the low bits) are reduced; the rows whose pivot falls in the
-    right half are, shifted down, the canonical basis of the intersection.
-    """
-    low = (1 << cols) - 1
-    joint = rref_gf2([x | x << cols for x in a] + list(b))
-    return [r >> cols for r in joint if not r & low]
-
-
-def rank(a: Matrix, q: int) -> int:
-    """Row rank; over GF(2) the packed rows are counted without unpacking."""
-    if q == 2:
-        return len(rref_gf2(pack_gf2(np.atleast_2d(np.asarray(a, dtype=np.int64)))))
-    return rref(a, q).shape[0]
-
-
 def pivot_columns(rref_matrix: Matrix) -> list[int]:
     """Pivot column of each row of a matrix already in canonical form."""
     return np.argmax(rref_matrix != 0, axis=1).tolist() if rref_matrix.shape[0] else []
@@ -262,7 +256,7 @@ def kernel(a: Matrix, q: int) -> Matrix:
 
     Uses the free-variable convention: each free column contributes one
     basis vector with a 1 in that column.  Satisfies
-    ``rank(a) + kernel(a).shape[0] == a.shape[1]``.
+    ``rref(a).shape[0] + kernel(a).shape[0] == a.shape[1]``.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim == 1:
@@ -278,6 +272,23 @@ def kernel(a: Matrix, q: int) -> Matrix:
     return out
 
 
+def vanishing_part(a: Matrix, cols: list[int], q: int) -> Matrix:
+    """Canonical basis of the row space's vectors that are zero on every column in ``cols``.
+
+    One elimination with the columns of ``cols`` taken first: the reduced
+    rows that vanish there, with the columns moved back, are the canonical
+    basis (the other columns keep their order, so pivots and reduced
+    columns stay in place).  The dense twin of :func:`vanishing_part_gf2`.
+    """
+    first = set(cols)
+    order = list(cols) + [c for c in range(a.shape[1]) if c not in first]
+    moved = rref(a[:, order], q)
+    kept = moved[~moved[:, : len(cols)].any(axis=1)]
+    out = np.empty_like(kept)
+    out[:, order] = kept
+    return out
+
+
 def in_row_space(basis: Matrix, v, q: int) -> bool:
     """Membership test against a canonical (rref) basis."""
     v = np.array(v, dtype=np.int64).reshape(-1) % q
@@ -289,27 +300,6 @@ def in_row_space(basis: Matrix, v, q: int) -> bool:
         if v[p]:
             v = (v - v[p] * basis[i]) % q
     return not v.any()
-
-
-def subspace_sum(a: Matrix, b: Matrix, q: int) -> Matrix:
-    """Canonical basis of the sum of two row spaces."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return rref(np.vstack([a, b]), q)
-
-
-def intersect(a: Matrix, b: Matrix, q: int) -> Matrix:
-    """Canonical basis of the intersection of two row spaces (Zassenhaus)."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    n = a.shape[1]
-    top = np.hstack([a, a])
-    bot = np.hstack([b, np.zeros_like(b)])
-    r = rref(np.vstack([top, bot]), q)
-    if r.shape[0] == 0:
-        return np.zeros((0, n), dtype=np.int64)
-    left_zero = ~(r[:, :n] != 0).any(axis=1)
-    return rref(r[left_zero][:, n:], q)
 
 
 def matrix_to_text(a: Matrix, q: int) -> str:

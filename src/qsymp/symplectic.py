@@ -19,16 +19,20 @@ moments, duality) is read.
 Over GF(2) a subspace stores its canonical basis as packed Python ints
 (bit j = coordinate j, as in :func:`~qsymp.linalg.pack_gf2`), and sums,
 intersections, complements, radicals, membership, equality and the Gram
-matrix all run on those ints: the product <u, v> is the parity of
-``u & swap(v)``, where swap exchanges x_i and z_i on every factor.  The
-Gram matrix is built from the transposed rows of swap(B), one int per
-coordinate: row i is the XOR of the transposed rows picked by the set bits
-of basis row i, so it costs the total weight of the rows, not dim_F^2
-products.  The numpy ``basis`` is unpacked on first use, for JSON, the CLI
-and numpy callers.  Over odd q the basis is a dense int64 matrix; the
-choice follows q alone.  Results that an operation already returns in
-canonical form (sums, intersections, anticode parts) are stored as they
-are, at either q, without a second elimination.
+matrix all run on those ints.  Over odd q the basis is a dense int64
+matrix; the choice follows q alone.  Both fields read the product through
+a swap of the two coordinates of every factor, which turns it into a plain
+dot product: at q=2 <u, v> is the parity of ``u & swap(v)``, where swap
+exchanges x_i and z_i, and at odd q it is ``swap(u) . v``, where swap maps
+(x_i, z_i) to (-z_i, x_i).  So the complement is the kernel of swap(B),
+and the Gram matrix is swap(B) B^T.  At q=2 it is built from the
+transposed rows of swap(B), one int per coordinate: row i is the XOR of
+the transposed rows picked by the set bits of basis row i, so it costs the
+total weight of the rows, not dim_F^2 products.  The numpy ``basis`` is
+unpacked on first use, for JSON, the CLI and numpy callers.  Results that
+an operation already returns in canonical form (sums, intersections,
+anticode parts) are stored as they are, at either q, without a second
+elimination.
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the
@@ -86,28 +90,30 @@ from .linalg import (
     checked_order,
     in_row_space,
     in_span_gf2,
-    intersect,
-    intersect_gf2,
     kernel,
     kernel_gf2,
     pack_gf2,
-    rank,
     rref,
     rref_gf2,
-    subspace_sum,
     unpack_gf2,
+    vanishing_part,
+    vanishing_part_gf2,
 )
 
 Vector = np.ndarray
 
 
-def gram_form_matrix(n: int, q: int) -> Matrix:
-    """The 2n x 2n matrix J with u @ J @ v equal to the symplectic product."""
-    j = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    for i in range(n):
-        j[2 * i, 2 * i + 1] = 1
-        j[2 * i + 1, 2 * i] = q - 1
-    return j
+def _swap(b: Matrix, q: int) -> Matrix:
+    """Rows with (x_i, z_i) mapped to (-z_i mod q, x_i) on every factor.
+
+    The plain dot product ``_swap(u, q) @ v`` is the product <u, v>, so
+    ``_swap(B, q) @ B.T`` is the Gram matrix of the rows of B and the
+    kernel of ``_swap(B, q)`` is their orthogonal complement.
+    """
+    out = np.empty_like(b)
+    out[:, 0::2] = -b[:, 1::2] % q
+    out[:, 1::2] = b[:, 0::2]
+    return out
 
 
 def symplectic_form(u, v, q: int) -> int:
@@ -465,15 +471,26 @@ class Subspace:
         if self.q == 2:
             rows = rref_gf2(self._rows + other._rows)
         else:
-            rows = subspace_sum(self.basis, other.basis, self.q)
+            rows = rref(np.vstack([self.basis, other.basis]), self.q)
         return Subspace._canonical(self.q, self.n, rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
+        """The intersection, as a vanishing part (Zassenhaus).
+
+        The rows (x | x) for x here and (y | 0) for y in ``other`` span the
+        vectors (u + v | u) with u here and v in ``other``.  Those whose first
+        half vanishes have u = -v in both, so their right halves are the
+        intersection's canonical basis.
+        """
         self._check_compatible(other)
+        width = 2 * self.n
         if self.q == 2:
-            rows = intersect_gf2(self._rows, other._rows, 2 * self.n)
+            joint = [x | x << width for x in self._rows] + list(other._rows)
+            rows = [r >> width for r in vanishing_part_gf2(joint, (1 << width) - 1)]
         else:
-            rows = intersect(self.basis, other.basis, self.q)
+            a, b = self.basis, other.basis
+            joint = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
+            rows = vanishing_part(joint, list(range(width)), self.q)[:, width:]
         return Subspace._canonical(self.q, self.n, rows)
 
     @cached_property
@@ -502,8 +519,7 @@ class Subspace:
     def _gram(self) -> Matrix:
         if self.q == 2:
             return unpack_gf2(self._gram_gf2, self.dim_f)
-        j = gram_form_matrix(self.n, self.q)
-        return (((self.basis @ j) % self.q) @ self.basis.T) % self.q
+        return (_swap(self.basis, self.q) @ self.basis.T) % self.q
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
@@ -521,9 +537,7 @@ class Subspace:
             # <b, v> is the plain dot product of v with swap(b).
             swapped = [self._ops.swap(b) for b in self._rows]
             return Subspace._canonical(2, self.n, kernel_gf2(swapped, 2 * self.n))
-        j = gram_form_matrix(self.n, self.q)
-        constraints = (self.basis @ j) % self.q
-        return Subspace(kernel(constraints, self.q), self.q, self.n)
+        return Subspace(kernel(_swap(self.basis, self.q), self.q), self.q, self.n)
 
     def radical(self) -> "Subspace":
         """The degenerate part: intersection with the orthogonal complement."""
@@ -567,7 +581,7 @@ class Subspace:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
         if self.q == 2:
             return len(rref_gf2(self._gram_gf2)) // 2
-        return rank(self._gram, self.q) // 2
+        return rref(self._gram, self.q).shape[0] // 2
 
     @cached_property
     def isorank(self) -> int:

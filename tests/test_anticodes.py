@@ -19,7 +19,7 @@ from qsymp.codes import (
     repetition_code,
     shor_stabilizer_rows,
 )
-from qsymp.linalg import unpack_gf2
+from qsymp.linalg import unpack_gf2, vanishing_part
 from qsymp.oracle import brute_codeword_set
 from qsymp.report import all_pass
 from qsymp.suites import all_subspaces
@@ -178,6 +178,29 @@ def test_odd_q_anticode_part_matches_literal_intersection(data):
     assert shorten(space, a) == Subspace(literal.basis[:, _columns(a.support)], q, a.dim)
 
 
+@pytest.mark.parametrize("kind", ["empty", "full", "drawn"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dense_vanishing_part_matches_materialized_anticode(kind, data):
+    # The vanishing part off S is the space's part inside the anticode on S.
+    q = data.draw(st.sampled_from([3, 5]))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    space = Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+    if kind == "drawn":
+        support = data.draw(st.sets(st.integers(0, n - 1)))
+    else:
+        support = set() if kind == "empty" else set(range(n))
+    outside = _columns(set(range(n)) - support)
+    part = vanishing_part(space.basis, outside, q)
+    literal = space & Anticode(n, support).subspace(q)
+    assert part.dtype == np.int64
+    assert part.shape == literal.basis.shape
+    assert part.tobytes() == literal.basis.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cleaning duality
 
@@ -251,10 +274,53 @@ def test_decomposition_invariants_random_stabilizer(rng):
             _assert_valid_decomposition(code, a)
 
 
+def _greedy_s_prime(space, a, rows):
+    """The transversal summand by the per-row greedy loop: one sum per row."""
+    rad = space.radical()
+    current = intersect_with_anticode(rad, a) + intersect_with_anticode(rad, a.complement())
+    chosen = []
+    for row in rows:
+        if current.dim_f == rad.dim_f:
+            break
+        bigger = current + Subspace(row.reshape(1, -1), space.q, space.n)
+        if bigger.dim_f > current.dim_f:
+            chosen.append(row)
+            current = bigger
+    return Subspace(np.array(chosen, dtype=np.int64).reshape(-1, 2 * space.n), space.q, space.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_transversal_summand_matches_the_greedy_loop(data):
+    q = data.draw(st.sampled_from([2, 3, 5]))
+    n = data.draw(st.integers(1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kind = data.draw(st.sampled_from(["stabilizer", "random", "zero radical"]))
+    if kind == "stabilizer":
+        space = random_stabilizer_code(rng, n, q).space
+    elif kind == "random":
+        space = random_code(rng, q, n).space
+    else:
+        space = Subspace.full(q, n)
+    a = Anticode(n, data.draw(st.sets(st.integers(0, n - 1))))
+    rad = space.radical()
+    # The rows shuffled, with a redundant combination of two of them in front.
+    rows = rad.basis[rng.permutation(rad.dim_f)]
+    if rad.dim_f >= 2:
+        rows = np.vstack([(rows[0] + (q - 1) * rows[1]) % q, rows])
+    for given_rows in (None, rows):
+        dec = s_prime_decompose(space, a, radical_rows=given_rows)
+        expected = _greedy_s_prime(space, a, rad.basis if given_rows is None else given_rows)
+        assert dec.s_prime.basis.tobytes() == expected.basis.tobytes()
+        assert dec.s_prime.basis.shape == expected.basis.shape
+    if kind == "zero radical":
+        assert dec.s_prime.dim_f == 0
+
+
 def test_decomposition_rejects_bad_rows(shor):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lie in the radical"):
         s_prime_decompose(shor, FRONT, radical_rows=np.eye(18, dtype=np.int64))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="span the radical"):
         s_prime_decompose(shor, FRONT, radical_rows=shor_stabilizer_rows()[:3])
 
 

@@ -374,6 +374,32 @@ def test_a_field_far_beyond_the_range_is_refused_at_once():
     assert "supported range" in proc.stdout
 
 
+def test_a_huge_field_on_no_factors_is_refused_at_once():
+    # A space on no factors is checked against the one-factor range, so
+    # the modulus never reaches the trial division.
+    code = (
+        "import time\n"
+        "from qsymp import Subspace\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        "    Subspace.zero(2**61 - 1, 0)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    root = str(Path(qsymp.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={"PYTHONPATH": root, "PATH": "/usr/bin:/bin"},
+    )
+    message, elapsed = proc.stdout.splitlines()
+    assert "supported range" in message
+    assert float(elapsed) < 1.0
+
+
 def test_basis_is_immutable():
     w = Subspace([vec(E, E)], 2, 2)
     with pytest.raises(ValueError):
