@@ -23,8 +23,9 @@ one routine per question:
 
 A sum is the canonical form of the stacked rows.  An intersection is a
 vanishing part (Zassenhaus): the rows ``(x, x)`` for x in A and ``(y, 0)``
-for y in B span vectors whose first half vanishes exactly when their
-second half lies in both A and B.
+for y in B span the vectors ``(u + v, u)`` with u in A and v in B; where
+the first half vanishes, u = -v lies in both, and the second halves of
+that vanishing part are the intersection's canonical basis.
 """
 
 from __future__ import annotations

@@ -475,13 +475,7 @@ class Subspace:
         return Subspace._canonical(self.q, self.n, rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """The intersection, as a vanishing part (Zassenhaus).
-
-        The rows (x | x) for x here and (y | 0) for y in ``other`` span the
-        vectors (u + v | u) with u here and v in ``other``.  Those whose first
-        half vanishes have u = -v in both, so their right halves are the
-        intersection's canonical basis.
-        """
+        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`)."""
         self._check_compatible(other)
         width = 2 * self.n
         if self.q == 2:
