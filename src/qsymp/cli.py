@@ -235,20 +235,24 @@ def cmd_import(args) -> int:
     return 0
 
 
+def _enumerators_dict(code: Code, budget: int) -> dict:
+    a_poly, b_poly = en.enumerator_polys(code, budget)
+    return {
+        "W": en.weight_distribution(code, budget),
+        "B": en.binomial_moments(code, budget),
+        "A_poly": a_poly,
+        "B_poly": b_poly,
+    }
+
+
 def cmd_analyze(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     obj, source = _load(args)
     report = _report(obj, source, budget)
     if args.full:
         code = _normalizer_of(obj)
-        a_poly, b_poly = en.enumerator_polys(code, budget)
         report["invariants"] = iv.invariant_table(code, budget).to_dict()
-        report["enumerators"] = {
-            "W": en.weight_distribution(code, budget),
-            "B": en.binomial_moments(code, budget),
-            "A_poly": a_poly,
-            "B_poly": b_poly,
-        }
+        report["enumerators"] = _enumerators_dict(code, budget)
         report["verification"] = [
             c.to_dict()
             for c in iv.verify_bounds(code, budget) + en.macwilliams_check(code, budget)
@@ -272,18 +276,11 @@ def cmd_invariants(args) -> int:
 def cmd_enumerator(args) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     obj, source = _load(args)
-    code = _normalizer_of(obj)
-    a_poly, b_poly = en.enumerator_polys(code, budget)
-    data = {
-        "source": source,
-        "W": en.weight_distribution(code, budget),
-        "B": en.binomial_moments(code, budget),
-        "A_poly": a_poly,
-        "B_poly": b_poly,
-    }
+    data = {"source": source, **_enumerators_dict(_normalizer_of(obj), budget)}
     if args.format == "json":
         print(_dump(data))
     else:
+        a_poly, b_poly = data["A_poly"], data["B_poly"]
         print(f"A(x, y) = {en.format_enumerator(a_poly)}")
         print(f"B(x, y) = {en.format_enumerator(b_poly)}")
         d = en.distance_from_enumerators(a_poly, b_poly)
@@ -408,10 +405,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
         return 2
-    except (ParseError, CommutationError, DimensionMismatchError) as exc:
-        print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ParseError, CommutationError, DimensionMismatchError, OSError, ValueError) as exc:
+        # json.JSONDecodeError is a ValueError.
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True), file=sys.stderr)
         return 3
     except QsympError as exc:

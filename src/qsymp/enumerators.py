@@ -37,7 +37,7 @@ import math
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET
 from .invariants import support_dims
-from .report import CheckResult
+from .report import CheckResult, batch
 
 __all__ = [
     "weight_distribution",
@@ -168,55 +168,30 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     per_items = []
     for supp, e in dims.items():
-        lhs = e.dual
         rhs = 2 * len(supp) - dim_f + dims[full - supp].dim
-        per_items.append((sorted(supp), lhs, rhs, lhs == rhs))
-    checks = [
-        CheckResult(
-            "macwilliams-per-anticode",
-            all(ok for *_, ok in per_items),
-            checked=len(per_items),
-            failures=sum(1 for *_, ok in per_items if not ok),
-            witness=next(
-                (
-                    {"support": tag, "lhs": lhs, "rhs": rhs}
-                    for tag, lhs, rhs, ok in per_items
-                    if not ok
-                ),
-                None,
-            ),
-        )
-    ]
+        per_items.append((sorted(supp), e.dual, rhs, e.dual == rhs))
+    checks = [batch("macwilliams-per-anticode", per_items, key="support")]
 
     moments_self = supported_moments(dims, q, n, "dim")
     moments_dual = supported_moments(dims, q, n, "dual")
-    agg_items = []
-    for b in range(n + 1):
-        lhs = moments_dual[b] * q**dim_f
-        rhs = q ** (2 * b) * moments_self[n - b]
-        agg_items.append((b, lhs, rhs, lhs == rhs))
-    checks.append(
-        CheckResult(
-            "macwilliams-moments",
-            all(ok for *_, ok in agg_items),
-            checked=len(agg_items),
-            failures=sum(1 for *_, ok in agg_items if not ok),
-        )
-    )
 
-    if dim_f == 2 * k:
-        plain_items = []
+    def moment_items(exponent):
+        # q**exponent times the dual's moment against the code's
+        # complementary moment, cross-multiplied: 2*(b - k) may be negative.
+        items = []
         for b in range(n + 1):
-            # exponent 2*(b - k) may be negative; compare cross-multiplied
-            lhs = moments_dual[b] * q ** (2 * k)
+            lhs = moments_dual[b] * q**exponent
             rhs = q ** (2 * b) * moments_self[n - b]
-            plain_items.append((b, lhs, rhs, lhs == rhs))
+            items.append((b, lhs, rhs, lhs == rhs))
+        return items
+
+    checks.append(batch("macwilliams-moments", moment_items(dim_f), key=None))
+    if dim_f == 2 * k:
         checks.append(
-            CheckResult(
+            batch(
                 "macwilliams-moments-unshifted",
-                all(ok for *_, ok in plain_items),
-                checked=len(plain_items),
-                failures=sum(1 for *_, ok in plain_items if not ok),
+                moment_items(2 * k),
+                key=None,
                 note="radical is trivial, so the unshifted exponent applies",
             )
         )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
-from .report import CheckResult
+from .report import CheckResult, batch
 from .symplectic import SupportDims
 
 __all__ = [
@@ -203,72 +203,44 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     code_obj = code if isinstance(code, Code) else Code(space)
     n, k = space.n, space.sym_dim
     dims = support_dims(space, budget)
-    table = support_table(code_obj, budget)
     theta, phi = profiles(code_obj, budget)
     vartheta, varphi, delta = generalized_weights(code_obj, budget)
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
+    full = frozenset(range(n))
+    # (support, its entry, the complement's entry) for every support.
+    pairs = [(sorted(s), e, dims[full - s]) for s, e in dims.items()]
     checks: list[CheckResult] = []
 
     def add(identity, passed, lhs=None, rhs=None, note=None):
         checks.append(CheckResult(identity, passed, lhs=lhs, rhs=rhs, note=note))
 
-    def add_all(identity, items, note=None):
-        fails = [(tag, lhs, rhs) for tag, lhs, rhs, ok in items if not ok]
-        checks.append(
-            CheckResult(
-                identity,
-                not fails,
-                checked=len(items),
-                failures=len(fails),
-                witness=(
-                    {"instance": fails[0][0], "lhs": fails[0][1], "rhs": fails[0][2]}
-                    if fails
-                    else None
-                ),
-                note=note,
-            )
-        )
-
     # Pointwise facts over every support.
-    add_all(
-        "alpha-le-beta",
-        [(sorted(s), a_val, b_val, a_val <= b_val) for s, (a_val, b_val) in table.items()],
-    )
-    full = frozenset(range(n))
+    items = [(s, e.alpha, e.beta, e.alpha <= e.beta) for s, e, _ in pairs]
+    checks.append(batch("alpha-le-beta", items))
     rank_items = []
-    for s in table:
-        comp = full - s
-        lhs = dims[s].dim
-        rhs = space.dim_f - 2 * len(comp) + dims[comp].dual
-        rank_items.append((sorted(s), lhs, rhs, lhs == rhs))
-    add_all("duality-rank-identity", rank_items)
+    for s, e, c in pairs:
+        rhs = space.dim_f - 2 * (n - len(s)) + c.dual
+        rank_items.append((s, e.dim, rhs, e.dim == rhs))
+    checks.append(batch("duality-rank-identity", rank_items))
 
     if self_orthogonal:
+        items = [(s, e.beta + c.alpha, k, e.beta + c.alpha == k) for s, e, c in pairs]
+        checks.append(batch("weight-complementarity", items))
         items = []
-        for s, (_, b_val) in table.items():
-            comp = full - s
-            a_comp = table[comp][0]
-            items.append((sorted(s), b_val + a_comp, k, b_val + a_comp == k))
-        add_all("weight-complementarity", items)
-        items = []
-        for s, (a_val, b_val) in table.items():
-            comp = full - s
-            ac, bc = table[comp]
-            items.append((sorted(s), b_val - a_val, bc - ac, b_val - a_val == bc - ac))
-        add_all("alpha-beta-difference-complement", items)
+        for s, e, c in pairs:
+            lhs, rhs = e.beta - e.alpha, c.beta - c.alpha
+            items.append((s, lhs, rhs, lhs == rhs))
+        checks.append(batch("alpha-beta-difference-complement", items))
         if d is not None:
-            items = []
-            for s, (a_val, b_val) in table.items():
-                if len(s) < d:
-                    items.append((sorted(s), (a_val, b_val), (0, 0), a_val == 0 and b_val == 0))
-            add_all("small-support-trivial", items)
+            items = [
+                (s, (e.alpha, e.beta), (0, 0), e.alpha == 0 and e.beta == 0)
+                for s, e, _ in pairs
+                if len(s) < d
+            ]
+            checks.append(batch("small-support-trivial", items))
     else:
-        add(
-            "weight-complementarity",
-            True,
-            note="skipped: radical differs from the dual (not applicable)",
-        )
+        add("weight-complementarity", True, note="skipped: radical differs from the dual (not applicable)")
 
     # Profile steps.
     step_items = []
@@ -279,15 +251,9 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             step_items.append((f"phi-flat[{b}]", phi[b + 1], phi[b], phi[b + 1] == phi[b]))
         if phi[b + 1] == phi[b] + 2:
             step_items.append((f"theta-flat[{b}]", theta[b + 1], theta[b], theta[b + 1] == theta[b]))
-        step_items.append(
-            (
-                f"joint-step[{b}]",
-                theta[b + 1] + phi[b + 1],
-                theta[b] + phi[b] + 2,
-                theta[b + 1] + phi[b + 1] <= theta[b] + phi[b] + 2,
-            )
-        )
-    add_all("profile-steps", step_items)
+        lhs, rhs = theta[b + 1] + phi[b + 1], theta[b] + phi[b] + 2
+        step_items.append((f"joint-step[{b}]", lhs, rhs, lhs <= rhs))
+    checks.append(batch("profile-steps", step_items))
 
     # Galois correspondences between weights and profiles.
     inf = n + 1
@@ -302,7 +268,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             lhs = a_level <= phi[b]
             rhs = (vp if vp is not None else inf) <= b
             galois_items.append((f"phi[a={a_level},b={b}]", lhs, rhs, lhs == rhs))
-    add_all("galois-connection", galois_items)
+    checks.append(batch("galois-connection", galois_items))
 
     # Weight monotonicity.
     pair_items = []
@@ -313,19 +279,19 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         vp0, vp2 = varphi[a_level - 1], varphi[a_level + 1]
         if vp0 is not None and vp2 is not None:
             pair_items.append((f"varphi[{a_level}]", vp0 + 1, vp2, vp0 + 1 <= vp2))
-    add_all("weights-pair-step", pair_items)
+    checks.append(batch("weights-pair-step", pair_items))
     mono_items = []
     for a_level in range(1, k):
         d0, d1 = delta[a_level - 1], delta[a_level]
         if d0 is not None and d1 is not None:
             mono_items.append((f"delta[{a_level}]", d0 + 1, d1, d0 + 1 <= d1))
-    add_all("delta-monotone", mono_items)
+    checks.append(batch("delta-monotone", mono_items))
     lower_items = [
         (f"varphi[{a_level}]", varphi[a_level - 1], a_level, varphi[a_level - 1] >= a_level)
         for a_level in range(1, k + 1)
         if varphi[a_level - 1] is not None
     ]
-    add_all("weights-lower-bound", lower_items)
+    checks.append(batch("weights-lower-bound", lower_items))
 
     # Distance-dependent bounds.
     if d is None:
@@ -340,7 +306,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             bound = n - d - k + a_level + 1
             if da is not None:
                 gs_items.append((f"delta[{a_level}]", da, bound, da <= bound))
-        add_all("generalized-singleton-upper", gs_items)
+        checks.append(batch("generalized-singleton-upper", gs_items))
         if self_orthogonal:
             gs2 = []
             for a_level in range(1, k + 1):
@@ -348,7 +314,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
                 bound = n - d - (k - a_level) // 2 + 1
                 if vp is not None:
                     gs2.append((f"varphi[{a_level}]", vp, bound, vp <= bound))
-            add_all("generalized-singleton-self-orthogonal", gs2)
+            checks.append(batch("generalized-singleton-self-orthogonal", gs2))
             if k >= 1 and varphi[0] is not None:
                 add("anticode-distance", varphi[0] == d, lhs=varphi[0], rhs=d)
         else:

@@ -1,4 +1,10 @@
-"""Pass/fail records emitted by the identity-checking suites."""
+"""Pass/fail records emitted by the identity-checking suites, and the two ways to count them.
+
+A verifier that checks one identity over many items of its own (supports,
+profile steps, moment indices) folds them into one result with
+:func:`batch`.  A suite that replays identities over many instances
+accumulates per-identity counts in a :class:`Tally`.
+"""
 
 from __future__ import annotations
 
@@ -54,3 +60,50 @@ class CheckResult:
 
 def all_pass(results: list[CheckResult]) -> bool:
     return all(r.passed for r in results)
+
+
+def batch(identity: str, items: list, key: str | None = "instance", note=None) -> CheckResult:
+    """One result for an identity checked on ``(tag, lhs, rhs, ok)`` items.
+
+    The witness is the first failing item, its tag stored under ``key``;
+    ``key=None`` records counts only.
+    """
+    fails = [(tag, lhs, rhs) for tag, lhs, rhs, ok in items if not ok]
+    witness = None
+    if fails and key is not None:
+        tag, lhs, rhs = fails[0]
+        witness = {key: tag, "lhs": lhs, "rhs": rhs}
+    return CheckResult(
+        identity, not fails, note=note, checked=len(items), failures=len(fails), witness=witness
+    )
+
+
+class Tally:
+    """Per-identity pass/fail counts with a first-failure witness, in first-seen order."""
+
+    def __init__(self):
+        self.counts: dict[str, list] = {}
+
+    def add(self, identity: str, ok: bool, witness=None) -> None:
+        entry = self.counts.setdefault(identity, [0, 0, None])
+        entry[0] += 1
+        if not ok:
+            entry[1] += 1
+            if entry[2] is None:
+                entry[2] = witness
+
+    def add_results(self, results: list[CheckResult], instance: str) -> None:
+        """Count each result once, its witness led by the instance name."""
+        for result in results:
+            witness = {"instance": instance}
+            if result.witness:
+                witness.update(result.witness)
+            elif not result.passed:
+                witness.update({"lhs": result.lhs, "rhs": result.rhs})
+            self.add(result.identity, result.passed, witness)
+
+    def results(self) -> list[CheckResult]:
+        return [
+            CheckResult(identity, failed == 0, checked=checked, failures=failed, witness=witness)
+            for identity, (checked, failed, witness) in self.counts.items()
+        ]

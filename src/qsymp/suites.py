@@ -29,66 +29,28 @@ from .codes import (
     shor_stabilizer_rows,
 )
 from .errors import DEFAULT_BUDGET
-from .report import CheckResult
+from .report import CheckResult, Tally
 from .symplectic import Subspace
-
-SUITE_NAMES = (
-    "fixtures",
-    "identities",
-    "stabilizer",
-    "bounds",
-    "transforms",
-    "oracle",
-    "macwilliams",
-    "cleaning",
-)
-
-
-class _Tally:
-    """Accumulate per-identity pass/fail counts with a first-failure witness."""
-
-    def __init__(self):
-        self.counts: dict[str, list] = {}
-        self.order: list[str] = []
-
-    def add(self, identity: str, ok: bool, witness=None):
-        if identity not in self.counts:
-            self.counts[identity] = [0, 0, None]
-            self.order.append(identity)
-        entry = self.counts[identity]
-        entry[0] += 1
-        if not ok:
-            entry[1] += 1
-            if entry[2] is None:
-                entry[2] = witness
-        return ok
-
-    def add_result(self, result: CheckResult, instance: str):
-        witness = {"instance": instance}
-        if result.witness:
-            witness.update(result.witness)
-        elif not result.passed:
-            witness.update({"lhs": result.lhs, "rhs": result.rhs})
-        self.add(result.identity, result.passed, witness)
-
-    def results(self) -> list[CheckResult]:
-        out = []
-        for identity in self.order:
-            checked, failed, witness = self.counts[identity]
-            out.append(
-                CheckResult(
-                    identity,
-                    failed == 0,
-                    checked=checked,
-                    failures=failed,
-                    witness=witness,
-                )
-            )
-        return out
 
 
 def _value_check(identity, lhs, rhs, note=None) -> CheckResult:
     return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
+
+
+def _basis_check(identity: str, space: Subspace, paulis: list[str]) -> CheckResult:
+    """The canonical basis of ``space`` against that of the span of ``paulis``."""
+    return _value_check(
+        identity, space.to_json_dict()["basis"], from_pauli(paulis).to_json_dict()["basis"]
+    )
+
+
+def _fixture_codes() -> list[tuple[str, Code]]:
+    """The named codes that the batched suites check before their random instances."""
+    return [
+        ("repetition", repetition_code()),
+        ("bacon-shor-normalizer", bacon_shor_code().normalizer),
+        ("shor", shor_code()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +64,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     # Two-factor repetition code.
     rep = repetition_code()
     checks.append(_value_check("repetition-params", tuple(rep.params(budget)), (2, 1, 2, 1, 2)))
-    checks.append(
-        _value_check(
-            "repetition-dual-space",
-            rep.space.perp().to_json_dict()["basis"],
-            from_pauli(["ZZ"]).to_json_dict()["basis"],
-        )
-    )
+    checks.append(_basis_check("repetition-dual-space", rep.space.perp(), ["ZZ"]))
     a_poly, b_poly = en.enumerator_polys(rep, budget)
     checks.append(_value_check("repetition-enumerator-full", b_poly, [1, 2, 5]))
     checks.append(
@@ -157,13 +113,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     # 2x2 Bacon-Shor subsystem code.
     bs = bacon_shor_code()
     checks.append(_value_check("bacon-shor-logical-count", bs.logical_count, 1))
-    checks.append(
-        _value_check(
-            "bacon-shor-stabilizer",
-            bs.stabilizer.to_json_dict()["basis"],
-            from_pauli(["XXXX", "ZZZZ"]).to_json_dict()["basis"],
-        )
-    )
+    checks.append(_basis_check("bacon-shor-stabilizer", bs.stabilizer, ["XXXX", "ZZZZ"]))
     cnorm = bs.normalizer
     checks.append(_value_check("bacon-shor-params", tuple(cnorm.params(budget)), (4, 2, 4, 2, 4)))
     theta, phi = iv.profiles(cnorm, budget)
@@ -201,43 +151,16 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     checks.append(_value_check("shor-varphi-1", varphi[0], 3))
     front = ac.Anticode(9, frozenset(range(4)))
     dec = ac.s_prime_decompose(shor, front, radical_rows=shor_stabilizer_rows())
-    checks.append(
-        _value_check(
-            "shor-radical-in-support",
-            dec.rad_in_a.to_json_dict()["basis"],
-            from_pauli(["ZZIIIIIII", "IZZIIIIII"]).to_json_dict()["basis"],
-        )
-    )
-    checks.append(
-        _value_check(
-            "shor-radical-in-complement",
-            dec.rad_in_aperp.to_json_dict()["basis"],
-            from_pauli(["IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ"]).to_json_dict()["basis"],
-        )
-    )
-    checks.append(
-        _value_check(
-            "shor-transversal-summand",
-            dec.s_prime.to_json_dict()["basis"],
-            from_pauli(["IIIZZIIII", "XXXXXXIII", "IIIXXXXXX"]).to_json_dict()["basis"],
-        )
-    )
     punct_front = ac.puncture(dec.s_prime, front)
     punct_back = ac.puncture(dec.s_prime, front.complement())
-    checks.append(
-        _value_check(
-            "shor-punctured-transversal-front",
-            punct_front.to_json_dict()["basis"],
-            from_pauli(["IIIZ", "XXXX", "IIIX"]).to_json_dict()["basis"],
-        )
-    )
-    checks.append(
-        _value_check(
-            "shor-punctured-transversal-back",
-            punct_back.to_json_dict()["basis"],
-            from_pauli(["ZIIII", "XXIII", "XXXXX"]).to_json_dict()["basis"],
-        )
-    )
+    for identity, space, paulis in (
+        ("shor-radical-in-support", dec.rad_in_a, ["ZZIIIIIII", "IZZIIIIII"]),
+        ("shor-radical-in-complement", dec.rad_in_aperp, ["IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ"]),
+        ("shor-transversal-summand", dec.s_prime, ["IIIZZIIII", "XXXXXXIII", "IIIXXXXXX"]),
+        ("shor-punctured-transversal-front", punct_front, ["IIIZ", "XXXX", "IIIX"]),
+        ("shor-punctured-transversal-back", punct_back, ["ZIIII", "XXIII", "XXXXX"]),
+    ):
+        checks.append(_basis_check(identity, space, paulis))
     checks.append(
         _value_check("shor-punctured-dims", (punct_front.sym_dim, punct_back.sym_dim), (1, 1))
     )
@@ -270,7 +193,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 # general identities (random + exhaustive)
 
 
-def _per_support_general(tally: _Tally, code: Code, tag: str, budget: int) -> None:
+def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
     space = code.space
     n = space.n
     dims = iv.support_dims(code, budget)
@@ -291,11 +214,10 @@ def _per_support_general(tally: _Tally, code: Code, tag: str, budget: int) -> No
             a_val <= b_val,
             {"instance": tag, "support": sorted(s), "lhs": a_val, "rhs": b_val},
         )
-        for result in ac.verify_cleaning(space, a):
-            tally.add_result(result, f"{tag} support={sorted(s)}")
+        tally.add_results(ac.verify_cleaning(space, a), f"{tag} support={sorted(s)}")
 
 
-def _pair_identities(tally: _Tally, w1: Subspace, w2: Subspace, tag: str) -> None:
+def _pair_identities(tally: Tally, w1: Subspace, w2: Subspace, tag: str) -> None:
     # Pair count and isorank are checked as modular on orthogonal pairs and
     # monotone on nested pairs.  They are NOT super/submodular on arbitrary
     # pairs: span{e1,f1} against span{e1+e2,f1} violates both inequalities
@@ -323,7 +245,7 @@ def _pair_identities(tally: _Tally, w1: Subspace, w2: Subspace, tag: str) -> Non
         tally.add("monotonicity-irk", w1.isorank <= w2.isorank, {"instance": tag})
 
 
-def _perp_identities(tally: _Tally, w: Subspace, tag: str) -> None:
+def _perp_identities(tally: Tally, w: Subspace, tag: str) -> None:
     p = w.perp()
     n = w.n
     tally.add(
@@ -353,6 +275,13 @@ def _perp_identities(tally: _Tally, w: Subspace, tag: str) -> None:
     tally.add("splitting-consistency", lhs == rhs, {"instance": tag, "lhs": lhs, "rhs": rhs})
 
 
+def _random_part(rng: np.random.Generator, space: Subspace) -> Subspace:
+    """A random subspace of ``space``: the span of a random number of random combinations."""
+    rows = int(rng.integers(0, space.dim_f + 1))
+    coeffs = rng.integers(0, space.q, size=(rows, space.dim_f))
+    return Subspace(coeffs @ space.basis, space.q, space.n)
+
+
 def general_identity_suite(
     rng: np.random.Generator,
     trials: int = 36,
@@ -361,7 +290,7 @@ def general_identity_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> list[CheckResult]:
     """Random codes: rank duality, cleaning, perp duality, modularity, alpha<=beta."""
-    tally = _Tally()
+    tally = Tally()
     for t in range(trials):
         q = qs[t % len(qs)]
         n = int(rng.integers(1, max_n + 1))
@@ -371,17 +300,8 @@ def general_identity_suite(
         _perp_identities(tally, code.space, tag)
         other = random_subspace(rng, q, n)
         _pair_identities(tally, code.space, other, tag)
-        # orthogonal pair: a random subspace of the complement
-        room = other.perp()
-        coeffs = rng.integers(0, q, size=(int(rng.integers(0, room.dim_f + 1)), room.dim_f))
-        w1 = Subspace((coeffs @ room.basis) % q if coeffs.size else coeffs.reshape(0, 2 * n), q, n)
-        _pair_identities(tally, w1, other, tag + " orthogonal")
-        # nested pair: a random subspace of the code
-        coeffs = rng.integers(0, q, size=(int(rng.integers(0, code.dim_f + 1)), code.dim_f))
-        inner = Subspace(
-            (coeffs @ code.space.basis) % q if coeffs.size else coeffs.reshape(0, 2 * n), q, n
-        )
-        _pair_identities(tally, inner, code.space, tag + " nested")
+        _pair_identities(tally, _random_part(rng, other.perp()), other, tag + " orthogonal")
+        _pair_identities(tally, _random_part(rng, code.space), code.space, tag + " nested")
     return tally.results()
 
 
@@ -407,7 +327,7 @@ def all_subspaces(q: int, n: int) -> list[Subspace]:
 
 def exhaustive_small_suite(budget: int = DEFAULT_BUDGET, max_n: int = 2) -> list[CheckResult]:
     """Every subspace (and every ordered pair) over the binary field, n <= 2."""
-    tally = _Tally()
+    tally = Tally()
     for n in range(1, max_n + 1):
         spaces = all_subspaces(2, n)
         for i, w in enumerate(spaces):
@@ -432,7 +352,7 @@ def stabilizer_suite(
     budget: int = DEFAULT_BUDGET,
 ) -> list[CheckResult]:
     """Identities whose proofs need the radical to equal the dual."""
-    tally = _Tally()
+    tally = Tally()
     for t in range(trials):
         n = int(rng.integers(1, max_n + 1))
         code = random_stabilizer_code(rng, n, q)
@@ -441,15 +361,13 @@ def stabilizer_suite(
     return tally.results()
 
 
-def _stabilizer_code_checks(tally: _Tally, code: Code, tag: str, budget: int) -> None:
+def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> None:
     space = code.space
     n = space.n
     rad = space.radical()
     d = code.distance(budget)
-    for result in iv.verify_bounds(code, budget):
-        tally.add_result(result, tag)
-    for result in en.macwilliams_check(code, budget):
-        tally.add_result(result, tag)
+    tally.add_results(iv.verify_bounds(code, budget), tag)
+    tally.add_results(en.macwilliams_check(code, budget), tag)
     dims = iv.support_dims(code, budget)
     full = frozenset(range(n))
     for a in ac.all_anticodes(n):
@@ -469,32 +387,33 @@ def _stabilizer_code_checks(tally: _Tally, code: Code, tag: str, budget: int) ->
                 ac.puncture(space, a) == ac.puncture(rad, a),
                 {"instance": tag, "support": sorted(s)},
             )
-        for result in ac.complementarity_check(space, a):
-            tally.add_result(result, f"{tag} support={sorted(s)}")
+        tally.add_results(ac.complementarity_check(space, a), f"{tag} support={sorted(s)}")
 
 
 def bounds_suite(
     rng: np.random.Generator, trials: int = 12, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Bound checks on the fixtures plus a few random stabilizer codes."""
-    tally = _Tally()
-    for name, code in (
-        ("repetition", repetition_code()),
-        ("bacon-shor-normalizer", bacon_shor_code().normalizer),
-        ("shor", shor_code()),
-    ):
-        for result in iv.verify_bounds(code, budget):
-            tally.add_result(result, name)
+    tally = Tally()
+    codes = _fixture_codes()
     for t in range(trials):
         n = int(rng.integers(1, 6))
-        code = random_stabilizer_code(rng, n, 2)
-        for result in iv.verify_bounds(code, budget):
-            tally.add_result(result, f"random-stabilizer[{t}]")
+        codes.append((f"random-stabilizer[{t}]", random_stabilizer_code(rng, n, 2)))
+    for name, code in codes:
+        tally.add_results(iv.verify_bounds(code, budget), name)
     return tally.results()
 
 
 # ---------------------------------------------------------------------------
 # transforms
+
+
+def _transform_checks(tally: Tally, code: Code, tag: str, budget: int) -> None:
+    w = oracle.brute_weight_distribution(code.space, budget)
+    b = en.binomial_moments(code, budget)
+    tally.add("moments-from-distribution", en.moments_from_distribution(w) == b, {"instance": tag})
+    tally.add("distribution-from-moments", en.distribution_from_moments(b) == w, {"instance": tag})
+    tally.add("enumerator-routes-agree", en.poly_from_moments(b) == w, {"instance": tag})
 
 
 def transforms_suite(
@@ -507,32 +426,11 @@ def transforms_suite(
     of the moments and would make these checks compare the moments with
     themselves.
     """
-    tally = _Tally()
-    fixture_tables = []
-    for name, code in (
-        ("repetition", repetition_code()),
-        ("repetition-dual", repetition_code().dual()),
-        ("bacon-shor-normalizer", bacon_shor_code().normalizer),
-        ("shor", shor_code()),
-    ):
-        w = oracle.brute_weight_distribution(code.space, budget)
-        b = en.binomial_moments(code, budget)
-        fixture_tables.append((name, w, b))
-        tally.add(
-            "moments-from-distribution",
-            en.moments_from_distribution(w) == b,
-            {"instance": name},
-        )
-        tally.add(
-            "distribution-from-moments",
-            en.distribution_from_moments(b) == w,
-            {"instance": name},
-        )
-        tally.add(
-            "enumerator-routes-agree",
-            en.poly_from_moments(b) == w,
-            {"instance": name},
-        )
+    tally = Tally()
+    fixtures = _fixture_codes()
+    fixtures.insert(1, ("repetition-dual", fixtures[0][1].dual()))
+    for name, code in fixtures:
+        _transform_checks(tally, code, name, budget)
     for t in range(trials):
         n = int(rng.integers(0, 7))
         table = [int(x) for x in rng.integers(0, 50, size=n + 1)]
@@ -542,20 +440,7 @@ def transforms_suite(
         tally.add("transform-roundtrip-b", back == table, {"instance": f"random-table[{t}]"})
         q = (2, 3)[t % 2]
         code = random_code(rng, q, int(rng.integers(1, 4)))
-        w = oracle.brute_weight_distribution(code.space, budget)
-        b = en.binomial_moments(code, budget)
-        tally.add(
-            "moments-from-distribution", en.moments_from_distribution(w) == b,
-            {"instance": f"random-code[{t}]"},
-        )
-        tally.add(
-            "distribution-from-moments", en.distribution_from_moments(b) == w,
-            {"instance": f"random-code[{t}]"},
-        )
-        tally.add(
-            "enumerator-routes-agree", en.poly_from_moments(b) == w,
-            {"instance": f"random-code[{t}]"},
-        )
+        _transform_checks(tally, code, f"random-code[{t}]", budget)
     return tally.results()
 
 
@@ -563,7 +448,7 @@ def transforms_suite(
 # oracle equivalence
 
 
-def _oracle_code_checks(tally: _Tally, code: Code, tag: str, budget: int, supports=None) -> None:
+def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, supports=None) -> None:
     """Compare one code's fast results with the literal routes of the oracle.
 
     ``oracle-distance`` and ``oracle-distribution`` compare different routes:
@@ -615,7 +500,7 @@ def oracle_suite(
     rng: np.random.Generator, trials: int = 10, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
     """Fast paths against the literal brute-force reference."""
-    tally = _Tally()
+    tally = Tally()
     bs = bacon_shor_code()
     shor = shor_code()
     shor_supports = [
@@ -652,47 +537,51 @@ def oracle_suite(
 def cleaning_suite(
     rng: np.random.Generator, trials: int = 20, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
-    tally = _Tally()
-    for name, code in (
-        ("repetition", repetition_code()),
-        ("bacon-shor-normalizer", bacon_shor_code().normalizer),
-        ("shor", shor_code()),
-    ):
-        for a in ac.all_anticodes(code.n):
-            for result in ac.verify_cleaning(code.space, a):
-                tally.add_result(result, f"{name} support={sorted(a.support)}")
+    tally = Tally()
+    codes = _fixture_codes()
     for t in range(trials):
         q = (2, 3, 5)[t % 3]
-        n = int(rng.integers(1, 4))
-        code = random_code(rng, q, n)
-        for a in ac.all_anticodes(n):
-            for result in ac.verify_cleaning(code.space, a):
-                tally.add_result(result, f"random[{t}] support={sorted(a.support)}")
+        codes.append((f"random[{t}]", random_code(rng, q, int(rng.integers(1, 4)))))
+    for name, code in codes:
+        for a in ac.all_anticodes(code.n):
+            tag = f"{name} support={sorted(a.support)}"
+            tally.add_results(ac.verify_cleaning(code.space, a), tag)
     return tally.results()
 
 
 def macwilliams_suite(
     rng: np.random.Generator, trials: int = 20, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
-    tally = _Tally()
-    for name, code in (
-        ("repetition", repetition_code()),
-        ("bacon-shor-normalizer", bacon_shor_code().normalizer),
-        ("shor", shor_code()),
-    ):
-        for result in en.macwilliams_check(code, budget):
-            tally.add_result(result, name)
+    tally = Tally()
+    codes = _fixture_codes()
     for t in range(trials):
         q = (2, 3)[t % 2]
-        n = int(rng.integers(1, 4))
-        code = random_code(rng, q, n)
-        for result in en.macwilliams_check(code, budget):
-            tally.add_result(result, f"random[{t}]")
+        codes.append((f"random[{t}]", random_code(rng, q, int(rng.integers(1, 4)))))
+    for name, code in codes:
+        tally.add_results(en.macwilliams_check(code, budget), name)
     return tally.results()
 
 
 # ---------------------------------------------------------------------------
 # aggregation
+
+
+# Each runner takes a fresh generator and the budget, and ``trials`` only
+# when the caller overrides the suite's own instance count (the fixtures
+# have none).
+_RUNNERS = {
+    "fixtures": lambda rng, budget, **_: fixture_suite(budget),
+    "identities": lambda rng, budget, **kw: (
+        general_identity_suite(rng, budget=budget, **kw) + exhaustive_small_suite(budget)
+    ),
+    "stabilizer": stabilizer_suite,
+    "bounds": bounds_suite,
+    "transforms": transforms_suite,
+    "oracle": oracle_suite,
+    "macwilliams": macwilliams_suite,
+    "cleaning": cleaning_suite,
+}
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suites(
@@ -704,33 +593,12 @@ def run_suites(
     """Run one suite (or all) and assemble a stable, JSON-ready report."""
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
-    sections: list[tuple[str, list[CheckResult]]] = []
-
-    def rng():
-        return np.random.default_rng(seed)
-
-    def want(name):
-        return suite in ("all", name)
-
-    if want("fixtures"):
-        sections.append(("fixtures", fixture_suite(budget)))
-    if want("identities"):
-        checks = general_identity_suite(rng(), trials=trials or 36, budget=budget)
-        checks += exhaustive_small_suite(budget)
-        sections.append(("identities", checks))
-    if want("stabilizer"):
-        sections.append(("stabilizer", stabilizer_suite(rng(), trials=trials or 24, budget=budget)))
-    if want("bounds"):
-        sections.append(("bounds", bounds_suite(rng(), trials=trials or 12, budget=budget)))
-    if want("transforms"):
-        sections.append(("transforms", transforms_suite(rng(), trials=trials or 40, budget=budget)))
-    if want("oracle"):
-        sections.append(("oracle", oracle_suite(rng(), trials=trials or 10, budget=budget)))
-    if want("macwilliams"):
-        sections.append(("macwilliams", macwilliams_suite(rng(), trials=trials or 20, budget=budget)))
-    if want("cleaning"):
-        sections.append(("cleaning", cleaning_suite(rng(), trials=trials or 20, budget=budget)))
-
+    override = {"trials": trials} if trials else {}
+    sections = [
+        (name, runner(np.random.default_rng(seed), budget=budget, **override))
+        for name, runner in _RUNNERS.items()
+        if suite in ("all", name)
+    ]
     total = sum(len(checks) for _, checks in sections)
     failed = sum(1 for _, checks in sections for c in checks if not c.passed)
     return {

@@ -531,7 +531,11 @@ class Subspace:
             # <b, v> is the plain dot product of v with swap(b).
             swapped = [self._ops.swap(b) for b in self._rows]
             return Subspace._canonical(2, self.n, kernel_gf2(swapped, 2 * self.n))
-        return Subspace(kernel(_swap(self.basis, self.q), self.q), self.q, self.n)
+        # With the columns eliminated in reverse order, each free-variable
+        # kernel vector leads with its own free column and is zero on the
+        # others, so the basis read back in the original order is canonical.
+        k = kernel(_swap(self.basis, self.q)[:, ::-1], self.q)
+        return Subspace._canonical(self.q, self.n, k[::-1, ::-1].copy())
 
     def radical(self) -> "Subspace":
         """The degenerate part: intersection with the orthogonal complement."""

@@ -11,11 +11,14 @@ values actually forced by the definitions and pass.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import qsymp
 from qsymp.anticodes import Anticode, puncture, s_prime_decompose
 from qsymp.codes import from_pauli, shor_stabilizer_rows
 from qsymp.enumerators import binomial_moments, enumerator_polys
@@ -257,8 +260,10 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_deterministic_reports():
     cmd = [sys.executable, "-m", "qsymp", "verify", "--suite", "all", "--seed", "7"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    # The child imports the same package as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": str(Path(qsymp.__file__).resolve().parents[1])}
+    first = subprocess.run(cmd, capture_output=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, env=env)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     identical = first.stdout == second.stdout

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,17 +12,21 @@ from qsymp import cli
 from qsymp.codes import SHOR_STABILIZERS
 
 # The directory that holds the imported package (src/ or site-packages), so
-# that a child run with a replaced environment imports the same code.
+# that a child run imports the same code whether or not qsymp is installed.
 PACKAGE_ROOT = str(Path(qsymp.__file__).resolve().parents[1])
 
 
-def run_cli(args, **kwargs):
-    if "env" in kwargs:
-        kwargs["env"] = {"PYTHONPATH": PACKAGE_ROOT, **kwargs["env"]}
+def run_cli(args, env=None, **kwargs):
+    """``python -m qsymp`` on the imported package, in the inherited or a given environment."""
+    if env is None:
+        env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    else:
+        env = {"PYTHONPATH": PACKAGE_ROOT, **env}
     return subprocess.run(
         [sys.executable, "-m", "qsymp", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kwargs,
     )
 
