@@ -176,8 +176,9 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     moments_dual = supported_moments(dims, q, n, "dual")
 
     def moment_items(exponent):
-        # q**exponent times the dual's moment against the code's
-        # complementary moment, cross-multiplied: 2*(b - k) may be negative.
+        # The dual's b-th moment is q**(2b - exponent) times the code's
+        # (n-b)-th; that exponent may be negative, so both sides are
+        # multiplied by q**exponent.
         items = []
         for b in range(n + 1):
             lhs = moments_dual[b] * q**exponent
