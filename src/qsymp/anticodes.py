@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, pivot_columns, rref, rref_gf2, vanishing_part, vanishing_part_gf2
+from .linalg import (
+    as_matrix,
+    pack_gf2,
+    pivot_columns,
+    rref,
+    rref_gf2,
+    vanishing_part,
+    vanishing_part_gf2,
+)
 from .report import CheckResult
 from .symplectic import Subspace
 
@@ -116,11 +124,12 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     """The part of a subspace supported inside the anticode.
 
     Equivalent to intersecting with the materialized free subspace, but
-    computed as the basis's vanishing part on the coordinates outside the
-    support: one elimination with those columns taken first
-    (:func:`~qsymp.linalg.vanishing_part`), or at q=2 the packed rows
-    reduced on the outside bits alone
-    (:func:`~qsymp.linalg.vanishing_part_gf2`).
+    read off the canonical basis as its vanishing part on the coordinates
+    outside the support, with no re-elimination of the basis
+    (:func:`~qsymp.linalg.vanishing_part`, or
+    :func:`~qsymp.linalg.vanishing_part_gf2` on the packed rows at q=2).
+    At odd q that is one elimination of at most min(rows with an inside
+    pivot, non-pivot outside columns) pivots, not dim_F.
     """
     _check_factors(space, a)
     outside = _outside_columns(a)
@@ -148,15 +157,13 @@ def _factor_runs(factors: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return [(2 * j, (1 << 2 * length) - 1, 2 * i) for j, i, length in runs]
 
 
-def puncture(obj, a: Anticode) -> Subspace:
-    """Project a code onto the anticode's factors (sorted factor order).
+def _projection(space: Subspace, a: Anticode):
+    """The basis rows on the anticode's factors (packed at q=2), not re-eliminated.
 
     At q=2 each maximal run of consecutive support factors moves into place
-    with one shift and mask of the packed row, and the projected rows are
-    re-eliminated; at odd q the support's columns are taken and eliminated.
+    with one shift and mask of the packed row; at odd q the support's
+    columns are taken.
     """
-    space = _space_of(obj)
-    _check_factors(space, a)
     if space.q == 2:
         moves = _factor_runs(a.sorted_support())
         rows = []
@@ -165,16 +172,30 @@ def puncture(obj, a: Anticode) -> Subspace:
             for shift_in, mask, shift_out in moves:
                 v |= (r >> shift_in & mask) << shift_out
             rows.append(v)
+        return rows
+    return space.basis[:, _inside_columns(a)]
+
+
+def puncture(obj, a: Anticode) -> Subspace:
+    """Project a code onto the anticode's factors (sorted factor order), re-eliminated."""
+    space = _space_of(obj)
+    _check_factors(space, a)
+    rows = _projection(space, a)
+    if space.q == 2:
         return Subspace._canonical(2, a.dim, rref_gf2(rows))
-    cols = _inside_columns(a)
-    rows = space.basis[:, cols] if cols else np.zeros((space.dim_f, 0), dtype=np.int64)
     return Subspace(rows, space.q, a.dim)
 
 
 def shorten(obj, a: Anticode) -> Subspace:
-    """Puncture the part of the code already supported inside the anticode."""
+    """Puncture the part of the code already supported inside the anticode.
+
+    The part (:func:`intersect_with_anticode`) is canonical and zero off
+    the support, so its projection keeps every pivot in order and is
+    stored as it is, with no second elimination.
+    """
     space = _space_of(obj)
-    return puncture(intersect_with_anticode(space, a), a)
+    part = intersect_with_anticode(space, a)
+    return Subspace._canonical(space.q, a.dim, _projection(part, a))
 
 
 def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
@@ -241,16 +262,19 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     usable rows of ``radical_rows`` (default: the canonical radical basis).
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
-    of that choice.  The greedy choice is read off one elimination: with the
-    parts' basis and then the rows as columns, the pivot columns past the
-    parts' basis are the rows that extend the span.
+    of that choice.  At q=2 the parts' packed rows and then the candidate
+    rows are inserted into an echelon keyed by lowest bit, and the rows
+    that leave a remainder extend the span.  At odd q the same choice is
+    read off one elimination: with the parts' basis and then the rows as
+    columns, the pivot columns past the parts' basis are the rows that
+    extend the span.
     """
     space = _space_of(code)
     rad = space.radical()
     rad_in_a = intersect_with_anticode(rad, a)
     rad_in_aperp = intersect_with_anticode(rad, a.complement())
     if radical_rows is None:
-        rows = rad.basis
+        rows = rad._rows if space.q == 2 else rad.basis
     else:
         rows = as_matrix(radical_rows, space.q, cols=2 * space.n)
         span = Subspace(rows, space.q, space.n)
@@ -258,10 +282,25 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
             raise ValueError("supplied rows must lie in the radical")
         if span != rad:
             raise ValueError("supplied rows must span the radical")
-    current = (rad_in_a + rad_in_aperp).basis
-    pivots = pivot_columns(rref(np.vstack([current, rows]).T, space.q))
-    chosen = [p - len(current) for p in pivots if p >= len(current)]
-    s_prime = Subspace(rows[chosen], space.q, space.n)
+        if space.q == 2:
+            rows = pack_gf2(rows)
+    parts = rad_in_a + rad_in_aperp
+    if space.q == 2:
+        echelon: dict[int, int] = {}
+        chosen = []
+        for i, r in enumerate([*parts._rows, *rows]):
+            x = r
+            while x and (x & -x) in echelon:
+                x ^= echelon[x & -x]
+            if x:
+                echelon[x & -x] = x
+                if i >= parts.dim_f:
+                    chosen.append(r)
+        s_prime = Subspace._canonical(2, space.n, rref_gf2(chosen))
+    else:
+        pivots = pivot_columns(rref(np.vstack([parts.basis, rows]).T, space.q))
+        chosen = [p - parts.dim_f for p in pivots if p >= parts.dim_f]
+        s_prime = Subspace(rows[chosen], space.q, space.n)
     return SPrimeDecomposition(rad_in_a=rad_in_a, rad_in_aperp=rad_in_aperp, s_prime=s_prime)
 
 

@@ -190,6 +190,25 @@ def invariant_table(code, budget: int = DEFAULT_BUDGET) -> InvariantTable:
     )
 
 
+def profile_step_items(theta: list[int], phi: list[int]) -> list[tuple]:
+    """The profile-step inequalities as ``(step, lhs, rhs, ok)`` items for :func:`batch`.
+
+    Each profile rises by at most 2 per step, when one rises by 2 the other
+    stays flat, and together they rise by at most 2.
+    """
+    items = []
+    for b in range(1, len(theta) - 1):
+        items.append((f"theta[{b}->{b + 1}]", theta[b + 1], theta[b] + 2, theta[b + 1] <= theta[b] + 2))
+        items.append((f"phi[{b}->{b + 1}]", phi[b + 1], phi[b] + 2, phi[b + 1] <= phi[b] + 2))
+        if theta[b + 1] == theta[b] + 2:
+            items.append((f"phi-flat[{b}]", phi[b + 1], phi[b], phi[b + 1] == phi[b]))
+        if phi[b + 1] == phi[b] + 2:
+            items.append((f"theta-flat[{b}]", theta[b + 1], theta[b], theta[b + 1] == theta[b]))
+        lhs, rhs = theta[b + 1] + phi[b + 1], theta[b] + phi[b] + 2
+        items.append((f"joint-step[{b}]", lhs, rhs, lhs <= rhs))
+    return items
+
+
 def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """Replay every profile/weight inequality for one code as integer checks.
 
@@ -217,43 +236,32 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     # Pointwise facts over every support.
     items = [(s, e.alpha, e.beta, e.alpha <= e.beta) for s, e, _ in pairs]
-    checks.append(batch("alpha-le-beta", items))
+    checks.append(batch("alpha-le-beta", items, key="support"))
     rank_items = []
     for s, e, c in pairs:
         rhs = space.dim_f - 2 * (n - len(s)) + c.dual
         rank_items.append((s, e.dim, rhs, e.dim == rhs))
-    checks.append(batch("duality-rank-identity", rank_items))
+    checks.append(batch("duality-rank-identity", rank_items, key="support"))
 
     if self_orthogonal:
         items = [(s, e.beta + c.alpha, k, e.beta + c.alpha == k) for s, e, c in pairs]
-        checks.append(batch("weight-complementarity", items))
+        checks.append(batch("weight-complementarity", items, key="support"))
         items = []
         for s, e, c in pairs:
             lhs, rhs = e.beta - e.alpha, c.beta - c.alpha
             items.append((s, lhs, rhs, lhs == rhs))
-        checks.append(batch("alpha-beta-difference-complement", items))
+        checks.append(batch("alpha-beta-difference-complement", items, key="support"))
         if d is not None:
             items = [
                 (s, (e.alpha, e.beta), (0, 0), e.alpha == 0 and e.beta == 0)
                 for s, e, _ in pairs
                 if len(s) < d
             ]
-            checks.append(batch("small-support-trivial", items))
+            checks.append(batch("small-support-trivial", items, key="support"))
     else:
         add("weight-complementarity", True, note="skipped: radical differs from the dual (not applicable)")
 
-    # Profile steps.
-    step_items = []
-    for b in range(1, n):
-        step_items.append((f"theta[{b}->{b + 1}]", theta[b + 1], theta[b] + 2, theta[b + 1] <= theta[b] + 2))
-        step_items.append((f"phi[{b}->{b + 1}]", phi[b + 1], phi[b] + 2, phi[b + 1] <= phi[b] + 2))
-        if theta[b + 1] == theta[b] + 2:
-            step_items.append((f"phi-flat[{b}]", phi[b + 1], phi[b], phi[b + 1] == phi[b]))
-        if phi[b + 1] == phi[b] + 2:
-            step_items.append((f"theta-flat[{b}]", theta[b + 1], theta[b], theta[b + 1] == theta[b]))
-        lhs, rhs = theta[b + 1] + phi[b + 1], theta[b] + phi[b] + 2
-        step_items.append((f"joint-step[{b}]", lhs, rhs, lhs <= rhs))
-    checks.append(batch("profile-steps", step_items))
+    checks.append(batch("profile-steps", profile_step_items(theta, phi), key="step"))
 
     # Galois correspondences between weights and profiles.
     inf = n + 1
@@ -268,7 +276,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             lhs = a_level <= phi[b]
             rhs = (vp if vp is not None else inf) <= b
             galois_items.append((f"phi[a={a_level},b={b}]", lhs, rhs, lhs == rhs))
-    checks.append(batch("galois-connection", galois_items))
+    checks.append(batch("galois-connection", galois_items, key="step"))
 
     # Weight monotonicity.
     pair_items = []
@@ -279,19 +287,19 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         vp0, vp2 = varphi[a_level - 1], varphi[a_level + 1]
         if vp0 is not None and vp2 is not None:
             pair_items.append((f"varphi[{a_level}]", vp0 + 1, vp2, vp0 + 1 <= vp2))
-    checks.append(batch("weights-pair-step", pair_items))
+    checks.append(batch("weights-pair-step", pair_items, key="step"))
     mono_items = []
     for a_level in range(1, k):
         d0, d1 = delta[a_level - 1], delta[a_level]
         if d0 is not None and d1 is not None:
             mono_items.append((f"delta[{a_level}]", d0 + 1, d1, d0 + 1 <= d1))
-    checks.append(batch("delta-monotone", mono_items))
+    checks.append(batch("delta-monotone", mono_items, key="step"))
     lower_items = [
         (f"varphi[{a_level}]", varphi[a_level - 1], a_level, varphi[a_level - 1] >= a_level)
         for a_level in range(1, k + 1)
         if varphi[a_level - 1] is not None
     ]
-    checks.append(batch("weights-lower-bound", lower_items))
+    checks.append(batch("weights-lower-bound", lower_items, key="step"))
 
     # Distance-dependent bounds.
     if d is None:
@@ -306,7 +314,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             bound = n - d - k + a_level + 1
             if da is not None:
                 gs_items.append((f"delta[{a_level}]", da, bound, da <= bound))
-        checks.append(batch("generalized-singleton-upper", gs_items))
+        checks.append(batch("generalized-singleton-upper", gs_items, key="step"))
         if self_orthogonal:
             gs2 = []
             for a_level in range(1, k + 1):
@@ -314,7 +322,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
                 bound = n - d - (k - a_level) // 2 + 1
                 if vp is not None:
                     gs2.append((f"varphi[{a_level}]", vp, bound, vp <= bound))
-            checks.append(batch("generalized-singleton-self-orthogonal", gs2))
+            checks.append(batch("generalized-singleton-self-orthogonal", gs2, key="step"))
             if k >= 1 and varphi[0] is not None:
                 add("anticode-distance", varphi[0] == d, lhs=varphi[0], rhs=d)
         else:

@@ -21,11 +21,22 @@ one routine per question:
   :func:`vanishing_part` and :func:`vanishing_part_gf2`;
 - membership: :func:`in_row_space` and :func:`in_span_gf2`.
 
+The vanishing part and membership take a canonical basis and use its
+structure.  A vanishing part never re-eliminates the basis: a row whose
+pivot is a given column cannot take part, and the others are already
+reduced against each other, so at odd q it costs at most min(rows with
+their pivot elsewhere, non-pivot given columns) pivots instead of dim_F,
+and at q=2 one pass over the rows from the highest pivot down.
+
 A sum is the canonical form of the stacked rows.  An intersection is a
 vanishing part (Zassenhaus): the rows ``(x, x)`` for x in A and ``(y, 0)``
 for y in B span the vectors ``(u + v, u)`` with u in A and v in B; where
 the first half vanishes, u = -v lies in both, and the second halves of
-that vanishing part are the intersection's canonical basis.
+that vanishing part are the intersection's canonical basis.  At odd q the
+stacked rows are put in canonical form first, which is the one
+elimination an intersection costs; at q=2 the packed pass needs no
+elimination first (see :meth:`Subspace.__and__
+<qsymp.symplectic.Subspace.__and__>`).
 """
 
 from __future__ import annotations
@@ -229,13 +240,18 @@ def kernel_gf2(rows: list[int], cols: int) -> list[int]:
 def vanishing_part_gf2(rows: list[int], mask: int) -> list[int]:
     """Canonical basis of the span's vectors that are zero on every bit of ``mask``.
 
-    Each row is reduced on its masked bits against earlier rows, lowest
-    masked bit first; a row whose masked bits all clear joins the part,
-    any other is kept as the pivot of its lowest masked bit.
+    ``rows`` must be canonical (:func:`rref_gf2`).  They are taken from the
+    highest pivot down, each reduced on its masked bits against the rows
+    kept before it, lowest masked bit first; a row whose masked bits all
+    clear joins the part, any other is kept as the pivot of its lowest
+    masked bit.  A part row is then its own canonical row plus kept rows of
+    higher pivot, so it keeps its pivot and is zero at every other part
+    row's pivot: read back lowest pivot first, the part is canonical with
+    no closing elimination.
     """
     pivots: dict[int, int] = {}
     part = []
-    for r in rows:
+    for r in reversed(rows):
         x = r & mask
         while x and (x & -x) in pivots:
             r ^= pivots[x & -x]
@@ -244,7 +260,7 @@ def vanishing_part_gf2(rows: list[int], mask: int) -> list[int]:
             pivots[x & -x] = r
         else:
             part.append(r)
-    return rref_gf2(part)
+    return part[::-1]
 
 
 def pivot_columns(rref_matrix: Matrix) -> list[int]:
@@ -273,21 +289,29 @@ def kernel(a: Matrix, q: int) -> Matrix:
     return out
 
 
-def vanishing_part(a: Matrix, cols: list[int], q: int) -> Matrix:
+def vanishing_part(basis: Matrix, cols: list[int], q: int) -> Matrix:
     """Canonical basis of the row space's vectors that are zero on every column in ``cols``.
 
-    One elimination with the columns of ``cols`` taken first: the reduced
-    rows that vanish there, with the columns moved back, are the canonical
-    basis (the other columns keep their order, so pivots and reduced
-    columns stay in place).  The dense twin of :func:`vanishing_part_gf2`.
+    ``basis`` must be canonical (:func:`rref`).  A row whose pivot is in
+    ``cols`` cannot take part, since its pivot column is zero in every other
+    row.  The other rows B_I are already reduced against each other, so the
+    part is c B_I for c in the kernel of the transposed restriction of B_I
+    to the non-pivot columns of ``cols``.  That kernel is eliminated with
+    the rows of B_I reversed, as :attr:`Subspace._perp
+    <qsymp.symplectic.Subspace._perp>` does with its columns: each vector
+    then leads with its own free row and is zero on the others, so the
+    combinations, and with them the part, come out canonical.  The cost is
+    at most min(|I|, non-pivot columns of ``cols``) pivots, not dim_F.  The
+    dense twin of :func:`vanishing_part_gf2`.
     """
     first = set(cols)
-    order = list(cols) + [c for c in range(a.shape[1]) if c not in first]
-    moved = rref(a[:, order], q)
-    kept = moved[~moved[:, : len(cols)].any(axis=1)]
-    out = np.empty_like(kept)
-    out[:, order] = kept
-    return out
+    rows = basis[[p not in first for p in pivot_columns(basis)]]
+    restricted = rows[:, cols]
+    restricted = restricted[:, restricted.any(axis=0)]
+    if not restricted.size:
+        return rows
+    coeffs = kernel(restricted.T[:, ::-1], q)[::-1, ::-1]
+    return (coeffs @ rows) % q
 
 
 def in_row_space(basis: Matrix, v, q: int) -> bool:

@@ -29,7 +29,7 @@ from .codes import (
     shor_stabilizer_rows,
 )
 from .errors import DEFAULT_BUDGET
-from .report import CheckResult, Tally
+from .report import CheckResult, Tally, batch
 from .symplectic import Subspace
 
 
@@ -133,15 +133,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             note="alternating +2 steps between the two profiles",
         )
     )
-    step_checks = [r for r in iv.verify_bounds(cnorm, budget) if r.identity == "profile-steps"]
-    checks.append(
-        CheckResult(
-            "bacon-shor-profile-steps",
-            all(r.passed for r in step_checks),
-            checked=sum(r.checked or 0 for r in step_checks),
-            failures=sum(r.failures or 0 for r in step_checks),
-        )
-    )
+    checks.append(batch("bacon-shor-profile-steps", iv.profile_step_items(theta, phi), key=None))
 
     # Nine-factor Shor code.
     shor = shor_code()

@@ -475,7 +475,16 @@ class Subspace:
         return Subspace._canonical(self.q, self.n, rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`)."""
+        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`).
+
+        At odd q the stacked rows are put in canonical form first, the one
+        elimination an intersection costs.  At q=2 they go in as they are.
+        The rows of B are independent, so none of them clears, and the
+        second halves are the canonical rows of A and zeros.  So, taken from
+        the last row up, each part row's second half is a canonical row of
+        A plus rows of A of higher pivot, and the part comes out canonical
+        as it does from a canonical basis.
+        """
         self._check_compatible(other)
         width = 2 * self.n
         if self.q == 2:
@@ -483,7 +492,7 @@ class Subspace:
             rows = [r >> width for r in vanishing_part_gf2(joint, (1 << width) - 1)]
         else:
             a, b = self.basis, other.basis
-            joint = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
+            joint = rref(np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]), self.q)
             rows = vanishing_part(joint, list(range(width)), self.q)[:, width:]
         return Subspace._canonical(self.q, self.n, rows)
 

@@ -201,6 +201,26 @@ def test_dense_vanishing_part_matches_materialized_anticode(kind, data):
     assert part.tobytes() == literal.basis.tobytes()
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_shortening_stores_the_re_eliminated_projection(data):
+    # The canonical part's projection is stored as it is; re-eliminating it
+    # must give the same bytes.
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    space = Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+    a = Anticode(n, data.draw(st.sets(st.integers(0, n - 1))))
+    part = intersect_with_anticode(space, a)
+    expected = Subspace(part.basis[:, _columns(a.support)], q, a.dim)
+    short = shorten(space, a)
+    assert short.basis.shape == expected.basis.shape
+    assert short.basis.tobytes() == expected.basis.tobytes()
+    assert short._rows == expected._rows
+
+
 # ---------------------------------------------------------------------------
 # cleaning duality
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymp.errors import DimensionMismatchError, ParseError
 from qsymp.linalg import (
@@ -10,7 +11,12 @@ from qsymp.linalg import (
     kernel,
     matrix_from_text,
     matrix_to_text,
+    pack_gf2,
     rref,
+    rref_gf2,
+    unpack_gf2,
+    vanishing_part,
+    vanishing_part_gf2,
 )
 from qsymp.symplectic import Subspace
 
@@ -175,6 +181,74 @@ def test_in_row_space(rng):
     basis = rref(np.array([[1, 0, 1, 0], [0, 1, 0, 1]]), 2)
     assert in_row_space(basis, [1, 1, 1, 1], 2)
     assert not in_row_space(basis, [1, 0, 0, 0], 2)
+
+
+# ---------------------------------------------------------------------------
+# vanishing parts
+
+
+def _column_first_vanishing_part(a, cols, q):
+    """The reference route: one elimination of any spanning rows with ``cols`` taken first.
+
+    The reduced rows that vanish on ``cols``, with the columns moved back,
+    are the canonical basis of the part.
+    """
+    first = set(cols)
+    order = list(cols) + [c for c in range(a.shape[1]) if c not in first]
+    moved = rref(a[:, order], q)
+    kept = moved[~moved[:, : len(cols)].any(axis=1)]
+    out = np.empty_like(kept)
+    out[:, order] = kept
+    return out
+
+
+def _spanning_rows(data, q, n):
+    """Up to 2n + 1 drawn rows on n factors: a spanning set with repeats and zero rows allowed."""
+    rows = data.draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return np.array(entries, dtype=np.int64).reshape(rows, 2 * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_vanishing_parts_match_the_column_first_elimination(data):
+    q = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(1, 6))
+    space = Subspace(_spanning_rows(data, q, n), q, n)
+    cols = data.draw(st.permutations(sorted(data.draw(st.sets(st.integers(0, 2 * n - 1))))))
+    expected = _column_first_vanishing_part(space.basis, cols, q)
+    if q == 2:
+        packed = vanishing_part_gf2(list(space._rows), sum(1 << c for c in cols))
+        assert packed == rref_gf2(packed)
+        part = unpack_gf2(packed, 2 * n)
+    else:
+        part = vanishing_part(space.basis, cols, q)
+        assert part.dtype == np.int64
+        assert rref(part, q).tobytes() == part.tobytes()
+    assert part.shape == expected.shape
+    assert part.tobytes() == expected.tobytes()
+    if q == 2:
+        # The dense route is exact at q=2 too.
+        assert vanishing_part(space.basis, cols, 2).tobytes() == expected.tobytes()
+        assert pack_gf2(expected) == packed
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_intersection_matches_the_column_first_zassenhaus_part(data):
+    # The stacked rows (x, x), (y, 0) of two raw spanning sets are not
+    # canonical; the intersection must not depend on that.
+    q = data.draw(st.sampled_from(PRIMES))
+    n = data.draw(st.integers(1, 6))
+    a, b = _spanning_rows(data, q, n), _spanning_rows(data, q, n)
+    width = 2 * n
+    joint = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
+    expected = _column_first_vanishing_part(joint, list(range(width)), q)[:, width:]
+    got = Subspace(a, q, n) & Subspace(b, q, n)
+    assert got.basis.shape == expected.shape
+    assert got.basis.tobytes() == expected.tobytes()
+    assert (Subspace(b, q, n) & Subspace(a, q, n)) == got
 
 
 # ---------------------------------------------------------------------------

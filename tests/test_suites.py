@@ -4,6 +4,7 @@ import json
 import pytest
 
 from qsymp import enumerators, invariants
+from qsymp.invariants import profile_step_items
 from qsymp.report import batch
 from qsymp.suites import SUITE_NAMES, run_suites
 
@@ -43,7 +44,7 @@ def off_by_one_dual(monkeypatch):
 # first-failure witnesses and the entries without a witness are a contract
 # just as the passing reports are.
 PINNED_FAILURES = {
-    "bounds": "20d549a5f312730c2a0c124026eeeaae3e1a01451d4832bc3bf98d793c1b442d",
+    "bounds": "1f167359fa176e1c875fb854ec1c8f28f2dc7d4c1211b9c7201f736f23bc7a67",
     "macwilliams": "51a808c7c85e0e89ab092e005a1eaafb27d4367a8a93e3776154a5675e3272bd",
 }
 
@@ -65,3 +66,17 @@ def all_sections():
 def test_single_suite_equals_its_section_of_all(suite, all_sections):
     (section,) = run_suites(suite, seed=7)["sections"]
     assert section == all_sections[suite]
+
+
+def test_failing_bounds_witness_names_the_code_and_the_support(off_by_one_dual):
+    (section,) = run_suites("bounds", seed=7)["sections"]
+    failing = [c for c in section["checks"] if not c["pass"]]
+    assert [c["identity"] for c in failing] == ["duality-rank-identity"]
+    assert failing[0]["witness"] == {"instance": "repetition", "support": [], "lhs": 0, "rhs": 1}
+
+
+def test_a_failing_profile_step_is_keyed_as_a_step():
+    items = profile_step_items([0, 0, 3], [0, 1, 1])
+    assert batch("profile-steps", items, key="step").witness == {
+        "step": "theta[1->2]", "lhs": 3, "rhs": 2
+    }
