@@ -273,19 +273,16 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     rad = space.radical()
     rad_in_a = intersect_with_anticode(rad, a)
     rad_in_aperp = intersect_with_anticode(rad, a.complement())
-    if radical_rows is None:
-        rows = rad._rows if space.q == 2 else rad.basis
-    else:
-        rows = as_matrix(radical_rows, space.q, cols=2 * space.n)
-        span = Subspace(rows, space.q, space.n)
+    if radical_rows is not None:
+        given = as_matrix(radical_rows, space.q, cols=2 * space.n)
+        span = Subspace(given, space.q, space.n)
         if not rad.contains_space(span):
             raise ValueError("supplied rows must lie in the radical")
         if span != rad:
             raise ValueError("supplied rows must span the radical")
-        if space.q == 2:
-            rows = pack_gf2(rows)
     parts = rad_in_a + rad_in_aperp
     if space.q == 2:
+        rows = rad._rows if radical_rows is None else pack_gf2(given)
         echelon: dict[int, int] = {}
         chosen = []
         for i, r in enumerate([*parts._rows, *rows]):
@@ -298,6 +295,7 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
                     chosen.append(r)
         s_prime = Subspace._canonical(2, space.n, rref_gf2(chosen))
     else:
+        rows = rad.basis if radical_rows is None else given
         pivots = pivot_columns(rref(np.vstack([parts.basis, rows]).T, space.q))
         chosen = [p - parts.dim_f for p in pivots if p >= parts.dim_f]
         s_prime = Subspace(rows[chosen], space.q, space.n)
