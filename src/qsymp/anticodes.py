@@ -19,17 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import (
-    as_matrix,
-    pack_gf2,
-    pivot_columns,
-    rref,
-    rref_gf2,
-    vanishing_part,
-    vanishing_part_gf2,
-)
+from .linalg import as_matrix
 from .report import CheckResult
-from .symplectic import Subspace
+from .symplectic import Subspace, _field
 
 __all__ = [
     "Anticode",
@@ -100,21 +92,6 @@ def all_anticodes(n: int):
             yield Anticode(n, s)
 
 
-def _outside_columns(a: Anticode) -> list[int]:
-    out = []
-    for j in range(a.n):
-        if j not in a.support:
-            out.extend((2 * j, 2 * j + 1))
-    return out
-
-
-def _inside_columns(a: Anticode) -> list[int]:
-    cols = []
-    for j in a.sorted_support():
-        cols.extend((2 * j, 2 * j + 1))
-    return cols
-
-
 def _check_factors(space: Subspace, a: Anticode) -> None:
     if space.n != a.n:
         raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
@@ -125,65 +102,28 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
 
     Equivalent to intersecting with the materialized free subspace, but
     read off the canonical basis as its vanishing part on the coordinates
-    outside the support, with no re-elimination of the basis
-    (:func:`~qsymp.linalg.vanishing_part`, or
-    :func:`~qsymp.linalg.vanishing_part_gf2` on the packed rows at q=2).
-    At odd q that is one elimination of at most min(rows with an inside
-    pivot, non-pivot outside columns) pivots, not dim_F.
+    outside the support, with no re-elimination of the basis (see
+    :func:`~qsymp.linalg.vanishing_part`).
     """
     _check_factors(space, a)
-    outside = _outside_columns(a)
+    outside = [j for j in range(a.n) if j not in a.support]
     if not outside:
         return space
-    if space.q == 2:
-        rows = vanishing_part_gf2(space._rows, sum(1 << c for c in outside))
-    else:
-        rows = vanishing_part(space.basis, outside, space.q)
-    return Subspace._canonical(space.q, space.n, rows)
+    field = space._field
+    return Subspace._canonical(field, field.vanishing_part(space._rows, field.columns(outside)))
 
 
 def _space_of(obj) -> Subspace:
     return obj.space if hasattr(obj, "space") else obj
 
 
-def _factor_runs(factors: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """Maximal runs of consecutive factors as packed moves (shift in, mask, shift out)."""
-    runs: list[list[int]] = []  # [first factor, its position in factors, length]
-    for i, j in enumerate(factors):
-        if runs and runs[-1][0] + runs[-1][2] == j:
-            runs[-1][2] += 1
-        else:
-            runs.append([j, i, 1])
-    return [(2 * j, (1 << 2 * length) - 1, 2 * i) for j, i, length in runs]
-
-
-def _projection(space: Subspace, a: Anticode):
-    """The basis rows on the anticode's factors (packed at q=2), not re-eliminated.
-
-    At q=2 each maximal run of consecutive support factors moves into place
-    with one shift and mask of the packed row; at odd q the support's
-    columns are taken.
-    """
-    if space.q == 2:
-        moves = _factor_runs(a.sorted_support())
-        rows = []
-        for r in space._rows:
-            v = 0
-            for shift_in, mask, shift_out in moves:
-                v |= (r >> shift_in & mask) << shift_out
-            rows.append(v)
-        return rows
-    return space.basis[:, _inside_columns(a)]
-
-
 def puncture(obj, a: Anticode) -> Subspace:
     """Project a code onto the anticode's factors (sorted factor order), re-eliminated."""
     space = _space_of(obj)
     _check_factors(space, a)
-    rows = _projection(space, a)
-    if space.q == 2:
-        return Subspace._canonical(2, a.dim, rref_gf2(rows))
-    return Subspace(rows, space.q, a.dim)
+    field = _field(space.q, a.dim)
+    rows = space._field.project(space._rows, a.sorted_support())
+    return Subspace._canonical(field, field.canonical(rows))
 
 
 def shorten(obj, a: Anticode) -> Subspace:
@@ -195,7 +135,8 @@ def shorten(obj, a: Anticode) -> Subspace:
     """
     space = _space_of(obj)
     part = intersect_with_anticode(space, a)
-    return Subspace._canonical(space.q, a.dim, _projection(part, a))
+    rows = space._field.project(part._rows, a.sorted_support())
+    return Subspace._canonical(_field(space.q, a.dim), rows)
 
 
 def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
@@ -262,12 +203,9 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     usable rows of ``radical_rows`` (default: the canonical radical basis).
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
-    of that choice.  At q=2 the parts' packed rows and then the candidate
-    rows are inserted into an echelon keyed by lowest bit, and the rows
-    that leave a remainder extend the span.  At odd q the same choice is
-    read off one elimination: with the parts' basis and then the rows as
-    columns, the pivot columns past the parts' basis are the rows that
-    extend the span.
+    of that choice.  The field object makes the choice (``transversal``):
+    at q=2 from a packed echelon, at odd q from one elimination with the
+    rows as columns.
     """
     space = _space_of(code)
     rad = space.radical()
@@ -281,24 +219,9 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
         if span != rad:
             raise ValueError("supplied rows must span the radical")
     parts = rad_in_a + rad_in_aperp
-    if space.q == 2:
-        rows = rad._rows if radical_rows is None else pack_gf2(given)
-        echelon: dict[int, int] = {}
-        chosen = []
-        for i, r in enumerate([*parts._rows, *rows]):
-            x = r
-            while x and (x & -x) in echelon:
-                x ^= echelon[x & -x]
-            if x:
-                echelon[x & -x] = x
-                if i >= parts.dim_f:
-                    chosen.append(r)
-        s_prime = Subspace._canonical(2, space.n, rref_gf2(chosen))
-    else:
-        rows = rad.basis if radical_rows is None else given
-        pivots = pivot_columns(rref(np.vstack([parts.basis, rows]).T, space.q))
-        chosen = [p - parts.dim_f for p in pivots if p >= parts.dim_f]
-        s_prime = Subspace(rows[chosen], space.q, space.n)
+    field = space._field
+    rows = rad._rows if radical_rows is None else field.pack(given)
+    s_prime = Subspace._canonical(field, field.transversal(parts._rows, rows))
     return SPrimeDecomposition(rad_in_a=rad_in_a, rad_in_aperp=rad_in_aperp, s_prime=s_prime)
 
 

@@ -277,6 +277,14 @@ def weights_from_supports(
     )
 
 
+def _reject_noncommuting(gram) -> None:
+    """Raise at the first nonzero Gram entry; the matrix is alternating, so that has i < j."""
+    bad = np.argwhere(gram)
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise CommutationError(i, j, int(gram[i, j]))
+
+
 def check_commuting(rows, q: int, n: int) -> None:
     """Reject generators with a nonzero pairwise product, naming them in input order.
 
@@ -284,11 +292,7 @@ def check_commuting(rows, q: int, n: int) -> None:
     ``i``, then ``j``) of the given rows that do not commute.
     """
     rows = as_matrix(rows, q, cols=2 * n)
-    gram = (_swap(rows, q) @ rows.T) % q
-    bad = np.argwhere(np.triu(gram, 1))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise CommutationError(i, j, int(gram[i, j]))
+    _reject_noncommuting((_swap(rows, q) @ rows.T) % q)
 
 
 def stabilizer_code_from_isotropic(s: Subspace) -> Code:
@@ -298,11 +302,7 @@ def stabilizer_code_from_isotropic(s: Subspace) -> Code:
     canonical basis rows of ``s`` (see :func:`check_commuting` for the
     input's own generators).
     """
-    gram = s._gram
-    bad = np.argwhere(gram % s.q != 0)
-    if bad.size:
-        i, j = (int(x) for x in bad[0])
-        raise CommutationError(i, j, int(gram[i, j]))
+    _reject_noncommuting(s._gram)
     return Code(s.perp())
 
 

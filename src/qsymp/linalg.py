@@ -7,26 +7,18 @@ generate the same subspace iff their canonical forms are byte-identical.
 Elimination is deterministic: pivots are chosen as the first usable row in
 the first nonzero column, scanning left to right.
 
-Over GF(2) a row is also kept word-packed, as a Python int with bit j =
-column j (:func:`pack_gf2`, :func:`unpack_gf2`); adding rows is an XOR.
-The ``*_gf2`` functions work on lists of such ints, and
-:class:`~qsymp.symplectic.Subspace` stores its q=2 basis in this form.
-The canonical form is unique, so the packed routes agree bit for bit with
-the dense one: a packed row's pivot is its lowest set bit.  Each field has
-one routine per question:
-
-- canonical form: :func:`rref` (dense; packed at q=2) and :func:`rref_gf2`;
-- kernel: :func:`kernel` and :func:`kernel_gf2`;
-- vanishing part, the span's vectors that are zero on given columns:
-  :func:`vanishing_part` and :func:`vanishing_part_gf2`;
-- membership: :func:`in_row_space` and :func:`in_span_gf2`.
+These are the dense routines, one per question: canonical form
+(:func:`rref`), kernel (:func:`kernel`), the span's vectors that are zero
+on given columns (:func:`vanishing_part`) and membership
+(:func:`in_row_space`).  Over odd q a :class:`~qsymp.symplectic.Subspace`
+reaches them through its field object; over GF(2) its field object answers
+the same questions on word-packed rows (see :mod:`qsymp.symplectic`).
 
 The vanishing part and membership take a canonical basis and use its
 structure.  A vanishing part never re-eliminates the basis: a row whose
 pivot is a given column cannot take part, and the others are already
-reduced against each other, so at odd q it costs at most min(rows with
-their pivot elsewhere, non-pivot given columns) pivots instead of dim_F,
-and at q=2 one pass over the rows from the highest pivot down.
+reduced against each other, so it costs at most min(rows with their pivot
+elsewhere, non-pivot given columns) pivots instead of dim_F.
 
 A sum is the canonical form of the stacked rows.  An intersection is a
 vanishing part (Zassenhaus): the rows ``(x, x)`` for x in A and ``(y, 0)``
@@ -34,9 +26,8 @@ for y in B span the vectors ``(u + v, u)`` with u in A and v in B; where
 the first half vanishes, u = -v lies in both, and the second halves of
 that vanishing part are the intersection's canonical basis.  At odd q the
 stacked rows are put in canonical form first, which is the one
-elimination an intersection costs; at q=2 the packed pass needs no
-elimination first (see :meth:`Subspace.__and__
-<qsymp.symplectic.Subspace.__and__>`).
+elimination an intersection costs; the packed pass at q=2 needs no
+elimination first.
 """
 
 from __future__ import annotations
@@ -126,19 +117,12 @@ def rref(a: Matrix, q: int) -> Matrix:
     """Reduced row echelon form with zero rows removed (the canonical form).
 
     Row space is preserved; output rows have strictly increasing pivot
-    columns with unit pivots and zeros elsewhere in pivot columns.  For
-    ``q == 2`` the rows are eliminated word-packed (:func:`rref_gf2`).
+    columns with unit pivots and zeros elsewhere in pivot columns.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    if q == 2:
-        return unpack_gf2(rref_gf2(pack_gf2(a)), a.shape[1])
-    return _rref_dense(a % q, q)
-
-
-def _rref_dense(a: Matrix, q: int) -> Matrix:
-    a = a.copy()
+    a = a % q
     m, cols = a.shape
     r = 0
     for c in range(cols):
@@ -162,105 +146,6 @@ def _rref_dense(a: Matrix, q: int) -> Matrix:
             a[hits] = (a[hits] - np.outer(a[hits, c], a[r])) % q
         r += 1
     return a[:r]
-
-
-def pack_gf2(a: Matrix) -> list[int]:
-    """Rows of a matrix over GF(2) as Python ints with bit j = column j."""
-    bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in bits]
-
-
-def unpack_gf2(rows, cols: int) -> Matrix:
-    """The inverse of :func:`pack_gf2`: an int64 matrix with ``cols`` columns."""
-    if not rows:
-        return np.zeros((0, cols), dtype=np.int64)
-    nbytes = (cols + 7) // 8
-    buf = b"".join(x.to_bytes(nbytes, "little") for x in rows)
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
-
-
-def rref_gf2(rows) -> list[int]:
-    """Canonical form over GF(2) of packed rows: nonzero rows sorted by pivot.
-
-    Rows are inserted one at a time into an echelon basis keyed by pivot
-    bit (each insert clears the basis pivots it meets, lowest first), then
-    the basis is reduced from the highest pivot down.
-    """
-    basis: dict[int, int] = {}
-    pivots = 0
-    for r in rows:
-        x = r & pivots
-        while x:
-            r ^= basis[x & -x]
-            x = r & pivots
-        if r:
-            low = r & -r
-            basis[low] = r
-            pivots |= low
-    order = sorted(basis)
-    for low in reversed(order):
-        r = basis[low]
-        x = (r & pivots) ^ low
-        while x:
-            bit = x & -x
-            r ^= basis[bit]
-            x ^= bit
-        basis[low] = r
-    return [basis[low] for low in order]
-
-
-def in_span_gf2(rows: list[int], v: int) -> bool:
-    """Whether packed ``v`` lies in the span of canonical packed ``rows``."""
-    for r in rows:
-        if v & r & -r:
-            v ^= r
-    return not v
-
-
-def kernel_gf2(rows: list[int], cols: int) -> list[int]:
-    """Canonical basis of the packed vectors orthogonal to every row (plain dot product)."""
-    basis = rref_gf2(rows)
-    pivots = 0
-    for r in basis:
-        pivots |= r & -r
-    out = []
-    for c in range(cols):
-        bit = 1 << c
-        if pivots & bit:
-            continue
-        v = bit
-        for r in basis:
-            if r & bit:
-                v |= r & -r
-        out.append(v)
-    return rref_gf2(out)
-
-
-def vanishing_part_gf2(rows: list[int], mask: int) -> list[int]:
-    """Canonical basis of the span's vectors that are zero on every bit of ``mask``.
-
-    ``rows`` must be canonical (:func:`rref_gf2`).  They are taken from the
-    highest pivot down, each reduced on its masked bits against the rows
-    kept before it, lowest masked bit first; a row whose masked bits all
-    clear joins the part, any other is kept as the pivot of its lowest
-    masked bit.  A part row is then its own canonical row plus kept rows of
-    higher pivot, so it keeps its pivot and is zero at every other part
-    row's pivot: read back lowest pivot first, the part is canonical with
-    no closing elimination.
-    """
-    pivots: dict[int, int] = {}
-    part = []
-    for r in reversed(rows):
-        x = r & mask
-        while x and (x & -x) in pivots:
-            r ^= pivots[x & -x]
-            x = r & mask
-        if x:
-            pivots[x & -x] = r
-        else:
-            part.append(r)
-    return part[::-1]
 
 
 def pivot_columns(rref_matrix: Matrix) -> list[int]:
@@ -301,8 +186,7 @@ def vanishing_part(basis: Matrix, cols: list[int], q: int) -> Matrix:
     <qsymp.symplectic.Subspace._perp>` does with its columns: each vector
     then leads with its own free row and is zero on the others, so the
     combinations, and with them the part, come out canonical.  The cost is
-    at most min(|I|, non-pivot columns of ``cols``) pivots, not dim_F.  The
-    dense twin of :func:`vanishing_part_gf2`.
+    at most min(|I|, non-pivot columns of ``cols``) pivots, not dim_F.
     """
     first = set(cols)
     rows = basis[[p not in first for p in pivot_columns(basis)]]

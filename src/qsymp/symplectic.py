@@ -16,23 +16,24 @@ subspace also carries one table over its 2^n supports, built on first use,
 from which every support-indexed invariant (alpha/beta, profiles, weights,
 moments, duality) is read.
 
-Over GF(2) a subspace stores its canonical basis as packed Python ints
-(bit j = coordinate j, as in :func:`~qsymp.linalg.pack_gf2`), and sums,
-intersections, complements, radicals, membership, equality and the Gram
-matrix all run on those ints.  Over odd q the basis is a dense int64
-matrix; the choice follows q alone.  Both fields read the product through
-a swap of the two coordinates of every factor, which turns it into a plain
-dot product: at q=2 <u, v> is the parity of ``u & swap(v)``, where swap
-exchanges x_i and z_i, and at odd q it is ``swap(u) . v``, where swap maps
-(x_i, z_i) to (-z_i, x_i).  So the complement is the kernel of swap(B),
-and the Gram matrix is swap(B) B^T.  At q=2 it is built from the
-transposed rows of swap(B), one int per coordinate: row i is the XOR of
-the transposed rows picked by the set bits of basis row i, so it costs the
-total weight of the rows, not dim_F^2 products.  The numpy ``basis`` is
-unpacked on first use, for JSON, the CLI and numpy callers.  Results that
-an operation already returns in canonical form (sums, intersections,
-anticode parts) are stored as they are, at either q, without a second
+Each subspace does its row algebra through one private field object,
+chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
+:class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
+field owns the row format, the span routines, the Gram rows and radical,
+the projection onto factors and the walk's row operations, and keeps its
+own storage in ``_rows``: over GF(2) a row is a packed Python int (bit j
+= coordinate j; adding rows is an XOR and a pivot is the lowest set bit),
+over odd q the rows are a read-only int64 matrix eliminated by
+:mod:`qsymp.linalg`.  Results that an operation returns in canonical form
+(sums, intersections, anticode parts) are stored with no second
 elimination.
+
+Both fields read the product through a swap of the two coordinates of
+every factor, which turns it into a plain dot product: at q=2 <u, v> is
+the parity of ``u & swap(v)``, where swap exchanges x_i and z_i, and at
+odd q it is ``swap(u) . v``, where swap maps (x_i, z_i) to (-z_i, x_i).
+So the complement is the kernel of swap(B), and the Gram matrix is
+swap(B) B^T.
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the
@@ -64,8 +65,9 @@ and the radical grows by one.  Clearing with a vector of a dropped pair
 keeps the other pairs symplectic, since it is orthogonal to them and to
 itself.  The plain bases use rule (a) only.  So each support costs a few
 row operations and no elimination or evaluation of the product.  Over
-GF(2) rows are packed Python ints and clearing is an XOR; over odd q they
-are tuples of residues.
+GF(2) the walk's rows are the packed ints and clearing is an XOR; over odd
+q they are tuples of residues (``_walk``, derived on first use, which also
+serves equality and hashing).
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -89,15 +91,10 @@ from .linalg import (
     as_matrix,
     checked_order,
     in_row_space,
-    in_span_gf2,
     kernel,
-    kernel_gf2,
-    pack_gf2,
+    pivot_columns,
     rref,
-    rref_gf2,
-    unpack_gf2,
     vanishing_part,
-    vanishing_part_gf2,
 )
 
 Vector = np.ndarray
@@ -192,11 +189,217 @@ class SupportDims(NamedTuple):
         return self.dim - self.gram_rank // 2 - self.rad
 
 
-class _Gf2Rows:
-    """Row operations over GF(2) on n factors: rows are packed ints (bit j = coordinate j)."""
+def _field(q: int, n: int):
+    """The row algebra of F_q on n factors: the one place where the field is chosen."""
+    return _Gf2(n) if q == 2 else _Odd(q, n)
+
+
+def _set_bits(v: int) -> list[int]:
+    """The indices of the set bits of a packed row, lowest first."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
+
+
+class _Gf2:
+    """GF(2) on n factors: a row is a Python int with bit j = coordinate j, in spans and walk."""
+
+    q = 2
 
     def __init__(self, n: int):
+        self.n = n
         self.even = (4**n - 1) // 3  # bits 0, 2, ..., 2n - 2: the x coordinates
+
+
+    @staticmethod
+    def pack(a: Matrix) -> list[int]:
+        """The rows of an int64 matrix over GF(2) as packed ints."""
+        bits = np.packbits((a & 1).astype(bool), axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+    @staticmethod
+    def unpack(rows, cols: int) -> Matrix:
+        """The inverse of :meth:`pack`: an int64 matrix with ``cols`` columns."""
+        if not rows:
+            return np.zeros((0, cols), dtype=np.int64)
+        nbytes = (cols + 7) // 8
+        buf = b"".join(x.to_bytes(nbytes, "little") for x in rows)
+        bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+        return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
+
+    freeze = walk = staticmethod(tuple)  # the stored tuple serves the walk and hashing
+
+    @staticmethod
+    def columns(factors) -> int:
+        """The mask of the factors' coordinates."""
+        return sum(3 << 2 * j for j in factors)
+
+
+    @staticmethod
+    def canonical(rows) -> list[int]:
+        """Canonical form of packed rows: nonzero rows sorted by pivot.
+
+        Rows are inserted one at a time into an echelon basis keyed by pivot
+        bit (each insert clears the basis pivots it meets, lowest first), then
+        the basis is reduced from the highest pivot down.
+        """
+        basis: dict[int, int] = {}
+        pivots = 0
+        for r in rows:
+            x = r & pivots
+            while x:
+                r ^= basis[x & -x]
+                x = r & pivots
+            if r:
+                low = r & -r
+                basis[low] = r
+                pivots |= low
+        order = sorted(basis)
+        for low in reversed(order):
+            r = basis[low]
+            x = (r & pivots) ^ low
+            while x:
+                bit = x & -x
+                r ^= basis[bit]
+                x ^= bit
+            basis[low] = r
+        return [basis[low] for low in order]
+
+    @staticmethod
+    def contains(rows, v: int) -> bool:
+        """Whether ``v`` lies in the span of canonical ``rows``."""
+        for r in rows:
+            if v & r & -r:
+                v ^= r
+        return not v
+
+    def kernel(self, rows, cols: int) -> list[int]:
+        """Canonical basis of the vectors orthogonal to every row (plain dot product)."""
+        basis = self.canonical(rows)
+        pivots = 0
+        for r in basis:
+            pivots |= r & -r
+        out = []
+        for c in range(cols):
+            bit = 1 << c
+            if pivots & bit:
+                continue
+            v = bit
+            for r in basis:
+                if r & bit:
+                    v |= r & -r
+            out.append(v)
+        return self.canonical(out)
+
+    @staticmethod
+    def vanishing_part(rows, mask: int) -> list[int]:
+        """Canonical basis of the span's vectors that are zero on every bit of ``mask``.
+
+        ``rows`` must be canonical.  Taken from the highest pivot down, a row
+        whose masked bits clear against the rows kept so far joins the part;
+        any other is kept as the pivot of its lowest masked bit.  A part row
+        keeps its pivot and is zero at every other part row's, so the part,
+        read back lowest pivot first, is canonical with no closing elimination.
+        """
+        pivots: dict[int, int] = {}
+        part = []
+        for r in reversed(rows):
+            x = r & mask
+            while x and (x & -x) in pivots:
+                r ^= pivots[x & -x]
+                x = r & mask
+            if x:
+                pivots[x & -x] = r
+            else:
+                part.append(r)
+        return part[::-1]
+
+    def sum(self, a: tuple, b: tuple) -> list[int]:
+        return self.canonical(a + b)
+
+    def intersect(self, a: tuple, b: tuple) -> list[int]:
+        """The Zassenhaus part, with no elimination first.
+
+        B's rows are independent, so none of them clears, and the second
+        halves are A's canonical rows and zeros: taken from the last row up,
+        each part row's second half is a row of A plus rows of A of higher
+        pivot, so the part comes out canonical.
+        """
+        width = 2 * self.n
+        joint = [x | x << width for x in a] + list(b)
+        return [r >> width for r in self.vanishing_part(joint, (1 << width) - 1)]
+
+
+    def gram(self, rows: tuple) -> list[int]:
+        """The Gram matrix rows packed, bit j of row i = <b_i, b_j>.
+
+        Built from the transposed rows of swap(B): ``cols[k ^ 1]`` has bit j
+        set when row j has bit k, and row i of the Gram matrix is the XOR of
+        ``cols[k]`` over the set bits k of row i.  The cost is the total
+        weight of the rows, not dim_F^2 products.
+        """
+        bits = [_set_bits(r) for r in rows]
+        cols = [0] * (2 * self.n)
+        for j, row_bits in enumerate(bits):
+            for k in row_bits:
+                cols[k ^ 1] |= 1 << j
+        gram = []
+        for row_bits in bits:
+            g = 0
+            for k in row_bits:
+                g ^= cols[k]
+            gram.append(g)
+        return gram
+
+    def perp(self, rows: tuple) -> list[int]:
+        return self.kernel([self.swap(b) for b in rows], 2 * self.n)
+
+    def radical(self, rows: tuple, gram: list[int]) -> list[int]:
+        """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
+        out = []
+        for c in self.kernel(gram, len(rows)):
+            v = 0
+            for j in _set_bits(c):
+                v ^= rows[j]
+            out.append(v)
+        return self.canonical(out)
+
+
+    @staticmethod
+    def project(rows, factors: tuple[int, ...]) -> list[int]:
+        """The rows on the given factors, not re-eliminated: a shift and mask per run of factors."""
+        runs: list[list[int]] = []  # [first factor, its position in factors, length]
+        for i, j in enumerate(factors):
+            if runs and runs[-1][0] + runs[-1][2] == j:
+                runs[-1][2] += 1
+            else:
+                runs.append([j, i, 1])
+        moves = [(2 * j, (1 << 2 * length) - 1, 2 * i) for j, i, length in runs]
+        out = []
+        for r in rows:
+            v = 0
+            for shift_in, mask, shift_out in moves:
+                v |= (r >> shift_in & mask) << shift_out
+            out.append(v)
+        return out
+
+    def transversal(self, parts: tuple, rows) -> list[int]:
+        """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
+        echelon: dict[int, int] = {}
+        chosen = []
+        for i, r in enumerate([*parts, *rows]):
+            x = r
+            while x and (x & -x) in echelon:
+                x ^= echelon[x & -x]
+            if x:
+                echelon[x & -x] = x
+                if i >= len(parts):
+                    chosen.append(r)
+        return self.canonical(chosen)
+
 
     def swap(self, v: int) -> int:
         """v with x_i and z_i exchanged on every factor: <u, v> is the parity of u & swap(v)."""
@@ -208,10 +411,6 @@ class _Gf2Rows:
         return [(v & su).bit_count() & 1 for v in rows]
 
     @staticmethod
-    def scale(v: int, c: int) -> int:
-        return v
-
-    @staticmethod
     def first(rows: list, c: int) -> int | None:
         """Index of the first row nonzero at coordinate c."""
         bit = 1 << c
@@ -221,8 +420,11 @@ class _Gf2Rows:
         return None
 
     @staticmethod
-    def unit(p, c: int):
+    def unit(p: int, c: int) -> int:
+        """p scaled to 1 at c, or divided by c: a set bit is 1 already."""
         return p
+
+    scale = unit
 
     @staticmethod
     def clear(rows: list, p, c: int) -> list:
@@ -248,11 +450,81 @@ class _Gf2Rows:
         return u
 
 
-class _OddRows:
-    """Row operations over odd q: rows are residue tuples."""
+class _Odd:
+    """F_q for odd q on n factors: the rows are a read-only int64 matrix.
 
-    def __init__(self, q: int):
-        self.q = q
+    The span routines are the dense ones of :mod:`qsymp.linalg`.  The walk's
+    rows are residue tuples (``walk``): int64 walk rows were 2.6-4.1x slower.
+    """
+
+    def __init__(self, q: int, n: int):
+        self.q, self.n = q, n
+
+
+    pack = staticmethod(np.asarray)  # int64 rows are the format
+
+    @staticmethod
+    def unpack(rows, cols: int) -> Matrix:
+        """The matrix itself, or the walk's tuples as a matrix with ``cols`` columns."""
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), cols)
+
+    @staticmethod
+    def freeze(rows: Matrix) -> Matrix:
+        rows.setflags(write=False)
+        return rows
+
+    @staticmethod
+    def walk(rows: Matrix) -> tuple:
+        return tuple(map(tuple, rows.tolist()))
+
+    @staticmethod
+    def columns(factors) -> list[int]:
+        """The columns of the factors' coordinates, in factor order."""
+        return [c for j in factors for c in (2 * j, 2 * j + 1)]
+
+
+    def canonical(self, rows: Matrix) -> Matrix:
+        return rref(rows, self.q)
+
+    def contains(self, rows: Matrix, v) -> bool:
+        return in_row_space(rows, v, self.q)
+
+    def vanishing_part(self, rows: Matrix, cols: list[int]) -> Matrix:
+        return vanishing_part(rows, cols, self.q)
+
+    def sum(self, a: Matrix, b: Matrix) -> Matrix:
+        return rref(np.vstack([a, b]), self.q)
+
+    def intersect(self, a: Matrix, b: Matrix) -> Matrix:
+        """The Zassenhaus rows are put in canonical form first: one elimination."""
+        width = 2 * self.n
+        joint = rref(np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]), self.q)
+        return vanishing_part(joint, list(range(width)), self.q)[:, width:]
+
+
+    def gram(self, rows: Matrix) -> Matrix:
+        return (_swap(rows, self.q) @ rows.T) % self.q
+
+    def perp(self, rows: Matrix) -> Matrix:
+        # With the columns eliminated in reverse order, each free-variable
+        # kernel vector leads with its own free column and is zero on the
+        # others, so the basis read back in the original order is canonical.
+        return kernel(_swap(rows, self.q)[:, ::-1], self.q)[::-1, ::-1].copy()
+
+    def radical(self, rows: Matrix, gram: Matrix) -> Matrix:
+        """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
+        return rref((kernel(gram, self.q) @ rows) % self.q, self.q)
+
+
+    def project(self, rows: Matrix, factors: tuple[int, ...]) -> Matrix:
+        """The rows on the given factors, not re-eliminated."""
+        return rows[:, self.columns(factors)]
+
+    def transversal(self, parts: Matrix, rows: Matrix) -> Matrix:
+        """Canonical span of the earliest rows that extend ``parts``: the pivots past the parts."""
+        pivots = pivot_columns(rref(np.vstack([parts, rows]).T, self.q))
+        return rref(rows[[p - len(parts) for p in pivots if p >= len(parts)]], self.q)
+
 
     def forms(self, rows: list, u: tuple) -> list:
         """The products <v, u> for v in rows."""
@@ -347,26 +619,15 @@ def _cut_symplectic(ops, rad: list, pairs: list, c: int) -> tuple[list, list]:
     return rad + [ops.dual(pairs, c)], ops.clear(pairs[:i] + pairs[i + 2 :], p, c)
 
 
-def _set_bits(v: int) -> list[int]:
-    """The indices of the set bits of a packed row, lowest first."""
-    out = []
-    while v:
-        low = v & -v
-        out.append(low.bit_length() - 1)
-        v ^= low
-    return out
-
-
 class Subspace:
     """A linear subspace of the n-factor space, stored in canonical form.
 
     Immutable after construction; equal subspaces compare (and hash) equal
     because the stored basis is the reduced row echelon form of any spanning
-    set.  At q=2 the canonical rows are stored packed (``_rows``, ints with
-    bit j = coordinate j) and every operation runs on them; ``basis`` is
-    unpacked on first use.  At odd q ``basis`` is stored and ``_rows``
-    (residue tuples, for the support walk) is derived on first use.
-    Derived data (complement, radical, splitting) is cached lazily.
+    set.  The canonical rows ``_rows`` are in the format of the field object
+    ``_field``, which runs every operation; the int64 ``basis`` is made on
+    first use.  Derived data (complement, radical, splitting) is cached
+    lazily.
 
     Construction rejects fields outside the supported range,
     ``2n (q - 1)**2 < 2**63``, where the int64 Gram product cannot overflow.
@@ -379,25 +640,20 @@ class Subspace:
         if n is not None and 2 * n != basis.shape[1]:
             raise DimensionMismatchError(f"expected {n} factors, rows have {basis.shape[1] // 2}")
         n = basis.shape[1] // 2
-        q = checked_order(q, n)
-        basis %= q
-        self._set(q, n, rref_gf2(pack_gf2(basis)) if q == 2 else rref(basis, q))
+        field = _field(checked_order(q, n), n)  # pack (q=2) or rref (odd q) reduces mod q
+        self._set(field, field.canonical(field.pack(basis)))
 
-    def _set(self, q: int, n: int, canonical) -> None:
-        self.q, self.n = q, n
-        if q == 2:
-            self._rows = tuple(canonical)
-            self.dim_f = len(canonical)
-        else:
-            canonical.setflags(write=False)
-            self.basis = canonical
-            self.dim_f = canonical.shape[0]
+    def _set(self, field, canonical) -> None:
+        self._field = field
+        self.q, self.n = field.q, field.n
+        self._rows = field.freeze(canonical)
+        self.dim_f = len(canonical)
 
     @classmethod
-    def _canonical(cls, q: int, n: int, canonical) -> "Subspace":
-        """A space from rows already in canonical form (packed ints at q=2), not re-eliminated."""
+    def _canonical(cls, field, canonical) -> "Subspace":
+        """A space from rows already in canonical form in the field's format, not re-eliminated."""
         space = cls.__new__(cls)
-        space._set(q, n, canonical)
+        space._set(field, canonical)
         return space
 
     @classmethod
@@ -410,25 +666,15 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The canonical basis as a read-only int64 matrix (stored at odd q)."""
-        basis = unpack_gf2(self._rows, 2 * self.n)
+        """The canonical basis as a read-only int64 matrix."""
+        basis = self._field.unpack(self._rows, 2 * self.n)
         basis.setflags(write=False)
         return basis
 
     @cached_property
-    def _rows(self) -> tuple:
-        """The canonical rows in the support walk's form (stored at q=2)."""
-        return tuple(map(tuple, self.basis.tolist()))
-
-    @cached_property
-    def _ops(self):
-        return _Gf2Rows(self.n) if self.q == 2 else _OddRows(self.q)
-
-    def _matrix(self, rows) -> Matrix:
-        """Rows in the walk's form as an int64 matrix."""
-        if self.q == 2:
-            return unpack_gf2(rows, 2 * self.n)
-        return np.array(rows, dtype=np.int64).reshape(len(rows), 2 * self.n)
+    def _walk(self) -> tuple:
+        """The canonical rows in the support walk's form, hashable."""
+        return self._field.walk(self._rows)
 
     def __contains__(self, v) -> bool:
         v = np.array(v, dtype=np.int64).reshape(-1) % self.q
@@ -436,26 +682,22 @@ class Subspace:
             raise DimensionMismatchError(
                 f"vector of length {v.shape[0]} against a space on {self.n} factors"
             )
-        if self.q == 2:
-            return in_span_gf2(self._rows, pack_gf2(v.reshape(1, -1))[0])
-        return in_row_space(self.basis, v, self.q)
+        return self._field.contains(self._rows, self._field.pack(v.reshape(1, -1))[0])
 
     def contains_space(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        if self.q == 2:
-            return all(in_span_gf2(self._rows, r) for r in other._rows)
-        return all(in_row_space(self.basis, row, self.q) for row in other.basis)
+        return all(self._field.contains(self._rows, r) for r in other._rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.q == other.q
             and self.n == other.n
-            and self._rows == other._rows
+            and self._walk == other._walk
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self._rows))
+        return hash((self.q, self.n, self._walk))
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, n={self.n}, dim_f={self.dim_f})"
@@ -468,67 +710,26 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        if self.q == 2:
-            rows = rref_gf2(self._rows + other._rows)
-        else:
-            rows = rref(np.vstack([self.basis, other.basis]), self.q)
-        return Subspace._canonical(self.q, self.n, rows)
+        return Subspace._canonical(self._field, self._field.sum(self._rows, other._rows))
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`).
-
-        At odd q the stacked rows are put in canonical form first, the one
-        elimination an intersection costs.  At q=2 they go in as they are.
-        The rows of B are independent, so none of them clears, and the
-        second halves are the canonical rows of A and zeros.  So, taken from
-        the last row up, each part row's second half is a canonical row of
-        A plus rows of A of higher pivot, and the part comes out canonical
-        as it does from a canonical basis.
-        """
+        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`)."""
         self._check_compatible(other)
-        width = 2 * self.n
-        if self.q == 2:
-            joint = [x | x << width for x in self._rows] + list(other._rows)
-            rows = [r >> width for r in vanishing_part_gf2(joint, (1 << width) - 1)]
-        else:
-            a, b = self.basis, other.basis
-            joint = rref(np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]), self.q)
-            rows = vanishing_part(joint, list(range(width)), self.q)[:, width:]
-        return Subspace._canonical(self.q, self.n, rows)
+        return Subspace._canonical(self._field, self._field.intersect(self._rows, other._rows))
 
     @cached_property
-    def _gram_gf2(self) -> list[int]:
-        """q=2: the Gram matrix rows packed, bit j of row i = <b_i, b_j>.
-
-        Built from the transposed rows of swap(B): ``cols[k ^ 1]`` has bit j
-        set when row j has bit k, and row i of the Gram matrix is the XOR of
-        ``cols[k]`` over the set bits k of row i.  The cost is the total
-        weight of the rows, not dim_F^2 products.
-        """
-        bits = [_set_bits(r) for r in self._rows]
-        cols = [0] * (2 * self.n)
-        for j, row_bits in enumerate(bits):
-            for k in row_bits:
-                cols[k ^ 1] |= 1 << j
-        gram = []
-        for row_bits in bits:
-            g = 0
-            for k in row_bits:
-                g ^= cols[k]
-            gram.append(g)
-        return gram
+    def _gram_rows(self):
+        """The Gram matrix in the field's format (packed rows at q=2)."""
+        return self._field.gram(self._rows)
 
     @cached_property
     def _gram(self) -> Matrix:
-        if self.q == 2:
-            return unpack_gf2(self._gram_gf2, self.dim_f)
-        return (_swap(self.basis, self.q) @ self.basis.T) % self.q
+        """The Gram matrix as an int64 matrix."""
+        return self._field.unpack(self._gram_rows, self.dim_f)
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
-        if self.q == 2:
-            return not any(self._gram_gf2)
-        return not self._gram.any()
+        return self.sym_dim == 0
 
     def perp(self) -> "Subspace":
         """Orthogonal complement with respect to the symplectic product."""
@@ -536,15 +737,7 @@ class Subspace:
 
     @cached_property
     def _perp(self) -> "Subspace":
-        if self.q == 2:
-            # <b, v> is the plain dot product of v with swap(b).
-            swapped = [self._ops.swap(b) for b in self._rows]
-            return Subspace._canonical(2, self.n, kernel_gf2(swapped, 2 * self.n))
-        # With the columns eliminated in reverse order, each free-variable
-        # kernel vector leads with its own free column and is zero on the
-        # others, so the basis read back in the original order is canonical.
-        k = kernel(_swap(self.basis, self.q)[:, ::-1], self.q)
-        return Subspace._canonical(self.q, self.n, k[::-1, ::-1].copy())
+        return Subspace._canonical(self._field, self._field.perp(self._rows))
 
     def radical(self) -> "Subspace":
         """The degenerate part: intersection with the orthogonal complement."""
@@ -553,16 +746,7 @@ class Subspace:
     @cached_property
     def _radical(self) -> "Subspace":
         # Coefficient vectors killed by the restricted product give the radical.
-        if self.q == 2:
-            rows = []
-            for c in kernel_gf2(self._gram_gf2, self.dim_f):
-                v = 0
-                for j in _set_bits(c):
-                    v ^= self._rows[j]
-                rows.append(v)
-            return Subspace._canonical(2, self.n, rref_gf2(rows))
-        coeffs = kernel(self._gram, self.q)
-        return Subspace((coeffs @ self.basis) % self.q, self.q, self.n)
+        return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram_rows))
 
     def orthogonal_split(self) -> SplitDecomposition:
         """Split into a radical basis plus pairwise-orthogonal symplectic pairs.
@@ -572,23 +756,21 @@ class Subspace:
         without a partner are the radical basis.
         """
         rad, pairs = self._split
-        flat = self._matrix(pairs)
+        flat = self._field.unpack(pairs, 2 * self.n)
         return SplitDecomposition(
-            radical_basis=self._matrix(rad),
+            radical_basis=self._field.unpack(rad, 2 * self.n),
             pairs=tuple((flat[i], flat[i + 1]) for i in range(0, len(pairs), 2)),
         )
 
     @cached_property
     def _split(self) -> tuple[list, list]:
         """(radical rows, flat pairs e_1, f_1, ...) in the walk's row form."""
-        return _gram_schmidt(self._ops, self._rows)
+        return _gram_schmidt(self._field, self._walk)
 
     @cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
-        if self.q == 2:
-            return len(rref_gf2(self._gram_gf2)) // 2
-        return rref(self._gram, self.q).shape[0] // 2
+        return len(self._field.canonical(self._gram_rows)) // 2
 
     @cached_property
     def isorank(self) -> int:
@@ -610,7 +792,7 @@ class Subspace:
         2 * pairs, ``rad`` and ``dual`` the plain bases' row counts.
         """
         n = self.n
-        ops = self._ops
+        ops = self._field
         found: dict[int, SupportDims] = {}
 
         def cut(state, c):
@@ -633,7 +815,7 @@ class Subspace:
         visit(
             (1 << n) - 1,
             n,
-            (rad, pairs, list(self._radical._rows), list(self._perp._rows)),
+            (rad, pairs, list(self._radical._walk), list(self._perp._walk)),
         )
         return {
             frozenset(support): found[sum(1 << j for j in support)]

@@ -19,11 +19,11 @@ from qsymp.codes import (
     repetition_code,
     shor_stabilizer_rows,
 )
-from qsymp.linalg import unpack_gf2, vanishing_part
+from qsymp.linalg import vanishing_part
 from qsymp.oracle import brute_codeword_set
 from qsymp.report import all_pass
 from qsymp.suites import all_subspaces
-from qsymp.symplectic import Subspace, hamming_weight
+from qsymp.symplectic import Subspace, _Gf2, hamming_weight
 
 FRONT = Anticode(9, frozenset(range(4)))
 
@@ -146,7 +146,7 @@ def _columns(support) -> list[int]:
 def test_gathered_puncture_matches_column_selection(data):
     n = data.draw(st.integers(1, 16))
     words = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 1))
-    space = Subspace(unpack_gf2(words, 2 * n), 2, n)
+    space = Subspace(_Gf2.unpack(words, 2 * n), 2, n)
     drawn = data.draw(st.sets(st.integers(0, n - 1)))
     supports = [
         frozenset(),
@@ -218,7 +218,7 @@ def test_shortening_stores_the_re_eliminated_projection(data):
     short = shorten(space, a)
     assert short.basis.shape == expected.basis.shape
     assert short.basis.tobytes() == expected.basis.tobytes()
-    assert short._rows == expected._rows
+    assert short._walk == expected._walk
 
 
 # ---------------------------------------------------------------------------

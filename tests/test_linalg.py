@@ -5,20 +5,15 @@ from hypothesis import given, settings, strategies as st
 from qsymp.errors import DimensionMismatchError, ParseError
 from qsymp.linalg import (
     PrimeField,
-    _rref_dense,
     as_matrix,
     in_row_space,
     kernel,
     matrix_from_text,
     matrix_to_text,
-    pack_gf2,
     rref,
-    rref_gf2,
-    unpack_gf2,
     vanishing_part,
-    vanishing_part_gf2,
 )
-from qsymp.symplectic import Subspace
+from qsymp.symplectic import Subspace, _Gf2
 
 PRIMES = (2, 3, 5, 7)
 
@@ -82,13 +77,18 @@ def test_equal_row_space_iff_equal_rref(rng):
     assert distinct[0].tolist() != distinct[1].tolist()
 
 
+def _packed_rref(a):
+    """The packed GF(2) echelon of a matrix, unpacked."""
+    return _Gf2.unpack(_Gf2.canonical(_Gf2.pack(a)), a.shape[1])
+
+
 def test_packed_and_dense_paths_are_bit_exact(rng):
     for _ in range(80):
         m = int(rng.integers(0, 8))
         n = int(rng.integers(1, 12))
         a = rng.integers(0, 2, size=(m, n))
-        packed = rref(a, 2)
-        dense = _rref_dense(a % 2, 2)
+        packed = _packed_rref(a)
+        dense = rref(a, 2)
         assert packed.shape == dense.shape
         assert (packed == dense).all()
 
@@ -99,12 +99,12 @@ def test_packed_path_wide_matrix(rng):
     for rows in (0, 1, 10):
         for cols in (1, 62, 63, 64, 65, 70, 200):
             a = rng.integers(0, 2, size=(rows, cols))
-            packed = rref(a, 2)
-            dense = _rref_dense(a % 2, 2)
+            packed = _packed_rref(a)
+            dense = rref(a, 2)
             assert packed.dtype == dense.dtype == np.int64
             assert packed.shape == dense.shape, (rows, cols)
             assert (packed == dense).all(), (rows, cols)
-            assert rref(a, 2).shape[0] == dense.shape[0], (rows, cols)
+            assert len(_Gf2.canonical(_Gf2.pack(a))) == dense.shape[0], (rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +219,9 @@ def test_vanishing_parts_match_the_column_first_elimination(data):
     cols = data.draw(st.permutations(sorted(data.draw(st.sets(st.integers(0, 2 * n - 1))))))
     expected = _column_first_vanishing_part(space.basis, cols, q)
     if q == 2:
-        packed = vanishing_part_gf2(list(space._rows), sum(1 << c for c in cols))
-        assert packed == rref_gf2(packed)
-        part = unpack_gf2(packed, 2 * n)
+        packed = _Gf2.vanishing_part(list(space._rows), sum(1 << c for c in cols))
+        assert packed == _Gf2.canonical(packed)
+        part = _Gf2.unpack(packed, 2 * n)
     else:
         part = vanishing_part(space.basis, cols, q)
         assert part.dtype == np.int64
@@ -231,7 +231,7 @@ def test_vanishing_parts_match_the_column_first_elimination(data):
     if q == 2:
         # The dense route is exact at q=2 too.
         assert vanishing_part(space.basis, cols, 2).tobytes() == expected.tobytes()
-        assert pack_gf2(expected) == packed
+        assert _Gf2.pack(expected) == packed
 
 
 @settings(max_examples=120, deadline=None)

@@ -11,10 +11,10 @@ import qsymp
 from qsymp.anticodes import all_anticodes, intersect_with_anticode
 from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace
 from qsymp.errors import DimensionMismatchError
-from qsymp.linalg import unpack_gf2
 from qsymp.oracle import _form
 from qsymp.symplectic import (
     Subspace,
+    _Gf2,
     hamming_weight,
     support_of,
     symplectic_form,
@@ -170,10 +170,10 @@ def spanned_spaces(draw):
 def test_transposed_gram_rows_give_the_product_matrix(data):
     n = data.draw(st.integers(1, 12))
     words = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 1))
-    w = Subspace(unpack_gf2(words, 2 * n), 2, n)
+    w = Subspace(_Gf2.unpack(words, 2 * n), 2, n)
     basis = [tuple(int(x) for x in row) for row in w.basis]
     literal = [sum(_form(u, v, 2) << j for j, v in enumerate(basis)) for u in basis]
-    assert w._gram_gf2 == literal
+    assert w._gram_rows == literal
 
 
 @settings(max_examples=80, deadline=None)
