@@ -66,8 +66,7 @@ keeps the other pairs symplectic, since it is orthogonal to them and to
 itself.  The plain bases use rule (a) only.  So each support costs a few
 row operations and no elimination or evaluation of the product.  Over
 GF(2) the walk's rows are the packed ints and clearing is an XOR; over odd
-q they are tuples of residues (``_walk``, derived on first use, which also
-serves equality and hashing).
+q they are tuples of residues (``_walk``, derived on first use).
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -79,7 +78,7 @@ intersection have pair counts 1 and 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import NamedTuple
 
@@ -189,6 +188,7 @@ class SupportDims(NamedTuple):
         return self.dim - self.gram_rank // 2 - self.rad
 
 
+@cache  # field objects are immutable; one per (q, n) in use
 def _field(q: int, n: int):
     """The row algebra of F_q on n factors: the one place where the field is chosen."""
     return _Gf2(n) if q == 2 else _Odd(q, n)
@@ -230,7 +230,7 @@ class _Gf2:
         bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
         return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
-    freeze = walk = staticmethod(tuple)  # the stored tuple serves the walk and hashing
+    freeze = walk = key = staticmethod(tuple)  # the stored tuple serves walk and hashing
 
     @staticmethod
     def columns(factors) -> int:
@@ -477,6 +477,8 @@ class _Odd:
     def walk(rows: Matrix) -> tuple:
         return tuple(map(tuple, rows.tolist()))
 
+    key = staticmethod(np.ndarray.tobytes)  # canonical rows on 2n columns: equal iff equal bytes
+
     @staticmethod
     def columns(factors) -> list[int]:
         """The columns of the factors' coordinates, in factor order."""
@@ -673,7 +675,7 @@ class Subspace:
 
     @cached_property
     def _walk(self) -> tuple:
-        """The canonical rows in the support walk's form, hashable."""
+        """The canonical rows in the support walk's form."""
         return self._field.walk(self._rows)
 
     def __contains__(self, v) -> bool:
@@ -693,11 +695,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.q == other.q
             and self.n == other.n
-            and self._walk == other._walk
+            and self._field.key(self._rows) == other._field.key(other._rows)
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self._walk))
+        return hash((self.q, self.n, self._field.key(self._rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, n={self.n}, dim_f={self.dim_f})"
