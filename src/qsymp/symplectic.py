@@ -213,7 +213,6 @@ class _Gf2:
         self.n = n
         self.even = (4**n - 1) // 3  # bits 0, 2, ..., 2n - 2: the x coordinates
 
-
     @staticmethod
     def pack(a: Matrix) -> list[int]:
         """The rows of an int64 matrix over GF(2) as packed ints."""
@@ -236,7 +235,6 @@ class _Gf2:
     def columns(factors) -> int:
         """The mask of the factors' coordinates."""
         return sum(3 << 2 * j for j in factors)
-
 
     @staticmethod
     def canonical(rows) -> list[int]:
@@ -332,7 +330,6 @@ class _Gf2:
         joint = [x | x << width for x in a] + list(b)
         return [r >> width for r in self.vanishing_part(joint, (1 << width) - 1)]
 
-
     def gram(self, rows: tuple) -> list[int]:
         """The Gram matrix rows packed, bit j of row i = <b_i, b_j>.
 
@@ -367,7 +364,6 @@ class _Gf2:
             out.append(v)
         return self.canonical(out)
 
-
     @staticmethod
     def project(rows, factors: tuple[int, ...]) -> list[int]:
         """The rows on the given factors, not re-eliminated: a shift and mask per run of factors."""
@@ -399,7 +395,6 @@ class _Gf2:
                 if i >= len(parts):
                     chosen.append(r)
         return self.canonical(chosen)
-
 
     def swap(self, v: int) -> int:
         """v with x_i and z_i exchanged on every factor: <u, v> is the parity of u & swap(v)."""
@@ -460,7 +455,6 @@ class _Odd:
     def __init__(self, q: int, n: int):
         self.q, self.n = q, n
 
-
     pack = staticmethod(np.asarray)  # int64 rows are the format
 
     @staticmethod
@@ -484,7 +478,6 @@ class _Odd:
         """The columns of the factors' coordinates, in factor order."""
         return [c for j in factors for c in (2 * j, 2 * j + 1)]
 
-
     def canonical(self, rows: Matrix) -> Matrix:
         return rref(rows, self.q)
 
@@ -503,7 +496,6 @@ class _Odd:
         joint = rref(np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]), self.q)
         return vanishing_part(joint, list(range(width)), self.q)[:, width:]
 
-
     def gram(self, rows: Matrix) -> Matrix:
         return (_swap(rows, self.q) @ rows.T) % self.q
 
@@ -517,7 +509,6 @@ class _Odd:
         """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
         return rref((kernel(gram, self.q) @ rows) % self.q, self.q)
 
-
     def project(self, rows: Matrix, factors: tuple[int, ...]) -> Matrix:
         """The rows on the given factors, not re-eliminated."""
         return rows[:, self.columns(factors)]
@@ -526,7 +517,6 @@ class _Odd:
         """Canonical span of the earliest rows that extend ``parts``: the pivots past the parts."""
         pivots = pivot_columns(rref(np.vstack([parts, rows]).T, self.q))
         return rref(rows[[p - len(parts) for p in pivots if p >= len(parts)]], self.q)
-
 
     def forms(self, rows: list, u: tuple) -> list:
         """The products <v, u> for v in rows."""
