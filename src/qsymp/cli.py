@@ -7,7 +7,8 @@ inputs produce byte-identical reports; CSV and the aligned tables are
 presentation only.  User-facing factor indices are 1-based.
 
 Exit codes: 0 all good, 1 an identity check failed, 2 the step budget was
-exceeded (with a machine-readable reason on stderr), 3 malformed input.
+exceeded (with a machine-readable reason on stderr), 3 malformed input or a
+usage error, such as a ``--format`` the subcommand does not print.
 """
 
 from __future__ import annotations
@@ -71,10 +72,17 @@ def _default_budget() -> int:
     return DEFAULT_BUDGET
 
 
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ParseError`, so they exit 3 like any input error."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
+def _add_common(parser, formats=("json", "csv", "table"), with_input: bool = True) -> None:
     parser.add_argument("--budget", type=int, default=None,
                         help="enumeration step budget (default: QSYMP_BUDGET or 2^24)")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="json")
+    parser.add_argument("--format", choices=formats, default="json")
     if with_input:
         group = parser.add_argument_group("code input")
         group.add_argument("--pauli", metavar="FILE", help="Pauli generator file ('-' for stdin)")
@@ -348,7 +356,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsymp",
         description="Symplectic code analysis: parameters, invariants, enumerators, and identity verification.",
     )
@@ -368,20 +376,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("invariants", help="profile and generalized-weight tables")
-    _add_common(p)
+    _add_common(p, formats=("json", "table"))
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("enumerator", help="weight distribution, moments, and enumerators")
-    _add_common(p)
+    _add_common(p, formats=("json", "table"))
     p.set_defaults(func=cmd_enumerator)
 
     p = sub.add_parser("moments", help="binomial moments, optionally with the duality check")
-    _add_common(p)
+    _add_common(p, formats=("json", "table"))
     p.add_argument("--check-macwilliams", action="store_true")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("puncture", help="puncture and shorten on a support")
-    _add_common(p)
+    _add_common(p, formats=("json",))
     p.add_argument("--support", required=True,
                    help="comma-separated 1-based factor indices, e.g. 1,2,3,4")
     p.set_defaults(func=cmd_puncture)
@@ -398,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)

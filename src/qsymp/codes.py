@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumerators import distance_from_enumerators, distribution_from_moments, supported_moments
+from .enumerators import distance_from_enumerators, distribution_from_moments
 from .errors import DEFAULT_BUDGET, CommutationError, ParseError, check_budget
-from .invariants import support_dims
+from .invariants import support_dims, supported_moments
 from .linalg import as_matrix
 from .symplectic import Subspace, Vector, _swap
 
@@ -48,6 +48,7 @@ CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 # q=3, n=4, ratio 137 (scan 1.6 ms against 1.2 ms).
 SUPPORT_COST_GF2 = 8
 SUPPORT_COST_ODD = 100
+_BATCH_SIZE = 1 << 13  # codewords per batch of codeword_batches
 
 PAULI_TO_FACTOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 FACTOR_TO_PAULI = {v: k for k, v in PAULI_TO_FACTOR.items()}
@@ -218,7 +219,7 @@ class Code:
         return out
 
 
-def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET, batch_size: int = 1 << 13):
+def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET):
     """Yield ``(coefficient_digits, codewords)`` arrays covering the space once.
 
     Codeword ``i`` has mixed-radix coefficient digits of ``i`` (least
@@ -233,8 +234,8 @@ def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET, batch_size: 
         yield digits, np.zeros((1, 2 * space.n), dtype=np.int64)
         return
     powers = q ** np.arange(k, dtype=np.int64)
-    for start in range(0, total, batch_size):
-        idx = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+    for start in range(0, total, _BATCH_SIZE):
+        idx = np.arange(start, min(start + _BATCH_SIZE, total), dtype=np.int64)
         digits = (idx[:, None] // powers) % q
         yield digits, (digits @ space.basis) % q
 

@@ -36,7 +36,7 @@ import math
 
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET
-from .invariants import support_dims
+from .invariants import support_dims, support_pairs, supported_moments
 from .report import CheckResult, batch
 
 __all__ = [
@@ -63,14 +63,6 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Codeword counts by weight, indices 0..n; entry 0 is always 1."""
     all_counts, _ = _as_code(code)._weight_tables(budget)
     return list(all_counts)
-
-
-def supported_moments(dims: dict, q: int, n: int, field: str) -> list[int]:
-    """Sums of ``q**entry.<field>`` over the supports of each size 0..n."""
-    moments = [0] * (n + 1)
-    for supp, e in dims.items():
-        moments[len(supp)] += q ** getattr(e, field)
-    return moments
 
 
 def binomial_moments(code, budget: int = DEFAULT_BUDGET) -> list[int]:
@@ -164,12 +156,11 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     dims = support_dims(space, budget)
     k = space.sym_dim
     dim_f = space.dim_f
-    full = frozenset(range(n))
 
     per_items = []
-    for supp, e in dims.items():
-        rhs = 2 * len(supp) - dim_f + dims[full - supp].dim
-        per_items.append((sorted(supp), e.dual, rhs, e.dual == rhs))
+    for s, e, c in support_pairs(dims):
+        rhs = 2 * len(s) - dim_f + c.dim
+        per_items.append((s, e.dual, rhs, e.dual == rhs))
     checks = [batch("macwilliams-per-anticode", per_items, key="support")]
 
     moments_self = supported_moments(dims, q, n, "dim")

@@ -10,9 +10,12 @@ Because the anticode lattice is the subset lattice of the factor set, both
 maps are tabulated over all 2^n supports, from ranks in the space's shared
 support table: alpha is half the Gram rank of the supported part, beta its
 dimension minus alpha minus that of the (isotropic) radical's part.
-Profiles take maxima at fixed support size; generalized weights are the
-least sizes at which the per-size maxima of alpha, beta and alpha + beta
-reach a level, so they need no second scan.  All the inequalities these
+This module is the one reader of that table: every loop over its supports
+and every pairing of a support with its complement (:func:`support_pairs`)
+is here, behind the budget check of :func:`support_dims`.  Profiles take
+maxima at fixed support size; generalized weights are the least sizes at
+which the per-size maxima of alpha, beta and alpha + beta reach a level, so
+:func:`invariant_table` reads both off one pass.  All the inequalities these
 satisfy (monotone steps, the Galois correspondences, and the Singleton-type
 bounds) are replayed as explicit integer checks by :func:`verify_bounds`.
 
@@ -81,16 +84,32 @@ def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[i
     return {s: (e.alpha, e.beta) for s, e in support_dims(code, budget).items()}
 
 
-def _size_maxima(code, budget: int) -> tuple[list[int], list[int], list[int]]:
-    """Maxima of alpha, beta and alpha + beta over the supports of each size 0..n."""
-    n = _space_of(code).n
-    theta, phi, both = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for supp, e in support_dims(code, budget).items():
-        b = len(supp)
-        theta[b] = max(theta[b], e.alpha)
-        phi[b] = max(phi[b], e.beta)
-        both[b] = max(both[b], e.alpha + e.beta)
-    return theta, phi, both
+def support_pairs(dims: dict[frozenset, SupportDims]) -> list[tuple]:
+    """``(sorted support, its entry, its complement's entry)`` for every support, in table order."""
+    full = frozenset(range(len(dims).bit_length() - 1))  # the table holds 2^n supports
+    return [(sorted(s), e, dims[full - s]) for s, e in dims.items()]
+
+
+def supported_moments(dims: dict, q: int, n: int, field: str) -> list[int]:
+    """Sums of ``q**entry.<field>`` over the supports of each size 0..n."""
+    moments = [0] * (n + 1)
+    for supp, e in dims.items():
+        moments[len(supp)] += q ** getattr(e, field)
+    return moments
+
+
+def rank_identity_items(space, pairs: list) -> list[tuple]:
+    """``duality-rank-identity`` items for :func:`batch`: C's part in S, the dual's in S-complement."""
+    items = []
+    for s, e, c in pairs:
+        rhs = space.dim_f - 2 * (space.n - len(s)) + c.dual
+        items.append((s, e.dim, rhs, e.dim == rhs))
+    return items
+
+
+def alpha_beta_items(pairs: list) -> list[tuple]:
+    """``alpha-le-beta`` items for :func:`batch`, one per support."""
+    return [(s, e.alpha, e.beta, e.alpha <= e.beta) for s, e, _ in pairs]
 
 
 def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
@@ -98,12 +117,8 @@ def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
 
     Size 0 only sees the zero anticode, so both profiles start at 0.
     """
-    theta, phi, _ = _size_maxima(code, budget)
-    return theta, phi
-
-
-def _first_reach(maxima: list[int], level: int) -> int | None:
-    return next((b for b, m in enumerate(maxima) if m >= level), None)
+    table = invariant_table(code, budget)
+    return table.theta, table.phi
 
 
 def generalized_weights(
@@ -120,13 +135,8 @@ def generalized_weights(
     ``a <= k`` since the full support attains ``alpha = beta = k``; the
     sentinel is kept for defensive completeness.
     """
-    theta, phi, both = _size_maxima(code, budget)
-    levels = range(1, _space_of(code).sym_dim + 1)
-    return (
-        [_first_reach(theta, a) for a in levels],
-        [_first_reach(phi, a) for a in levels],
-        [_first_reach(both, 2 * a) for a in levels],
-    )
+    table = invariant_table(code, budget)
+    return table.vartheta, table.varphi, table.delta
 
 
 @dataclass
@@ -175,18 +185,25 @@ class InvariantTable:
 
 
 def invariant_table(code, budget: int = DEFAULT_BUDGET) -> InvariantTable:
+    """Profiles and generalized weights, from one pass over the support table."""
     space = _space_of(code)
-    check_budget(2**space.n, budget, "support scan")
-    theta, phi = profiles(code, budget)
-    vartheta, varphi, delta = generalized_weights(code, budget)
+    n, k = space.n, space.sym_dim
+    theta, phi, both = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    for supp, e in support_dims(space, budget).items():
+        b = len(supp)
+        theta[b] = max(theta[b], e.alpha)
+        phi[b] = max(phi[b], e.beta)
+        both[b] = max(both[b], e.alpha + e.beta)
+    first_reach = lambda maxima, level: next((b for b, m in enumerate(maxima) if m >= level), None)
+    levels = range(1, k + 1)
     return InvariantTable(
-        n=space.n,
-        k=space.sym_dim,
+        n=n,
+        k=k,
         theta=theta,
         phi=phi,
-        vartheta=vartheta,
-        varphi=varphi,
-        delta=delta,
+        vartheta=[first_reach(theta, a) for a in levels],
+        varphi=[first_reach(phi, a) for a in levels],
+        delta=[first_reach(both, 2 * a) for a in levels],
     )
 
 
@@ -221,27 +238,20 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     space = _space_of(code)
     code_obj = code if isinstance(code, Code) else Code(space)
     n, k = space.n, space.sym_dim
-    dims = support_dims(space, budget)
-    theta, phi = profiles(code_obj, budget)
-    vartheta, varphi, delta = generalized_weights(code_obj, budget)
+    table = invariant_table(code_obj, budget)
+    theta, phi = table.theta, table.phi
+    vartheta, varphi, delta = table.vartheta, table.varphi, table.delta
+    pairs = support_pairs(support_dims(space, budget))
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
-    full = frozenset(range(n))
-    # (support, its entry, the complement's entry) for every support.
-    pairs = [(sorted(s), e, dims[full - s]) for s, e in dims.items()]
     checks: list[CheckResult] = []
 
     def add(identity, passed, lhs=None, rhs=None, note=None):
         checks.append(CheckResult(identity, passed, lhs=lhs, rhs=rhs, note=note))
 
     # Pointwise facts over every support.
-    items = [(s, e.alpha, e.beta, e.alpha <= e.beta) for s, e, _ in pairs]
-    checks.append(batch("alpha-le-beta", items, key="support"))
-    rank_items = []
-    for s, e, c in pairs:
-        rhs = space.dim_f - 2 * (n - len(s)) + c.dual
-        rank_items.append((s, e.dim, rhs, e.dim == rhs))
-    checks.append(batch("duality-rank-identity", rank_items, key="support"))
+    checks.append(batch("alpha-le-beta", alpha_beta_items(pairs), key="support"))
+    checks.append(batch("duality-rank-identity", rank_identity_items(space, pairs), key="support"))
 
     if self_orthogonal:
         items = [(s, e.beta + c.alpha, k, e.beta + c.alpha == k) for s, e, c in pairs]

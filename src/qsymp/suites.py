@@ -186,27 +186,16 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 
 def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
-    space = code.space
-    n = space.n
-    dims = iv.support_dims(code, budget)
-    full = frozenset(range(n))
-    for a in ac.all_anticodes(n):
-        s = a.support
-        comp = full - s
-        lhs = dims[s].dim
-        rhs = space.dim_f - 2 * len(comp) + dims[comp].dual
-        tally.add(
-            "duality-rank-identity",
-            lhs == rhs,
-            {"instance": tag, "support": sorted(s), "lhs": lhs, "rhs": rhs},
-        )
-        a_val, b_val = dims[s].alpha, dims[s].beta
-        tally.add(
-            "alpha-le-beta",
-            a_val <= b_val,
-            {"instance": tag, "support": sorted(s), "lhs": a_val, "rhs": b_val},
-        )
-        tally.add_results(ac.verify_cleaning(space, a), f"{tag} support={sorted(s)}")
+    pairs = iv.support_pairs(iv.support_dims(code, budget))
+    tally.add_items("duality-rank-identity", iv.rank_identity_items(code.space, pairs), tag)
+    tally.add_items("alpha-le-beta", iv.alpha_beta_items(pairs), tag)
+    _cleaning_checks(tally, code.space, tag)
+
+
+def _cleaning_checks(tally: Tally, space: Subspace, name: str) -> None:
+    """The cleaning identities on every anticode of the space."""
+    for a in ac.all_anticodes(space.n):
+        tally.add_results(ac.verify_cleaning(space, a), f"{name} support={sorted(a.support)}")
 
 
 def _pair_identities(tally: Tally, w1: Subspace, w2: Subspace, tag: str) -> None:
@@ -317,10 +306,10 @@ def all_subspaces(q: int, n: int) -> list[Subspace]:
     return sorted(seen, key=lambda s: (s.dim_f, s.basis.tobytes()))
 
 
-def exhaustive_small_suite(budget: int = DEFAULT_BUDGET, max_n: int = 2) -> list[CheckResult]:
+def exhaustive_small_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """Every subspace (and every ordered pair) over the binary field, n <= 2."""
     tally = Tally()
-    for n in range(1, max_n + 1):
+    for n in (1, 2):
         spaces = all_subspaces(2, n)
         for i, w in enumerate(spaces):
             tag = f"exhaustive n={n} #{i}"
@@ -360,26 +349,22 @@ def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> 
     d = code.distance(budget)
     tally.add_results(iv.verify_bounds(code, budget), tag)
     tally.add_results(en.macwilliams_check(code, budget), tag)
-    dims = iv.support_dims(code, budget)
-    full = frozenset(range(n))
+    # Pair count plus isorank of a part is its dim_F; the radical's part is
+    # isotropic, so its isorank is its dim_F.
+    items = []
+    for s, e, c in iv.support_pairs(iv.support_dims(code, budget)):
+        lhs, rhs = n - len(s) - c.dim, len(s) - e.rad - space.sym_dim
+        items.append((s, lhs, rhs, lhs == rhs))
+    tally.add_items("macwilliams-dim-irk", items, tag)
     for a in ac.all_anticodes(n):
-        s = a.support
-        # Pair count plus isorank of a part is its dim_F; the radical's part
-        # is isotropic, so its isorank is its dim_F.
-        lhs = n - a.dim - dims[full - s].dim
-        rhs = a.dim - dims[s].rad - space.sym_dim
-        tally.add(
-            "macwilliams-dim-irk",
-            lhs == rhs,
-            {"instance": tag, "support": sorted(s), "lhs": lhs, "rhs": rhs},
-        )
+        s = sorted(a.support)
         if d is None or a.dim < d:
             tally.add(
                 "cleaning-below-distance",
                 ac.puncture(space, a) == ac.puncture(rad, a),
-                {"instance": tag, "support": sorted(s)},
+                {"instance": tag, "support": s},
             )
-        tally.add_results(ac.complementarity_check(space, a), f"{tag} support={sorted(s)}")
+        tally.add_results(ac.complementarity_check(space, a), f"{tag} support={s}")
 
 
 def bounds_suite(
@@ -473,13 +458,11 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     if supports is None:
         supports = [a.support for a in ac.all_anticodes(space.n)]
     table = iv.support_table(code, budget)
-    for s, brute in zip(supports, oracle.brute_alpha_beta(words, supports, budget)):
-        fast = table[s]
-        tally.add(
-            "oracle-alpha-beta",
-            fast == brute,
-            {"instance": tag, "support": sorted(s), "lhs": list(fast), "rhs": list(brute)},
-        )
+    items = [
+        (sorted(s), list(table[s]), list(brute), table[s] == brute)
+        for s, brute in zip(supports, oracle.brute_alpha_beta(words, supports, budget))
+    ]
+    tally.add_items("oracle-alpha-beta", items, tag)
     pairs, irk = oracle.brute_sym_dim_irk(words, budget)
     tally.add(
         "oracle-dim-irk",
@@ -535,9 +518,7 @@ def cleaning_suite(
         q = (2, 3, 5)[t % 3]
         codes.append((f"random[{t}]", random_code(rng, q, int(rng.integers(1, 4)))))
     for name, code in codes:
-        for a in ac.all_anticodes(code.n):
-            tag = f"{name} support={sorted(a.support)}"
-            tally.add_results(ac.verify_cleaning(code.space, a), tag)
+        _cleaning_checks(tally, code.space, name)
     return tally.results()
 
 

@@ -298,6 +298,29 @@ def test_budget_exit_code_2(tmp_path):
     assert reason["needed"] == 1024
 
 
+def test_usage_error_exit_code_3():
+    proc = run_cli(["analyze", "--fixture", "shor", "--format", "xml"])
+    assert proc.returncode == 3
+    reason = json.loads(proc.stderr)
+    assert reason["error"] == "input"
+    assert "--format" in reason["detail"]
+    assert run_cli(["analyze", "--help"]).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["puncture", "--fixture", "shor", "--support", "1", "--format", "table"],
+        ["moments", "--fixture", "shor", "--format", "csv"],
+    ],
+)
+def test_unprinted_format_exit_code_3(args, capsys):
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
 def test_budget_env_override(tmp_path):
     path = tmp_path / "shor.pauli"
     path.write_text("\n".join(SHOR_STABILIZERS) + "\n")

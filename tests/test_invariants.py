@@ -1,5 +1,6 @@
 import pytest
 
+from qsymp import invariants
 from qsymp.anticodes import Anticode, all_anticodes
 from qsymp.codes import Code, random_code, random_stabilizer_code, shor_code
 from qsymp.enumerators import binomial_moments, macwilliams_check
@@ -11,6 +12,7 @@ from qsymp.invariants import (
     invariant_table,
     profiles,
     support_dims,
+    support_pairs,
     support_table,
     verify_bounds,
 )
@@ -190,6 +192,48 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
         codes.append(random_stabilizer_code(rng, int(rng.integers(1, 6))))
     for code in codes:
         assert tuple(generalized_weights(code)) == _first_hit_weights(code)
+
+
+def test_profiles_and_weights_are_the_fields_of_the_invariant_table(rng):
+    for t in range(30):
+        code = random_code(rng, (2, 3, 5)[t % 3], int(rng.integers(1, 5)))
+        table = invariant_table(code)
+        assert profiles(code) == (table.theta, table.phi)
+        assert generalized_weights(code) == (table.vartheta, table.varphi, table.delta)
+        by_support = support_table(code)
+        for b in range(code.n + 1):
+            sized = [ab for s, ab in by_support.items() if len(s) == b]
+            assert table.theta[b] == max(a for a, _ in sized)
+            assert table.phi[b] == max(v for _, v in sized)
+
+
+def test_support_pairs_pair_each_support_with_its_complement(rng):
+    for q, n in ((2, 1), (3, 3), (5, 4)):
+        dims = support_dims(random_code(rng, q, n))
+        full = frozenset(range(n))
+        pairs = support_pairs(dims)
+        assert len(pairs) == len(dims) == 2**n
+        for (s, e, c), (supp, entry) in zip(pairs, dims.items()):
+            assert s == sorted(supp)
+            assert e is entry
+            assert c is dims[full - supp]
+
+
+def test_invariant_table_reads_the_table_once_and_verify_bounds_twice(monkeypatch):
+    reads = []
+    real = invariants.support_dims
+
+    def counted(code, budget=invariants.DEFAULT_BUDGET):
+        reads.append(code)
+        return real(code, budget)
+
+    monkeypatch.setattr(invariants, "support_dims", counted)
+    code = shor_code()
+    invariant_table(code)
+    assert len(reads) == 1
+    reads.clear()
+    verify_bounds(code)
+    assert len(reads) <= 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from qsymp import enumerators, invariants
 from qsymp.invariants import profile_step_items
-from qsymp.report import batch
+from qsymp.report import Tally, batch
 from qsymp.suites import SUITE_NAMES, run_suites
 
 
@@ -23,6 +23,26 @@ def test_batch_counts_the_items_and_keeps_the_first_failure():
     assert batch("x", [], note="n").to_dict() == {
         "identity": "x", "pass": True, "note": "n", "checked": 0, "failures": 0
     }
+
+
+def test_tally_add_items_keeps_the_first_failing_item():
+    first = [([0], 1, 1, True), ([1], 2, 3, False), ([0, 1], 4, 5, False)]
+    second = [([2], 6, 7, False)]
+    tally, one_by_one = Tally(), Tally()
+    tally.add_items("x", first, "code-a")
+    tally.add_items("x", second, "code-b")
+    for instance, items in (("code-a", first), ("code-b", second)):
+        for s, lhs, rhs, ok in items:
+            one_by_one.add("x", ok, {"instance": instance, "support": s, "lhs": lhs, "rhs": rhs})
+    (result,) = tally.results()
+    assert result.to_dict() == {
+        "identity": "x",
+        "pass": False,
+        "checked": 4,
+        "failures": 3,
+        "witness": {"instance": "code-a", "support": [1], "lhs": 2, "rhs": 3},
+    }
+    assert [r.to_dict() for r in one_by_one.results()] == [result.to_dict()]
 
 
 @pytest.fixture
