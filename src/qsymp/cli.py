@@ -228,6 +228,8 @@ def _emit_params(report: dict, fmt: str) -> None:
 
 
 def cmd_import(args) -> int:
+    if args.emit != "report" and args.format != "json":
+        raise ParseError(f"--format {args.format} applies only to --emit report")
     budget = args.budget if args.budget is not None else _default_budget()
     obj, source = _load(args)
     if args.emit == "matrix":

@@ -158,7 +158,7 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     dim_f = space.dim_f
 
     per_items = []
-    for s, e, c in support_pairs(dims):
+    for s, e, c in support_pairs(dims, n):
         rhs = 2 * len(s) - dim_f + c.dim
         per_items.append((s, e.dual, rhs, e.dual == rhs))
     checks = [batch("macwilliams-per-anticode", per_items, key="support")]

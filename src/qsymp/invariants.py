@@ -84,9 +84,9 @@ def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[i
     return {s: (e.alpha, e.beta) for s, e in support_dims(code, budget).items()}
 
 
-def support_pairs(dims: dict[frozenset, SupportDims]) -> list[tuple]:
+def support_pairs(dims: dict[frozenset, SupportDims], n: int) -> list[tuple]:
     """``(sorted support, its entry, its complement's entry)`` for every support, in table order."""
-    full = frozenset(range(len(dims).bit_length() - 1))  # the table holds 2^n supports
+    full = frozenset(range(n))
     return [(sorted(s), e, dims[full - s]) for s, e in dims.items()]
 
 
@@ -241,7 +241,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     table = invariant_table(code_obj, budget)
     theta, phi = table.theta, table.phi
     vartheta, varphi, delta = table.vartheta, table.varphi, table.delta
-    pairs = support_pairs(support_dims(space, budget))
+    pairs = support_pairs(support_dims(space, budget), n)
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
     checks: list[CheckResult] = []

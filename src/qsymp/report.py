@@ -92,10 +92,10 @@ class Tally:
             if entry[2] is None:
                 entry[2] = witness
 
-    def add_items(self, identity: str, items: list, instance: str, key: str = "support") -> None:
-        """:meth:`add` each ``(tag, lhs, rhs, ok)`` item, its witness led by the instance name."""
+    def add_items(self, identity: str, items: list, instance: str) -> None:
+        """:meth:`add` each ``(support, lhs, rhs, ok)`` item, its witness led by the instance name."""
         for tag, lhs, rhs, ok in items:
-            witness = None if ok else {"instance": instance, key: tag, "lhs": lhs, "rhs": rhs}
+            witness = None if ok else {"instance": instance, "support": tag, "lhs": lhs, "rhs": rhs}
             self.add(identity, ok, witness)
 
     def add_results(self, results: list[CheckResult], instance: str) -> None:

@@ -186,7 +186,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 
 def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
-    pairs = iv.support_pairs(iv.support_dims(code, budget))
+    pairs = iv.support_pairs(iv.support_dims(code, budget), code.n)
     tally.add_items("duality-rank-identity", iv.rank_identity_items(code.space, pairs), tag)
     tally.add_items("alpha-le-beta", iv.alpha_beta_items(pairs), tag)
     _cleaning_checks(tally, code.space, tag)
@@ -352,7 +352,7 @@ def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> 
     # Pair count plus isorank of a part is its dim_F; the radical's part is
     # isotropic, so its isorank is its dim_F.
     items = []
-    for s, e, c in iv.support_pairs(iv.support_dims(code, budget)):
+    for s, e, c in iv.support_pairs(iv.support_dims(code, budget), n):
         lhs, rhs = n - len(s) - c.dim, len(s) - e.rad - space.sym_dim
         items.append((s, lhs, rhs, lhs == rhs))
     tally.add_items("macwilliams-dim-irk", items, tag)

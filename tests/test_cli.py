@@ -312,6 +312,7 @@ def test_usage_error_exit_code_3():
     [
         ["puncture", "--fixture", "shor", "--support", "1", "--format", "table"],
         ["moments", "--fixture", "shor", "--format", "csv"],
+        ["import", "--fixture", "shor", "--emit", "pauli", "--format", "table"],
     ],
 )
 def test_unprinted_format_exit_code_3(args, capsys):

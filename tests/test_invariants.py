@@ -97,12 +97,16 @@ def test_repetition_profiles(repetition):
 
 
 def test_profiles_bounded_by_support_size(rng):
-    for _ in range(25):
-        code = random_code(rng, 2, int(rng.integers(1, 5)))
+    for t in range(30):
+        code = random_code(rng, (2, 3, 5)[t % 3], int(rng.integers(1, 5)))
         theta, phi = profiles(code)
+        by_support = support_table(code)
         for b in range(code.n + 1):
             assert 0 <= theta[b] <= b
             assert theta[b] <= phi[b] <= b
+            sized = [ab for s, ab in by_support.items() if len(s) == b]
+            assert theta[b] == max(a for a, _ in sized)
+            assert phi[b] == max(v for _, v in sized)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +198,11 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
         assert tuple(generalized_weights(code)) == _first_hit_weights(code)
 
 
-def test_profiles_and_weights_are_the_fields_of_the_invariant_table(rng):
-    for t in range(30):
-        code = random_code(rng, (2, 3, 5)[t % 3], int(rng.integers(1, 5)))
-        table = invariant_table(code)
-        assert profiles(code) == (table.theta, table.phi)
-        assert generalized_weights(code) == (table.vartheta, table.varphi, table.delta)
-        by_support = support_table(code)
-        for b in range(code.n + 1):
-            sized = [ab for s, ab in by_support.items() if len(s) == b]
-            assert table.theta[b] == max(a for a, _ in sized)
-            assert table.phi[b] == max(v for _, v in sized)
-
-
 def test_support_pairs_pair_each_support_with_its_complement(rng):
     for q, n in ((2, 1), (3, 3), (5, 4)):
         dims = support_dims(random_code(rng, q, n))
         full = frozenset(range(n))
-        pairs = support_pairs(dims)
+        pairs = support_pairs(dims, n)
         assert len(pairs) == len(dims) == 2**n
         for (s, e, c), (supp, entry) in zip(pairs, dims.items()):
             assert s == sorted(supp)
