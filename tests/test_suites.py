@@ -3,10 +3,13 @@ import json
 
 import pytest
 
-from qsymp import enumerators, invariants
+from qsymp import anticodes, enumerators, invariants
+from qsymp.codes import Code
+from qsymp.errors import DEFAULT_BUDGET
 from qsymp.invariants import profile_step_items
 from qsymp.report import Tally, batch
 from qsymp.suites import SUITE_NAMES, run_suites
+from qsymp.symplectic import Subspace
 
 
 def test_batch_counts_the_items_and_keeps_the_first_failure():
@@ -75,6 +78,75 @@ def test_failing_report_is_pinned(suite, off_by_one_dual):
     assert report["summary"]["pass"] is False
     dumped = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == PINNED_FAILURES[suite]
+
+
+def _isorank_one_too_many(monkeypatch):
+    monkeypatch.setattr(Subspace, "isorank", property(lambda w: w.dim_f - w.sym_dim + 1))
+
+
+def _distance_one_too_many(monkeypatch):
+    real = Code.distance
+
+    def wrong(code, budget=DEFAULT_BUDGET):
+        d = real(code, budget)
+        return None if d is None else d + 1
+
+    monkeypatch.setattr(Code, "distance", wrong)
+
+
+def _poly_off_at_zero(monkeypatch):
+    real = enumerators.poly_from_moments
+
+    def wrong(moments):
+        coeffs = real(moments)
+        coeffs[0] += 1
+        return coeffs
+
+    monkeypatch.setattr(enumerators, "poly_from_moments", wrong)
+
+
+def _shorten_punctures(monkeypatch):
+    monkeypatch.setattr(anticodes, "shorten", anticodes.puncture)
+
+
+# The failing reports of the other suites, each under a fault that reaches
+# its witnesses: sha256 as in PINNED_FAILURES.
+PINNED_FAULT_REPORTS = {
+    "fixtures": (
+        _isorank_one_too_many,
+        "35d60d2d284d356fd8335fbe8b4a915e69837cd00710ae8ce55884c4646e8ad8",
+    ),
+    "identities": (
+        _isorank_one_too_many,
+        "799727b665663d09cba1c529428f7cae251580cd96a24518ef80b0e2e553609b",
+    ),
+    "stabilizer": (
+        _distance_one_too_many,
+        "864896e698eb30c33719a5f9fa9fadc579a4fc11f1fa9bbcf3aaf4baa6c93ed4",
+    ),
+    "transforms": (
+        _poly_off_at_zero,
+        "8d7d844f9f50dd08aaa1b3d8ea1ca14e5903348137097a2826619ec56461a4cf",
+    ),
+    "oracle": (
+        _isorank_one_too_many,
+        "7a993ec22580ac1f0a447286f2f3764d0e7e8a9dcd30b156f17a70817e6e7429",
+    ),
+    "cleaning": (
+        _shorten_punctures,
+        "2e1c8ccc22be05688b0a5358d398cac212feec4c77e4815fc7b1a678702405e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_FAULT_REPORTS))
+def test_failing_report_under_a_fault_is_pinned(suite, monkeypatch):
+    fault, digest = PINNED_FAULT_REPORTS[suite]
+    fault(monkeypatch)
+    report = run_suites(suite, seed=7)
+    assert report["summary"]["pass"] is False
+    dumped = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(dumped).hexdigest() == digest
 
 
 @pytest.fixture(scope="module")
