@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import as_matrix
-from .report import CheckResult
+from .report import CheckResult, equal
 from .symplectic import Subspace, _field
 
 __all__ = [
@@ -169,8 +169,8 @@ def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
             CheckResult(
                 identity=name,
                 passed=ok,
-                lhs=lhs.to_json_dict()["basis"],
-                rhs=rhs.to_json_dict()["basis"],
+                lhs=lhs.basis.tolist(),
+                rhs=rhs.basis.tolist(),
                 witness=witness,
             )
         )
@@ -246,17 +246,11 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     rad_s_a = puncture(dec.rad_in_a, a)
     rad_s_b = puncture(dec.rad_in_aperp, comp)
     checks = [
-        CheckResult("sprime-puncture-dim", p_a.sym_dim == p_b.sym_dim, p_a.sym_dim, p_b.sym_dim),
-        CheckResult("sprime-puncture-irk", p_a.isorank == p_b.isorank, p_a.isorank, p_b.isorank),
-        CheckResult(
-            "radical-puncture-dim",
-            rad_p_a.sym_dim == rad_p_b.sym_dim,
-            rad_p_a.sym_dim,
-            rad_p_b.sym_dim,
-        ),
-        CheckResult(
+        equal("sprime-puncture-dim", p_a.sym_dim, p_b.sym_dim),
+        equal("sprime-puncture-irk", p_a.isorank, p_b.isorank),
+        equal("radical-puncture-dim", rad_p_a.sym_dim, rad_p_b.sym_dim),
+        equal(
             "radical-puncture-irk-excess",
-            rad_p_a.isorank - rad_s_a.isorank == rad_p_b.isorank - rad_s_b.isorank,
             rad_p_a.isorank - rad_s_a.isorank,
             rad_p_b.isorank - rad_s_b.isorank,
         ),
@@ -264,15 +258,21 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     if rad == space.perp():
         c_s_a = shorten(space, a)
         c_s_b = shorten(space, comp)
-        lhs = a.dim - c_s_a.isorank
-        rhs = comp.dim - c_s_b.isorank
-        checks.append(CheckResult("self-orthogonal-shortening-dim", lhs == rhs, lhs, rhs))
-        lhs = a.dim - c_s_a.sym_dim - rad_s_a.isorank
-        rhs = comp.dim - c_s_b.sym_dim - rad_s_b.isorank
-        checks.append(CheckResult("self-orthogonal-shortening-irk", lhs == rhs, lhs, rhs))
-        lhs = c_s_a.isorank - rad_s_a.isorank - c_s_a.sym_dim
-        rhs = c_s_b.isorank - rad_s_b.isorank - c_s_b.sym_dim
-        checks.append(CheckResult("self-orthogonal-entanglement", lhs == rhs, lhs, rhs))
+        checks += [
+            equal(
+                "self-orthogonal-shortening-dim", a.dim - c_s_a.isorank, comp.dim - c_s_b.isorank
+            ),
+            equal(
+                "self-orthogonal-shortening-irk",
+                a.dim - c_s_a.sym_dim - rad_s_a.isorank,
+                comp.dim - c_s_b.sym_dim - rad_s_b.isorank,
+            ),
+            equal(
+                "self-orthogonal-entanglement",
+                c_s_a.isorank - rad_s_a.isorank - c_s_a.sym_dim,
+                c_s_b.isorank - rad_s_b.isorank - c_s_b.sym_dim,
+            ),
+        ]
     else:
         checks.append(
             CheckResult(

@@ -93,7 +93,6 @@ def _add_common(parser, formats=("json", "csv", "table"), with_input: bool = Tru
         group.add_argument("--fixture", choices=FIXTURES, help="a named built-in code")
         group.add_argument("--as", dest="role", choices=("stabilizer", "gauge", "code"),
                            default=None, help="how to interpret the input generators")
-        group.add_argument("--q", type=int, default=2, help="field order for Pauli input checks")
         group.add_argument("--n", type=int, default=None,
                            help="factor count (needed only for an empty generator list)")
 
@@ -113,8 +112,6 @@ def _load(args) -> tuple[Code | SubsystemCode, str]:
             return bacon_shor_code(), "fixture:bacon-shor"
         return shor_code(), "fixture:shor"
     if args.pauli:
-        if args.q != 2:
-            raise ParseError("Pauli input is defined over the two-element field only")
         generators = parse_pauli_text(_read_text(args.pauli))
         rows = [pauli_to_vector(g) for g in generators]
         if generators:
@@ -171,11 +168,11 @@ def _report(obj: Code | SubsystemCode, source: str, budget: int) -> dict:
         "n": code.n,
         "kind": "subsystem" if isinstance(obj, SubsystemCode) else "code",
         "params": _params_dict(obj, budget),
-        "basis": code.space.to_json_dict()["basis"],
+        "basis": code.space.basis.tolist(),
     }
     if isinstance(obj, SubsystemCode):
-        report["stabilizer_basis"] = obj.stabilizer.to_json_dict()["basis"]
-        report["gauge_basis"] = obj.gauge.space.to_json_dict()["basis"]
+        report["stabilizer_basis"] = obj.stabilizer.basis.tolist()
+        report["gauge_basis"] = obj.gauge.space.basis.tolist()
     return report
 
 

@@ -213,11 +213,6 @@ class Code:
             maxwt=self.max_weight(budget),
         )
 
-    def to_json_dict(self, role: str = "code") -> dict:
-        out = self.space.to_json_dict()
-        out["role"] = role
-        return out
-
 
 def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET):
     """Yield ``(coefficient_digits, codewords)`` arrays covering the space once.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
-from .report import CheckResult, batch
+from .report import CheckResult, batch, equal
 from .symplectic import SupportDims
 
 __all__ = [
@@ -334,7 +334,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
                     gs2.append((f"varphi[{a_level}]", vp, bound, vp <= bound))
             checks.append(batch("generalized-singleton-self-orthogonal", gs2, key="step"))
             if k >= 1 and varphi[0] is not None:
-                add("anticode-distance", varphi[0] == d, lhs=varphi[0], rhs=d)
+                checks.append(equal("anticode-distance", varphi[0], d))
         else:
             add(
                 "generalized-singleton-self-orthogonal",

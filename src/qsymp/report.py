@@ -58,6 +58,11 @@ class CheckResult:
         return out
 
 
+def equal(identity: str, lhs: Any, rhs: Any, note: str | None = None) -> CheckResult:
+    """The check that ``lhs`` equals ``rhs``, both sides kept."""
+    return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
+
+
 def all_pass(results: list[CheckResult]) -> bool:
     return all(r.passed for r in results)
 
@@ -84,29 +89,24 @@ class Tally:
     def __init__(self):
         self.counts: dict[str, list] = {}
 
-    def add(self, identity: str, ok: bool, witness=None) -> None:
+    def add(self, identity: str, ok: bool, instance: str, **detail) -> None:
+        """Count one check; an identity's first failure is its witness, led by the instance."""
         entry = self.counts.setdefault(identity, [0, 0, None])
         entry[0] += 1
         if not ok:
             entry[1] += 1
             if entry[2] is None:
-                entry[2] = witness
+                entry[2] = {"instance": instance, **detail}
 
     def add_items(self, identity: str, items: list, instance: str) -> None:
-        """:meth:`add` each ``(support, lhs, rhs, ok)`` item, its witness led by the instance name."""
+        """:meth:`add` each ``(support, lhs, rhs, ok)`` item."""
         for tag, lhs, rhs, ok in items:
-            witness = None if ok else {"instance": instance, "support": tag, "lhs": lhs, "rhs": rhs}
-            self.add(identity, ok, witness)
+            self.add(identity, ok, instance, support=tag, lhs=lhs, rhs=rhs)
 
     def add_results(self, results: list[CheckResult], instance: str) -> None:
-        """Count each result once, its witness led by the instance name."""
-        for result in results:
-            witness = {"instance": instance}
-            if result.witness:
-                witness.update(result.witness)
-            elif not result.passed:
-                witness.update({"lhs": result.lhs, "rhs": result.rhs})
-            self.add(result.identity, result.passed, witness)
+        """Count each result once, with its own witness or else its two sides."""
+        for r in results:
+            self.add(r.identity, r.passed, instance, **(r.witness or {"lhs": r.lhs, "rhs": r.rhs}))
 
     def results(self) -> list[CheckResult]:
         return [

@@ -29,19 +29,13 @@ from .codes import (
     shor_stabilizer_rows,
 )
 from .errors import DEFAULT_BUDGET
-from .report import CheckResult, Tally, batch
+from .report import CheckResult, Tally, batch, equal
 from .symplectic import Subspace
-
-
-def _value_check(identity, lhs, rhs, note=None) -> CheckResult:
-    return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
 
 
 def _basis_check(identity: str, space: Subspace, paulis: list[str]) -> CheckResult:
     """The canonical basis of ``space`` against that of the span of ``paulis``."""
-    return _value_check(
-        identity, space.to_json_dict()["basis"], from_pauli(paulis).to_json_dict()["basis"]
-    )
+    return equal(identity, space.basis.tolist(), from_pauli(paulis).basis.tolist())
 
 
 def _fixture_codes() -> list[tuple[str, Code]]:
@@ -63,12 +57,12 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     # Two-factor repetition code.
     rep = repetition_code()
-    checks.append(_value_check("repetition-params", tuple(rep.params(budget)), (2, 1, 2, 1, 2)))
+    checks.append(equal("repetition-params", tuple(rep.params(budget)), (2, 1, 2, 1, 2)))
     checks.append(_basis_check("repetition-dual-space", rep.space.perp(), ["ZZ"]))
     a_poly, b_poly = en.enumerator_polys(rep, budget)
-    checks.append(_value_check("repetition-enumerator-full", b_poly, [1, 2, 5]))
+    checks.append(equal("repetition-enumerator-full", b_poly, [1, 2, 5]))
     checks.append(
-        _value_check(
+        equal(
             "repetition-enumerator-radical",
             a_poly,
             [1, 0, 1],
@@ -80,9 +74,9 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             ),
         )
     )
-    checks.append(_value_check("repetition-moments", en.binomial_moments(rep, budget), [1, 4, 8]))
+    checks.append(equal("repetition-moments", en.binomial_moments(rep, budget), [1, 4, 8]))
     checks.append(
-        _value_check(
+        equal(
             "repetition-dual-moments",
             en.binomial_moments(rep.dual(), budget),
             [1, 2, 2],
@@ -95,7 +89,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     )
     theta, phi = iv.profiles(rep, budget)
     checks.append(
-        _value_check(
+        equal(
             "repetition-profiles",
             (theta, phi),
             ([0, 0, 1], [0, 1, 1]),
@@ -107,18 +101,18 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         )
     )
     _, varphi, delta = iv.generalized_weights(rep, budget)
-    checks.append(_value_check("repetition-varphi-1", varphi[0], rep.distance(budget)))
-    checks.append(_value_check("repetition-delta-1", delta[0], 2))
+    checks.append(equal("repetition-varphi-1", varphi[0], rep.distance(budget)))
+    checks.append(equal("repetition-delta-1", delta[0], 2))
 
     # 2x2 Bacon-Shor subsystem code.
     bs = bacon_shor_code()
-    checks.append(_value_check("bacon-shor-logical-count", bs.logical_count, 1))
+    checks.append(equal("bacon-shor-logical-count", bs.logical_count, 1))
     checks.append(_basis_check("bacon-shor-stabilizer", bs.stabilizer, ["XXXX", "ZZZZ"]))
     cnorm = bs.normalizer
-    checks.append(_value_check("bacon-shor-params", tuple(cnorm.params(budget)), (4, 2, 4, 2, 4)))
+    checks.append(equal("bacon-shor-params", tuple(cnorm.params(budget)), (4, 2, 4, 2, 4)))
     theta, phi = iv.profiles(cnorm, budget)
-    checks.append(_value_check("bacon-shor-theta", theta, [0, 0, 0, 2, 2]))
-    checks.append(_value_check("bacon-shor-phi", phi, [0, 0, 2, 2, 2]))
+    checks.append(equal("bacon-shor-theta", theta, [0, 0, 0, 2, 2]))
+    checks.append(equal("bacon-shor-phi", phi, [0, 0, 2, 2, 2]))
     pattern_ok = (
         phi[2] == phi[1] + 2
         and theta[2] == theta[1]
@@ -138,9 +132,9 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     # Nine-factor Shor code.
     shor = shor_code()
     p = shor.params(budget)
-    checks.append(_value_check("shor-params", (p.n, p.k, p.s, p.d), (9, 1, 9, 3)))
+    checks.append(equal("shor-params", (p.n, p.k, p.s, p.d), (9, 1, 9, 3)))
     _, varphi, _ = iv.generalized_weights(shor, budget)
-    checks.append(_value_check("shor-varphi-1", varphi[0], 3))
+    checks.append(equal("shor-varphi-1", varphi[0], 3))
     front = ac.Anticode(9, frozenset(range(4)))
     dec = ac.s_prime_decompose(shor, front, radical_rows=shor_stabilizer_rows())
     punct_front = ac.puncture(dec.s_prime, front)
@@ -154,10 +148,10 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     ):
         checks.append(_basis_check(identity, space, paulis))
     checks.append(
-        _value_check("shor-punctured-dims", (punct_front.sym_dim, punct_back.sym_dim), (1, 1))
+        equal("shor-punctured-dims", (punct_front.sym_dim, punct_back.sym_dim), (1, 1))
     )
     checks.append(
-        _value_check(
+        equal(
             "shor-punctured-isoranks",
             (punct_front.isorank, punct_back.isorank),
             (2, 2),
@@ -171,10 +165,10 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     )
     two_support = ac.Anticode(9, frozenset({0, 1}))
     checks.append(
-        _value_check(
+        equal(
             "shor-cleaning-below-distance",
-            ac.puncture(shor, two_support).to_json_dict()["basis"],
-            ac.puncture(shor.radical_space(), two_support).to_json_dict()["basis"],
+            ac.puncture(shor, two_support).basis.tolist(),
+            ac.puncture(shor.radical_space(), two_support).basis.tolist(),
             note="any support smaller than the distance is cleanable",
         )
     )
@@ -205,55 +199,34 @@ def _pair_identities(tally: Tally, w1: Subspace, w2: Subspace, tag: str) -> None
     # (their pairs share f1 and collapse in the sum), so no such check runs.
     both = w1 + w2
     meet = w1 & w2
-    tally.add(
-        "dim-f-modularity",
-        both.dim_f + meet.dim_f == w1.dim_f + w2.dim_f,
-        {"instance": tag, "lhs": both.dim_f + meet.dim_f, "rhs": w1.dim_f + w2.dim_f},
-    )
+    lhs, rhs = both.dim_f + meet.dim_f, w1.dim_f + w2.dim_f
+    tally.add("dim-f-modularity", lhs == rhs, tag, lhs=lhs, rhs=rhs)
     if w2.perp().contains_space(w1):
-        tally.add(
-            "modularity-orthogonal-dim",
-            both.sym_dim + meet.sym_dim == w1.sym_dim + w2.sym_dim,
-            {"instance": tag},
-        )
-        tally.add(
-            "modularity-orthogonal-irk",
-            both.isorank + meet.isorank == w1.isorank + w2.isorank,
-            {"instance": tag},
-        )
+        ok = both.sym_dim + meet.sym_dim == w1.sym_dim + w2.sym_dim
+        tally.add("modularity-orthogonal-dim", ok, tag)
+        ok = both.isorank + meet.isorank == w1.isorank + w2.isorank
+        tally.add("modularity-orthogonal-irk", ok, tag)
     if w2.contains_space(w1):
-        tally.add("monotonicity-dim", w1.sym_dim <= w2.sym_dim, {"instance": tag})
-        tally.add("monotonicity-irk", w1.isorank <= w2.isorank, {"instance": tag})
+        tally.add("monotonicity-dim", w1.sym_dim <= w2.sym_dim, tag)
+        tally.add("monotonicity-irk", w1.isorank <= w2.isorank, tag)
 
 
 def _perp_identities(tally: Tally, w: Subspace, tag: str) -> None:
     p = w.perp()
     n = w.n
-    tally.add(
-        "perp-dim",
-        p.sym_dim == n - w.isorank,
-        {"instance": tag, "lhs": p.sym_dim, "rhs": n - w.isorank},
-    )
-    tally.add(
-        "perp-irk",
-        p.isorank == n - w.sym_dim,
-        {"instance": tag, "lhs": p.isorank, "rhs": n - w.sym_dim},
-    )
-    tally.add("double-perp", p.perp() == w, {"instance": tag})
-    tally.add("radical-of-perp", p.radical() == w.radical(), {"instance": tag})
+    tally.add("perp-dim", p.sym_dim == n - w.isorank, tag, lhs=p.sym_dim, rhs=n - w.isorank)
+    tally.add("perp-irk", p.isorank == n - w.sym_dim, tag, lhs=p.isorank, rhs=n - w.sym_dim)
+    tally.add("double-perp", p.perp() == w, tag)
+    tally.add("radical-of-perp", p.radical() == w.radical(), tag)
     rad = w.radical()
-    tally.add("radical-inside-perp", p.contains_space(rad), {"instance": tag})
-    tally.add(
-        "radical-equals-perp-iff-stabilizer",
-        (rad == p) == w.is_stabilizer(),
-        {"instance": tag},
-    )
+    tally.add("radical-inside-perp", p.contains_space(rad), tag)
+    tally.add("radical-equals-perp-iff-stabilizer", (rad == p) == w.is_stabilizer(), tag)
     # The rank route against an explicit splitting: pair count, and pair
     # count plus radical rows.
     split = w.orthogonal_split()
     lhs = [w.sym_dim, w.isorank]
     rhs = [split.pair_count, split.pair_count + split.radical_basis.shape[0]]
-    tally.add("splitting-consistency", lhs == rhs, {"instance": tag, "lhs": lhs, "rhs": rhs})
+    tally.add("splitting-consistency", lhs == rhs, tag, lhs=lhs, rhs=rhs)
 
 
 def _random_part(rng: np.random.Generator, space: Subspace) -> Subspace:
@@ -264,17 +237,16 @@ def _random_part(rng: np.random.Generator, space: Subspace) -> Subspace:
 
 
 def general_identity_suite(
-    rng: np.random.Generator,
-    trials: int = 36,
-    qs: tuple[int, ...] = (2, 3, 5),
-    max_n: int = 4,
-    budget: int = DEFAULT_BUDGET,
+    rng: np.random.Generator, trials: int = 36, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
-    """Random codes: rank duality, cleaning, perp duality, modularity, alpha<=beta."""
+    """Random codes with n <= 4 over q = 2, 3, 5.
+
+    Rank duality, cleaning, perp duality, modularity and alpha <= beta.
+    """
     tally = Tally()
     for t in range(trials):
-        q = qs[t % len(qs)]
-        n = int(rng.integers(1, max_n + 1))
+        q = (2, 3, 5)[t % 3]
+        n = int(rng.integers(1, 5))
         code = random_code(rng, q, n)
         tag = f"random[{t}] q={q} n={n}"
         _per_support_general(tally, code, tag, budget)
@@ -326,18 +298,14 @@ def exhaustive_small_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 
 def stabilizer_suite(
-    rng: np.random.Generator,
-    trials: int = 24,
-    max_n: int = 5,
-    q: int = 2,
-    budget: int = DEFAULT_BUDGET,
+    rng: np.random.Generator, trials: int = 24, budget: int = DEFAULT_BUDGET
 ) -> list[CheckResult]:
-    """Identities whose proofs need the radical to equal the dual."""
+    """Identities whose proofs need the radical to equal the dual, on binary codes with n <= 5."""
     tally = Tally()
     for t in range(trials):
-        n = int(rng.integers(1, max_n + 1))
-        code = random_stabilizer_code(rng, n, q)
-        tag = f"stabilizer[{t}] q={q} n={n}"
+        n = int(rng.integers(1, 6))
+        code = random_stabilizer_code(rng, n, 2)
+        tag = f"stabilizer[{t}] q=2 n={n}"
         _stabilizer_code_checks(tally, code, tag, budget)
     return tally.results()
 
@@ -359,11 +327,8 @@ def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> 
     for a in ac.all_anticodes(n):
         s = sorted(a.support)
         if d is None or a.dim < d:
-            tally.add(
-                "cleaning-below-distance",
-                ac.puncture(space, a) == ac.puncture(rad, a),
-                {"instance": tag, "support": s},
-            )
+            ok = ac.puncture(space, a) == ac.puncture(rad, a)
+            tally.add("cleaning-below-distance", ok, tag, support=s)
         tally.add_results(ac.complementarity_check(space, a), f"{tag} support={s}")
 
 
@@ -388,9 +353,9 @@ def bounds_suite(
 def _transform_checks(tally: Tally, code: Code, tag: str, budget: int) -> None:
     w = oracle.brute_weight_distribution(code.space, budget)
     b = en.binomial_moments(code, budget)
-    tally.add("moments-from-distribution", en.moments_from_distribution(w) == b, {"instance": tag})
-    tally.add("distribution-from-moments", en.distribution_from_moments(b) == w, {"instance": tag})
-    tally.add("enumerator-routes-agree", en.poly_from_moments(b) == w, {"instance": tag})
+    tally.add("moments-from-distribution", en.moments_from_distribution(w) == b, tag)
+    tally.add("distribution-from-moments", en.distribution_from_moments(b) == w, tag)
+    tally.add("enumerator-routes-agree", en.poly_from_moments(b) == w, tag)
 
 
 def transforms_suite(
@@ -412,9 +377,9 @@ def transforms_suite(
         n = int(rng.integers(0, 7))
         table = [int(x) for x in rng.integers(0, 50, size=n + 1)]
         back = en.distribution_from_moments(en.moments_from_distribution(table))
-        tally.add("transform-roundtrip-w", back == table, {"instance": f"random-table[{t}]"})
+        tally.add("transform-roundtrip-w", back == table, f"random-table[{t}]")
         back = en.moments_from_distribution(en.distribution_from_moments(table))
-        tally.add("transform-roundtrip-b", back == table, {"instance": f"random-table[{t}]"})
+        tally.add("transform-roundtrip-b", back == table, f"random-table[{t}]")
         q = (2, 3)[t % 2]
         code = random_code(rng, q, int(rng.integers(1, 4)))
         _transform_checks(tally, code, f"random-code[{t}]", budget)
@@ -440,21 +405,11 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     space = code.space
     distance = code.distance(budget)
     words = oracle.Codewords(space, budget)
-    tally.add(
-        "oracle-distance",
-        distance == oracle.brute_min_distance(words, budget),
-        {"instance": tag},
-    )
-    tally.add(
-        "oracle-distribution",
-        en.weight_distribution(code, budget) == oracle.brute_weight_distribution(words, budget),
-        {"instance": tag},
-    )
-    tally.add(
-        "oracle-moments",
-        en.binomial_moments(code, budget) == oracle.brute_binomial_moments(words, budget),
-        {"instance": tag},
-    )
+    tally.add("oracle-distance", distance == oracle.brute_min_distance(words, budget), tag)
+    ok = en.weight_distribution(code, budget) == oracle.brute_weight_distribution(words, budget)
+    tally.add("oracle-distribution", ok, tag)
+    ok = en.binomial_moments(code, budget) == oracle.brute_binomial_moments(words, budget)
+    tally.add("oracle-moments", ok, tag)
     if supports is None:
         supports = [a.support for a in ac.all_anticodes(space.n)]
     table = iv.support_table(code, budget)
@@ -464,11 +419,8 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     ]
     tally.add_items("oracle-alpha-beta", items, tag)
     pairs, irk = oracle.brute_sym_dim_irk(words, budget)
-    tally.add(
-        "oracle-dim-irk",
-        (space.sym_dim, space.isorank) == (pairs, irk),
-        {"instance": tag, "lhs": [space.sym_dim, space.isorank], "rhs": [pairs, irk]},
-    )
+    lhs, rhs = [space.sym_dim, space.isorank], [pairs, irk]
+    tally.add("oracle-dim-irk", lhs == rhs, tag, lhs=lhs, rhs=rhs)
 
 
 def oracle_suite(
@@ -493,7 +445,7 @@ def oracle_suite(
             (0, 1, 0, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1),
         }
     )
-    tally.add("oracle-codeword-set", rep_words == expected, {"instance": "repetition"})
+    tally.add("oracle-codeword-set", rep_words == expected, "repetition")
     _oracle_code_checks(tally, bs.gauge, "bacon-shor-gauge", budget)
     _oracle_code_checks(tally, bs.normalizer, "bacon-shor-normalizer", budget)
     _oracle_code_checks(tally, shor, "shor", budget, supports=shor_supports)

@@ -158,7 +158,7 @@ def test_criterion_3_punctured_isorank_as_printed(shor):
 
 def test_criterion_4_identity_suites():
     rng = np.random.default_rng(SEED)
-    checks = general_identity_suite(rng, trials=200, qs=(2, 3, 5), max_n=4)
+    checks = general_identity_suite(rng, trials=200)
     checks += exhaustive_small_suite()
     wanted = {
         "duality-rank-identity",
@@ -208,7 +208,7 @@ def test_criterion_4_supermodularity_as_stated():
 
 def test_criterion_5_stabilizer_suites():
     rng = np.random.default_rng(SEED + 1)
-    checks = stabilizer_suite(rng, trials=100, max_n=5, q=2)
+    checks = stabilizer_suite(rng, trials=100)
     wanted = {
         "weight-complementarity",
         "macwilliams-dim-irk",

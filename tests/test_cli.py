@@ -304,6 +304,7 @@ def test_usage_error_exit_code_3():
     reason = json.loads(proc.stderr)
     assert reason["error"] == "input"
     assert "--format" in reason["detail"]
+    assert run_cli(["analyze", "--fixture", "shor", "--q", "3"]).returncode == 3
     assert run_cli(["analyze", "--help"]).returncode == 0
 
 

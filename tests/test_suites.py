@@ -36,7 +36,7 @@ def test_tally_add_items_keeps_the_first_failing_item():
     tally.add_items("x", second, "code-b")
     for instance, items in (("code-a", first), ("code-b", second)):
         for s, lhs, rhs, ok in items:
-            one_by_one.add("x", ok, {"instance": instance, "support": s, "lhs": lhs, "rhs": rhs})
+            one_by_one.add("x", ok, instance, support=s, lhs=lhs, rhs=rhs)
     (result,) = tally.results()
     assert result.to_dict() == {
         "identity": "x",
