@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -366,3 +367,130 @@ def test_report_bytes_are_pinned(argv, capsys):
     rc, out = run_inproc(list(argv), capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+def _pinned_output_argvs():
+    for fixture in ("repetition", "bacon-shor", "shor"):
+        f = ("--fixture", fixture)
+        for fmt in ("csv", "table"):
+            yield ("analyze", *f, "--format", fmt)
+        for fmt in ("json", "csv", "table"):
+            yield ("import", *f, "--format", fmt)
+        for emit in ("matrix", "pauli"):
+            yield ("import", *f, "--emit", emit)
+        for command in ("invariants", "enumerator", "moments"):
+            extra = ("--check-macwilliams",) if command == "moments" else ()
+            for fmt in ("json", "table"):
+                yield (command, *f, *extra, "--format", fmt)
+        yield ("puncture", *f, "--support", "1,2")
+    for fmt in ("csv", "table"):
+        yield ("verify", "--suite", "fixtures", "--seed", "7", "--format", fmt)
+    yield ("analyze", "--pauli", "-")  # an empty list on stdin without --n
+
+
+# sha256 of [exit code, stdout, stderr] as JSON, taken before the command
+# pipeline was shared: every subcommand, format and fixture keeps its bytes.
+PINNED_OUTPUTS = {
+    "analyze --fixture repetition --format csv":
+        "5f5c55bfe710cce1302107e697a6324221789688c09233bfbf3f9c9d37902dd4",
+    "analyze --fixture repetition --format table":
+        "28db8accf19e38967fce284c3bc5dd2972dd410755b94c7031dc91d5a0e44801",
+    "import --fixture repetition --format json":
+        "66dd97d010ef224c154b018d708830c51a973a575ca5cf8a3a4d7f95ac549b5e",
+    "import --fixture repetition --format csv":
+        "5f5c55bfe710cce1302107e697a6324221789688c09233bfbf3f9c9d37902dd4",
+    "import --fixture repetition --format table":
+        "28db8accf19e38967fce284c3bc5dd2972dd410755b94c7031dc91d5a0e44801",
+    "import --fixture repetition --emit matrix":
+        "1ebb6f3c23cfc300de0b839f53d69fdb163ba6930fd82ee438f7e15bc6b6a864",
+    "import --fixture repetition --emit pauli":
+        "5dbb680daca77e6a485cff613847e3625f780850739745cba5020da24ffbd1ee",
+    "invariants --fixture repetition --format json":
+        "8c90a4d32a0b4a227a07745db4d45faa5bde15b0685cd1f712afc9119546c87f",
+    "invariants --fixture repetition --format table":
+        "8caf51ff9b09e7b5a65c39b40bde9fd76702cf2ec5d3f6dfa00a3338b42c0edb",
+    "enumerator --fixture repetition --format json":
+        "dababc200367d33cf3d98fe4ccc6e87643ad05147d32872bfc3f7907af2a416f",
+    "enumerator --fixture repetition --format table":
+        "cacb98d8c519188015ec930c1db9d17f7a0b6bdb07b96961475fe520ba99359c",
+    "moments --fixture repetition --check-macwilliams --format json":
+        "8531bc699424ae6cd4800c213e0f5b46b0a01d9c9393deb6775b62f531bd9854",
+    "moments --fixture repetition --check-macwilliams --format table":
+        "4da98a8dad56d898fe89aa8035f0a7554e4ed247be015d3118f5f552854a4692",
+    "puncture --fixture repetition --support 1,2":
+        "7143363899205e80afff64bded8badf43155b98a2ef777a2b78bd89e8f9c5624",
+    "analyze --fixture bacon-shor --format csv":
+        "ddfdff7831c377c05598f487e444b912a3e3cc9a3a0721ef06ecd987ef69911b",
+    "analyze --fixture bacon-shor --format table":
+        "c573930cccee1af4d509294c7cfa49f21cb1d83d16443bf2960eba9705310632",
+    "import --fixture bacon-shor --format json":
+        "2dd5bab116170163e0b22ca5f05c6def3144a17a1fcac1fa8a9cba24a7b7e5c0",
+    "import --fixture bacon-shor --format csv":
+        "ddfdff7831c377c05598f487e444b912a3e3cc9a3a0721ef06ecd987ef69911b",
+    "import --fixture bacon-shor --format table":
+        "c573930cccee1af4d509294c7cfa49f21cb1d83d16443bf2960eba9705310632",
+    "import --fixture bacon-shor --emit matrix":
+        "30e228661acbd2ac507849acdf5a333c67d0b133f6b32d94343b1105a99b8515",
+    "import --fixture bacon-shor --emit pauli":
+        "a6306c178b8176b2fce4a49b6664fc084472a36d38b22b731d6856dbd85ecd97",
+    "invariants --fixture bacon-shor --format json":
+        "fc2914673de767168a5a9a68ec3d9ff857c2db7e1066e6005bd127a9a643373a",
+    "invariants --fixture bacon-shor --format table":
+        "3cf9730ef252bfa1b1dad9001012915a0bcd0d0fad6fe9118b90ce9c37b257fe",
+    "enumerator --fixture bacon-shor --format json":
+        "9373159464c58bd231b4358cb161731375ff9660a01149d7fa668ef1ab9896c9",
+    "enumerator --fixture bacon-shor --format table":
+        "ab3262dc34cf279ed8a5e0b23f486fc4bc8ec3275833217cdbb7790b8a2fa3db",
+    "moments --fixture bacon-shor --check-macwilliams --format json":
+        "a47a1420adfac60b73c3c1c829f6524018fae43d52ccb61d6161f76514c937a0",
+    "moments --fixture bacon-shor --check-macwilliams --format table":
+        "eebebe85d5dff0ae13fea9825931513e964bff29b8d38ece9f92768762bfa1e6",
+    "puncture --fixture bacon-shor --support 1,2":
+        "a8317dfeff48f571923f7c004f6733ef468c6e6e2d1d8e29457f43e9419f2edc",
+    "analyze --fixture shor --format csv":
+        "240984b0b9aa60725bcb4fecfcfaca74d13ef680294116453849b496610832d2",
+    "analyze --fixture shor --format table":
+        "38afa33c456e3b59abfb10bc47a058897a43a3c5d6786ab2d1d7c5f0a01089bb",
+    "import --fixture shor --format json":
+        "dc062dd8027a05bc99be6384d036b3d15825b76638c0577c67fff41530b37960",
+    "import --fixture shor --format csv":
+        "240984b0b9aa60725bcb4fecfcfaca74d13ef680294116453849b496610832d2",
+    "import --fixture shor --format table":
+        "38afa33c456e3b59abfb10bc47a058897a43a3c5d6786ab2d1d7c5f0a01089bb",
+    "import --fixture shor --emit matrix":
+        "75616f74dc80a752dfe50bab618fcbc8c8bbd997d2b9ba2ae852072a8c32ddb5",
+    "import --fixture shor --emit pauli":
+        "cddf4eb1ae981874336ca01b342213e4f08463730c599e49debd533dd9e650c6",
+    "invariants --fixture shor --format json":
+        "2f93a28185e6cf34ee031afe80046d9f1fca492faa554dee0418d35f56e6d676",
+    "invariants --fixture shor --format table":
+        "41b5fb5d95ed3569c87fe916c9eb80f6b288a6296ac4cf069fc93b6d75c20b9c",
+    "enumerator --fixture shor --format json":
+        "b4d34d94fb2e34025e2bc789c10c0159e4f9cd1654183f5002a6356276db17b5",
+    "enumerator --fixture shor --format table":
+        "e17ee3a3c5a9354caba6a266a6b4150a578a7aee010f0fe9da262e4c3fecb767",
+    "moments --fixture shor --check-macwilliams --format json":
+        "924ef920cb235c66ae060add7bb723ae6700eb3ecc72497c5beacbcc6ca12eea",
+    "moments --fixture shor --check-macwilliams --format table":
+        "5f1088406cac6e13b7841ffd3075b7481479c93f1d4d4f8ad0788b944adfad84",
+    "puncture --fixture shor --support 1,2":
+        "e2065a109e6a82296da6a67a6d1bb9b1c775be0e40b41fb3a3d996c6f38a4475",
+    "verify --suite fixtures --seed 7 --format csv":
+        "8d5cb2191490030e4e862ab3ad69ce6a2aff505cc3889833ae4a27cb7b3b3d77",
+    "verify --suite fixtures --seed 7 --format table":
+        "6b678396216aff1c414aac92fca641a7482e18b6e17fa68d8cab39472f3f93d9",
+    "analyze --pauli -":
+        "9fed01eadfffe8181f38de581b726f785f87cf48abee46f1848cc5926fea3449",
+}
+
+
+def _outcome_sha(argv, capsys, monkeypatch, stdin=""):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    rc = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return hashlib.sha256(json.dumps([rc, captured.out, captured.err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(_pinned_output_argvs()), ids=" ".join)
+def test_output_bytes_are_pinned(argv, capsys, monkeypatch):
+    assert _outcome_sha(argv, capsys, monkeypatch) == PINNED_OUTPUTS[" ".join(argv)]
