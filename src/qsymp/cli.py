@@ -1,10 +1,15 @@
 """Command-line front end.
 
-Subcommands: ``import`` (Pauli / JSON / matrix-text input), ``analyze``,
-``invariants``, ``enumerator``, ``moments``, ``puncture``, and ``verify``.
-JSON is the contract format and is emitted with sorted keys so identical
-inputs produce byte-identical reports; CSV and the aligned tables are
-presentation only.  User-facing factor indices are 1-based.
+Subcommands: ``analyze``, ``import`` (``analyze``'s report, or with
+``--emit`` the canonical basis as matrix text or Paulis), ``invariants``,
+``enumerator``, ``moments``, ``puncture``, and ``verify``.  :func:`main`
+resolves the budget and, for every subcommand but ``verify``, loads the
+one input (Pauli, JSON, matrix text or a fixture) before the subcommand
+runs; a ``--n``, JSON ``role`` or matrix row count that contradicts the
+input is refused.  JSON is the contract format and is emitted with sorted
+keys so identical inputs produce byte-identical reports; CSV and the
+aligned tables are presentation only.  User-facing factor indices are
+1-based.
 
 Exit codes: 0 all good, 1 an identity check failed, 2 the step budget was
 exceeded (with a machine-readable reason on stderr), 3 malformed input or a
@@ -48,7 +53,8 @@ from .report import jsonable
 from .suites import SUITE_NAMES, run_suites
 from .symplectic import Subspace
 
-FIXTURES = ("repetition", "bacon-shor", "shor")
+FIXTURES = {"repetition": repetition_code, "bacon-shor": bacon_shor_code, "shor": shor_code}
+ROLES = ("stabilizer", "gauge", "code")
 
 
 def _dump(data: dict) -> str:
@@ -91,89 +97,62 @@ def _add_common(parser, formats=("json", "csv", "table"), with_input: bool = Tru
         group.add_argument("--matrix", metavar="FILE",
                            help="matrix text file: header 'q rows cols' then rows")
         group.add_argument("--fixture", choices=FIXTURES, help="a named built-in code")
-        group.add_argument("--as", dest="role", choices=("stabilizer", "gauge", "code"),
+        group.add_argument("--as", dest="role", choices=ROLES,
                            default=None, help="how to interpret the input generators")
         group.add_argument("--n", type=int, default=None,
-                           help="factor count (needed only for an empty generator list)")
+                           help="factor count: required for an empty generator list, "
+                                "checked against any other input")
 
 
 def _load(args) -> tuple[Code | SubsystemCode, str]:
     """Build the requested object from whichever input option was given."""
-    chosen = [x for x in (args.pauli, args.json_file, args.matrix, args.fixture) if x]
-    if len(chosen) != 1:
+    inputs = {"pauli": args.pauli, "json": args.json_file, "matrix": args.matrix,
+              "fixture": args.fixture}
+    given = [(kind, name) for kind, name in inputs.items() if name]
+    if len(given) != 1:
         raise ParseError("exactly one of --pauli/--json/--matrix/--fixture is required")
-    role = args.role
-    if args.fixture:
-        if role is not None:
+    (kind, name), = given
+    role = args.role or "code"
+    if kind == "fixture":
+        if args.role is not None:
             raise ParseError("--as cannot be combined with --fixture")
-        if args.fixture == "repetition":
-            return repetition_code(), "fixture:repetition"
-        if args.fixture == "bacon-shor":
-            return bacon_shor_code(), "fixture:bacon-shor"
-        return shor_code(), "fixture:shor"
-    if args.pauli:
-        generators = parse_pauli_text(_read_text(args.pauli))
-        rows = [pauli_to_vector(g) for g in generators]
-        if generators:
-            space = from_pauli(generators)
-        else:
-            if args.n is None:
-                raise ParseError("empty generator list: pass --n to fix the factor count")
-            space = Subspace.zero(2, args.n)
-        source = f"pauli:{args.pauli}"
-    elif args.json_file:
-        data = json.loads(_read_text(args.json_file))
-        if not isinstance(data, dict):
-            raise ParseError("top-level JSON value must be an object")
-        space = Subspace.from_json_dict(data)
-        rows = data["basis"]
-        if role is None and data.get("role") in ("stabilizer", "gauge", "code"):
-            role = data["role"]
-        source = f"json:{args.json_file}"
+        obj = FIXTURES[name]()
     else:
-        rows, _q = matrix_from_text(_read_text(args.matrix))
-        space = Subspace(rows, _q, None if rows.shape[1] else args.n)
-        source = f"matrix:{args.matrix}"
-    role = role or "code"
-    if role == "stabilizer":
-        # Name the input's generators, not the rows of the canonical basis.
-        check_commuting(rows, space.q, space.n)
-        return stabilizer_code_from_isotropic(space), source
-    if role == "gauge":
-        return subsystem_from_gauge(Code(space)), source
-    return Code(space), source
+        if kind == "pauli":
+            generators = parse_pauli_text(_read_text(name))
+            rows = [pauli_to_vector(g) for g in generators]
+            if not generators and args.n is None:
+                raise ParseError("empty generator list: pass --n to fix the factor count")
+            space = from_pauli(generators) if generators else Subspace.zero(2, args.n)
+        elif kind == "json":
+            data = json.loads(_read_text(name))
+            if not isinstance(data, dict):
+                raise ParseError("top-level JSON value must be an object")
+            space = Subspace.from_json_dict(data)
+            rows = data["basis"]
+            file_role = data.get("role", "code")
+            if file_role not in ROLES:
+                raise ParseError(f"unknown role {file_role!r}: expected one of {', '.join(ROLES)}")
+            role = args.role or file_role
+        else:
+            rows, q = matrix_from_text(_read_text(name))
+            space = Subspace(rows, q, args.n)
+        if role == "stabilizer":
+            # Name the input's generators, not the rows of the canonical basis.
+            check_commuting(rows, space.q, space.n)
+            obj = stabilizer_code_from_isotropic(space)
+        elif role == "gauge":
+            obj = subsystem_from_gauge(Code(space))
+        else:
+            obj = Code(space)
+    n = _normalizer_of(obj).n
+    if args.n not in (None, n):
+        raise ParseError(f"--n {args.n} disagrees with the input's {n} factors")
+    return obj, f"{kind}:{name}"
 
 
 def _normalizer_of(obj: Code | SubsystemCode) -> Code:
     return obj.normalizer if isinstance(obj, SubsystemCode) else obj
-
-
-def _params_dict(obj: Code | SubsystemCode, budget: int) -> dict:
-    code = _normalizer_of(obj)
-    p = code.params(budget)
-    out = {"n": p.n, "k_sym": p.k, "s": p.s, "d": p.d, "maxwt": p.maxwt}
-    if isinstance(obj, SubsystemCode):
-        gp = obj.gauge.params(budget)
-        out["logical_count"] = obj.logical_count
-        out["gauge"] = {"k_sym": gp.k, "s": gp.s, "dim_f": obj.gauge.dim_f}
-        out["stabilizer_dim_f"] = obj.stabilizer.dim_f
-    return out
-
-
-def _report(obj: Code | SubsystemCode, source: str, budget: int) -> dict:
-    code = _normalizer_of(obj)
-    report = {
-        "source": source,
-        "q": code.q,
-        "n": code.n,
-        "kind": "subsystem" if isinstance(obj, SubsystemCode) else "code",
-        "params": _params_dict(obj, budget),
-        "basis": code.space.basis.tolist(),
-    }
-    if isinstance(obj, SubsystemCode):
-        report["stabilizer_basis"] = obj.stabilizer.basis.tolist()
-        report["gauge_basis"] = obj.gauge.space.basis.tolist()
-    return report
 
 
 def _parse_support(text: str, n: int) -> Anticode:
@@ -200,46 +179,16 @@ def _csv_cell(x) -> str:
     return s
 
 
-def _print_csv(rows: list[tuple], header: tuple) -> None:
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_csv_cell(x) for x in row))
-
-
-def _print_table(rows: list[tuple], header: tuple) -> None:
+def _emit_rows(rows: list[tuple], header: tuple, fmt: str) -> None:
+    """Print ``rows`` under ``header`` as CSV or as an aligned table."""
+    if fmt == "csv":
+        for row in [header, *rows]:
+            print(",".join(_csv_cell(x) for x in row))
+        return
     cells = [tuple(str("" if x is None else x) for x in row) for row in [header, *rows]]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     for r in cells:
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-
-
-def _emit_params(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_dump(report))
-        return
-    rows = sorted((k, v) for k, v in report["params"].items() if not isinstance(v, dict))
-    if fmt == "csv":
-        _print_csv(rows, ("parameter", "value"))
-    else:
-        _print_table(rows, ("parameter", "value"))
-
-
-def cmd_import(args) -> int:
-    if args.emit != "report" and args.format != "json":
-        raise ParseError(f"--format {args.format} applies only to --emit report")
-    budget = args.budget if args.budget is not None else _default_budget()
-    obj, source = _load(args)
-    if args.emit == "matrix":
-        code = _normalizer_of(obj)
-        sys.stdout.write(matrix_to_text(code.space.basis, code.q))
-        return 0
-    if args.emit == "pauli":
-        code = _normalizer_of(obj)
-        for row in code.space.basis:
-            print(vector_to_pauli(row))
-        return 0
-    _emit_params(_report(obj, source, budget), args.format)
-    return 0
 
 
 def _enumerators_dict(code: Code, budget: int) -> dict:
@@ -252,27 +201,50 @@ def _enumerators_dict(code: Code, budget: int) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    obj, source = _load(args)
-    report = _report(obj, source, budget)
+def cmd_analyze(args, obj, source: str, budget: int) -> int:
+    """``analyze`` and ``import``: the parameter report, or the canonical basis with ``--emit``."""
+    code = _normalizer_of(obj)
+    if args.emit == "matrix":
+        sys.stdout.write(matrix_to_text(code.space.basis, code.q))
+        return 0
+    if args.emit == "pauli":
+        for row in code.space.basis:
+            print(vector_to_pauli(row))
+        return 0
+    p = code.params(budget)
+    params = {"n": p.n, "k_sym": p.k, "s": p.s, "d": p.d, "maxwt": p.maxwt}
+    report = {
+        "source": source,
+        "q": code.q,
+        "n": code.n,
+        "kind": "subsystem" if isinstance(obj, SubsystemCode) else "code",
+        "params": params,
+        "basis": code.space.basis.tolist(),
+    }
+    if isinstance(obj, SubsystemCode):
+        gp = obj.gauge.params(budget)
+        params["logical_count"] = obj.logical_count
+        params["gauge"] = {"k_sym": gp.k, "s": gp.s, "dim_f": obj.gauge.dim_f}
+        params["stabilizer_dim_f"] = obj.stabilizer.dim_f
+        report["stabilizer_basis"] = obj.stabilizer.basis.tolist()
+        report["gauge_basis"] = obj.gauge.space.basis.tolist()
     if args.full:
-        code = _normalizer_of(obj)
         report["invariants"] = iv.invariant_table(code, budget).to_dict()
         report["enumerators"] = _enumerators_dict(code, budget)
         report["verification"] = [
             c.to_dict()
             for c in iv.verify_bounds(code, budget) + en.macwilliams_check(code, budget)
         ]
-    _emit_params(report, args.format)
+    if args.format == "json":
+        print(_dump(report))
+    else:
+        rows = sorted((k, v) for k, v in params.items() if not isinstance(v, dict))
+        _emit_rows(rows, ("parameter", "value"), args.format)
     return 0
 
 
-def cmd_invariants(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    obj, source = _load(args)
-    code = _normalizer_of(obj)
-    table = iv.invariant_table(code, budget)
+def cmd_invariants(args, obj, source: str, budget: int) -> int:
+    table = iv.invariant_table(_normalizer_of(obj), budget)
     if args.format == "json":
         print(_dump({"source": source, "invariants": table.to_dict()}))
     else:
@@ -280,9 +252,7 @@ def cmd_invariants(args) -> int:
     return 0
 
 
-def cmd_enumerator(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    obj, source = _load(args)
+def cmd_enumerator(args, obj, source: str, budget: int) -> int:
     data = {"source": source, **_enumerators_dict(_normalizer_of(obj), budget)}
     if args.format == "json":
         print(_dump(data))
@@ -295,9 +265,7 @@ def cmd_enumerator(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
-    obj, source = _load(args)
+def cmd_moments(args, obj, source: str, budget: int) -> int:
     code = _normalizer_of(obj)
     data = {"source": source, "B": en.binomial_moments(code, budget)}
     rc = 0
@@ -308,15 +276,13 @@ def cmd_moments(args) -> int:
     if args.format == "json":
         print(_dump(data))
     else:
-        rows = [(b, v) for b, v in enumerate(data["B"])]
-        _print_table(rows, ("b", "moment"))
+        _emit_rows(list(enumerate(data["B"])), ("b", "moment"), args.format)
         for c in data.get("macwilliams", []):
             print(f"{c['identity']}: {'pass' if c['pass'] else 'FAIL'}")
     return rc
 
 
-def cmd_puncture(args) -> int:
-    obj, source = _load(args)
+def cmd_puncture(args, obj, source: str, budget: int) -> int:
     code = _normalizer_of(obj)
     a = _parse_support(args.support, code.n)
     data = {
@@ -329,28 +295,23 @@ def cmd_puncture(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    budget = args.budget if args.budget is not None else _default_budget()
+def cmd_verify(args, budget: int) -> int:
     report = run_suites(suite=args.suite, seed=args.seed, budget=budget, trials=args.trials)
     if args.format == "json":
         print(_dump(report))
     else:
-        rows = []
-        for section in report["sections"]:
-            for c in section["checks"]:
-                rows.append(
-                    (
-                        section["name"],
-                        c["identity"],
-                        "pass" if c["pass"] else "FAIL",
-                        c.get("lhs", c.get("checked")),
-                        c.get("rhs", c.get("failures")),
-                    )
-                )
-        if args.format == "csv":
-            _print_csv(rows, ("suite", "identity", "status", "lhs", "rhs"))
-        else:
-            _print_table(rows, ("suite", "identity", "status", "lhs", "rhs"))
+        rows = [
+            (
+                section["name"],
+                c["identity"],
+                "pass" if c["pass"] else "FAIL",
+                c.get("lhs", c.get("checked")),
+                c.get("rhs", c.get("failures")),
+            )
+            for section in report["sections"]
+            for c in section["checks"]
+        ]
+        _emit_rows(rows, ("suite", "identity", "status", "lhs", "rhs"), args.format)
     return 0 if report["summary"]["pass"] else 1
 
 
@@ -366,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--emit", choices=("report", "matrix", "pauli"), default="report",
                    help="echo format for the canonicalized code")
-    p.set_defaults(func=cmd_import)
+    p.set_defaults(func=cmd_analyze, full=False)
 
     p = sub.add_parser("analyze", help="compute the code parameters")
     _add_common(p)
     p.add_argument("--full", action="store_true",
                    help="include invariant tables, enumerator data, and verification results")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, emit="report")
 
     p = sub.add_parser("invariants", help="profile and generalized-weight tables")
     _add_common(p, formats=("json", "table"))
@@ -407,7 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if getattr(args, "emit", "report") != "report" and args.format != "json":
+            raise ParseError(f"--format {args.format} applies only to --emit report")
+        budget = args.budget if args.budget is not None else _default_budget()
+        if args.func is cmd_verify:
+            return cmd_verify(args, budget)
+        obj, source = _load(args)
+        return args.func(args, obj, source, budget)
     except BudgetExceededError as exc:
         print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
         return 2

@@ -224,7 +224,8 @@ def matrix_from_text(text: str) -> tuple[Matrix, int]:
     """Parse the text format produced by :func:`matrix_to_text`.
 
     Returns ``(matrix, q)``.  Raises :class:`ParseError` with a 1-based line
-    number on malformed input.
+    number on malformed input, including a non-blank line past the rows the
+    header declares.
     """
     lines = text.splitlines()
     if not lines:
@@ -255,4 +256,7 @@ def matrix_from_text(text: str) -> tuple[Matrix, int]:
             data.append([int(x) for x in parts])
         except ValueError:
             raise ParseError("non-integer entry", line=lineno) from None
+    for lineno, line in enumerate(lines[rows + 1:], start=rows + 2):
+        if line.strip():
+            raise ParseError(f"row past the {rows} the header declares", line=lineno)
     return as_matrix(data, q, cols=cols), q

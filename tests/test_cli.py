@@ -179,6 +179,32 @@ def test_input_option_is_required(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["analyze", "--fixture", "shor", "--n", "5"], ""),
+        (["analyze", "--pauli", "-", "--n", "7"], "XX\nZZ\n"),
+        (["analyze", "--matrix", "-", "--n", "2"], "2 0 0\n"),
+        (["analyze", "--matrix", "-"], "2 1 4\n1 0 1 0\n0 1 0 1\n"),
+        (["analyze", "--json", "-"],
+         json.dumps({"q": 2, "n": 2, "basis": [[0, 1, 0, 1]], "role": "Stabilizer"})),
+    ],
+    ids=["fixture-n", "pauli-n", "matrix-n", "matrix-rows", "json-role"],
+)
+def test_input_that_contradicts_itself_exit_3(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
+def test_an_agreeing_n_changes_nothing(capsys):
+    with_n = run_inproc(["analyze", "--fixture", "shor", "--n", "9"], capsys)
+    assert with_n == run_inproc(["analyze", "--fixture", "shor"], capsys)
+    assert with_n[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # invariants / enumerator / moments / puncture
 
@@ -332,6 +358,20 @@ def test_budget_env_override(tmp_path):
         env={"QSYMP_BUDGET": "100", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--fixture", "repetition"] for c in ("analyze", "import", "invariants", "enumerator", "moments")]
+    + [["puncture", "--fixture", "repetition", "--support", "1"], ["verify", "--suite", "fixtures"]],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_budget_env_exit_3(argv, capsys, monkeypatch):
+    monkeypatch.setenv("QSYMP_BUDGET", "lots")
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "QSYMP_BUDGET" in json.loads(captured.err)["detail"]
 
 
 def test_parse_error_exit_code_3(tmp_path):

@@ -282,3 +282,7 @@ def test_matrix_text_row_errors():
         matrix_from_text("2 1 3\n1 0\n")
     with pytest.raises(ParseError):
         matrix_from_text("2 1 3\n1 x 0\n")
+    with pytest.raises(ParseError) as err:
+        matrix_from_text("2 1 4\n1 0 1 0\n\n0 1 0 1\n")
+    assert "line 4" in str(err.value)
+    assert matrix_from_text("2 1 4\n1 0 1 0\n\n  \n")[0].tolist() == [[1, 0, 1, 0]]
