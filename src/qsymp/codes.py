@@ -8,13 +8,14 @@ Stabilizer codes arise as orthogonal complements of isotropic subspaces;
 subsystem codes arise from an arbitrary gauge code.
 
 Distance, maximum weight and the weight distributions of a code and of its
-radical all come from one pair of per-weight tables, built by one of two
-exact routes chosen from the input size alone: the 2^n support scan (moments
-of the supported dimensions, inverted by the binomial transform) when the
-``q**dim_f`` codewords outnumber the supports by more than
-:data:`SUPPORT_COST_GF2` (q=2) or :data:`SUPPORT_COST_ODD` (odd q), and
-batched codeword enumeration otherwise.  The budget caps whichever of the
-two costs the chosen route pays.
+radical all come from one pair of per-weight tables, built by one of three
+exact routes chosen from the input size alone: codeword enumeration of a
+space of dimension at most n; enumeration of the complement of a larger
+space, carried back through the MacWilliams moment identity; and the 2^n
+support scan when those words outnumber the supports by more than
+:data:`SUPPORT_COST` (balanced odd-q codes only).  The budget caps whichever
+cost the chosen route pays.  The oracle suite's ``oracle-distribution``
+cross-checks the tables against literal counting, the complement route too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .enumerators import distance_from_enumerators, distribution_from_moments
+from .enumerators import distance_from_enumerators, distribution_from_dual
+from .enumerators import distribution_from_moments
 from .errors import DEFAULT_BUDGET, CommutationError, ParseError, check_budget
 from .invariants import support_dims, supported_moments
 from .linalg import as_matrix
@@ -32,22 +34,11 @@ from .symplectic import Subspace, Vector, _swap
 
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
-# The weight tables take the support route when codewords outnumber supports
-# by more than this factor: SUPPORT_COST_GF2 at q=2, SUPPORT_COST_ODD at odd q.
-# Whole routes on fresh spaces, best of 3 on 2 CPUs (Python 3.11, numpy 2.4):
-# one support of the walk costs 10-20 us at q=2 for n=8..12 (27-47 us at
-# n=6, where seeding the walk dominates) and 45-150 us at q=3, 5, 7 for
-# n=3..8; one enumerated codeword costs 0.9-2.4 us at q=2 and 0.4-1.2 us at
-# odd q.  Measured break-even, in codewords per support: at q=2, 16-32 at
-# n=6, 8-16 at n=8 and 4-8 at n=10, 12; at odd q, 90-400 at n=3, 4, 70-200
-# at n=5 and 25-100 at n=6..8.  At q=2 the ratio moves in powers of two, and
-# any value in [8, 16) scans from 16 on (1.1-2x faster than enumeration at
-# n >= 8, up to 1.9x slower, about 1 ms, at n=6) and enumerates at 8 (up to
-# 1.25x slower than the scan at n >= 10).  At odd q the largest misses of
-# 100 are q=3, n=8, ratio 77 (enumeration 22.6 ms against 12.5 ms) and
-# q=3, n=4, ratio 137 (scan 1.6 ms against 1.2 ms).
-SUPPORT_COST_GF2 = 8
-SUPPORT_COST_ODD = 100
+# The weight tables scan the supports when the words to enumerate outnumber
+# them by more than this factor; at q=2 they never do (at most 2 * 2^n words).
+# At odd q, on 2 CPUs, a support costs 45-150 us (n=3..8) and a codeword 0.4-1.2
+# us: break-even at 90-400 words per support at n=3, 4, 70-200 at 5, 25-100 at 6..8.
+SUPPORT_COST = 100
 _BATCH_SIZE = 1 << 13  # codewords per batch of codeword_batches
 
 PAULI_TO_FACTOR = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -169,18 +160,16 @@ class Code:
     def _weight_tables(self, budget: int) -> tuple[list[int], list[int]]:
         """Counts of codewords by weight: (all, radical), as Python ints.
 
-        Two exact routes, chosen from the input size alone: the support
-        route (:func:`weights_from_supports`) when ``q**dim_f`` exceeds
-        ``2**n`` times the field's support cost, codeword enumeration
-        (:func:`weights_from_codewords`) otherwise.  The budget is checked
-        against the chosen route's cost on every call, cached or not.
+        :func:`weights_from_codewords`, or :func:`weights_from_supports` past
+        :data:`SUPPORT_COST`.  The budget is checked against the chosen
+        route's cost on every call, cached or not.
         """
-        cost = SUPPORT_COST_GF2 if self.q == 2 else SUPPORT_COST_ODD
-        by_supports = self.q**self.dim_f > cost * 2**self.n
+        words = sum(v.q**v.dim_f for v in _enumerated_sides(self.space))
+        by_supports = words > SUPPORT_COST * 2**self.n
         if by_supports:
             check_budget(2**self.n, budget, "support scan")
         else:
-            check_budget(self.q**self.dim_f, budget, "codeword enumeration")
+            check_budget(words, budget, "codeword enumeration")
         if self._weight_tables_cache is None:
             route = weights_from_supports if by_supports else weights_from_codewords
             self._weight_tables_cache = route(self.space, budget)
@@ -205,13 +194,7 @@ class Code:
         return max(w for w, count in enumerate(all_counts) if count)
 
     def params(self, budget: int = DEFAULT_BUDGET) -> CodeParams:
-        return CodeParams(
-            n=self.n,
-            k=self.k,
-            s=self.s,
-            d=self.distance(budget),
-            maxwt=self.max_weight(budget),
-        )
+        return CodeParams(self.n, self.k, self.s, self.distance(budget), self.max_weight(budget))
 
 
 def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET):
@@ -224,10 +207,6 @@ def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET):
     q, k = space.q, space.dim_f
     total = q**k
     check_budget(total, budget, "codeword enumeration")
-    if k == 0:
-        digits = np.zeros((1, 0), dtype=np.int64)
-        yield digits, np.zeros((1, 2 * space.n), dtype=np.int64)
-        return
     powers = q ** np.arange(k, dtype=np.int64)
     for start in range(0, total, _BATCH_SIZE):
         idx = np.arange(start, min(start + _BATCH_SIZE, total), dtype=np.int64)
@@ -235,24 +214,30 @@ def codeword_batches(space: Subspace, budget: int = DEFAULT_BUDGET):
         yield digits, (digits @ space.basis) % q
 
 
+def _enumerated_sides(space: Subspace) -> set[Subspace]:
+    """For the space and for its radical, itself or its complement, whichever has dim_f <= n."""
+    return {v if v.dim_f <= v.n else v.perp() for v in (space, space.radical())}
+
+
 def weights_from_codewords(
     space: Subspace, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[int], list[int]]:
-    """Weight tables (all, radical) by enumerating the ``q**dim_f`` codewords.
+    """Weight tables (all, radical) from the codewords of :func:`_enumerated_sides`.
 
-    A codeword is radical iff its coefficient digits times the Gram matrix
-    vanish mod q.
+    A table counted on a complement is carried back by :func:`distribution_from_dual`.
     """
-    n, q = space.n, space.q
-    all_counts = np.zeros(n + 1, dtype=np.int64)
-    rad_counts = np.zeros(n + 1, dtype=np.int64)
-    gram = space._gram
-    for digits, words in codeword_batches(space, budget):
-        weights = (words.reshape(words.shape[0], n, 2) != 0).any(axis=2).sum(axis=1)
-        radical = ~((digits @ gram) % q).any(axis=1)
-        all_counts += np.bincount(weights, minlength=n + 1)
-        rad_counts += np.bincount(weights[radical], minlength=n + 1)
-    return all_counts.tolist(), rad_counts.tolist()
+    n = space.n
+    counts = {}
+    for side in _enumerated_sides(space):
+        total = np.zeros(n + 1, dtype=np.int64)
+        for _digits, words in codeword_batches(side, budget):
+            weights = (words.reshape(words.shape[0], n, 2) != 0).any(axis=2).sum(axis=1)
+            total += np.bincount(weights, minlength=n + 1)
+        counts[side] = total.tolist()
+    return tuple(
+        counts[v] if v.dim_f <= n else distribution_from_dual(counts[v.perp()], v.q, v.dim_f)
+        for v in (space, space.radical())
+    )
 
 
 def weights_from_supports(

@@ -9,11 +9,10 @@ each table into the other exactly over the integers.
 
 Weight distributions and both enumerators are read from the code's one pair
 of weight tables (all codewords, radical codewords), which
-:meth:`qsymp.codes.Code._weight_tables` builds by one of two routes: from
-the moments of the support table when ``q**dim_f`` exceeds ``2**n`` times
-the field's support cost, by enumerating codewords otherwise.  The
-pure-Python counting routes of the oracle module are the independent
-cross-check for both.
+:meth:`qsymp.codes.Code._weight_tables` builds by one of three routes:
+enumerating a space of dimension at most n, enumerating its complement and
+carrying back by :func:`distribution_from_dual`, or the support moments.
+The oracle module's counting routes cross-check all three.
 
 Enumerator polynomials are homogeneous of degree n in (x, y) and stored as
 integer coefficient vectors indexed by x-degree; one counts all codewords
@@ -44,6 +43,7 @@ __all__ = [
     "binomial_moments",
     "moments_from_distribution",
     "distribution_from_moments",
+    "distribution_from_dual",
     "enumerator_polys",
     "poly_from_moments",
     "distance_from_enumerators",
@@ -84,6 +84,19 @@ def distribution_from_moments(b: list[int]) -> list[int]:
         sum((-1) ** (a - j) * math.comb(n - j, a - j) * b[j] for j in range(a + 1))
         for a in range(n + 1)
     ]
+
+
+def distribution_from_dual(dual_counts: list[int], q: int, dim_f: int) -> list[int]:
+    """Distribution of a space of dimension ``dim_f`` from its complement's, by the moment identity.
+
+    ``B[b] = B'[n-b] * q**(2b + dim_f - 2n)``, an exact division where the power is negative.
+    """
+    n = len(dual_counts) - 1
+    dual = moments_from_distribution(dual_counts)[::-1]
+    moments = [divmod(m * q ** (2 * b + dim_f), q ** (2 * n)) for b, m in enumerate(dual)]
+    if any(r for _, r in moments):
+        raise ValueError("the tables are not dual: a moment is not an integer")
+    return distribution_from_moments([m for m, _ in moments])
 
 
 def enumerator_polys(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:

@@ -394,11 +394,11 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     """Compare one code's fast results with the literal routes of the oracle.
 
     ``oracle-distance`` and ``oracle-distribution`` compare different routes:
-    the code's weight tables come from the support scan when codewords
-    outnumber supports (see :data:`qsymp.codes.SUPPORT_COST_GF2` and
-    :data:`qsymp.codes.SUPPORT_COST_ODD`) and from numpy
-    codeword batches otherwise, while the oracle always counts the codewords
-    one by one in pure Python.  The oracle's words and radical are
+    the code's weight tables come from numpy codeword batches over the
+    smaller of each space and its complement (so the repetition, Shor and
+    every random code with dim_F > n cross-check the complement route), or
+    from the support scan past :data:`qsymp.codes.SUPPORT_COST`, while the
+    oracle counts the codewords one by one in pure Python.  Its words and radical are
     enumerated once per code and shared by its five brute routes, each of
     which still counts literally and checks the budget.
     """

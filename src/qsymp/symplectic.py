@@ -824,10 +824,12 @@ class Subspace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Subspace":
+        """Read ``{"q", "n", "basis"}``, refusing any value that is not an integer."""
         try:
-            q = int(data["q"])
-            n = int(data["n"])
-            basis = data["basis"]
-        except (KeyError, TypeError, ValueError) as exc:
+            q, n, basis = data["q"], data["n"], data["basis"]
+        except (KeyError, TypeError) as exc:
             raise DimensionMismatchError(f"malformed subspace object: {exc}") from exc
+        for value in (q, n, *np.array(basis, dtype=object).flat):
+            if type(value) is not int:
+                raise DimensionMismatchError(f"malformed subspace object: {value!r} is not an integer")
         return cls(basis, q, n)

@@ -199,6 +199,25 @@ def test_input_that_contradicts_itself_exit_3(argv, stdin, capsys, monkeypatch):
     assert json.loads(captured.err)["error"] == "input"
 
 
+@pytest.mark.parametrize(
+    "data, bad",
+    [
+        ({"q": 3, "n": 2, "basis": [[0.5, 1, 0, 1]]}, "0.5"),
+        ({"q": 3, "n": 2, "basis": [["1", 1, 0, 1]]}, "'1'"),
+        ({"q": 2.7, "n": 2, "basis": [[1, 1, 0, 1]]}, "2.7"),
+    ],
+    ids=["float-entry", "string-entry", "float-q"],
+)
+def test_json_values_that_are_not_integers_exit_3(data, bad, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+    assert cli.main(["analyze", "--json", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = json.loads(captured.err)
+    assert reason["error"] == "input"
+    assert f"{bad} is not an integer" in reason["detail"]
+
+
 def test_an_agreeing_n_changes_nothing(capsys):
     with_n = run_inproc(["analyze", "--fixture", "shor", "--n", "9"], capsys)
     assert with_n == run_inproc(["analyze", "--fixture", "shor"], capsys)
@@ -322,7 +341,7 @@ def test_budget_exit_code_2(tmp_path):
     assert proc.returncode == 2
     reason = json.loads(proc.stderr)
     assert reason["error"] == "budget-exceeded"
-    assert reason["needed"] == 1024
+    assert reason["needed"] == 256
 
 
 def test_usage_error_exit_code_3():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from qsymp.codes import (
-    SUPPORT_COST_GF2,
-    SUPPORT_COST_ODD,
+    SUPPORT_COST,
     Code,
     bacon_shor_code,
     codeword_batches,
@@ -210,17 +209,18 @@ def test_isotropic_code_has_no_distance():
 
 
 def test_distance_budget_guard(shor):
-    # Shor: 2^10 codewords against 2^9 supports stays on enumeration
-    assert shor.q**shor.dim_f <= SUPPORT_COST_GF2 * 2**shor.n
+    # Shor: 2^10 codewords, but the smaller side of the code and of its
+    # radical is the stabilizer, with 2^8 words
+    assert shor.space.perp() == shor.radical_space()
     fresh = shor_code()
     with pytest.raises(BudgetExceededError) as err:
         fresh.distance(budget=100)
-    assert (err.value.needed, err.value.task) == (2**10, "codeword enumeration")
+    assert (err.value.needed, err.value.task) == (2**8, "codeword enumeration")
     assert err.value.to_dict()["error"] == "budget-exceeded"
 
 
 def test_full_space_beyond_the_enumeration_budget():
-    # 31^14 codewords against 2^7 supports: only the support route can answer
+    # 31^14 codewords, but the complement route counts the one zero word
     code = Code(Subspace(np.eye(14, dtype=np.int64), 31, 7))
     w = weight_distribution(code)
     assert w == [comb(7, b) * 960**b for b in range(8)]
@@ -230,23 +230,38 @@ def test_full_space_beyond_the_enumeration_budget():
     assert enumerator_polys(code) == ([1] + [0] * 7, w)
 
 
+def _one_pair_q31():
+    """One symplectic pair on the first of two factors at q=31: a balanced odd-q code."""
+    return Code(Subspace([[1, 0, 0, 0], [0, 1, 0, 0]], 31, 2))
+
+
 def test_support_route_budget():
-    # the full space at q=5, n=4: 5^8 codewords against 2^4 supports
-    code = Code(Subspace(np.eye(8, dtype=np.int64), 5, 4))
-    assert code.q**code.dim_f > SUPPORT_COST_ODD * 2**code.n
+    # the code is its own smaller side: 31^2 + 1 words against 2^2 supports
+    code = _one_pair_q31()
+    assert code.q**code.dim_f + 1 > SUPPORT_COST * 2**code.n
     with pytest.raises(BudgetExceededError) as err:
-        code.params(budget=2**4 - 1)
-    assert (err.value.needed, err.value.task) == (2**4, "support scan")
-    assert code.params(budget=5**8) == (4, 4, 4, 1, 4)
+        code.params(budget=2**2 - 1)
+    assert (err.value.needed, err.value.task) == (2**2, "support scan")
+    assert code.params(budget=2**2) == (2, 1, 1, 1, 1)
+    assert "_support_dims" in code.space.__dict__
+
+
+def test_stabilizer_tables_skip_the_support_scan():
+    # stabilizer Z on factor 0: that factor carries I or Z, the other nine anything
+    code = stabilizer_code_from_isotropic(from_pauli(["Z" + "I" * 9]))
+    assert weight_distribution(code) == [
+        comb(9, b) * 3**b + (comb(9, b - 1) * 3 ** (b - 1) if b else 0) for b in range(11)
+    ]
+    assert "_support_dims" not in code.space.__dict__
 
 
 @pytest.mark.parametrize(
     "make, big, needed, task",
     [
-        (shor_code, 10**6, 2**10, "codeword enumeration"),
-        (lambda: Code(Subspace(np.eye(8, dtype=np.int64), 5, 4)), 5**8, 2**4, "support scan"),
+        (shor_code, 10**6, 2**8, "codeword enumeration"),
+        (_one_pair_q31, 31**2, 2**2, "support scan"),
     ],
-    ids=["shor-enumeration", "full-q5-n4-supports"],
+    ids=["shor-enumeration", "pair-q31-n2-supports"],
 )
 def test_weight_tables_check_the_budget_on_every_call(make, big, needed, task):
     code = make()

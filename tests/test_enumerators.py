@@ -1,9 +1,12 @@
+from math import comb
+
 import pytest
 
 from qsymp.codes import Code, random_code
 from qsymp.enumerators import (
     binomial_moments,
     distance_from_enumerators,
+    distribution_from_dual,
     distribution_from_moments,
     enumerator_polys,
     evaluate_enumerator,
@@ -82,6 +85,29 @@ def test_transforms_are_mutually_inverse_on_arbitrary_tables(rng):
         table = [int(x) for x in rng.integers(0, 60, size=n + 1)]
         assert distribution_from_moments(moments_from_distribution(table)) == table
         assert moments_from_distribution(distribution_from_moments(table)) == table
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_dual_transform_between_zero_and_full_space(q, n):
+    zero = [1] + [0] * n
+    full = [comb(n, b) * (q * q - 1) ** b for b in range(n + 1)]
+    assert distribution_from_dual(zero, q, 2 * n) == full
+    assert distribution_from_dual(full, q, 0) == zero
+
+
+def test_dual_transform_refuses_a_table_that_is_not_a_complement():
+    # [1, 1] has moments [1, 2]; a zero-dimensional space would need 2 / 2**2
+    with pytest.raises(ValueError):
+        distribution_from_dual([1, 1], 2, 0)
+
+
+def test_dual_transform_matches_the_dual_distribution(rng):
+    for t in range(30):
+        q = (2, 3, 5)[t % 3]
+        code = random_code(rng, q, int(rng.integers(1, 4)))
+        dual = weight_distribution(code.dual())
+        assert distribution_from_dual(dual, q, code.dim_f) == weight_distribution(code)
 
 
 # ---------------------------------------------------------------------------

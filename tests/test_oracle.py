@@ -2,7 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
 from qsymp.codes import Code, random_code, weights_from_codewords, weights_from_supports
@@ -124,10 +124,15 @@ def small_spaces(draw):
 
 @st.composite
 def route_spaces(draw):
-    """Span of drawn rows over F_q, q in {2, 3, 5}, n <= 4, q**dim_F <= 2**12."""
+    """Span of drawn rows over F_q, q in {2, 3, 5}, n <= 4, q**dim_F <= 2**12.
+
+    Half the draws take more than n rows, so dim_F > n, where the weight
+    table is counted on the complement, is drawn at every q.
+    """
     q = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 4))
-    rows = draw(st.integers(0, min(2 * n, {2: 12, 3: 7, 5: 5}[q])))
+    most = min(2 * n, {2: 12, 3: 7, 5: 5}[q])
+    rows = draw(st.integers(n + 1 if draw(st.booleans()) and most > n else 0, most))
     cells = rows * 2 * n
     entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
     return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
@@ -162,6 +167,9 @@ def test_support_table_matches_oracle_and_literal_intersections(w):
 
 @settings(max_examples=60, deadline=None)
 @given(w=route_spaces())
+@example(w=Subspace(np.eye(6, dtype=np.int64), 2, 3))
+@example(w=Subspace(np.eye(4, dtype=np.int64), 3, 2))
+@example(w=Subspace(np.eye(4, dtype=np.int64), 5, 2))
 def test_weight_routes_match_counting_route(w):
     expected = (brute_weight_distribution(w), brute_weight_distribution(w.radical()))
     d = brute_min_distance(w)
