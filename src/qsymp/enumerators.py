@@ -12,7 +12,7 @@ of weight tables (all codewords, radical codewords), which
 :meth:`qsymp.codes.Code._weight_tables` builds by one of three routes:
 enumerating a space of dimension at most n, enumerating its complement and
 carrying back by :func:`distribution_from_dual`, or the support moments.
-The oracle module's counting routes cross-check all three.
+The oracle suite's ``oracle-distribution`` counts to cross-check the first two.
 
 Enumerator polynomials are homogeneous of degree n in (x, y) and stored as
 integer coefficient vectors indexed by x-degree; one counts all codewords
