@@ -4,7 +4,7 @@ An anticode is determined by its support: it is the free subspace of all
 vectors vanishing off a set of factors J, and it is exactly the class of
 subspaces whose pair count equals their maximum weight.  Anticodes are kept
 as supports (the realization is materialized on demand), so the lattice
-operations are plain set operations.
+operations are plain set operations on ``support``.
 
 Puncturing projects onto the factors in J; shortening punctures the part of
 a code already supported inside J.  The two operations are dual to each
@@ -15,6 +15,7 @@ cleaning lemma for stabilizer codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .symplectic import Subspace, _field
 __all__ = [
     "Anticode",
     "all_anticodes",
-    "supports_of_size",
     "intersect_with_anticode",
     "puncture",
     "shorten",
@@ -68,28 +68,12 @@ class Anticode:
             rows[2 * i + 1, 2 * j + 1] = 1
         return Subspace(rows, q, self.n)
 
-    def __and__(self, other: "Anticode") -> "Anticode":
-        return Anticode(self.n, self.support & other.support)
-
-    def __or__(self, other: "Anticode") -> "Anticode":
-        return Anticode(self.n, self.support | other.support)
-
-    def __le__(self, other: "Anticode") -> bool:
-        return self.support <= other.support
-
-
-def supports_of_size(n: int, b: int):
-    """All supports of a given size in lexicographic order."""
-    from itertools import combinations
-
-    return (frozenset(c) for c in combinations(range(n), b))
-
 
 def all_anticodes(n: int):
     """All anticodes ordered by (dimension, lexicographic support)."""
     for b in range(n + 1):
-        for s in supports_of_size(n, b):
-            yield Anticode(n, s)
+        for s in combinations(range(n), b):
+            yield Anticode(n, frozenset(s))
 
 
 def _check_factors(space: Subspace, a: Anticode) -> None:
@@ -190,9 +174,6 @@ class SPrimeDecomposition:
     rad_in_a: Subspace
     rad_in_aperp: Subspace
     s_prime: Subspace
-
-    def total(self) -> Subspace:
-        return self.rad_in_a + self.rad_in_aperp + self.s_prime
 
 
 def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecomposition:

@@ -31,7 +31,6 @@ from .codes import (
     SubsystemCode,
     bacon_shor_code,
     check_commuting,
-    from_pauli,
     parse_pauli_text,
     pauli_to_vector,
     repetition_code,
@@ -120,10 +119,10 @@ def _load(args) -> tuple[Code | SubsystemCode, str]:
     else:
         if kind == "pauli":
             generators = parse_pauli_text(_read_text(name))
-            rows = [pauli_to_vector(g) for g in generators]
             if not generators and args.n is None:
                 raise ParseError("empty generator list: pass --n to fix the factor count")
-            space = from_pauli(generators) if generators else Subspace.zero(2, args.n)
+            rows = [pauli_to_vector(g) for g in generators]
+            space = Subspace(rows, 2, None if generators else args.n)
         elif kind == "json":
             data = json.loads(_read_text(name))
             if not isinstance(data, dict):
@@ -371,6 +370,8 @@ def main(argv=None) -> int:
         if getattr(args, "emit", "report") != "report" and args.format != "json":
             raise ParseError(f"--format {args.format} applies only to --emit report")
         budget = args.budget if args.budget is not None else _default_budget()
+        if budget < 0:
+            raise ParseError(f"the budget must not be negative, got {budget}")
         if args.func is cmd_verify:
             return cmd_verify(args, budget)
         obj, source = _load(args)

@@ -48,7 +48,6 @@ __all__ = [
     "poly_from_moments",
     "distance_from_enumerators",
     "format_enumerator",
-    "evaluate_enumerator",
     "macwilliams_check",
 ]
 
@@ -126,11 +125,6 @@ def distance_from_enumerators(a_coeffs: list[int], b_coeffs: list[int]) -> int |
         if a != b:
             return i
     return None
-
-
-def evaluate_enumerator(coeffs: list[int], x: int, y: int) -> int:
-    n = len(coeffs) - 1
-    return sum(c * x**a * y ** (n - a) for a, c in enumerate(coeffs))
 
 
 def format_enumerator(coeffs: list[int]) -> str:

@@ -52,54 +52,41 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-class PrimeField:
-    """The prime field with ``q`` elements; construction rejects non-primes."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool) or not _is_prime(int(q)):
-            raise ValueError(f"field order must be a prime integer, got {q!r}")
-        self.q = int(q)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
-
-
 def _in_range(q: int, n: int) -> bool:
     """Whether a Gram product sum on n factors, 2n (q - 1)**2 at most, fits in int64."""
     return 2 * n * (q - 1) ** 2 < 2**63
 
 
 def checked_order(q, n: int) -> int:
-    """``q`` as an int, once it is in the supported range for n factors and prime.
+    """``q`` as an int, once it is a prime integer in the supported range for n factors.
 
     The range, ``2n (q - 1)**2 < 2**63``, keeps every int64 Gram product
     sum exact.  It is checked before the primality test, with n at least 1
     (as in :func:`matrix_from_text`), so an order far beyond the one-factor
-    range is refused at once even for a space on no factors.
+    range is refused at once even for a space on no factors.  A bool is
+    not a field order.
     """
-    if isinstance(q, (int, np.integer)) and not _in_range(int(q), max(n, 1)):
+    integer = isinstance(q, (int, np.integer)) and not isinstance(q, bool)
+    if integer and not _in_range(int(q), max(n, 1)):
         raise ValueError(
             f"field order {q} is too large for n={n}: the supported range is "
             "2n (q - 1)^2 < 2^63"
         )
-    return PrimeField(q).q
+    if not integer or not _is_prime(int(q)):
+        raise ValueError(f"field order must be a prime integer, got {q!r}")
+    return int(q)
 
 
 def as_matrix(rows, q: int | None, cols: int | None = None) -> Matrix:
     """Normalize ``rows`` to a 2-D int64 array reduced mod ``q`` (unreduced if None).
 
     ``cols`` is required when ``rows`` is empty, since the ambient width
-    cannot be inferred from nothing.
+    cannot be inferred from nothing.  An entry beyond int64 is a ValueError.
     """
-    a = np.array(rows, dtype=np.int64)
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("matrix entry beyond the int64 range") from None
     if a.size == 0:
         if a.ndim == 2:
             cols = a.shape[1]

@@ -63,10 +63,6 @@ def equal(identity: str, lhs: Any, rhs: Any, note: str | None = None) -> CheckRe
     return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
 
 
-def all_pass(results: list[CheckResult]) -> bool:
-    return all(r.passed for r in results)
-
-
 def batch(identity: str, items: list, key: str | None = "instance", note=None) -> CheckResult:
     """One result for an identity checked on ``(tag, lhs, rhs, ok)`` items.
 

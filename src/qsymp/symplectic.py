@@ -66,7 +66,7 @@ keeps the other pairs symplectic, since it is orthogonal to them and to
 itself.  The plain bases use rule (a) only.  So each support costs a few
 row operations and no elimination or evaluation of the product.  Over
 GF(2) the walk's rows are the packed ints and clearing is an XOR; over odd
-q they are tuples of residues (``_walk``, derived on first use).
+q they are tuples of residues (the field object's ``walk``).
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -158,15 +158,6 @@ class SplitDecomposition:
     @property
     def pair_count(self) -> int:
         return len(self.pairs)
-
-    def spanning_rows(self) -> Matrix:
-        rows = list(self.radical_basis)
-        for u, w in self.pairs:
-            rows.append(u)
-            rows.append(w)
-        if not rows:
-            return np.zeros((0, self.radical_basis.shape[1]), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
 
 
 class SupportDims(NamedTuple):
@@ -663,11 +654,6 @@ class Subspace:
         basis.setflags(write=False)
         return basis
 
-    @cached_property
-    def _walk(self) -> tuple:
-        """The canonical rows in the support walk's form."""
-        return self._field.walk(self._rows)
-
     def __contains__(self, v) -> bool:
         v = np.array(v, dtype=np.int64).reshape(-1) % self.q
         if v.shape[0] != 2 * self.n:
@@ -757,7 +743,7 @@ class Subspace:
     @cached_property
     def _split(self) -> tuple[list, list]:
         """(radical rows, flat pairs e_1, f_1, ...) in the walk's row form."""
-        return _gram_schmidt(self._field, self._walk)
+        return _gram_schmidt(self._field, self._field.walk(self._rows))
 
     @cached_property
     def sym_dim(self) -> int:
@@ -804,11 +790,9 @@ class Subspace:
                 visit(mask ^ 1 << j, j, cut(cut(state, 2 * j), 2 * j + 1))
 
         rad, pairs = self._split
-        visit(
-            (1 << n) - 1,
-            n,
-            (rad, pairs, list(self._radical._walk), list(self._perp._walk)),
-        )
+        plain = [list(ops.walk(space._rows)) for space in (self._radical, self._perp)]
+        visit((1 << n) - 1, n, (rad, pairs, *plain))
+        del visit  # it refers to itself: without this, ``found`` waits for the cycle collector
         return {
             frozenset(support): found[sum(1 << j for j in support)]
             for size in range(n + 1)

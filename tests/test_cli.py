@@ -218,6 +218,22 @@ def test_json_values_that_are_not_integers_exit_3(data, bad, capsys, monkeypatch
     assert f"{bad} is not an integer" in reason["detail"]
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["analyze", "--json", "-"], json.dumps({"q": 3, "n": 2, "basis": [[10**23, 1, 0, 1]]})),
+        (["analyze", "--matrix", "-"], f"3 1 4\n{10**23} 1 0 1\n"),
+    ],
+    ids=["json", "matrix"],
+)
+def test_entry_beyond_int64_exit_3(argv, stdin, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "input"
+
+
 def test_an_agreeing_n_changes_nothing(capsys):
     with_n = run_inproc(["analyze", "--fixture", "shor", "--n", "9"], capsys)
     assert with_n == run_inproc(["analyze", "--fixture", "shor"], capsys)
@@ -379,18 +395,38 @@ def test_budget_env_override(tmp_path):
     assert proc.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [[c, "--fixture", "repetition"] for c in ("analyze", "import", "invariants", "enumerator", "moments")]
-    + [["puncture", "--fixture", "repetition", "--support", "1"], ["verify", "--suite", "fixtures"]],
-    ids=lambda argv: argv[0],
-)
+BUDGET_ARGVS = [
+    [c, "--fixture", "repetition"] for c in ("analyze", "import", "invariants", "enumerator", "moments")
+] + [["puncture", "--fixture", "repetition", "--support", "1"], ["verify", "--suite", "fixtures"]]
+
+
+@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=lambda argv: argv[0])
 def test_malformed_budget_env_exit_3(argv, capsys, monkeypatch):
     monkeypatch.setenv("QSYMP_BUDGET", "lots")
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "QSYMP_BUDGET" in json.loads(captured.err)["detail"]
+
+
+@pytest.mark.parametrize("flag", [True, False], ids=["flag", "env"])
+@pytest.mark.parametrize("argv", BUDGET_ARGVS, ids=lambda argv: argv[0])
+def test_negative_budget_exit_3(argv, flag, capsys, monkeypatch):
+    if flag:
+        argv = [*argv, "--budget", "-5"]
+    else:
+        monkeypatch.setenv("QSYMP_BUDGET", "-5")
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = json.loads(captured.err)
+    assert reason["error"] == "input"
+    assert "-5" in reason["detail"]
+
+
+def test_zero_budget_refuses_any_enumeration(capsys):
+    assert cli.main(["analyze", "--fixture", "repetition", "--budget", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "budget-exceeded"
 
 
 def test_parse_error_exit_code_3(tmp_path):

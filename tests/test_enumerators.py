@@ -9,14 +9,12 @@ from qsymp.enumerators import (
     distribution_from_dual,
     distribution_from_moments,
     enumerator_polys,
-    evaluate_enumerator,
     format_enumerator,
     macwilliams_check,
     moments_from_distribution,
     poly_from_moments,
     weight_distribution,
 )
-from qsymp.report import all_pass
 from qsymp.symplectic import Subspace
 
 
@@ -130,8 +128,8 @@ def test_zero_code_enumerators():
 
 def test_shor_enumerator_totals(shor):
     a_poly, b_poly = enumerator_polys(shor)
-    assert evaluate_enumerator(a_poly, 1, 1) == 2**8
-    assert evaluate_enumerator(b_poly, 1, 1) == 2**10
+    assert sum(a_poly) == 2**8
+    assert sum(b_poly) == 2**10
 
 
 def test_both_enumerator_routes_agree(rng):
@@ -183,11 +181,11 @@ def test_repetition_moment_duality_value(repetition):
 
 def test_macwilliams_checks_pass(repetition, bacon_shor, shor, rng):
     for code in (repetition, bacon_shor.normalizer, shor):
-        assert all_pass(macwilliams_check(code))
+        assert all(c.passed for c in macwilliams_check(code))
     for _ in range(30):
         q = int(rng.choice([2, 3]))
         code = random_code(rng, q, int(rng.integers(1, 4)))
-        assert all_pass(macwilliams_check(code))
+        assert all(c.passed for c in macwilliams_check(code))
 
 
 def test_unshifted_exponent_applies_only_without_radical(rng):

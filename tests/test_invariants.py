@@ -16,7 +16,6 @@ from qsymp.invariants import (
     support_table,
     verify_bounds,
 )
-from qsymp.report import all_pass
 from qsymp.symplectic import Subspace
 
 
@@ -236,21 +235,21 @@ def test_repetition_bounds(repetition):
     assert checks["singleton"].passed
     assert checks["singleton"].lhs == 0 and checks["singleton"].rhs == 1
     assert checks["anticode-distance"].passed
-    assert all_pass(list(checks.values()))
+    assert all(c.passed for c in checks.values())
 
 
 def test_bacon_shor_bounds(bacon_shor):
     checks = by_identity(verify_bounds(bacon_shor.normalizer))
     assert checks["profile-steps"].passed
     assert checks["singleton"].lhs == 2 and checks["singleton"].rhs == 2
-    assert all_pass(list(checks.values()))
+    assert all(c.passed for c in checks.values())
 
 
 def test_bounds_on_random_binary_stabilizer_codes(rng):
     for _ in range(50):
         code = random_stabilizer_code(rng, int(rng.integers(1, 6)), 2)
         checks = verify_bounds(code)
-        assert all_pass(checks), [c for c in checks if not c.passed]
+        assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
 
 def test_flat_step_items_can_fail_beyond_the_binary_field():
@@ -282,7 +281,7 @@ def test_flat_step_items_can_fail_beyond_the_binary_field():
     checks = by_identity(verify_bounds(code))
     assert not checks["profile-steps"].passed
     others = [c for c in checks.values() if c.identity != "profile-steps"]
-    assert all_pass(others)
+    assert all(c.passed for c in others)
 
 
 def test_weight_complementarity_is_conditional(rng):
@@ -329,7 +328,7 @@ def test_galois_connections(rng):
 def test_distance_free_bounds_still_checked():
     checks = by_identity(verify_bounds(Code(Subspace([[0, 1, 0, 1]], 2, 2))))
     assert "skipped" in (checks["singleton"].note or "")
-    assert all_pass(list(checks.values()))
+    assert all(c.passed for c in checks.values())
 
 
 def test_singleton_bound_needs_the_stabilizer_property():

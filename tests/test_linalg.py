@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsymp.errors import DimensionMismatchError, ParseError
 from qsymp.linalg import (
-    PrimeField,
     as_matrix,
+    checked_order,
     in_row_space,
     kernel,
     matrix_from_text,
@@ -22,15 +22,16 @@ PRIMES = (2, 3, 5, 7)
 # the field
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, -3, 2.5, "2"])
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, -3, 2.5, "2", True])
 def test_field_rejects_non_primes(bad):
     with pytest.raises(ValueError):
-        PrimeField(bad)
+        checked_order(bad, 1)
 
 
 @pytest.mark.parametrize("q", PRIMES)
 def test_field_accepts_primes(q):
-    assert PrimeField(q).q == q
+    assert checked_order(q, 1) == q
+    assert type(checked_order(np.int64(q), 1)) is int
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_split_of_repetition_normalizer():
     assert split.radical_basis.shape[0] == 1
     u, w = split.pairs[0]
     assert symplectic_form(u, w, 2) == 1
-    assert Subspace(split.spanning_rows(), 2, 2) == c
+    assert Subspace([*split.radical_basis, *split.pairs[0]], 2, 2) == c
 
 
 def test_split_of_zero_subspace_is_empty():
@@ -142,7 +142,7 @@ def _assert_valid_split(w: Subspace):
         for u2, v2 in split.pairs[i + 1 :]:
             for a, b in ((u1, u2), (u1, v2), (v1, u2), (v1, v2)):
                 assert symplectic_form(a, b, q) == 0
-    assert Subspace(split.spanning_rows(), q, w.n) == w
+    assert Subspace([*rad, *(v for pair in split.pairs for v in pair)], q, w.n) == w
     assert 2 * len(split.pairs) + rad.shape[0] == w.dim_f
     # the rows left without a partner are a basis of the radical
     assert Subspace(rad, q, w.n) == w.radical()
