@@ -127,8 +127,9 @@ def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
     """Check both duality identities between puncturing and shortening.
 
     In the punctured ambient space: the shortening of the dual equals the
-    complement of the puncturing, and symmetrically.  Failures carry a
-    witness basis row.
+    complement of the puncturing, and symmetrically.  Each result keeps its
+    two sides as spaces, written out as their basis rows only when the
+    result is serialized.  Failures carry a witness basis row.
     """
     space = _space_of(code)
     dual = space.perp()
@@ -153,8 +154,8 @@ def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
             CheckResult(
                 identity=name,
                 passed=ok,
-                lhs=lhs.basis.tolist(),
-                rhs=rhs.basis.tolist(),
+                lhs=lhs,
+                rhs=rhs,
                 witness=witness,
             )
         )

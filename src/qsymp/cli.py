@@ -359,20 +359,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
                    help="override the per-suite instance counts")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+# Built once: parsing leaves the parser as it was, and building it costs
+# about as much as a small subcommand.  ``main`` dispatches ``verify`` by
+# command name and calls ``cmd_verify`` through this module's namespace, so
+# a wrapper later bound over that name (as a tracer installs) is called.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "emit", "report") != "report" and args.format != "json":
             raise ParseError(f"--format {args.format} applies only to --emit report")
         budget = args.budget if args.budget is not None else _default_budget()
         if budget < 0:
             raise ParseError(f"the budget must not be negative, got {budget}")
-        if args.func is cmd_verify:
+        if args.command == "verify":
             return cmd_verify(args, budget)
         obj, source = _load(args)
         return args.func(args, obj, source, budget)

@@ -6,37 +6,25 @@ No Gaussian elimination, no rank arguments: dimensions come from logarithms
 of set sizes, radicals come from filtering on the product, and spanning
 sets come from incremental closure by enumeration.  The point is
 independence from the fast paths, which these functions exist to check.
-Each route takes a space, a code, or a :class:`Codewords` enumeration
-that several routes share.
+
+The counter, :func:`enumerate_codewords`, yields one tuple per word.  A
+:class:`Codewords` stores its words once as the rows of an int64 array, and
+the routes count on it with whole-array operations; the closure still grows
+by enumerating each new generator's multiples, and the moments and
+alpha/beta still count the words inside each support, one at a time.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, combinations
+
+import numpy as np
 
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET, check_budget
 
 Word = tuple[int, ...]
-
-
-def _form(u: Word, v: Word, q: int) -> int:
-    total = 0
-    for i in range(0, len(u), 2):
-        total += u[i] * v[i + 1] - u[i + 1] * v[i]
-    return total % q
-
-
-def _weight(v: Word) -> int:
-    return sum(1 for i in range(0, len(v), 2) if v[i] or v[i + 1])
-
-
-def _support_mask(v: Word) -> int:
-    mask = 0
-    for i in range(0, len(v), 2):
-        if v[i] or v[i + 1]:
-            mask |= 1 << (i // 2)
-    return mask
 
 
 def enumerate_codewords(space, budget: int = DEFAULT_BUDGET):
@@ -68,18 +56,25 @@ def enumerate_codewords(space, budget: int = DEFAULT_BUDGET):
 class Codewords:
     """One enumeration of a space's codewords, shared by the brute routes.
 
-    Every brute route accepts one in place of a space; it still checks the
-    budget against the full enumeration cost, as it would if it enumerated.
-    The radical's codewords are filtered out on first use.
+    ``words`` holds the codewords, in counter order, as the rows of one
+    (q**dim_F x 2n) int64 array; ``occupied`` marks each row's nonzero
+    factors and ``weights`` counts them.  Every brute route accepts one in
+    place of a space; it still checks the budget against the full
+    enumeration cost, as it would if it enumerated.  The radical's rows are
+    filtered out on first use.
     """
 
     def __init__(self, space, budget: int = DEFAULT_BUDGET):
         self.space = _space_of(space)
-        self.words = list(enumerate_codewords(self.space, budget))
+        flat = np.fromiter(chain.from_iterable(enumerate_codewords(self.space, budget)), np.int64)
+        self.words = flat.reshape(self.space.q**self.space.dim_f, 2 * self.space.n)
+        self.occupied = (self.words[:, 0::2] != 0) | (self.words[:, 1::2] != 0)
+        self.weights = self.occupied.sum(axis=1)
 
     @cached_property
-    def radical(self) -> list[Word]:
-        return _radical_set(self.words, self.space.q)
+    def radical(self) -> np.ndarray:
+        """Which rows lie in the radical, as a boolean row mask."""
+        return _radical(self.words, self.space.q)
 
 
 def _enumerated(obj, budget: int) -> Codewords:
@@ -99,98 +94,96 @@ def _log_size(count: int, q: int) -> int:
     return m
 
 
-def _closure_generators(words: list[Word], q: int) -> list[Word]:
-    """A spanning subset found by growing a closure set, scanning in order."""
-    width = len(words[0]) if words else 0
-    zero = tuple([0] * width)
-    spanned = {zero}
-    gens: list[Word] = []
-    for w in words:
-        if w in spanned:
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous int64 array, as hashable set keys."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _closure_generators(words: np.ndarray, q: int) -> np.ndarray:
+    """A spanning subset of the rows, found by growing a closure set in scan order.
+
+    A row outside the span so far becomes a generator and adds the words
+    span + c * row, c = 1..q-1, to the span as one block.
+    """
+    span = np.zeros((1, words.shape[1]), dtype=np.int64)
+    spanned = set(_row_keys(span))
+    gens = []
+    for i, key in enumerate(_row_keys(words)):
+        if key in spanned:
             continue
-        gens.append(w)
-        extra = set()
-        for s in spanned:
-            for c in range(1, q):
-                extra.add(tuple((s[j] + c * w[j]) % q for j in range(width)))
-        spanned |= extra
-    return gens
+        gens.append(i)
+        steps = np.arange(1, q, dtype=np.int64)[:, None, None] * words[i]
+        block = ((span + steps) % q).reshape(-1, words.shape[1])
+        spanned.update(_row_keys(block))
+        span = np.concatenate([span, block])
+    return words[gens]
 
 
-def _radical_set(words: list[Word], q: int) -> list[Word]:
+def _radical(words: np.ndarray, q: int) -> np.ndarray:
+    """Which rows have product 0 with every closure generator, as a boolean row mask."""
     gens = _closure_generators(words, q)
-    return [v for v in words if all(_form(v, g, q) == 0 for g in gens)]
+    # (u, g) = sum_i u_x g_z - u_z g_x: u against g with each factor's two entries swapped.
+    twisted = np.empty_like(gens)
+    twisted[:, 0::2], twisted[:, 1::2] = gens[:, 1::2], -gens[:, 0::2]
+    return ~((words @ twisted.T) % q).any(axis=1)
 
 
 def _dim_irk_of_set(
-    words: list[Word], q: int, radical: list[Word] | None = None
+    words: np.ndarray, q: int, radical: np.ndarray | None = None
 ) -> tuple[int, int]:
     dim_f = _log_size(len(words), q)
-    rad_dim = _log_size(len(_radical_set(words, q) if radical is None else radical), q)
+    if radical is None:
+        radical = _radical(words, q)
+    rad_dim = _log_size(int(np.count_nonzero(radical)), q)
     pairs = (dim_f - rad_dim) // 2
     return pairs, pairs + rad_dim
+
+
+def _inside(occupied: np.ndarray, support) -> np.ndarray:
+    """Which rows have every nonzero factor in ``support``, as a boolean row mask."""
+    outside = [j for j in range(occupied.shape[1]) if j not in support]
+    return ~occupied[:, outside].any(axis=1)
 
 
 def brute_min_distance(space, budget: int = DEFAULT_BUDGET) -> int | None:
     """Least weight over codewords outside the radical, by full scan."""
     enum = _enumerated(space, budget)
-    rad = set(enum.radical)
-    best = None
-    for w in enum.words:
-        if w in rad:
-            continue
-        wt = _weight(w)
-        if best is None or wt < best:
-            best = wt
-    return best
+    weights = enum.weights[~enum.radical]
+    return int(weights.min()) if len(weights) else None
 
 
 def brute_weight_distribution(space, budget: int = DEFAULT_BUDGET) -> list[int]:
     enum = _enumerated(space, budget)
-    counts = [0] * (enum.space.n + 1)
-    for w in enum.words:
-        counts[_weight(w)] += 1
-    return counts
+    return np.bincount(enum.weights, minlength=enum.space.n + 1).tolist()
 
 
 def brute_binomial_moments(space, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Moments by counting codewords inside each support, one support at a time."""
-    from itertools import combinations
-
     enum = _enumerated(space, budget)
     n = enum.space.n
-    words = enum.words
-    check_budget(2**n * max(len(words), 1), budget, "support scan")
-    masks = [_support_mask(w) for w in words]
-    moments = [0] * (n + 1)
-    for b in range(n + 1):
-        for combo in combinations(range(n), b):
-            jmask = 0
-            for j in combo:
-                jmask |= 1 << j
-            moments[b] += sum(1 for m in masks if m & ~jmask == 0)
-    return moments
+    check_budget(2**n * len(enum.words), budget, "support scan")
+    return [
+        sum(
+            int(np.count_nonzero(_inside(enum.occupied, combo)))
+            for combo in combinations(range(n), b)
+        )
+        for b in range(n + 1)
+    ]
 
 
 def brute_alpha_beta(space, supports, budget: int = DEFAULT_BUDGET) -> list[tuple[int, int]]:
     """(alpha, beta) for each support, by membership filtering and counting.
 
-    The codewords and the radical's codewords, with their support masks, are
-    enumerated once; each support then filters both sets and counts.
+    The codewords and the radical's rows are enumerated once; each support
+    then filters both sets and counts.
     """
     enum = _enumerated(space, budget)
     q = enum.space.q
-    words = [(w, _support_mask(w)) for w in enum.words]
-    rad = [(w, _support_mask(w)) for w in enum.radical]
     out = []
     for support in supports:
-        jmask = 0
-        for j in support:
-            jmask |= 1 << int(j)
-        inside = [w for w, mask in words if mask & ~jmask == 0]
-        rad_inside = [w for w, mask in rad if mask & ~jmask == 0]
-        pairs, irk = _dim_irk_of_set(inside, q)
-        _, rad_irk = _dim_irk_of_set(rad_inside, q)
+        inside = _inside(enum.occupied, support)
+        pairs, irk = _dim_irk_of_set(enum.words[inside], q)
+        _, rad_irk = _dim_irk_of_set(enum.words[inside & enum.radical], q)
         out.append((pairs, irk - rad_irk))
     return out
 
@@ -202,4 +195,4 @@ def brute_sym_dim_irk(space, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
 
 
 def brute_codeword_set(space, budget: int = DEFAULT_BUDGET) -> set[Word]:
-    return set(_enumerated(space, budget).words)
+    return set(map(tuple, _enumerated(space, budget).words.tolist()))

@@ -13,9 +13,16 @@ from typing import Any
 
 import numpy as np
 
+from .symplectic import Subspace
+
 
 def jsonable(x: Any) -> Any:
-    """Convert numpy scalars/arrays (recursively) into plain Python values."""
+    """Convert numpy scalars/arrays and spaces (recursively) into plain Python values.
+
+    A :class:`Subspace` becomes its canonical basis rows.
+    """
+    if isinstance(x, Subspace):
+        return x.basis.tolist()
     if isinstance(x, np.integer):
         return int(x)
     if isinstance(x, np.floating):

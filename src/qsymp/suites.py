@@ -398,7 +398,7 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     smaller of each space and its complement (so the repetition, Shor and
     every random code with dim_F > n cross-check the complement route), or
     from the support scan past :data:`qsymp.codes.SUPPORT_COST`, while the
-    oracle counts the codewords one by one in pure Python.  Its words and radical are
+    oracle counts every word of its literal enumeration.  Its words and radical are
     enumerated once per code and shared by its five brute routes, each of
     which still counts literally and checks the budget.
     """

@@ -99,6 +99,21 @@ from .linalg import (
 Vector = np.ndarray
 
 
+class _cached_property(cached_property):
+    """A :class:`functools.cached_property` whose first read takes no lock.
+
+    Python 3.11's lock triples the cost of a cheap first read.  The values
+    are pure, so racing threads store equal values (Python 3.12 dropped the
+    lock too).  ``func`` is read at call time, so a wrapper set on it holds.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
+
+
 def _swap(b: Matrix, q: int) -> Matrix:
     """Rows with (x_i, z_i) mapped to (-z_i mod q, x_i) on every factor.
 
@@ -647,7 +662,7 @@ class Subspace:
     def full(cls, q: int, n: int) -> "Subspace":
         return cls(np.eye(2 * n, dtype=np.int64), q, n)
 
-    @cached_property
+    @_cached_property
     def basis(self) -> Matrix:
         """The canonical basis as a read-only int64 matrix."""
         basis = self._field.unpack(self._rows, 2 * self.n)
@@ -695,12 +710,12 @@ class Subspace:
         self._check_compatible(other)
         return Subspace._canonical(self._field, self._field.intersect(self._rows, other._rows))
 
-    @cached_property
+    @_cached_property
     def _gram_rows(self):
         """The Gram matrix in the field's format (packed rows at q=2)."""
         return self._field.gram(self._rows)
 
-    @cached_property
+    @_cached_property
     def _gram(self) -> Matrix:
         """The Gram matrix as an int64 matrix."""
         return self._field.unpack(self._gram_rows, self.dim_f)
@@ -713,7 +728,7 @@ class Subspace:
         """Orthogonal complement with respect to the symplectic product."""
         return self._perp
 
-    @cached_property
+    @_cached_property
     def _perp(self) -> "Subspace":
         return Subspace._canonical(self._field, self._field.perp(self._rows))
 
@@ -721,7 +736,7 @@ class Subspace:
         """The degenerate part: intersection with the orthogonal complement."""
         return self._radical
 
-    @cached_property
+    @_cached_property
     def _radical(self) -> "Subspace":
         # Coefficient vectors killed by the restricted product give the radical.
         return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram_rows))
@@ -740,22 +755,22 @@ class Subspace:
             pairs=tuple((flat[i], flat[i + 1]) for i in range(0, len(pairs), 2)),
         )
 
-    @cached_property
+    @_cached_property
     def _split(self) -> tuple[list, list]:
         """(radical rows, flat pairs e_1, f_1, ...) in the walk's row form."""
         return _gram_schmidt(self._field, self._field.walk(self._rows))
 
-    @cached_property
+    @_cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
         return len(self._field.canonical(self._gram_rows)) // 2
 
-    @cached_property
+    @_cached_property
     def isorank(self) -> int:
         """Largest dimension of an isotropic subspace inside this one."""
         return self.dim_f - self.sym_dim
 
-    @cached_property
+    @_cached_property
     def _support_dims(self) -> dict[frozenset, SupportDims]:
         """:class:`SupportDims` for every support, by size then lexicographic.
 

@@ -370,6 +370,27 @@ def test_usage_error_exit_code_3():
     assert run_cli(["analyze", "--help"]).returncode == 0
 
 
+def test_one_process_answers_each_command_as_a_fresh_one(capsys):
+    # The parser is built once at import; a usage error must leave it as it was.
+    for argv in (
+        ["analyze", "--fixture", "shor", "--format", "xml"],
+        ["verify", "--suite", "fixtures", "--seed", "7"],
+        ["analyze", "--fixture", "shor"],
+    ):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        proc = run_cli(argv)
+        assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_verify_calls_the_current_binding(monkeypatch, capsys):
+    calls = []
+    real = cli.cmd_verify
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, budget: calls.append(args) or real(args, budget))
+    assert cli.main(["verify", "--suite", "fixtures", "--seed", "7"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "args",
     [

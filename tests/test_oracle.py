@@ -1,11 +1,14 @@
+import ast
+import inspect
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qsymp import oracle
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
-from qsymp.codes import Code, random_code, weights_from_codewords, weights_from_supports
+from qsymp.codes import Code, from_pauli, random_code, weights_from_codewords, weights_from_supports
 from qsymp.enumerators import binomial_moments, distance_from_enumerators, weight_distribution
 from qsymp.errors import BudgetExceededError
 from qsymp.invariants import alpha, beta, support_dims
@@ -198,8 +201,8 @@ def binary_pairs(draw):
     return space(), space(), frozenset(draw(st.sets(st.integers(0, n - 1))))
 
 
-def _orthogonal(u, v):
-    return sum(u[i] * v[i + 1] + u[i + 1] * v[i] for i in range(0, len(u), 2)) % 2 == 0
+def _orthogonal(u, v, q=2):
+    return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(0, len(u), 2)) % q == 0
 
 
 def _inside(v, support):
@@ -233,3 +236,96 @@ def test_packed_operations_match_codeword_sets(case):
     assert brute_codeword_set(intersect_with_anticode(a, anticode)) == inner
     assert brute_codeword_set(puncture(a, anticode)) == {_project(v, support) for v in words_a}
     assert brute_codeword_set(shorten(a, anticode)) == {_project(v, support) for v in inner}
+
+
+# ---------------------------------------------------------------------------
+# the array routes against the definitions, on literal codeword sets
+
+
+@st.composite
+def definition_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5, 7}, n <= 3, at most 2**7 words."""
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, min(2 * n, {2: 7, 3: 4, 5: 3, 7: 2}[q])))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+def _log(count, q):
+    m = 0
+    while q**m < count:
+        m += 1
+    assert q**m == count
+    return m
+
+
+def _pairs_irk(words, q):
+    """(pair count, isorank) of a codeword set, its radical filtered pair by pair."""
+    radical = {v for v in words if all(_orthogonal(u, v, q) for u in words)}
+    rad_dim = _log(len(radical), q)
+    pairs = (_log(len(words), q) - rad_dim) // 2
+    return pairs, pairs + rad_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=definition_spaces())
+def test_array_routes_match_the_definitions(w):
+    q, n = w.q, w.n
+    words = brute_codeword_set(w)
+    assert all(type(x) is int for v in words for x in v)
+    radical = {v for v in words if all(_orthogonal(u, v, q) for u in words)}
+
+    def weight(v):
+        return sum(1 for j in range(n) if v[2 * j] or v[2 * j + 1])
+
+    supports = [a.support for a in all_anticodes(n)]
+    moments, pairs = [0] * (n + 1), []
+    for support in supports:
+        inside = {v for v in words if _inside(v, support)}
+        moments[len(support)] += len(inside)
+        alpha_, irk = _pairs_irk(inside, q)
+        pairs.append((alpha_, irk - _pairs_irk(inside & radical, q)[1]))
+    outside = [weight(v) for v in words - radical]
+    expected = {
+        brute_sym_dim_irk: _pairs_irk(words, q),
+        brute_min_distance: min(outside) if outside else None,
+        brute_weight_distribution: [sum(1 for v in words if weight(v) == b) for b in range(n + 1)],
+        brute_binomial_moments: moments,
+    }
+    for route, value in expected.items():
+        got = route(w)
+        assert got == value, route.__name__
+        flat = got if isinstance(got, (list, tuple)) else [got]
+        assert all(type(x) is int for x in flat if x is not None), route.__name__
+    got = brute_alpha_beta(w, supports)
+    assert got == pairs
+    assert all(type(x) is int for pair in got for x in pair)
+
+
+def test_array_routes_on_80_columns():
+    # 40 factors.  Z^8 lies past column 64 and pairs only with X...X, so a
+    # word key cut at 63 columns would drop Z^8 from the closure generators
+    # and count X...X, the lightest word outside the radical, as radical.
+    code = Code(from_pauli(["X" + "I" * 38 + "X", "IX" + "I" * 38, "I" * 32 + "Z" * 8]))
+    distance = brute_min_distance(code.space)
+    distribution = brute_weight_distribution(code.space)
+    assert distance == code.distance() == 2
+    assert distribution == weight_distribution(code)
+    assert type(distance) is int and all(type(c) is int for c in distribution)
+
+
+def test_oracle_stays_independent_of_the_fast_paths():
+    """The oracle reads a space's basis, q, n and dim_f, and imports no elimination."""
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert imported == {"__future__", "functools", "itertools", "numpy", "anticodes", "errors"}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    fast = {
+        "_field", "_rows", "_gram", "_gram_rows", "_split", "_support_dims", "_perp",
+        "_radical", "perp", "sym_dim", "isorank", "orthogonal_split", "contains_space",
+    }
+    assert attributes & fast == set()

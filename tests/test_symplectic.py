@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,6 @@ import qsymp
 from qsymp.anticodes import all_anticodes, intersect_with_anticode
 from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace
 from qsymp.errors import DimensionMismatchError
-from qsymp.oracle import _form
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
@@ -172,7 +172,11 @@ def test_transposed_gram_rows_give_the_product_matrix(data):
     words = data.draw(st.lists(st.integers(0, 4**n - 1), max_size=2 * n + 1))
     w = Subspace(_Gf2.unpack(words, 2 * n), 2, n)
     basis = [tuple(int(x) for x in row) for row in w.basis]
-    literal = [sum(_form(u, v, 2) << j for j, v in enumerate(basis)) for u in basis]
+
+    def form(u, v):
+        return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(0, len(u), 2)) % 2
+
+    literal = [sum(form(u, v) << j for j, v in enumerate(basis)) for u in basis]
     assert w._gram_rows == literal
 
 
@@ -450,3 +454,14 @@ def test_support_walk_matches_literal_intersections(name):
         assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
         assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
         assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+
+
+def test_cached_values_call_the_current_func_once(monkeypatch):
+    prop = Subspace.__dict__["isorank"]
+    assert isinstance(prop, cached_property)
+    calls = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda w: calls.append(w) or real(w))
+    w = Subspace.full(2, 1)
+    assert w.isorank == w.isorank == 1
+    assert calls == [w]
