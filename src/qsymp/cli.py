@@ -326,32 +326,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--emit", choices=("report", "matrix", "pauli"), default="report",
                    help="echo format for the canonicalized code")
-    p.set_defaults(func=cmd_analyze, full=False)
+    p.set_defaults(handler="cmd_analyze", full=False)
 
     p = sub.add_parser("analyze", help="compute the code parameters")
     _add_common(p)
     p.add_argument("--full", action="store_true",
                    help="include invariant tables, enumerator data, and verification results")
-    p.set_defaults(func=cmd_analyze, emit="report")
+    p.set_defaults(handler="cmd_analyze", emit="report")
 
     p = sub.add_parser("invariants", help="profile and generalized-weight tables")
     _add_common(p, formats=("json", "table"))
-    p.set_defaults(func=cmd_invariants)
+    p.set_defaults(handler="cmd_invariants")
 
     p = sub.add_parser("enumerator", help="weight distribution, moments, and enumerators")
     _add_common(p, formats=("json", "table"))
-    p.set_defaults(func=cmd_enumerator)
+    p.set_defaults(handler="cmd_enumerator")
 
     p = sub.add_parser("moments", help="binomial moments, optionally with the duality check")
     _add_common(p, formats=("json", "table"))
     p.add_argument("--check-macwilliams", action="store_true")
-    p.set_defaults(func=cmd_moments)
+    p.set_defaults(handler="cmd_moments")
 
     p = sub.add_parser("puncture", help="puncture and shorten on a support")
     _add_common(p, formats=("json",))
     p.add_argument("--support", required=True,
                    help="comma-separated 1-based factor indices, e.g. 1,2,3,4")
-    p.set_defaults(func=cmd_puncture)
+    p.set_defaults(handler="cmd_puncture")
 
     p = sub.add_parser("verify", help="run the identity suites")
     _add_common(p, with_input=False)
@@ -363,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once: parsing leaves the parser as it was, and building it costs
-# about as much as a small subcommand.  ``main`` dispatches ``verify`` by
-# command name and calls ``cmd_verify`` through this module's namespace, so
-# a wrapper later bound over that name (as a tracer installs) is called.
+# Built once: parsing leaves it unchanged, and building it costs as much as
+# a small subcommand.  It names each handler, and ``main`` looks the name up
+# when it runs, so a wrapper later bound over a handler (a tracer's) is called.
 _PARSER = build_parser()
 
 
@@ -381,7 +380,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args, budget)
         obj, source = _load(args)
-        return args.func(args, obj, source, budget)
+        return globals()[args.handler](args, obj, source, budget)
     except BudgetExceededError as exc:
         print(json.dumps(exc.to_dict(), sort_keys=True), file=sys.stderr)
         return 2

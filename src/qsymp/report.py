@@ -17,10 +17,7 @@ from .symplectic import Subspace
 
 
 def jsonable(x: Any) -> Any:
-    """Convert numpy scalars/arrays and spaces (recursively) into plain Python values.
-
-    A :class:`Subspace` becomes its canonical basis rows.
-    """
+    """Convert numpy scalars/arrays and spaces (as basis rows), recursively, into plain values."""
     if isinstance(x, Subspace):
         return x.basis.tolist()
     if isinstance(x, np.integer):

@@ -383,11 +383,21 @@ def test_one_process_answers_each_command_as_a_fresh_one(capsys):
         assert (rc, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr)
 
 
-def test_verify_calls_the_current_binding(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cmd_verify", ["verify", "--suite", "fixtures", "--seed", "7"]),
+        ("cmd_analyze", ["analyze", "--fixture", "repetition"]),
+        ("cmd_analyze", ["import", "--fixture", "repetition"]),
+        ("cmd_moments", ["moments", "--fixture", "repetition"]),
+    ],
+)
+def test_commands_call_the_current_binding(name, argv, monkeypatch, capsys):
+    # A wrapper bound over a handler after import, as a tracer binds one, is called.
     calls = []
-    real = cli.cmd_verify
-    monkeypatch.setattr(cli, "cmd_verify", lambda args, budget: calls.append(args) or real(args, budget))
-    assert cli.main(["verify", "--suite", "fixtures", "--seed", "7"]) == 0
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or real(*args))
+    assert cli.main(argv) == 0
     assert len(calls) == 1
 
 
