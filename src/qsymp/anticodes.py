@@ -14,6 +14,7 @@ cleaning lemma for stabilizer codes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -45,7 +46,7 @@ class Anticode:
     support: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
+        object.__setattr__(self, "support", frozenset(map(operator.index, self.support)))
         for j in self.support:
             if not 0 <= j < self.n:
                 raise IndexError(f"support index {j} outside 0..{self.n - 1}")

@@ -12,13 +12,16 @@ aligned tables are presentation only.  User-facing factor indices are
 1-based.
 
 Exit codes: 0 all good, 1 an identity check failed, 2 the step budget was
-exceeded (with a machine-readable reason on stderr), 3 malformed input or a
-usage error, such as a ``--format`` the subcommand does not print.
+exceeded (``{"error": "budget-exceeded", ...}`` on stderr), 3 malformed
+input or a usage error, such as a ``--format`` the subcommand does not
+print or a negative ``--trials`` (``{"error": "input", ...}`` on stderr).
+Every library error is one of these two.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -45,7 +48,6 @@ from .errors import (
     CommutationError,
     DimensionMismatchError,
     ParseError,
-    QsympError,
 )
 from .linalg import matrix_from_text, matrix_to_text
 from .report import jsonable
@@ -169,20 +171,10 @@ def _parse_support(text: str, n: int) -> Anticode:
     return Anticode(n, frozenset(i - 1 for i in indices))
 
 
-def _csv_cell(x) -> str:
-    if x is None:
-        return ""
-    s = str(x)
-    if any(c in s for c in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def _emit_rows(rows: list[tuple], header: tuple, fmt: str) -> None:
     """Print ``rows`` under ``header`` as CSV or as an aligned table."""
     if fmt == "csv":
-        for row in [header, *rows]:
-            print(",".join(_csv_cell(x) for x in row))
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
         return
     cells = [tuple(str("" if x is None else x) for x in row) for row in [header, *rows]]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
@@ -358,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None,
-                   help="override the per-suite instance counts")
+                   help="random instances per suite, 0 for none (default: each suite's own count)")
 
     return parser
 
@@ -387,9 +379,6 @@ def main(argv=None) -> int:
     except (ParseError, CommutationError, DimensionMismatchError, OSError, ValueError) as exc:
         # json.JSONDecodeError is a ValueError.
         print(json.dumps({"error": "input", "detail": str(exc)}, sort_keys=True), file=sys.stderr)
-        return 3
-    except QsympError as exc:
-        print(json.dumps({"error": "internal", "detail": str(exc)}, sort_keys=True), file=sys.stderr)
         return 3
 
 

@@ -75,7 +75,7 @@ def pauli_to_vector(s: str) -> Vector:
 
 def vector_to_pauli(v) -> str:
     """Inverse of :func:`pauli_to_vector`; requires binary coordinates."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 2)
+    v = as_matrix(v, None, cols=0).reshape(-1, 2)
     if ((v != 0) & (v != 1)).any():
         raise ValueError("Pauli words exist only over the two-element field")
     return "".join(FACTOR_TO_PAULI[(int(x), int(z))] for x, z in v)
@@ -258,32 +258,29 @@ def weights_from_supports(
     )
 
 
-def _reject_noncommuting(gram) -> None:
-    """Raise at the first nonzero Gram entry; the matrix is alternating, so that has i < j."""
+def check_commuting(rows, q: int, n: int) -> None:
+    """Reject generators with a nonzero pairwise product, naming them in input order.
+
+    Raises :class:`CommutationError` for the first pair ``i < j`` (by
+    ``i``, then ``j``) of the given rows that do not commute: the first
+    nonzero entry of their Gram matrix, which is alternating.
+    """
+    rows = as_matrix(rows, q, cols=2 * n)
+    gram = (_swap(rows, q) @ rows.T) % q
     bad = np.argwhere(gram)
     if bad.size:
         i, j = (int(v) for v in bad[0])
         raise CommutationError(i, j, int(gram[i, j]))
 
 
-def check_commuting(rows, q: int, n: int) -> None:
-    """Reject generators with a nonzero pairwise product, naming them in input order.
-
-    Raises :class:`CommutationError` for the first pair ``i < j`` (by
-    ``i``, then ``j``) of the given rows that do not commute.
-    """
-    rows = as_matrix(rows, q, cols=2 * n)
-    _reject_noncommuting((_swap(rows, q) @ rows.T) % q)
-
-
 def stabilizer_code_from_isotropic(s: Subspace) -> Code:
     """The code whose radical is exactly ``s``: its orthogonal complement.
 
     Rejects non-isotropic input, naming the first offending pair of
-    canonical basis rows of ``s`` (see :func:`check_commuting` for the
-    input's own generators).
+    canonical basis rows of ``s`` (call :func:`check_commuting` on the
+    input's own generators to name those instead).
     """
-    _reject_noncommuting(s._gram)
+    check_commuting(s.basis, s.q, s.n)
     return Code(s.perp())
 
 
@@ -337,10 +334,7 @@ def repetition_code() -> Code:
 
 def _span_of_terms(n: int, terms: list[dict[int, str]]) -> Subspace:
     """Span over the binary field of Pauli terms given as ``{factor: letter}``."""
-    rows = np.zeros((len(terms), 2 * n), dtype=np.int64)
-    for i, term in enumerate(terms):
-        for j, letter in term.items():
-            rows[i, 2 * j : 2 * j + 2] = PAULI_TO_FACTOR[letter]
+    rows = [pauli_to_vector("".join(term.get(j, "I") for j in range(n))) for term in terms]
     return Subspace(rows, 2, n)
 
 

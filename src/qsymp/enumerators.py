@@ -145,8 +145,6 @@ def format_enumerator(coeffs: list[int]) -> str:
             parts.append("y")
         elif n - a > 1:
             parts.append(f"y^{n - a}")
-        if not parts:
-            parts.append("1")
         terms.append("".join(parts))
     return " + ".join(terms) if terms else "0"
 

@@ -80,13 +80,23 @@ def checked_order(q, n: int) -> int:
 def as_matrix(rows, q: int | None, cols: int | None = None) -> Matrix:
     """Normalize ``rows`` to a 2-D int64 array reduced mod ``q`` (unreduced if None).
 
-    ``cols`` is required when ``rows`` is empty, since the ambient width
-    cannot be inferred from nothing.  An entry beyond int64 is a ValueError.
+    The one converter of caller values.  ``cols`` is required when ``rows``
+    is empty, since the ambient width cannot be inferred from nothing.  An
+    entry that is not an integer (a float, complex number or string, even
+    an integral one) or lies beyond int64 is a ValueError; bools count as
+    integers, and an empty array may have any dtype.
     """
     try:
         a = np.array(rows, dtype=np.int64)
     except OverflowError:
         raise ValueError("matrix entry beyond the int64 range") from None
+    except TypeError as exc:  # a complex number or None
+        raise ValueError(f"matrix entries must be integers: {exc}") from None
+    given = np.asarray(rows)
+    if given.size and given.dtype.kind not in "biu" and not (
+        given.dtype.kind == "O" and all(isinstance(x, (int, np.integer)) for x in given.flat)
+    ):
+        raise ValueError(f"matrix entries must be integers, got {given.dtype} entries")
     if a.size == 0:
         if a.ndim == 2:
             cols = a.shape[1]
@@ -106,10 +116,7 @@ def rref(a: Matrix, q: int) -> Matrix:
     Row space is preserved; output rows have strictly increasing pivot
     columns with unit pivots and zeros elsewhere in pivot columns.
     """
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    a = a % q
+    a = np.asarray(a, dtype=np.int64) % q
     m, cols = a.shape
     r = 0
     for c in range(cols):
@@ -147,9 +154,6 @@ def kernel(a: Matrix, q: int) -> Matrix:
     basis vector with a 1 in that column.  Satisfies
     ``rref(a).shape[0] + kernel(a).shape[0] == a.shape[1]``.
     """
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     n = a.shape[1]
     r = rref(a, q)
     piv = pivot_columns(r)
@@ -187,7 +191,7 @@ def vanishing_part(basis: Matrix, cols: list[int], q: int) -> Matrix:
 
 def in_row_space(basis: Matrix, v, q: int) -> bool:
     """Membership test against a canonical (rref) basis."""
-    v = np.array(v, dtype=np.int64).reshape(-1) % q
+    v = as_matrix(v, q, cols=basis.shape[1]).reshape(-1)
     if basis.shape[1] != v.shape[0]:
         raise DimensionMismatchError(
             f"vector of length {v.shape[0]} against basis with {basis.shape[1]} columns"

@@ -11,27 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .symplectic import Subspace
 
 
 def jsonable(x: Any) -> Any:
-    """Convert numpy scalars/arrays and spaces (as basis rows), recursively, into plain values."""
+    """Spaces as their basis rows and tuples as lists, recursively through lists and dicts.
+
+    The tuples matter beyond JSON: the CSV and table reports print ``str()``
+    of each side, and a tuple would print as ``(...)``.
+    """
     if isinstance(x, Subspace):
         return x.basis.tolist()
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [jsonable(v) for v in x.tolist()]
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, frozenset):
-        return sorted(jsonable(v) for v in x)
     return x
 
 

@@ -518,7 +518,9 @@ def run_suites(
     """Run one suite (or all) and assemble a stable, JSON-ready report."""
     if suite != "all" and suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
-    override = {"trials": trials} if trials else {}
+    if trials is not None and trials < 0:
+        raise ValueError(f"the trial count must not be negative, got {trials}")
+    override = {} if trials is None else {"trials": trials}
     sections = [
         (name, runner(np.random.default_rng(seed), budget=budget, **override))
         for name, runner in _RUNNERS.items()

@@ -129,8 +129,8 @@ def _swap(b: Matrix, q: int) -> Matrix:
 
 def symplectic_form(u, v, q: int) -> int:
     """Symplectic product of two vectors in interleaved coordinates."""
-    u = np.asarray(u, dtype=np.int64).reshape(-1)
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    u = as_matrix(u, None, cols=0).reshape(-1)
+    v = as_matrix(v, None, cols=0).reshape(-1)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
     if u.shape[0] % 2:
@@ -140,22 +140,22 @@ def symplectic_form(u, v, q: int) -> int:
 
 def hamming_weight(v) -> int:
     """Number of factors where a vector is nonzero."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 2)
+    v = as_matrix(v, None, cols=0).reshape(-1, 2)
     return int((v != 0).any(axis=1).sum())
 
 
 def support_of(v) -> tuple[int, ...]:
     """0-based factor indices where a vector is nonzero."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1, 2)
+    v = as_matrix(v, None, cols=0).reshape(-1, 2)
     return tuple(int(i) for i in np.nonzero((v != 0).any(axis=1))[0])
 
 
 def vector_from_factors(factors, q: int = 2) -> Vector:
     """Build a vector from per-factor ``(x, z)`` pairs."""
-    a = np.array(factors, dtype=np.int64)
-    if a.ndim != 2 or a.shape[1] != 2:
+    a = as_matrix(factors, q, cols=2)
+    if np.ndim(factors) != 2 or a.shape[1] != 2:
         raise ValueError("expected a sequence of (x, z) pairs")
-    return a.reshape(-1) % q
+    return a.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -670,7 +670,7 @@ class Subspace:
         return basis
 
     def __contains__(self, v) -> bool:
-        v = np.array(v, dtype=np.int64).reshape(-1) % self.q
+        v = as_matrix(v, self.q, cols=2 * self.n).reshape(-1)
         if v.shape[0] != 2 * self.n:
             raise DimensionMismatchError(
                 f"vector of length {v.shape[0]} against a space on {self.n} factors"
@@ -714,11 +714,6 @@ class Subspace:
     def _gram_rows(self):
         """The Gram matrix in the field's format (packed rows at q=2)."""
         return self._field.gram(self._rows)
-
-    @_cached_property
-    def _gram(self) -> Matrix:
-        """The Gram matrix as an int64 matrix."""
-        return self._field.unpack(self._gram_rows, self.dim_f)
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""

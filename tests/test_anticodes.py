@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsymp import anticodes
 from qsymp.anticodes import (
     Anticode,
     all_anticodes,
@@ -240,6 +241,20 @@ def test_cleaning_below_distance_on_shor(shor):
     a = Anticode(9, frozenset({2, 6}))
     assert puncture(shor, a) == puncture(shor.radical_space(), a)
     assert all(c.passed for c in verify_cleaning(shor, a))
+
+
+def test_cleaning_witness_from_the_right_side(monkeypatch, repetition):
+    """When the left side lies strictly inside the right, the witness is a row of the right."""
+    monkeypatch.setattr(anticodes, "shorten", lambda obj, a: Subspace.zero(obj.q, a.dim))
+    kept, broken = verify_cleaning(repetition, Anticode(2, frozenset({0})))
+    assert kept.passed
+    assert broken.to_dict() == {
+        "identity": "cleaning-puncture-dual",
+        "pass": False,
+        "lhs": [[0, 1]],
+        "rhs": [[1, 0], [0, 1]],
+        "witness": {"side": "rhs", "vector": [1, 0]},
+    }
 
 
 def test_cleaning_random(rng):

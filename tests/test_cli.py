@@ -11,6 +11,7 @@ import pytest
 import qsymp
 from qsymp import cli
 from qsymp.codes import SHOR_STABILIZERS
+from qsymp.suites import run_suites
 
 # The directory that holds the imported package (src/ or site-packages), so
 # that a child run imports the same code whether or not qsymp is installed.
@@ -303,6 +304,15 @@ def test_puncture_transversal_summand(tmp_path, capsys, shor):
     assert got == from_pauli(["ZIIII", "XXIII", "XXXXX"])
 
 
+def test_puncture_on_the_empty_support(capsys):
+    rc, out = run_inproc(["puncture", "--fixture", "repetition", "--support", ""], capsys)
+    assert rc == 0
+    empty = {"q": 2, "n": 0, "basis": []}
+    assert json.loads(out) == {
+        "source": "fixture:repetition", "support": [], "puncture": empty, "shorten": empty,
+    }
+
+
 def test_puncture_bad_support_exit_3(capsys):
     rc = cli.main(["puncture", "--fixture", "repetition", "--support", "1,5"])
     assert rc == 3
@@ -326,6 +336,25 @@ def test_verify_reports_have_contract_fields(capsys):
     for section in report["sections"]:
         for check in section["checks"]:
             assert {"identity", "pass"} <= set(check)
+
+
+def _checked(report) -> list[int]:
+    return [c["checked"] for section in report["sections"] for c in section["checks"]]
+
+
+def test_verify_trials_zero_checks_the_fixtures_only(capsys):
+    """``--trials 0`` draws no random instance; it does not fall back to the defaults."""
+    rc, out = run_inproc(["verify", "--suite", "cleaning", "--seed", "3", "--trials", "0"], capsys)
+    assert rc == 0
+    assert _checked(json.loads(out)) == [532, 532]
+    assert _checked(run_suites("cleaning", seed=3, trials=0)) == [532, 532]
+
+
+def test_verify_negative_trials_exit_3(capsys):
+    assert cli.main(["verify", "--suite", "cleaning", "--trials", "-1"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    with pytest.raises(ValueError):
+        run_suites("cleaning", trials=-1)
 
 
 def test_verify_csv_format(capsys):

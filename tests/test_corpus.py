@@ -100,7 +100,8 @@ def _outputs():
         out["perp"].append(_key(space.perp()))
         rad = space.radical()
         out["radical"].append(_key(rad))
-        out["gram"].append((space._gram.tolist(), space.sym_dim, space.isorank))
+        gram = space._field.unpack(space._gram_rows, space.dim_f)
+        out["gram"].append((gram.tolist(), space.sym_dim, space.isorank))
         out["check-commuting"].append(
             [
                 _error(lambda: check_commuting(rows, q, n)),

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import qsymp
 
-from qsymp.anticodes import all_anticodes, intersect_with_anticode
-from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace
+from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
+from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace, vector_to_pauli
 from qsymp.errors import DimensionMismatchError
+from qsymp.linalg import in_row_space
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
@@ -337,6 +338,34 @@ def test_membership_checks_the_vector_length(q):
             bad in Subspace.full(q, 3)
 
 
+NON_INTEGER_ENTRY_POINTS = {
+    "Subspace": (ValueError, lambda x: Subspace([[x, 1]], 3)),
+    "contains": (ValueError, lambda x: [x, 0, 0, 0] in Subspace([[1, 0, 0, 0]], 3, 2)),
+    "symplectic_form": (ValueError, lambda x: symplectic_form([x, 0], [0, 1], 3)),
+    "hamming_weight": (ValueError, lambda x: hamming_weight([x, 0])),
+    "support_of": (ValueError, lambda x: support_of([x, 0])),
+    "vector_from_factors": (ValueError, lambda x: vector_from_factors([(x, 0)], 3)),
+    "in_row_space": (ValueError, lambda x: in_row_space(np.eye(2, dtype=np.int64), [x, 0], 3)),
+    "vector_to_pauli": (ValueError, lambda x: vector_to_pauli([x, 0])),
+    "Anticode": (TypeError, lambda x: Anticode(3, {x})),
+}
+
+
+@pytest.mark.parametrize("entry", [0.5, "1", 1j])
+@pytest.mark.parametrize("name", NON_INTEGER_ENTRY_POINTS)
+def test_non_integer_entries_are_refused(name, entry):
+    """A float, a string or a complex number is refused, not truncated or parsed."""
+    error, call = NON_INTEGER_ENTRY_POINTS[name]
+    with pytest.raises(error):
+        call(entry)
+
+
+def test_bools_and_empty_arrays_of_any_dtype_still_convert():
+    assert Subspace([[True, False]], 2) == Subspace([[1, 0]], 2)
+    assert Subspace(np.zeros((0, 4)), 3, 2) == Subspace.zero(3, 2)
+    assert hamming_weight([]) == 0
+
+
 # ---------------------------------------------------------------------------
 # the supported field range: 2n (q - 1)^2 < 2^63
 
@@ -347,7 +376,7 @@ def test_largest_field_is_exact_at_one_factor():
     w = Subspace(rows, q, 1)
     b = [[int(x) for x in row] for row in w.basis]
     exact = [[(u[0] * v[1] - u[1] * v[0]) % q for v in b] for u in b]
-    assert w._gram.tolist() == exact
+    assert w._field.unpack(w._gram_rows, w.dim_f).tolist() == exact
     assert w.sym_dim == 1
 
 
