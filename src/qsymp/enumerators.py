@@ -163,7 +163,7 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     dim_f = space.dim_f
 
     per_items = []
-    for s, e, c in support_pairs(dims, n):
+    for s, e, c in support_pairs(dims):
         rhs = 2 * len(s) - dim_f + c.dim
         per_items.append((s, e.dual, rhs, e.dual == rhs))
     checks = [batch("macwilliams-per-anticode", per_items, key="support")]

@@ -84,10 +84,13 @@ def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[i
     return {s: (e.alpha, e.beta) for s, e in support_dims(code, budget).items()}
 
 
-def support_pairs(dims: dict[frozenset, SupportDims], n: int) -> list[tuple]:
-    """``(sorted support, its entry, its complement's entry)`` for every support, in table order."""
-    full = frozenset(range(n))
-    return [(sorted(s), e, dims[full - s]) for s, e in dims.items()]
+def support_pairs(dims: dict[frozenset, SupportDims]) -> list[tuple]:
+    """``(sorted support, its entry, its complement's entry)`` for every support, in table order.
+
+    The table runs by size, then lexicographically, and complementation
+    reverses that order, so each support's complement is its mirror entry.
+    """
+    return [(sorted(s), e, c) for (s, e), c in zip(dims.items(), reversed(dims.values()))]
 
 
 def supported_moments(dims: dict, q: int, n: int, field: str) -> list[int]:
@@ -241,7 +244,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     table = invariant_table(code_obj, budget)
     theta, phi = table.theta, table.phi
     vartheta, varphi, delta = table.vartheta, table.varphi, table.delta
-    pairs = support_pairs(support_dims(space, budget), n)
+    pairs = support_pairs(support_dims(space, budget))
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
     checks: list[CheckResult] = []

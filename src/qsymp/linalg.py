@@ -110,6 +110,17 @@ def as_matrix(rows, q: int | None, cols: int | None = None) -> Matrix:
     return a if q is None else a % q
 
 
+def as_vector(v, q: int | None) -> np.ndarray:
+    """One vector as a 1-D int64 array through :func:`as_matrix`.
+
+    Anything but a one-dimensional value, a matrix of one row included, is
+    a DimensionMismatchError, so rows are never read as their concatenation.
+    """
+    if np.ndim(v) != 1:
+        raise DimensionMismatchError(f"expected one vector, got an array of ndim {np.ndim(v)}")
+    return as_matrix(v, q, cols=0).reshape(-1)
+
+
 def rref(a: Matrix, q: int) -> Matrix:
     """Reduced row echelon form with zero rows removed (the canonical form).
 
@@ -191,7 +202,7 @@ def vanishing_part(basis: Matrix, cols: list[int], q: int) -> Matrix:
 
 def in_row_space(basis: Matrix, v, q: int) -> bool:
     """Membership test against a canonical (rref) basis."""
-    v = as_matrix(v, q, cols=basis.shape[1]).reshape(-1)
+    v = as_vector(v, q)
     if basis.shape[1] != v.shape[0]:
         raise DimensionMismatchError(
             f"vector of length {v.shape[0]} against basis with {basis.shape[1]} columns"

@@ -20,7 +20,7 @@ Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
 field owns the row format, the span routines, the Gram rows and radical,
-the projection onto factors and the walk's row operations, and keeps its
+the projection onto factors and the walk's block operations, and keeps its
 own storage in ``_rows``: over GF(2) a row is a packed Python int (bit j
 = coordinate j; adding rows is an XOR and a pivot is the lowest set bit),
 over odd q the rows are a read-only int64 matrix eliminated by
@@ -63,10 +63,23 @@ for every v in the part, so the cut part is u's orthogonal inside it, and u
 lies in the cut part orthogonal to all of it: the dimension falls by one
 and the radical grows by one.  Clearing with a vector of a dropped pair
 keeps the other pairs symplectic, since it is orthogonal to them and to
-itself.  The plain bases use rule (a) only.  So each support costs a few
-row operations and no elimination or evaluation of the product.  Over
-GF(2) the walk's rows are the packed ints and clearing is an XOR; over odd
-q they are tuples of residues (the field object's ``walk``).
+itself.  The plain bases use rule (a) only; when the radical is the dual,
+as for the normalizer of any isotropic space (every stabilizer code), one
+plain basis serves both.  So each support costs a few row operations and no
+elimination or evaluation of the product.
+
+The rules are written once, over four operations on a basis held as one
+block by the field object: ``take`` (the first row nonzero at c, scaled to
+1 there), ``clear`` (every row minus the multiple of a pivot that zeroes c,
+the pivot's own row becoming 0), ``take_pair`` (rule (b)'s u, the vector
+it clears with, and the pairs without the dropped pair) and ``put`` (one
+more radical row).  A zero row counts as absent, so the row counts travel
+beside the blocks.  Over odd q a block is a list of residue tuples.  Over
+GF(2) it is one int of 2n slots of 2n bits, slot i holding row i, so a cut
+costs a few big-int operations however many rows there are: with
+``at[c]`` the mask of bit c in every slot, ``h = B & at[c]`` marks the
+rows nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly those
+slots, clearing c from every row and zeroing p's own slot.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -88,6 +101,7 @@ from .errors import DimensionMismatchError
 from .linalg import (
     Matrix,
     as_matrix,
+    as_vector,
     checked_order,
     in_row_space,
     kernel,
@@ -129,8 +143,7 @@ def _swap(b: Matrix, q: int) -> Matrix:
 
 def symplectic_form(u, v, q: int) -> int:
     """Symplectic product of two vectors in interleaved coordinates."""
-    u = as_matrix(u, None, cols=0).reshape(-1)
-    v = as_matrix(v, None, cols=0).reshape(-1)
+    u, v = as_vector(u, None), as_vector(v, None)
     if u.shape != v.shape:
         raise DimensionMismatchError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
     if u.shape[0] % 2:
@@ -140,13 +153,13 @@ def symplectic_form(u, v, q: int) -> int:
 
 def hamming_weight(v) -> int:
     """Number of factors where a vector is nonzero."""
-    v = as_matrix(v, None, cols=0).reshape(-1, 2)
+    v = as_vector(v, None).reshape(-1, 2)
     return int((v != 0).any(axis=1).sum())
 
 
 def support_of(v) -> tuple[int, ...]:
     """0-based factor indices where a vector is nonzero."""
-    v = as_matrix(v, None, cols=0).reshape(-1, 2)
+    v = as_vector(v, None).reshape(-1, 2)
     return tuple(int(i) for i in np.nonzero((v != 0).any(axis=1))[0])
 
 
@@ -211,13 +224,19 @@ def _set_bits(v: int) -> list[int]:
 
 
 class _Gf2:
-    """GF(2) on n factors: a row is a Python int with bit j = coordinate j, in spans and walk."""
+    """GF(2) on n factors: a row is a Python int with bit j = coordinate j.
+
+    A walk basis is one block int of 2n slots of 2n bits, slot i holding row
+    i (an empty slot is 0); a pairs block holds e_i in slot 2i and f_i in
+    slot 2i + 1.
+    """
 
     q = 2
 
     def __init__(self, n: int):
         self.n = n
         self.even = (4**n - 1) // 3  # bits 0, 2, ..., 2n - 2: the x coordinates
+        self.full = (1 << 2 * n) - 1  # one walk slot
 
     @staticmethod
     def pack(a: Matrix) -> list[int]:
@@ -412,50 +431,91 @@ class _Gf2:
         return [(v & su).bit_count() & 1 for v in rows]
 
     @staticmethod
-    def first(rows: list, c: int) -> int | None:
-        """Index of the first row nonzero at coordinate c."""
-        bit = 1 << c
-        for i, r in enumerate(rows):
-            if r & bit:
-                return i
-        return None
-
-    @staticmethod
-    def unit(p: int, c: int) -> int:
-        """p scaled to 1 at c, or divided by c: a set bit is 1 already."""
+    def scale(p: int, c: int) -> int:
+        """p divided by the scalar c: over GF(2) it is 1."""
         return p
-
-    scale = unit
-
-    @staticmethod
-    def clear(rows: list, p, c: int) -> list:
-        """Each row minus the multiple of ``p`` (unit at c) that zeroes c."""
-        bit = 1 << c
-        return [r ^ p if r & bit else r for r in rows]
 
     @staticmethod
     def combine(rows: list, u, by_w: list, w, by_u: list) -> list:
         """Each row v minus by_w[i] * u plus by_u[i] * w."""
         return [v ^ (u if a else 0) ^ (w if b else 0) for v, a, b in zip(rows, by_w, by_u)]
 
-    @staticmethod
-    def dual(pairs: list, c: int):
-        """sum_i (lambda(e_i) f_i - lambda(f_i) e_i) over flat pairs e_1, f_1, ..."""
-        u = 0
-        for i in range(0, len(pairs), 2):
-            e, f = pairs[i], pairs[i + 1]
-            if e >> c & 1:
-                u ^= f
-            if f >> c & 1:
-                u ^= e
-        return u
+    # The walk's block operations.  No walk basis holds more than 2n rows
+    # (see :meth:`put`), so 2n slots serve every block.
+
+    @_cached_property
+    def at(self) -> list[int]:
+        """``at[c]`` has bit c of every walk slot set; made on the first walk."""
+        width = 2 * self.n
+        starts = sum(1 << i * width for i in range(width))
+        return [starts << c for c in range(width)]
+
+    @_cached_property
+    def _pairing(self) -> tuple[int, list[int]]:
+        """(bit 0 of every e slot, the shifts that fold 2n slots into one)."""
+        width = 2 * self.n
+        span = 1 << (width - 1).bit_length()  # 2n rounded up to a power of 2
+        folds = [width * (span >> k) for k in range(1, span.bit_length())]
+        return sum(1 << 2 * i * width for i in range(self.n)), folds
+
+    def block(self, rows) -> int:
+        """Walk rows as one block: row i in slot i."""
+        width = 2 * self.n
+        return sum(r << i * width for i, r in enumerate(rows))
+
+    def take(self, block: int, c: int) -> int | None:
+        """The first row nonzero at c (a set bit is a unit already), or None."""
+        hit = block & self.at[c]
+        if not hit:
+            return None
+        return block >> (hit & -hit).bit_length() - 1 - c & self.full
+
+    def clear(self, block: int, p: int, c: int) -> int:
+        """Every row minus the multiple of ``p`` (1 at c) that zeroes c; p's own slot becomes 0.
+
+        ``(block & at[c]) >> c`` has bit 0 set in every slot nonzero at c,
+        and multiplying it by p puts p in each of them, so one XOR clears
+        them all.
+        """
+        return block ^ ((block & self.at[c]) >> c) * p
+
+    def take_pair(self, pairs: int, c: int) -> tuple | None:
+        """Rule (b)'s pieces, or None: (u, the first vector nonzero at c, pairs without its pair).
+
+        The slots nonzero at c, moved onto their partners and widened to
+        whole slots, select lambda(e_i) f_i and lambda(f_i) e_i, and u is
+        the XOR of all slots of that selection, folded in halves.
+        """
+        hit = pairs & self.at[c]
+        if not hit:
+            return None
+        width, full = 2 * self.n, self.full
+        pair_starts, folds = self._pairing
+        shift = (hit & -hit).bit_length() - 1 - c
+        first = shift - shift % (2 * width)
+        hit >>= c
+        u = ((hit & pair_starts) << width | hit >> width & pair_starts) * full & pairs
+        for k in folds:
+            u ^= u >> k
+        rest = pairs & ~((full << width | full) << first)
+        return u & full, pairs >> shift & full, rest
+
+    def put(self, block: int, u: int) -> int:
+        """``block`` with ``u`` in the slot above its highest row.
+
+        Only rule (b) puts, once per pair it drops, so the radical block's
+        highest slot stays below its initial rows plus pairs, at most 2n.
+        """
+        width = 2 * self.n
+        return block | u << -(-block.bit_length() // width) * width
 
 
 class _Odd:
     """F_q for odd q on n factors: the rows are a read-only int64 matrix.
 
-    The span routines are the dense ones of :mod:`qsymp.linalg`.  The walk's
-    rows are residue tuples (``walk``): int64 walk rows were 2.6-4.1x slower.
+    The span routines are the dense ones of :mod:`qsymp.linalg`.  A walk
+    basis is a list of residue tuples (``walk``, then ``block``), a pairs
+    block the flat list e_1, f_1, ...: int64 walk rows were 2.6-4.1x slower.
     """
 
     def __init__(self, q: int, n: int):
@@ -538,20 +598,6 @@ class _Odd:
         inv = pow(c % q, q - 2, q)
         return tuple(a * inv % q for a in v)
 
-    @staticmethod
-    def first(rows: list, c: int) -> int | None:
-        for i, r in enumerate(rows):
-            if r[c]:
-                return i
-        return None
-
-    def unit(self, p: tuple, c: int) -> tuple:
-        return self.scale(p, p[c])
-
-    def clear(self, rows: list, p: tuple, c: int) -> list:
-        q = self.q
-        return [tuple((a - r[c] * b) % q for a, b in zip(r, p)) if r[c] else r for r in rows]
-
     def combine(self, rows: list, u: tuple, by_w: list, w: tuple, by_u: list) -> list:
         """Each row v minus by_w[i] * u plus by_u[i] * w."""
         q = self.q
@@ -560,14 +606,40 @@ class _Odd:
             for v, a, b in zip(rows, by_w, by_u)
         ]
 
-    def dual(self, pairs: list, c: int) -> tuple:
+    # The walk's block operations.
+
+    block = staticmethod(list)
+
+    def take(self, rows: list, c: int) -> tuple | None:
+        """The first row nonzero at c, scaled to 1 there, or None."""
+        for r in rows:
+            if r[c]:
+                return self.scale(r, r[c])
+        return None
+
+    def clear(self, rows: list, p: tuple, c: int) -> list:
+        """Every row minus the multiple of ``p`` (1 at c) that zeroes c; p's own row becomes 0."""
         q = self.q
-        u = [0] * len(pairs[0])
-        for i in range(0, len(pairs), 2):
-            e, f = pairs[i], pairs[i + 1]
+        return [tuple((a - r[c] * b) % q for a, b in zip(r, p)) if r[c] else r for r in rows]
+
+    def take_pair(self, pairs: list, c: int) -> tuple | None:
+        """Rule (b)'s pieces, or None: (u, the first vector nonzero at c, pairs without its pair)."""
+        for i, p in enumerate(pairs):
+            if p[c]:
+                break
+        else:
+            return None
+        q = self.q
+        u = [0] * len(p)
+        for e, f in zip(pairs[0::2], pairs[1::2]):
             if e[c] or f[c]:
                 u = [x + e[c] * b - f[c] * a for x, a, b in zip(u, e, f)]
-        return tuple(x % q for x in u)
+        i -= i % 2
+        return tuple(x % q for x in u), self.scale(p, p[c]), pairs[:i] + pairs[i + 2 :]
+
+    @staticmethod
+    def put(rows: list, u: tuple) -> list:
+        return rows + [u]
 
 
 def _gram_schmidt(ops, rows) -> tuple[list, list]:
@@ -595,26 +667,24 @@ def _gram_schmidt(ops, rows) -> tuple[list, list]:
     return rad, pairs
 
 
-def _cut_plain(ops, rows: list, c: int) -> list:
-    """Rule (a) on a plain basis: a basis of its part where coordinate c is 0."""
-    i = ops.first(rows, c)
-    if i is None:
-        return rows
-    return ops.clear(rows[:i] + rows[i + 1 :], ops.unit(rows[i], c), c)
+def _cut_plain(ops, block, count: int, c: int) -> tuple:
+    """Rule (a) on a plain basis of ``count`` rows: (its part where coordinate c is 0, rows)."""
+    p = ops.take(block, c)
+    if p is None:
+        return block, count
+    return ops.clear(block, p, c), count - 1
 
 
-def _cut_symplectic(ops, rad: list, pairs: list, c: int) -> tuple[list, list]:
-    """Rules (a)-(c) on a symplectic basis: radical rows, flat pairs e_1, f_1, ..."""
-    i = ops.first(rad, c)
-    if i is not None:
-        p = ops.unit(rad[i], c)
-        return ops.clear(rad[:i] + rad[i + 1 :], p, c), ops.clear(pairs, p, c)
-    i = ops.first(pairs, c)
-    if i is None:
-        return rad, pairs
-    p = ops.unit(pairs[i], c)
-    i -= i % 2
-    return rad + [ops.dual(pairs, c)], ops.clear(pairs[:i] + pairs[i + 2 :], p, c)
+def _cut_symplectic(ops, rad, n_rad: int, pairs, n_pairs: int, c: int) -> tuple:
+    """Rules (a)-(c) on a symplectic basis: (radical rows, their count, pairs, flat count)."""
+    p = ops.take(rad, c)
+    if p is not None:
+        return ops.clear(rad, p, c), n_rad - 1, ops.clear(pairs, p, c), n_pairs
+    taken = ops.take_pair(pairs, c)
+    if taken is None:
+        return rad, n_rad, pairs, n_pairs
+    u, p, pairs = taken
+    return ops.put(rad, u), n_rad + 1, ops.clear(pairs, p, c), n_pairs - 2
 
 
 class Subspace:
@@ -670,7 +740,7 @@ class Subspace:
         return basis
 
     def __contains__(self, v) -> bool:
-        v = as_matrix(v, self.q, cols=2 * self.n).reshape(-1)
+        v = as_vector(v, self.q)
         if v.shape[0] != 2 * self.n:
             raise DimensionMismatchError(
                 f"vector of length {v.shape[0]} against a space on {self.n} factors"
@@ -775,38 +845,43 @@ class Subspace:
         every support once, and cuts the two coordinates of each removed
         factor from three bases by the rules in the module docstring: a
         symplectic basis of C's part (rules (a)-(c)) and plain bases of the
-        radical's and the dual's parts (rule (a)).  Every entry is read off
-        row counts: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
+        radical's and the dual's parts (rule (a)), one basis for both when
+        they are equal.  Every entry is read off the row counts carried
+        with the blocks: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
         2 * pairs, ``rad`` and ``dual`` the plain bases' row counts.
         """
         n = self.n
         ops = self._field
         found: dict[int, SupportDims] = {}
+        # The radical lies in the dual, so equal dimensions mean one plain basis serves both.
+        shared = self._radical.dim_f == self._perp.dim_f
 
-        def cut(state, c):
-            rad, pairs, rad_part, dual_part = state
-            return (
-                *_cut_symplectic(ops, rad, pairs, c),
-                _cut_plain(ops, rad_part, c),
-                _cut_plain(ops, dual_part, c),
-            )
+        def cut(state, j):
+            """The state on the support without factor j: both its coordinates cut."""
+            rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
+            for c in (2 * j, 2 * j + 1):
+                rad, n_rad, pairs, n_pairs = _cut_symplectic(ops, rad, n_rad, pairs, n_pairs, c)
+                part, n_part = _cut_plain(ops, part, n_part, c)
+                dual, n_dual = (part, n_part) if shared else _cut_plain(ops, dual, n_dual, c)
+            return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
 
         def visit(mask, below, state):
-            rad, pairs, rad_part, dual_part = state
-            found[mask] = SupportDims(
-                len(rad) + len(pairs), len(pairs), len(rad_part), len(dual_part)
-            )
+            _, n_rad, _, n_pairs, _, n_part, _, n_dual = state
+            found[mask] = SupportDims(n_rad + n_pairs, n_pairs, n_part, n_dual)
             for j in range(below):
-                visit(mask ^ 1 << j, j, cut(cut(state, 2 * j), 2 * j + 1))
+                visit(mask ^ 1 << j, j, cut(state, j))
 
         rad, pairs = self._split
-        plain = [list(ops.walk(space._rows)) for space in (self._radical, self._perp)]
-        visit((1 << n) - 1, n, (rad, pairs, *plain))
+        state = [ops.block(rad), len(rad), ops.block(pairs), len(pairs)]
+        for space in (self._radical, self._perp):
+            state += ops.block(ops.walk(space._rows)), space.dim_f
+        visit((1 << n) - 1, n, tuple(state))
         del visit  # it refers to itself: without this, ``found`` waits for the cycle collector
+        bits = [1 << j for j in range(n)]
         return {
-            frozenset(support): found[sum(1 << j for j in support)]
+            frozenset(support): found[sum(mask)]
             for size in range(n + 1)
-            for support in combinations(range(n), size)
+            for support, mask in zip(combinations(range(n), size), combinations(bits, size))
         }
 
     def is_stabilizer(self) -> bool:

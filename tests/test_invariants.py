@@ -198,15 +198,22 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
 
 
 def test_support_pairs_pair_each_support_with_its_complement(rng):
-    for q, n in ((2, 1), (3, 3), (5, 4)):
+    for q, n in ((2, 1), (3, 3), (5, 4), (2, 8)):
         dims = support_dims(random_code(rng, q, n))
         full = frozenset(range(n))
-        pairs = support_pairs(dims, n)
+        pairs = support_pairs(dims)
         assert len(pairs) == len(dims) == 2**n
         for (s, e, c), (supp, entry) in zip(pairs, dims.items()):
             assert s == sorted(supp)
             assert e is entry
             assert c is dims[full - supp]
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_complementation_reverses_the_table_order(n):
+    order = list(Subspace.zero(2, n)._support_dims)
+    full = frozenset(range(n))
+    assert [full - s for s in order] == order[::-1]
 
 
 def test_invariant_table_reads_the_table_once_and_verify_bounds_twice(monkeypatch):

@@ -48,6 +48,24 @@ def test_product_mismatch_raises():
         symplectic_form([1, 0], [1, 0, 0, 0], 2)
 
 
+MATRIX_AS_VECTOR = {
+    "contains": lambda: [[1, 0], [0, 0]] in Subspace([[1, 0, 0, 0]], 2, 2),
+    "contains-one-row": lambda: [[1, 0, 0, 0]] in Subspace([[1, 0, 0, 0]], 2, 2),
+    "symplectic_form": lambda: symplectic_form([[1, 0]], [[0], [1]], 2),
+    "hamming_weight": lambda: hamming_weight([[1, 0], [0, 1]]),
+    "support_of": lambda: support_of([[1, 0], [0, 1]]),
+    "in_row_space": lambda: in_row_space(np.eye(2, dtype=np.int64), [[1], [0]], 2),
+    "scalar": lambda: hamming_weight(1),
+}
+
+
+@pytest.mark.parametrize("name", MATRIX_AS_VECTOR)
+def test_only_one_vector_is_taken_as_a_vector(name):
+    """A matrix (or a scalar) is refused where a vector is meant, not read as its concatenated rows."""
+    with pytest.raises(DimensionMismatchError):
+        MATRIX_AS_VECTOR[name]()
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     q=st.sampled_from([2, 3, 5]),
@@ -450,8 +468,14 @@ def _walk_case(name: str) -> Subspace:
     if name == "gauge-q2-n8":
         # an odd dimension forces a nonzero radical
         return random_subspace(rng, 2, 8, rows=9)
+    if name == "gauge-q2-n10":
+        return random_subspace(rng, 2, 10, rows=11)
+    if name == "stabilizer-q2-n12":
+        return random_stabilizer_code(rng, 12).space
     if name == "q3-n5":
         return random_subspace(rng, 3, 5, rows=6)
+    if name == "line-q3-n1":
+        return Subspace([[1, 2]], 3, 1)
     kind, q, n = name.split("-")
     make = Subspace.zero if kind == "zero" else Subspace.full
     return make(int(q[1:]), int(n[1:]))
@@ -460,7 +484,10 @@ def _walk_case(name: str) -> Subspace:
 WALK_CASES = [
     "stabilizer-q2-n8",
     "gauge-q2-n8",
+    "gauge-q2-n10",
     "q3-n5",
+    "full-q2-n1",
+    "line-q3-n1",
     "zero-q2-n6",
     "zero-q3-n4",
     "full-q2-n6",
@@ -480,6 +507,31 @@ def test_support_walk_matches_literal_intersections(name):
     for a in anticodes:
         inner = intersect_with_anticode(w, a)
         entry = dims[a.support]
+        assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
+        assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
+        assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+
+
+def test_gauge_walk_outgrows_its_initial_radical_rows():
+    # Radical and dual differ, so both plain bases are cut, and rule (b)
+    # puts radical rows past the ones the walk starts with.
+    w = _walk_case("gauge-q2-n10")
+    assert w.radical() != w.perp()
+    dims = w._support_dims
+    start = dims[frozenset(range(w.n))]
+    assert max(e.dim - e.gram_rank for e in dims.values()) > start.dim - start.gram_rank
+
+
+def test_support_walk_at_twelve_factors_matches_sampled_intersections():
+    w = _walk_case("stabilizer-q2-n12")
+    assert w.radical() == w.perp()  # one plain basis serves both
+    dims = w._support_dims
+    assert len(dims) == 2**12
+    rng = np.random.default_rng(12)
+    rad, dual = w.radical(), w.perp()
+    for _ in range(200):
+        a = Anticode(12, {int(j) for j in np.nonzero(rng.integers(0, 2, 12))[0]})
+        inner, entry = intersect_with_anticode(w, a), dims[a.support]
         assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
         assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
         assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
