@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymp import invariants
-from qsymp.anticodes import Anticode, all_anticodes
-from qsymp.codes import Code, random_code, random_stabilizer_code, shor_code
-from qsymp.enumerators import binomial_moments, macwilliams_check
+from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
+from qsymp.codes import Code, random_code, random_stabilizer_code, shor_code, weights_from_supports
+from qsymp.enumerators import binomial_moments, distribution_from_moments, macwilliams_check
 from qsymp.errors import BudgetExceededError
 from qsymp.invariants import (
     alpha,
@@ -16,6 +18,7 @@ from qsymp.invariants import (
     support_table,
     verify_bounds,
 )
+from qsymp.report import batch
 from qsymp.symplectic import Subspace
 
 
@@ -214,6 +217,62 @@ def test_complementation_reverses_the_table_order(n):
     order = list(Subspace.zero(2, n)._support_dims)
     full = frozenset(range(n))
     assert [full - s for s in order] == order[::-1]
+
+
+@st.composite
+def table_spaces(draw):
+    """Span of drawn rows over F_q, q in {2, 3, 5}, with n <= 7 factors."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 7))
+    rows = draw(st.integers(0, 2 * n))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=table_spaces())
+def test_table_readers_match_literal_intersections(w):
+    # Every reader against values recomputed support by support from
+    # intersect_with_anticode, with no use of the shared table.
+    q, n, k = w.q, w.n, w.sym_dim
+    rad, dual = w.radical(), w.perp()
+    parts = {}
+    for a in all_anticodes(n):
+        inner = intersect_with_anticode(w, a)
+        rad_dim = intersect_with_anticode(rad, a).dim_f
+        parts[a.support] = (inner, rad_dim, intersect_with_anticode(dual, a).dim_f)
+    theta, phi, both = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    moments, rad_moments = [0] * (n + 1), [0] * (n + 1)
+    for s, (inner, rad_dim, _) in parts.items():
+        a, b = inner.sym_dim, inner.isorank - rad_dim
+        theta[len(s)] = max(theta[len(s)], a)
+        phi[len(s)] = max(phi[len(s)], b)
+        both[len(s)] = max(both[len(s)], a + b)
+        moments[len(s)] += q**inner.dim_f
+        rad_moments[len(s)] += q**rad_dim
+    first = lambda maxima, level: next(b for b, m in enumerate(maxima) if m >= level)
+    table = invariant_table(w)
+    assert (table.n, table.k, table.theta, table.phi) == (n, k, theta, phi)
+    assert table.vartheta == [first(theta, a) for a in range(1, k + 1)]
+    assert table.varphi == [first(phi, a) for a in range(1, k + 1)]
+    assert table.delta == [first(both, 2 * a) for a in range(1, k + 1)]
+    assert binomial_moments(w) == moments
+    assert weights_from_supports(w) == (
+        distribution_from_moments(moments),
+        distribution_from_moments(rad_moments),
+    )
+    full = frozenset(range(n))
+    items = []
+    for s, (_, _, dual_dim) in parts.items():
+        rhs = 2 * len(s) - w.dim_f + parts[full - s][0].dim_f
+        items.append((sorted(s), dual_dim, rhs, dual_dim == rhs))
+    checks = macwilliams_check(w)
+    assert checks[0].to_dict() == batch("macwilliams-per-anticode", items, key="support").to_dict()
+    assert all(c.passed for c in checks)
+    assert [c.checked for c in checks[1:] if c.checked is not None] == [n + 1] * (
+        2 if w.dim_f == 2 * k else 1
+    )
 
 
 def test_invariant_table_reads_the_table_once_and_verify_bounds_twice(monkeypatch):

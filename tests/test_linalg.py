@@ -43,6 +43,15 @@ def test_rref_zero_matrix_is_empty():
     assert out.shape == (0, 4)
 
 
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("shape", [(14, 14), (3, 8), (0, 5)])
+def test_rref_of_zeros_at_odd_q_has_no_rows(q, shape):
+    # entries that are multiples of q are zero too
+    for a in (np.zeros(shape, dtype=np.int64), np.full(shape, q, dtype=np.int64)):
+        out = rref(a, q)
+        assert out.shape == (0, shape[1]) and out.dtype == np.int64
+
+
 @pytest.mark.parametrize("q", PRIMES)
 def test_rref_identity_fixed(q):
     eye = np.eye(6, dtype=np.int64)

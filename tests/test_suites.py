@@ -1,10 +1,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from qsymp import anticodes, enumerators, invariants
-from qsymp.codes import Code
+from qsymp.codes import Code, random_stabilizer_code
 from qsymp.errors import DEFAULT_BUDGET
 from qsymp.invariants import profile_step_items
 from qsymp.report import Tally, batch
@@ -61,6 +62,36 @@ def off_by_one_dual(monkeypatch):
 
     monkeypatch.setattr(invariants, "support_dims", wrong)
     monkeypatch.setattr(enumerators, "support_dims", wrong)
+
+
+def _dual_faults(table, supports):
+    """The table with one more dual dimension than there is on each given support."""
+    table = dict(table)
+    for s in supports:
+        table[s] = table[s]._replace(dual=table[s].dual + 1)
+    return table
+
+
+def test_witness_is_the_first_failure_by_size_then_lexicographic(monkeypatch):
+    # {1, 2} is mask 6 and {0, 3} is mask 9: increasing masks meet {1, 2}
+    # first, while the table order, by size then lexicographic, meets {0, 3}
+    # first.  The per-anticode check reads each support's own dual entry,
+    # the rank identity its complement's, and the two supports are each
+    # other's complement, so both checks fail on both.
+    real = invariants.support_dims
+    faults = [frozenset({1, 2}), frozenset({0, 3})]
+
+    def wrong(code, budget=DEFAULT_BUDGET):
+        return _dual_faults(real(code, budget), faults)
+
+    monkeypatch.setattr(invariants, "support_dims", wrong)
+    monkeypatch.setattr(enumerators, "support_dims", wrong)
+    code = random_stabilizer_code(np.random.default_rng(4), 4)
+    (per, *_) = enumerators.macwilliams_check(code)
+    (rank,) = [c for c in invariants.verify_bounds(code) if c.identity == "duality-rank-identity"]
+    assert per.identity == "macwilliams-per-anticode"
+    for check in (per, rank):
+        assert (check.checked, check.failures, check.witness["support"]) == (16, 2, [0, 3])
 
 
 # sha256 of the failing reports, dumped with sorted keys: the counts, the
