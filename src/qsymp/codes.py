@@ -251,10 +251,10 @@ def weights_from_supports(
     distribution the same way.  No codeword is built, so ``q**dim_f`` is not
     capped by the budget; only the support scan is.
     """
-    dims = support_dims(space, budget)
+    table = support_dims(space, budget)
     return (
-        distribution_from_moments(supported_moments(dims, space.q, space.n, "dim")),
-        distribution_from_moments(supported_moments(dims, space.q, space.n, "rad")),
+        distribution_from_moments(supported_moments(table.dim, space.q)),
+        distribution_from_moments(supported_moments(table.rad, space.q)),
     )
 
 

@@ -35,7 +35,7 @@ import math
 
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET
-from .invariants import support_dims, support_pairs, supported_moments
+from .invariants import support_check, support_dims, supported_moments
 from .report import CheckResult, batch
 
 __all__ = [
@@ -67,7 +67,7 @@ def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> list[int]:
 def binomial_moments(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     """Moments indexed 0..n, computed from supported-part dimensions."""
     space = _space_of(code)
-    return supported_moments(support_dims(space, budget), space.q, space.n, "dim")
+    return supported_moments(support_dims(space, budget).dim, space.q)
 
 
 def moments_from_distribution(w: list[int]) -> list[int]:
@@ -158,18 +158,16 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """
     space = _space_of(code)
     n, q = space.n, space.q
-    dims = support_dims(space, budget)
+    table = support_dims(space, budget)
     k = space.sym_dim
     dim_f = space.dim_f
 
-    per_items = []
-    for s, e, c in support_pairs(dims):
-        rhs = 2 * len(s) - dim_f + c.dim
-        per_items.append((s, e.dual, rhs, e.dual == rhs))
-    checks = [batch("macwilliams-per-anticode", per_items, key="support")]
+    # The complement of mask m is 2^n - 1 - m, so the complements' column is the reversed column.
+    rhs = [2 * m.bit_count() - dim_f + d for m, d in enumerate(reversed(table.dim))]
+    checks = [support_check("macwilliams-per-anticode", table.dual, rhs)]
 
-    moments_self = supported_moments(dims, q, n, "dim")
-    moments_dual = supported_moments(dims, q, n, "dual")
+    moments_self = supported_moments(table.dim, q)
+    moments_dual = supported_moments(table.dual, q)
 
     def moment_items(exponent):
         # The dual's b-th moment is q**(2b - exponent) times the code's

@@ -10,14 +10,18 @@ Because the anticode lattice is the subset lattice of the factor set, both
 maps are tabulated over all 2^n supports, from ranks in the space's shared
 support table: alpha is half the Gram rank of the supported part, beta its
 dimension minus alpha minus that of the (isotropic) radical's part.
-This module is the one reader of that table: every loop over its supports
-and every pairing of a support with its complement (:func:`support_pairs`)
-is here, behind the budget check of :func:`support_dims`.  Profiles take
-maxima at fixed support size; generalized weights are the least sizes at
-which the per-size maxima of alpha, beta and alpha + beta reach a level, so
-:func:`invariant_table` reads both off one pass.  All the inequalities these
-satisfy (monotone steps, the Galois correspondences, and the Singleton-type
-bounds) are replayed as explicit integer checks by :func:`verify_bounds`.
+This module is the one reader of that table, behind the budget check of
+:func:`support_dims`.  The table's columns are indexed by support mask, and
+the readers run over the masks wherever the order of the supports does not
+matter.  A witness is the first failing support by size, then
+lexicographically: the order of :func:`support_pairs`, which also pairs
+each support with its complement, and of the failures :func:`support_check`
+sorts.  Profiles take maxima at fixed support size; generalized weights are
+the least sizes at which the per-size maxima of alpha, beta and
+alpha + beta reach a level, so :func:`invariant_table` reads both off one
+pass.  All the inequalities these satisfy (monotone steps, the Galois
+correspondences, and the Singleton-type bounds) are replayed as explicit
+integer checks by :func:`verify_bounds`.
 
 Extrema are taken over free-support anticodes only.  That convention is
 forced by the characterization of anticodes as free subspaces: a subspace
@@ -32,11 +36,12 @@ anticode would give 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
 from .report import CheckResult, batch, equal
-from .symplectic import SupportDims
+from .symplectic import SupportTable
 
 __all__ = [
     "alpha",
@@ -64,11 +69,11 @@ def beta(code, a: Anticode) -> int:
     return inner.isorank - rad_inner.isorank
 
 
-def support_dims(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, SupportDims]:
+def support_dims(code, budget: int = DEFAULT_BUDGET) -> SupportTable:
     """The space's shared support table, after the budget check for its scan.
 
     Every support-indexed result in the library is read from this table,
-    which is built once per space (see :class:`qsymp.symplectic.SupportDims`).
+    which is built once per space (see :class:`qsymp.symplectic.SupportTable`).
     """
     space = _space_of(code)
     check_budget(2**space.n, budget, "support scan")
@@ -78,41 +83,74 @@ def support_dims(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, SupportD
 def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[int, int]]:
     """(alpha, beta) for every support, keyed by frozen support set.
 
-    Read from the space's shared support table; the scan covers all 2^n
-    supports and is guarded by the budget on every call.
+    Read from the space's shared support table, in the order of
+    :func:`support_pairs`; the scan covers all 2^n supports and is guarded
+    by the budget on every call.
     """
-    return {s: (e.alpha, e.beta) for s, e in support_dims(code, budget).items()}
+    table = support_dims(code, budget)
+    alphas, betas = table.alpha, table.beta
+    return {frozenset(s): (alphas[m], betas[m]) for s, m, _ in support_pairs(table.n)}
 
 
-def support_pairs(dims: dict[frozenset, SupportDims]) -> list[tuple]:
-    """``(sorted support, its entry, its complement's entry)`` for every support, in table order.
+def support_pairs(n: int) -> list[tuple[list[int], int, int]]:
+    """``(sorted support, its mask, its complement's mask)`` for every support of n factors.
 
-    The table runs by size, then lexicographically, and complementation
-    reverses that order, so each support's complement is its mirror entry.
+    The supports run by size, then lexicographically: the order in which a
+    report's witness is the first failure.  That is not increasing-mask
+    order ({1, 2}, mask 6, comes after {0, 3}, mask 9), so the list is
+    built on each call rather than read off the table.
     """
-    return [(sorted(s), e, c) for (s, e), c in zip(dims.items(), reversed(dims.values()))]
+    full = (1 << n) - 1
+    bits = [1 << j for j in range(n)]
+    out = []
+    for size in range(n + 1):
+        for support, masks in zip(combinations(range(n), size), combinations(bits, size)):
+            mask = sum(masks)
+            out.append((list(support), mask, full ^ mask))
+    return out
 
 
-def supported_moments(dims: dict, q: int, n: int, field: str) -> list[int]:
-    """Sums of ``q**entry.<field>`` over the supports of each size 0..n."""
+def support_check(identity: str, lhs, rhs) -> CheckResult:
+    """:func:`batch` of ``lhs[mask] == rhs[mask]`` over two columns, read by mask.
+
+    Only the failing supports are listed, sorted by size, then
+    lexicographically, so the witness is the one :func:`support_pairs`
+    order meets first.
+    """
+    n = len(lhs).bit_length() - 1
+    fails = [
+        ([j for j in range(n) if mask >> j & 1], left, right, False)
+        for mask, (left, right) in enumerate(zip(lhs, rhs))
+        if left != right
+    ]
+    fails.sort(key=lambda item: (len(item[0]), item[0]))
+    return batch(identity, fails, key="support", checked=len(lhs))
+
+
+def supported_moments(column, q: int) -> list[int]:
+    """Sums of ``q**column[mask]`` over the supports of each size 0..n, for a table column."""
+    n = len(column).bit_length() - 1
+    powers = [q**d for d in range(max(column) + 1)]
     moments = [0] * (n + 1)
-    for supp, e in dims.items():
-        moments[len(supp)] += q ** getattr(e, field)
+    for mask, d in enumerate(column):
+        moments[mask.bit_count()] += powers[d]
     return moments
 
 
-def rank_identity_items(space, pairs: list) -> list[tuple]:
+def rank_identity_items(space, table: SupportTable, pairs: list) -> list[tuple]:
     """``duality-rank-identity`` items for :func:`batch`: C's part in S, the dual's in S-complement."""
+    dim, dual = table.dim, table.dual
     items = []
-    for s, e, c in pairs:
-        rhs = space.dim_f - 2 * (space.n - len(s)) + c.dual
-        items.append((s, e.dim, rhs, e.dim == rhs))
+    for s, m, c in pairs:
+        rhs = space.dim_f - 2 * (space.n - len(s)) + dual[c]
+        items.append((s, dim[m], rhs, dim[m] == rhs))
     return items
 
 
-def alpha_beta_items(pairs: list) -> list[tuple]:
+def alpha_beta_items(table: SupportTable, pairs: list) -> list[tuple]:
     """``alpha-le-beta`` items for :func:`batch`, one per support."""
-    return [(s, e.alpha, e.beta, e.alpha <= e.beta) for s, e, _ in pairs]
+    alphas, betas = table.alpha, table.beta
+    return [(s, alphas[m], betas[m], alphas[m] <= betas[m]) for s, m, _ in pairs]
 
 
 def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
@@ -188,15 +226,23 @@ class InvariantTable:
 
 
 def invariant_table(code, budget: int = DEFAULT_BUDGET) -> InvariantTable:
-    """Profiles and generalized weights, from one pass over the support table."""
+    """Profiles and generalized weights, from one pass over the support table's masks.
+
+    alpha + beta is the supported dimension minus the radical's, so it
+    needs no pair count.
+    """
     space = _space_of(code)
     n, k = space.n, space.sym_dim
+    table = support_dims(space, budget)
     theta, phi, both = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-    for supp, e in support_dims(space, budget).items():
-        b = len(supp)
-        theta[b] = max(theta[b], e.alpha)
-        phi[b] = max(phi[b], e.beta)
-        both[b] = max(both[b], e.alpha + e.beta)
+    for mask, (d, g, r) in enumerate(zip(table.dim, table.gram_rank, table.rad)):
+        b, a, a_b = mask.bit_count(), g >> 1, d - r
+        if a > theta[b]:
+            theta[b] = a
+        if a_b - a > phi[b]:
+            phi[b] = a_b - a
+        if a_b > both[b]:
+            both[b] = a_b
     first_reach = lambda maxima, level: next((b for b, m in enumerate(maxima) if m >= level), None)
     levels = range(1, k + 1)
     return InvariantTable(
@@ -244,7 +290,9 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     table = invariant_table(code_obj, budget)
     theta, phi = table.theta, table.phi
     vartheta, varphi, delta = table.vartheta, table.varphi, table.delta
-    pairs = support_pairs(support_dims(space, budget))
+    dims = support_dims(space, budget)
+    alphas, betas = dims.alpha, dims.beta
+    pairs = support_pairs(n)
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
     checks: list[CheckResult] = []
@@ -253,21 +301,21 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         checks.append(CheckResult(identity, passed, lhs=lhs, rhs=rhs, note=note))
 
     # Pointwise facts over every support.
-    checks.append(batch("alpha-le-beta", alpha_beta_items(pairs), key="support"))
-    checks.append(batch("duality-rank-identity", rank_identity_items(space, pairs), key="support"))
+    checks.append(batch("alpha-le-beta", alpha_beta_items(dims, pairs), key="support"))
+    checks.append(batch("duality-rank-identity", rank_identity_items(space, dims, pairs), key="support"))
 
     if self_orthogonal:
-        items = [(s, e.beta + c.alpha, k, e.beta + c.alpha == k) for s, e, c in pairs]
+        items = [(s, betas[m] + alphas[c], k, betas[m] + alphas[c] == k) for s, m, c in pairs]
         checks.append(batch("weight-complementarity", items, key="support"))
         items = []
-        for s, e, c in pairs:
-            lhs, rhs = e.beta - e.alpha, c.beta - c.alpha
+        for s, m, c in pairs:
+            lhs, rhs = betas[m] - alphas[m], betas[c] - alphas[c]
             items.append((s, lhs, rhs, lhs == rhs))
         checks.append(batch("alpha-beta-difference-complement", items, key="support"))
         if d is not None:
             items = [
-                (s, (e.alpha, e.beta), (0, 0), e.alpha == 0 and e.beta == 0)
-                for s, e, _ in pairs
+                (s, (alphas[m], betas[m]), (0, 0), alphas[m] == 0 and betas[m] == 0)
+                for s, m, _ in pairs
                 if len(s) < d
             ]
             checks.append(batch("small-support-trivial", items, key="support"))

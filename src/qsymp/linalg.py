@@ -128,6 +128,8 @@ def rref(a: Matrix, q: int) -> Matrix:
     columns with unit pivots and zeros elsewhere in pivot columns.
     """
     a = np.asarray(a, dtype=np.int64) % q
+    if not a.any():  # a zero Gram matrix (every isotropic space) skips the column loop
+        return a[:0]
     m, cols = a.shape
     r = 0
     for c in range(cols):

@@ -61,19 +61,24 @@ def equal(identity: str, lhs: Any, rhs: Any, note: str | None = None) -> CheckRe
     return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
 
 
-def batch(identity: str, items: list, key: str | None = "instance", note=None) -> CheckResult:
+def batch(
+    identity: str, items: list, key: str | None = "instance", note=None, checked: int | None = None
+) -> CheckResult:
     """One result for an identity checked on ``(tag, lhs, rhs, ok)`` items.
 
     The witness is the first failing item, its tag stored under ``key``;
-    ``key=None`` records counts only.
+    ``key=None`` records counts only.  ``checked`` counts the items checked
+    when ``items`` holds only some of them, the failing ones included.
     """
     fails = [(tag, lhs, rhs) for tag, lhs, rhs, ok in items if not ok]
     witness = None
     if fails and key is not None:
         tag, lhs, rhs = fails[0]
         witness = {key: tag, "lhs": lhs, "rhs": rhs}
+    if checked is None:
+        checked = len(items)
     return CheckResult(
-        identity, not fails, note=note, checked=len(items), failures=len(fails), witness=witness
+        identity, not fails, note=note, checked=checked, failures=len(fails), witness=witness
     )
 
 

@@ -180,9 +180,10 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 
 def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
-    pairs = iv.support_pairs(iv.support_dims(code, budget))
-    tally.add_items("duality-rank-identity", iv.rank_identity_items(code.space, pairs), tag)
-    tally.add_items("alpha-le-beta", iv.alpha_beta_items(pairs), tag)
+    table = iv.support_dims(code, budget)
+    pairs = iv.support_pairs(code.n)
+    tally.add_items("duality-rank-identity", iv.rank_identity_items(code.space, table, pairs), tag)
+    tally.add_items("alpha-le-beta", iv.alpha_beta_items(table, pairs), tag)
     _cleaning_checks(tally, code.space, tag)
 
 
@@ -319,9 +320,10 @@ def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> 
     tally.add_results(en.macwilliams_check(code, budget), tag)
     # Pair count plus isorank of a part is its dim_F; the radical's part is
     # isotropic, so its isorank is its dim_F.
+    table = iv.support_dims(code, budget)
     items = []
-    for s, e, c in iv.support_pairs(iv.support_dims(code, budget)):
-        lhs, rhs = n - len(s) - c.dim, len(s) - e.rad - space.sym_dim
+    for s, m, c in iv.support_pairs(n):
+        lhs, rhs = n - len(s) - table.dim[c], len(s) - table.rad[m] - space.sym_dim
         items.append((s, lhs, rhs, lhs == rhs))
     tally.add_items("macwilliams-dim-irk", items, tag)
     for a in ac.all_anticodes(n):

@@ -14,7 +14,8 @@ matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
 and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  Each
 subspace also carries one table over its 2^n supports, built on first use,
 from which every support-indexed invariant (alpha/beta, profiles, weights,
-moments, duality) is read.
+moments, duality) is read: a :class:`SupportTable` of four int columns
+indexed by support mask (bit j = factor j), with no per-support object.
 
 Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
@@ -92,8 +93,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -188,23 +187,30 @@ class SplitDecomposition:
         return len(self.pairs)
 
 
-class SupportDims(NamedTuple):
-    """Dimensions seen inside one support S, for a space C."""
+@dataclass(frozen=True)
+class SupportTable:
+    """Dimensions seen inside every support S, for a space C: four columns by support mask.
 
-    dim: int  # dim_F of C's part in F_S
-    gram_rank: int  # rank of the product on that part: twice its pair count
-    rad: int  # dim_F of the radical's part in F_S
-    dual: int  # dim_F of the dual's part in F_S
+    Entry ``mask`` of each column belongs to the support whose factors are
+    the set bits of ``mask`` (bit j = factor j), so the full support is the
+    last entry and a support's complement is at ``mask ^ (2**n - 1)``.
+    """
+
+    n: int
+    dim: tuple[int, ...]  # dim_F of C's part in F_S
+    gram_rank: tuple[int, ...]  # rank of the product on that part: twice its pair count
+    rad: tuple[int, ...]  # dim_F of the radical's part in F_S
+    dual: tuple[int, ...]  # dim_F of the dual's part in F_S
 
     @property
-    def alpha(self) -> int:
-        """Pair count of C's part in F_S."""
-        return self.gram_rank // 2
+    def alpha(self) -> list[int]:
+        """Pair count of C's part in each support, by mask."""
+        return [g >> 1 for g in self.gram_rank]
 
     @property
-    def beta(self) -> int:
-        """Isorank of C's part, minus the (isotropic) radical part's dimension."""
-        return self.dim - self.gram_rank // 2 - self.rad
+    def beta(self) -> list[int]:
+        """Isorank of C's part, minus the (isotropic) radical part's dimension, by mask."""
+        return [d - (g >> 1) - r for d, g, r in zip(self.dim, self.gram_rank, self.rad)]
 
 
 @cache  # field objects are immutable; one per (q, n) in use
@@ -836,8 +842,8 @@ class Subspace:
         return self.dim_f - self.sym_dim
 
     @_cached_property
-    def _support_dims(self) -> dict[frozenset, SupportDims]:
-        """:class:`SupportDims` for every support, by size then lexicographic.
+    def _support_dims(self) -> SupportTable:
+        """The :class:`SupportTable` of every support.
 
         One depth-first walk of the support lattice with no budget check of
         its own: the public entry points check the budget before reading
@@ -846,13 +852,14 @@ class Subspace:
         factor from three bases by the rules in the module docstring: a
         symplectic basis of C's part (rules (a)-(c)) and plain bases of the
         radical's and the dual's parts (rule (a)), one basis for both when
-        they are equal.  Every entry is read off the row counts carried
-        with the blocks: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
-        2 * pairs, ``rad`` and ``dual`` the plain bases' row counts.
+        they are equal.  Each visit writes the support's four slots from the
+        row counts carried with the blocks: ``dim`` = 2 * pairs + radical
+        rows, ``gram_rank`` = 2 * pairs, ``rad`` and ``dual`` the plain
+        bases' row counts.
         """
         n = self.n
         ops = self._field
-        found: dict[int, SupportDims] = {}
+        dim, gram_rank, rad_dim, dual_dim = ([0] * (1 << n) for _ in range(4))
         # The radical lies in the dual, so equal dimensions mean one plain basis serves both.
         shared = self._radical.dim_f == self._perp.dim_f
 
@@ -867,7 +874,10 @@ class Subspace:
 
         def visit(mask, below, state):
             _, n_rad, _, n_pairs, _, n_part, _, n_dual = state
-            found[mask] = SupportDims(n_rad + n_pairs, n_pairs, n_part, n_dual)
+            dim[mask] = n_rad + n_pairs
+            gram_rank[mask] = n_pairs
+            rad_dim[mask] = n_part
+            dual_dim[mask] = n_dual
             for j in range(below):
                 visit(mask ^ 1 << j, j, cut(state, j))
 
@@ -876,13 +886,8 @@ class Subspace:
         for space in (self._radical, self._perp):
             state += ops.block(ops.walk(space._rows)), space.dim_f
         visit((1 << n) - 1, n, tuple(state))
-        del visit  # it refers to itself: without this, ``found`` waits for the cycle collector
-        bits = [1 << j for j in range(n)]
-        return {
-            frozenset(support): found[sum(mask)]
-            for size in range(n + 1)
-            for support, mask in zip(combinations(range(n), size), combinations(bits, size))
-        }
+        del visit  # it refers to itself: without this, the columns wait for the cycle collector
+        return SupportTable(n, tuple(dim), tuple(gram_rank), tuple(rad_dim), tuple(dual_dim))
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank saturates the ambient bound ``n``."""

@@ -202,19 +202,18 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
 
 def test_support_pairs_pair_each_support_with_its_complement(rng):
     for q, n in ((2, 1), (3, 3), (5, 4), (2, 8)):
-        dims = support_dims(random_code(rng, q, n))
-        full = frozenset(range(n))
-        pairs = support_pairs(dims)
-        assert len(pairs) == len(dims) == 2**n
-        for (s, e, c), (supp, entry) in zip(pairs, dims.items()):
+        table = support_table(random_code(rng, q, n))
+        pairs = support_pairs(n)
+        assert len(pairs) == len(table) == 2**n
+        for (s, m, c), supp in zip(pairs, table):
             assert s == sorted(supp)
-            assert e is entry
-            assert c is dims[full - supp]
+            assert m == sum(1 << j for j in supp)
+            assert c == sum(1 << j for j in range(n) if j not in supp)
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_complementation_reverses_the_table_order(n):
-    order = list(Subspace.zero(2, n)._support_dims)
+    order = list(support_table(Subspace.zero(2, n)))
     full = frozenset(range(n))
     assert [full - s for s in order] == order[::-1]
 

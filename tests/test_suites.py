@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,10 +56,8 @@ def off_by_one_dual(monkeypatch):
     real = invariants.support_dims
 
     def wrong(code, budget=invariants.DEFAULT_BUDGET):
-        dims = dict(real(code, budget))
-        full = max(dims, key=len)
-        dims[full] = dims[full]._replace(dual=dims[full].dual + 1)
-        return dims
+        table = real(code, budget)
+        return _dual_faults(table, [range(table.n)])
 
     monkeypatch.setattr(invariants, "support_dims", wrong)
     monkeypatch.setattr(enumerators, "support_dims", wrong)
@@ -66,10 +65,10 @@ def off_by_one_dual(monkeypatch):
 
 def _dual_faults(table, supports):
     """The table with one more dual dimension than there is on each given support."""
-    table = dict(table)
+    dual = list(table.dual)
     for s in supports:
-        table[s] = table[s]._replace(dual=table[s].dual + 1)
-    return table
+        dual[sum(1 << j for j in s)] += 1
+    return replace(table, dual=tuple(dual))
 
 
 def test_witness_is_the_first_failure_by_size_then_lexicographic(monkeypatch):

@@ -461,6 +461,11 @@ def test_basis_is_immutable():
 # the support walk against literal intersections, beyond brute force
 
 
+def _mask(support) -> int:
+    """The table index of a support: bit j set for factor j."""
+    return sum(1 << j for j in support)
+
+
 def _walk_case(name: str) -> Subspace:
     rng = np.random.default_rng(20241018)
     if name == "stabilizer-q2-n8":
@@ -501,15 +506,14 @@ def test_support_walk_matches_literal_intersections(name):
     if name == "gauge-q2-n8":
         assert w.dim_f == 9 and w.radical().dim_f > 0 and w.sym_dim > 0
     dims = w._support_dims
-    anticodes = list(all_anticodes(w.n))
-    assert list(dims) == [a.support for a in anticodes]
+    columns = (dims.dim, dims.gram_rank, dims.rad, dims.dual)
+    assert dims.n == w.n and [len(col) for col in columns] == [2**w.n] * 4
     rad, dual = w.radical(), w.perp()
-    for a in anticodes:
-        inner = intersect_with_anticode(w, a)
-        entry = dims[a.support]
-        assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
-        assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
-        assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+    for a in all_anticodes(w.n):
+        inner, m = intersect_with_anticode(w, a), _mask(a.support)
+        assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
+        assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
+        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 def test_gauge_walk_outgrows_its_initial_radical_rows():
@@ -518,23 +522,24 @@ def test_gauge_walk_outgrows_its_initial_radical_rows():
     w = _walk_case("gauge-q2-n10")
     assert w.radical() != w.perp()
     dims = w._support_dims
-    start = dims[frozenset(range(w.n))]
-    assert max(e.dim - e.gram_rank for e in dims.values()) > start.dim - start.gram_rank
+    full = _mask(range(w.n))
+    radical_rows = [d - g for d, g in zip(dims.dim, dims.gram_rank)]
+    assert max(radical_rows) > radical_rows[full]
 
 
 def test_support_walk_at_twelve_factors_matches_sampled_intersections():
     w = _walk_case("stabilizer-q2-n12")
     assert w.radical() == w.perp()  # one plain basis serves both
     dims = w._support_dims
-    assert len(dims) == 2**12
+    assert [len(col) for col in (dims.dim, dims.gram_rank, dims.rad, dims.dual)] == [2**12] * 4
     rng = np.random.default_rng(12)
     rad, dual = w.radical(), w.perp()
     for _ in range(200):
         a = Anticode(12, {int(j) for j in np.nonzero(rng.integers(0, 2, 12))[0]})
-        inner, entry = intersect_with_anticode(w, a), dims[a.support]
-        assert (entry.dim, entry.gram_rank) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
-        assert entry.rad == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
-        assert entry.dual == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+        inner, m = intersect_with_anticode(w, a), _mask(a.support)
+        assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
+        assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
+        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 def test_cached_values_call_the_current_func_once(monkeypatch):
