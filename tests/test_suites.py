@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qsymp import anticodes, enumerators, invariants
-from qsymp.codes import Code, random_stabilizer_code
+from qsymp import anticodes, codes, enumerators, invariants
+from qsymp.codes import Code, random_stabilizer_code, repetition_code
 from qsymp.errors import DEFAULT_BUDGET
 from qsymp.invariants import profile_step_items
 from qsymp.report import Tally, batch
@@ -177,6 +177,73 @@ def test_failing_report_under_a_fault_is_pinned(suite, monkeypatch):
     assert report["summary"]["pass"] is False
     dumped = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(dumped).hexdigest() == digest
+
+
+def _column_faults(monkeypatch):
+    """One more radical dimension on every support holding factor 1 but not
+    factor 0, and one pair fewer on {0, 1}, in every reader of the table."""
+    real = invariants.support_dims
+
+    def wrong(code, budget=DEFAULT_BUDGET):
+        table = real(code, budget)
+        rad = [r + (mask & 3 == 2) for mask, r in enumerate(table.rad)]
+        gram_rank = [g - 2 * (mask == 3) for mask, g in enumerate(table.gram_rank)]
+        return replace(table, rad=tuple(rad), gram_rank=tuple(gram_rank))
+
+    for module in (invariants, enumerators, codes):
+        monkeypatch.setattr(module, "support_dims", wrong)
+
+
+# The failing reports of the suites that read alpha, beta or the radical
+# column, under the column faults above: sha256 as in PINNED_FAILURES.
+PINNED_COLUMN_FAULT_REPORTS = {
+    "identities": "a5f9f1720234906ad7f5f1b416540206e10618235c2386883acbaef4396f6302",
+    "stabilizer": "84a30dc0d4e2409736a2a2e4c4036a64d1deb7030ed5e785fbd2932676f0b6b9",
+    "bounds": "20ce05efd37ad9d28989e77417919da7959b432c9a7a383beac40486d6feb47b",
+    "oracle": "66ac83e2c1296ca232f9d4bc7c11468cdbba04036f47e1485a3e06eebe51d67e",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED_COLUMN_FAULT_REPORTS))
+def test_failing_report_under_a_column_fault_is_pinned(suite, monkeypatch):
+    _column_faults(monkeypatch)
+    report = run_suites(suite, seed=7)
+    assert report["summary"]["pass"] is False
+    dumped = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(dumped).hexdigest() == PINNED_COLUMN_FAULT_REPORTS[suite]
+
+
+def test_column_faults_fail_exactly_the_identities_that_read_those_columns(monkeypatch):
+    _column_faults(monkeypatch)
+    failing = {
+        check["identity"]
+        for suite in PINNED_COLUMN_FAULT_REPORTS
+        for section in run_suites(suite, seed=7)["sections"]
+        for check in section["checks"]
+        if not check["pass"]
+    }
+    per_support = {
+        "alpha-le-beta",
+        "weight-complementarity",
+        "alpha-beta-difference-complement",
+        "small-support-trivial",
+        "macwilliams-dim-irk",
+        "oracle-alpha-beta",
+    }
+    # The profiles and weights are read off the same columns.
+    read_off_the_profiles = {"profile-steps", "weights-lower-bound", "anticode-distance"}
+    assert failing == per_support | read_off_the_profiles
+
+
+def test_a_level_no_support_reaches_is_reported_as_unattained(monkeypatch):
+    # At n = 2 the fault leaves the full support one pair short of k = 1,
+    # so no support reaches alpha = 1: a wrong table, which the bound
+    # checks must report rather than raise on.
+    _column_faults(monkeypatch)
+    rep = repetition_code()
+    assert invariants.invariant_table(rep).to_dict()["vartheta"] == ["unattained"]
+    checks = invariants.verify_bounds(rep)
+    assert not all(c.passed for c in checks)
 
 
 @pytest.fixture(scope="module")
