@@ -11,17 +11,17 @@ maps are tabulated over all 2^n supports, from ranks in the space's shared
 support table: alpha is half the Gram rank of the supported part, beta its
 dimension minus alpha minus that of the (isotropic) radical's part.
 This module is the one reader of that table, behind the budget check of
-:func:`support_dims`.  The table's columns are indexed by support mask, and
-the readers run over the masks wherever the order of the supports does not
-matter.  A witness is the first failing support by size, then
-lexicographically: the order of :func:`support_pairs`, which also pairs
-each support with its complement, and of the failures :func:`support_check`
-sorts.  Profiles take maxima at fixed support size; generalized weights are
-the least sizes at which the per-size maxima of alpha, beta and
-alpha + beta reach a level, so :func:`invariant_table` reads both off one
-pass.  All the inequalities these satisfy (monotone steps, the Galois
-correspondences, and the Singleton-type bounds) are replayed as explicit
-integer checks by :func:`verify_bounds`.
+:func:`support_dims`.  The table's columns are indexed by support mask, so
+a support's complement sits at the mirrored position and the readers run
+over the masks.  Every identity over all supports is one call of
+:func:`support_check` on two columns, which alone decides its witness: the
+first failing support by size, then lexicographically.  Profiles take
+maxima at fixed support size; generalized weights are the least sizes at
+which the per-size maxima of alpha, beta and alpha + beta reach a level,
+so :func:`invariant_table` reads both off one pass.  All the inequalities
+these satisfy (monotone steps, the Galois correspondences, and the
+Singleton-type bounds) are replayed as explicit integer checks by
+:func:`verify_bounds`.
 
 Extrema are taken over free-support anticodes only.  That convention is
 forced by the characterization of anticodes as free subspaces: a subspace
@@ -36,7 +36,7 @@ anticode would give 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
@@ -47,7 +47,6 @@ __all__ = [
     "alpha",
     "beta",
     "support_dims",
-    "support_table",
     "profiles",
     "generalized_weights",
     "InvariantTable",
@@ -80,51 +79,25 @@ def support_dims(code, budget: int = DEFAULT_BUDGET) -> SupportTable:
     return space._support_dims
 
 
-def support_table(code, budget: int = DEFAULT_BUDGET) -> dict[frozenset, tuple[int, int]]:
-    """(alpha, beta) for every support, keyed by frozen support set.
+def support_check(
+    identity: str, lhs, rhs, at_most: bool = False, below: int | None = None
+) -> CheckResult:
+    """:func:`batch` of ``lhs[mask] == rhs[mask]`` over two columns indexed by support mask.
 
-    Read from the space's shared support table, in the order of
-    :func:`support_pairs`; the scan covers all 2^n supports and is guarded
-    by the budget on every call.
-    """
-    table = support_dims(code, budget)
-    alphas, betas = table.alpha, table.beta
-    return {frozenset(s): (alphas[m], betas[m]) for s, m, _ in support_pairs(table.n)}
-
-
-def support_pairs(n: int) -> list[tuple[list[int], int, int]]:
-    """``(sorted support, its mask, its complement's mask)`` for every support of n factors.
-
-    The supports run by size, then lexicographically: the order in which a
-    report's witness is the first failure.  That is not increasing-mask
-    order ({1, 2}, mask 6, comes after {0, 3}, mask 9), so the list is
-    built on each call rather than read off the table.
-    """
-    full = (1 << n) - 1
-    bits = [1 << j for j in range(n)]
-    out = []
-    for size in range(n + 1):
-        for support, masks in zip(combinations(range(n), size), combinations(bits, size)):
-            mask = sum(masks)
-            out.append((list(support), mask, full ^ mask))
-    return out
-
-
-def support_check(identity: str, lhs, rhs) -> CheckResult:
-    """:func:`batch` of ``lhs[mask] == rhs[mask]`` over two columns, read by mask.
-
-    Only the failing supports are listed, sorted by size, then
-    lexicographically, so the witness is the one :func:`support_pairs`
-    order meets first.
+    ``at_most`` checks ``<=`` instead, and ``below`` only the supports of
+    fewer factors.  Only the failing supports are listed, sorted by size,
+    then lexicographically, so the witness is the first failure in that
+    order.
     """
     n = len(lhs).bit_length() - 1
+    below = n + 1 if below is None else below
     fails = [
         ([j for j in range(n) if mask >> j & 1], left, right, False)
         for mask, (left, right) in enumerate(zip(lhs, rhs))
-        if left != right
+        if (left > right if at_most else left != right) and mask.bit_count() < below
     ]
     fails.sort(key=lambda item: (len(item[0]), item[0]))
-    return batch(identity, fails, key="support", checked=len(lhs))
+    return batch(identity, fails, key="support", checked=sum(comb(n, b) for b in range(below)))
 
 
 def supported_moments(column, q: int) -> list[int]:
@@ -137,20 +110,12 @@ def supported_moments(column, q: int) -> list[int]:
     return moments
 
 
-def rank_identity_items(space, table: SupportTable, pairs: list) -> list[tuple]:
-    """``duality-rank-identity`` items for :func:`batch`: C's part in S, the dual's in S-complement."""
-    dim, dual = table.dim, table.dual
-    items = []
-    for s, m, c in pairs:
-        rhs = space.dim_f - 2 * (space.n - len(s)) + dual[c]
-        items.append((s, dim[m], rhs, dim[m] == rhs))
-    return items
-
-
-def alpha_beta_items(table: SupportTable, pairs: list) -> list[tuple]:
-    """``alpha-le-beta`` items for :func:`batch`, one per support."""
-    alphas, betas = table.alpha, table.beta
-    return [(s, alphas[m], betas[m], alphas[m] <= betas[m]) for s, m, _ in pairs]
+def rank_identity(space, table: SupportTable) -> CheckResult:
+    """``duality-rank-identity``: C's part in each support against the dual's part in its complement."""
+    n, dim_f = space.n, space.dim_f
+    # The complement of mask m is 2^n - 1 - m, so the complements' column is the reversed column.
+    rhs = [dim_f - 2 * (n - m.bit_count()) + d for m, d in enumerate(reversed(table.dual))]
+    return support_check("duality-rank-identity", table.dim, rhs)
 
 
 def profiles(code, budget: int = DEFAULT_BUDGET) -> tuple[list[int], list[int]]:
@@ -171,10 +136,11 @@ def generalized_weights(
     size with ``alpha >= a``, with ``beta >= a``, and with
     ``alpha + beta >= 2a``.  A support of size b reaches a level iff the
     maximum over size b does, so each weight is the first size at which the
-    per-size maximum reaches the level (Wei's first-hit levels).  Entries
-    are ``None`` only if no support qualifies, which cannot happen for
-    ``a <= k`` since the full support attains ``alpha = beta = k``; the
-    sentinel is kept for defensive completeness.
+    per-size maximum reaches the level (Wei's first-hit levels).  A correct
+    table never leaves a level ``a <= k`` unreached, since the full support
+    attains ``alpha = beta = k``; an entry is ``None`` (``"unattained"`` in
+    reports) when a wrong table does, so that :func:`verify_bounds` reports
+    the fault instead of raising.
     """
     table = invariant_table(code, budget)
     return table.vartheta, table.varphi, table.delta
@@ -292,7 +258,6 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     vartheta, varphi, delta = table.vartheta, table.varphi, table.delta
     dims = support_dims(space, budget)
     alphas, betas = dims.alpha, dims.beta
-    pairs = support_pairs(n)
     d = code_obj.distance(budget)
     self_orthogonal = space.radical() == space.perp()
     checks: list[CheckResult] = []
@@ -300,25 +265,18 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     def add(identity, passed, lhs=None, rhs=None, note=None):
         checks.append(CheckResult(identity, passed, lhs=lhs, rhs=rhs, note=note))
 
-    # Pointwise facts over every support.
-    checks.append(batch("alpha-le-beta", alpha_beta_items(dims, pairs), key="support"))
-    checks.append(batch("duality-rank-identity", rank_identity_items(space, dims, pairs), key="support"))
+    # Pointwise facts over every support; the complements' columns are the reversed columns.
+    checks.append(support_check("alpha-le-beta", alphas, betas, at_most=True))
+    checks.append(rank_identity(space, dims))
 
     if self_orthogonal:
-        items = [(s, betas[m] + alphas[c], k, betas[m] + alphas[c] == k) for s, m, c in pairs]
-        checks.append(batch("weight-complementarity", items, key="support"))
-        items = []
-        for s, m, c in pairs:
-            lhs, rhs = betas[m] - alphas[m], betas[c] - alphas[c]
-            items.append((s, lhs, rhs, lhs == rhs))
-        checks.append(batch("alpha-beta-difference-complement", items, key="support"))
+        lhs = [b + a for b, a in zip(betas, reversed(alphas))]
+        checks.append(support_check("weight-complementarity", lhs, [k] * len(lhs)))
+        diff = [b - a for a, b in zip(alphas, betas)]
+        checks.append(support_check("alpha-beta-difference-complement", diff, diff[::-1]))
         if d is not None:
-            items = [
-                (s, (alphas[m], betas[m]), (0, 0), alphas[m] == 0 and betas[m] == 0)
-                for s, m, _ in pairs
-                if len(s) < d
-            ]
-            checks.append(batch("small-support-trivial", items, key="support"))
+            zero = [(0, 0)] * len(diff)
+            checks.append(support_check("small-support-trivial", list(zip(alphas, betas)), zero, below=d))
     else:
         add("weight-complementarity", True, note="skipped: radical differs from the dual (not applicable)")
 

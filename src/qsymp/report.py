@@ -97,10 +97,13 @@ class Tally:
             if entry[2] is None:
                 entry[2] = {"instance": instance, **detail}
 
-    def add_items(self, identity: str, items: list, instance: str) -> None:
-        """:meth:`add` each ``(support, lhs, rhs, ok)`` item."""
-        for tag, lhs, rhs, ok in items:
-            self.add(identity, ok, instance, support=tag, lhs=lhs, rhs=rhs)
+    def add_batch(self, result: CheckResult, instance: str) -> None:
+        """Count a :func:`batch` result's items and failures, its witness led by the instance."""
+        entry = self.counts.setdefault(result.identity, [0, 0, None])
+        entry[0] += result.checked
+        entry[1] += result.failures
+        if result.witness and entry[2] is None:
+            entry[2] = {"instance": instance, **result.witness}
 
     def add_results(self, results: list[CheckResult], instance: str) -> None:
         """Count each result once, with its own witness or else its two sides."""

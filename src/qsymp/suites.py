@@ -181,9 +181,8 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
     table = iv.support_dims(code, budget)
-    pairs = iv.support_pairs(code.n)
-    tally.add_items("duality-rank-identity", iv.rank_identity_items(code.space, table, pairs), tag)
-    tally.add_items("alpha-le-beta", iv.alpha_beta_items(table, pairs), tag)
+    tally.add_batch(iv.rank_identity(code.space, table), tag)
+    tally.add_batch(iv.support_check("alpha-le-beta", table.alpha, table.beta, at_most=True), tag)
     _cleaning_checks(tally, code.space, tag)
 
 
@@ -321,11 +320,9 @@ def _stabilizer_code_checks(tally: Tally, code: Code, tag: str, budget: int) -> 
     # Pair count plus isorank of a part is its dim_F; the radical's part is
     # isotropic, so its isorank is its dim_F.
     table = iv.support_dims(code, budget)
-    items = []
-    for s, m, c in iv.support_pairs(n):
-        lhs, rhs = n - len(s) - table.dim[c], len(s) - table.rad[m] - space.sym_dim
-        items.append((s, lhs, rhs, lhs == rhs))
-    tally.add_items("macwilliams-dim-irk", items, tag)
+    lhs = [n - m.bit_count() - d for m, d in enumerate(reversed(table.dim))]
+    rhs = [m.bit_count() - r - space.sym_dim for m, r in enumerate(table.rad)]
+    tally.add_batch(iv.support_check("macwilliams-dim-irk", lhs, rhs), tag)
     for a in ac.all_anticodes(n):
         s = sorted(a.support)
         if d is None or a.dim < d:
@@ -414,12 +411,13 @@ def _oracle_code_checks(tally: Tally, code: Code, tag: str, budget: int, support
     tally.add("oracle-moments", ok, tag)
     if supports is None:
         supports = [a.support for a in ac.all_anticodes(space.n)]
-    table = iv.support_table(code, budget)
-    items = [
-        (sorted(s), list(table[s]), list(brute), table[s] == brute)
-        for s, brute in zip(supports, oracle.brute_alpha_beta(words, supports, budget))
-    ]
-    tally.add_items("oracle-alpha-beta", items, tag)
+    table = iv.support_dims(code, budget)
+    by_mask = list(zip(table.alpha, table.beta))
+    items = []
+    for s, brute in zip(supports, oracle.brute_alpha_beta(words, supports, budget)):
+        ours = by_mask[sum(1 << j for j in s)]
+        items.append((sorted(s), list(ours), list(brute), ours == brute))
+    tally.add_batch(batch("oracle-alpha-beta", items, key="support"), tag)
     pairs, irk = oracle.brute_sym_dim_irk(words, budget)
     lhs, rhs = [space.sym_dim, space.isorank], [pairs, irk]
     tally.add("oracle-dim-irk", lhs == rhs, tag, lhs=lhs, rhs=rhs)

@@ -14,7 +14,7 @@ matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
 and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  Each
 subspace also carries one table over its 2^n supports, built on first use,
 from which every support-indexed invariant (alpha/beta, profiles, weights,
-moments, duality) is read: a :class:`SupportTable` of four int columns
+moments, duality) is read: a :class:`SupportTable` of four byte columns
 indexed by support mask (bit j = factor j), with no per-support object.
 
 Each subspace does its row algebra through one private field object,
@@ -194,13 +194,14 @@ class SupportTable:
     Entry ``mask`` of each column belongs to the support whose factors are
     the set bits of ``mask`` (bit j = factor j), so the full support is the
     last entry and a support's complement is at ``mask ^ (2**n - 1)``.
+    Every entry is at most 2n, so a column is one byte per support.
     """
 
     n: int
-    dim: tuple[int, ...]  # dim_F of C's part in F_S
-    gram_rank: tuple[int, ...]  # rank of the product on that part: twice its pair count
-    rad: tuple[int, ...]  # dim_F of the radical's part in F_S
-    dual: tuple[int, ...]  # dim_F of the dual's part in F_S
+    dim: bytes  # dim_F of C's part in F_S
+    gram_rank: bytes  # rank of the product on that part: twice its pair count
+    rad: bytes  # dim_F of the radical's part in F_S
+    dual: bytes  # dim_F of the dual's part in F_S
 
     @property
     def alpha(self) -> list[int]:
@@ -859,7 +860,7 @@ class Subspace:
         """
         n = self.n
         ops = self._field
-        dim, gram_rank, rad_dim, dual_dim = ([0] * (1 << n) for _ in range(4))
+        dim, gram_rank, rad_dim, dual_dim = (bytearray(1 << n) for _ in range(4))
         # The radical lies in the dual, so equal dimensions mean one plain basis serves both.
         shared = self._radical.dim_f == self._perp.dim_f
 
@@ -887,7 +888,7 @@ class Subspace:
             state += ops.block(ops.walk(space._rows)), space.dim_f
         visit((1 << n) - 1, n, tuple(state))
         del visit  # it refers to itself: without this, the columns wait for the cycle collector
-        return SupportTable(n, tuple(dim), tuple(gram_rank), tuple(rad_dim), tuple(dual_dim))
+        return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim), bytes(dual_dim))
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank saturates the ambient bound ``n``."""

@@ -13,9 +13,8 @@ from qsymp.invariants import (
     generalized_weights,
     invariant_table,
     profiles,
+    support_check,
     support_dims,
-    support_pairs,
-    support_table,
     verify_bounds,
 )
 from qsymp.report import batch
@@ -24,6 +23,10 @@ from qsymp.symplectic import Subspace
 
 def by_identity(checks):
     return {c.identity: c for c in checks}
+
+
+def mask_of(support):
+    return sum(1 << j for j in support)
 
 
 # ---------------------------------------------------------------------------
@@ -54,9 +57,10 @@ def test_alpha_beta_pointwise(rng):
 
 def test_support_table_matches_pointwise_maps(rng):
     code = random_code(rng, 2, 3)
-    table = support_table(code)
+    table = support_dims(code)
     for a in all_anticodes(3):
-        assert table[a.support] == (alpha(code, a), beta(code, a))
+        m = mask_of(a.support)
+        assert (table.alpha[m], table.beta[m]) == (alpha(code, a), beta(code, a))
 
 
 def test_alpha_and_beta_are_monotone_in_the_support(rng):
@@ -64,12 +68,13 @@ def test_alpha_and_beta_are_monotone_in_the_support(rng):
     for _ in range(30):
         q = int(rng.choice([2, 3, 5]))
         n = int(rng.integers(1, 5))
-        table = support_table(random_code(rng, q, n))
-        for s1, (a1, b1) in table.items():
-            for s2, (a2, b2) in table.items():
-                if s1 < s2:
-                    assert a1 <= a2
-                    assert b1 <= b2
+        table = support_dims(random_code(rng, q, n))
+        alphas, betas = table.alpha, table.beta
+        for m1 in range(1 << n):
+            for m2 in range(1 << n):
+                if m1 != m2 and m1 & m2 == m1:
+                    assert alphas[m1] <= alphas[m2]
+                    assert betas[m1] <= betas[m2]
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +107,11 @@ def test_profiles_bounded_by_support_size(rng):
     for t in range(30):
         code = random_code(rng, (2, 3, 5)[t % 3], int(rng.integers(1, 5)))
         theta, phi = profiles(code)
-        by_support = support_table(code)
+        table = support_dims(code)
         for b in range(code.n + 1):
             assert 0 <= theta[b] <= b
             assert theta[b] <= phi[b] <= b
-            sized = [ab for s, ab in by_support.items() if len(s) == b]
+            sized = [(table.alpha[m], table.beta[m]) for m in range(1 << code.n) if m.bit_count() == b]
             assert theta[b] == max(a for a, _ in sized)
             assert phi[b] == max(v for _, v in sized)
 
@@ -155,7 +160,6 @@ def test_support_scan_budget_guard(shor):
     "entry",
     [
         support_dims,
-        support_table,
         profiles,
         generalized_weights,
         invariant_table,
@@ -168,7 +172,7 @@ def test_budget_is_checked_before_the_shared_table(entry):
     # The table is cached on the space; a cached table must not let a call
     # with a smaller budget through.
     shor = shor_code()
-    support_table(shor)
+    support_dims(shor)
     with pytest.raises(BudgetExceededError) as err:
         entry(shor, budget=1)
     assert (err.value.needed, err.value.task) == (512, "support scan")
@@ -200,20 +204,31 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
         assert tuple(generalized_weights(code)) == _first_hit_weights(code)
 
 
-def test_support_pairs_pair_each_support_with_its_complement(rng):
+def test_a_complement_sits_at_the_mirrored_mask(rng):
     for q, n in ((2, 1), (3, 3), (5, 4), (2, 8)):
-        table = support_table(random_code(rng, q, n))
-        pairs = support_pairs(n)
-        assert len(pairs) == len(table) == 2**n
-        for (s, m, c), supp in zip(pairs, table):
-            assert s == sorted(supp)
-            assert m == sum(1 << j for j in supp)
-            assert c == sum(1 << j for j in range(n) if j not in supp)
+        table = support_dims(random_code(rng, q, n))
+        supports = [a.support for a in all_anticodes(n)]
+        columns = (table.dim, table.gram_rank, table.rad, table.dual)
+        assert len(supports) == 2**n and {len(column) for column in columns} == {2**n}
+        for supp in supports:
+            m, c = mask_of(supp), mask_of(j for j in range(n) if j not in supp)
+            assert c == 2**n - 1 - m
+
+
+def test_support_check_compares_by_mask_within_the_size_bound():
+    # n = 2: masks 0..3 are the supports {}, {0}, {1} and {0, 1}.
+    lhs, rhs = [0, 2, 1, 5], [0, 1, 1, 0]
+    every = support_check("x", lhs, rhs)
+    assert (every.checked, every.failures, every.witness) == (4, 2, {"support": [0], "lhs": 2, "rhs": 1})
+    small = support_check("x", lhs, rhs, below=2)
+    assert (small.checked, small.failures) == (3, 1)
+    assert support_check("x", rhs, lhs, at_most=True).passed
+    assert support_check("x", lhs, rhs, at_most=True).failures == 2
 
 
 @pytest.mark.parametrize("n", range(11))
 def test_complementation_reverses_the_table_order(n):
-    order = list(support_table(Subspace.zero(2, n)))
+    order = [a.support for a in all_anticodes(n)]
     full = frozenset(range(n))
     assert [full - s for s in order] == order[::-1]
 
@@ -361,10 +376,10 @@ def test_weight_complementarity_is_conditional(rng):
 def test_weight_complementarity_on_stabilizer_codes(rng):
     for _ in range(20):
         code = random_stabilizer_code(rng, int(rng.integers(1, 6)))
-        table = support_table(code)
-        full = frozenset(range(code.n))
-        for supp, (_, b_val) in table.items():
-            assert b_val + table[full - supp][0] == code.k
+        table = support_dims(code)
+        full = 2**code.n - 1
+        for m in range(full + 1):
+            assert table.beta[m] + table.alpha[full ^ m] == code.k
 
 
 def test_small_supports_are_trivial_below_distance(rng):
@@ -373,10 +388,10 @@ def test_small_supports_are_trivial_below_distance(rng):
         d = code.distance()
         if d is None:
             continue
-        table = support_table(code)
-        for supp, (a_val, b_val) in table.items():
-            if len(supp) < d:
-                assert (a_val, b_val) == (0, 0)
+        table = support_dims(code)
+        for m in range(2**code.n):
+            if m.bit_count() < d:
+                assert (table.alpha[m], table.beta[m]) == (0, 0)
 
 
 def test_galois_connections(rng):

@@ -11,7 +11,7 @@ from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, pu
 from qsymp.codes import Code, from_pauli, random_code, weights_from_codewords, weights_from_supports
 from qsymp.enumerators import binomial_moments, distance_from_enumerators, weight_distribution
 from qsymp.errors import BudgetExceededError
-from qsymp.invariants import alpha, beta, support_dims, support_pairs, support_table
+from qsymp.invariants import alpha, beta, support_dims
 from qsymp.oracle import (
     brute_alpha_beta,
     brute_binomial_moments,
@@ -150,17 +150,18 @@ def test_rank_route_matches_counting_route(w):
 @settings(max_examples=40, deadline=None)
 @given(w=route_spaces())
 def test_support_table_matches_oracle_and_literal_intersections(w):
-    dims, table, pairs = support_dims(w), support_table(w), support_pairs(w.n)
-    assert list(table) == [frozenset(s) for s, _, _ in pairs] == [a.support for a in all_anticodes(w.n)]
+    dims = support_dims(w)
+    supports = [a.support for a in all_anticodes(w.n)]
     rad, dual = w.radical(), w.perp()
-    brute = brute_alpha_beta(w, list(table))
-    for (_, m, _), a, pair in zip(pairs, all_anticodes(w.n), brute):
+    brute = brute_alpha_beta(w, supports)
+    for a, pair in zip(all_anticodes(w.n), brute):
+        m = sum(1 << j for j in a.support)
         inner = intersect_with_anticode(w, a)
         assert dims.dim[m] == inner.dim_f
         assert dims.gram_rank[m] == 2 * inner.orthogonal_split().pair_count
         assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f
         assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f
-        assert table[a.support] == pair
+        assert (dims.alpha[m], dims.beta[m]) == pair
 
 
 # ---------------------------------------------------------------------------

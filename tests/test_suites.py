@@ -30,12 +30,12 @@ def test_batch_counts_the_items_and_keeps_the_first_failure():
     }
 
 
-def test_tally_add_items_keeps_the_first_failing_item():
+def test_tally_add_batch_keeps_the_first_failing_item():
     first = [([0], 1, 1, True), ([1], 2, 3, False), ([0, 1], 4, 5, False)]
     second = [([2], 6, 7, False)]
     tally, one_by_one = Tally(), Tally()
-    tally.add_items("x", first, "code-a")
-    tally.add_items("x", second, "code-b")
+    tally.add_batch(batch("x", first, key="support"), "code-a")
+    tally.add_batch(batch("x", second, key="support"), "code-b")
     for instance, items in (("code-a", first), ("code-b", second)):
         for s, lhs, rhs, ok in items:
             one_by_one.add("x", ok, instance, support=s, lhs=lhs, rhs=rhs)

@@ -516,6 +516,14 @@ def test_support_walk_matches_literal_intersections(name):
         assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_support_table_columns_are_bytes_of_at_most_2n(name):
+    w = _walk_case(name)
+    dims = w._support_dims
+    for column in (dims.dim, dims.gram_rank, dims.rad, dims.dual):
+        assert type(column) is bytes and max(column) <= 2 * w.n
+
+
 def test_gauge_walk_outgrows_its_initial_radical_rows():
     # Radical and dual differ, so both plain bases are cut, and rule (b)
     # puts radical rows past the ones the walk starts with.
