@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from functools import cached_property
@@ -477,8 +478,14 @@ def _walk_case(name: str) -> Subspace:
         return random_subspace(rng, 2, 10, rows=11)
     if name == "stabilizer-q2-n12":
         return random_stabilizer_code(rng, 12).space
+    if name == "gauge-q2-n7":
+        return random_subspace(rng, 2, 7, rows=9)
     if name == "q3-n5":
         return random_subspace(rng, 3, 5, rows=6)
+    if name == "q5-n4":
+        return random_subspace(rng, 5, 4, rows=5)
+    if name == "q7-n3":
+        return random_subspace(rng, 7, 3, rows=5)
     if name == "line-q3-n1":
         return Subspace([[1, 2]], 3, 1)
     kind, q, n = name.split("-")
@@ -488,11 +495,17 @@ def _walk_case(name: str) -> Subspace:
 
 WALK_CASES = [
     "stabilizer-q2-n8",
+    "gauge-q2-n7",
     "gauge-q2-n8",
     "gauge-q2-n10",
     "q3-n5",
+    "q5-n4",
+    "q7-n3",
     "full-q2-n1",
     "line-q3-n1",
+    "zero-q2-n0",
+    "full-q2-n0",
+    "zero-q3-n0",
     "zero-q2-n6",
     "zero-q3-n4",
     "full-q2-n6",
@@ -503,8 +516,10 @@ WALK_CASES = [
 @pytest.mark.parametrize("name", WALK_CASES)
 def test_support_walk_matches_literal_intersections(name):
     w = _walk_case(name)
-    if name == "gauge-q2-n8":
+    if name in ("gauge-q2-n7", "gauge-q2-n8"):
         assert w.dim_f == 9 and w.radical().dim_f > 0 and w.sym_dim > 0
+    if name == "gauge-q2-n7":
+        assert w.radical() != w.perp()
     dims = w._support_dims
     columns = (dims.dim, dims.gram_rank, dims.rad, dims.dual)
     assert dims.n == w.n and [len(col) for col in columns] == [2**w.n] * 4
@@ -522,6 +537,35 @@ def test_support_table_columns_are_bytes_of_at_most_2n(name):
     dims = w._support_dims
     for column in (dims.dim, dims.gram_rank, dims.rad, dims.dual):
         assert type(column) is bytes and max(column) <= 2 * w.n
+
+
+# sha256 of the four columns (dim, gram_rank, rad, dual) joined, per walk
+# case, taken before the walk's cut moved into the field objects.
+PINNED_TABLES = {
+    "stabilizer-q2-n8": "a5213081dacf834bd90561936a548d60d40cf777b7775b7266cd092f9ed363ce",
+    "gauge-q2-n7": "8834cf2081db98a49ad90d7925e00f0d313a811b88bfd8b505ba534507ab65cc",
+    "gauge-q2-n8": "a73ceda1b9ef81bfcce8f9f0a4c5fdc9afa4c97afb8c92366fce5ad1ad3052bf",
+    "gauge-q2-n10": "98cd20ae13cdc4ac150f68e790dbcec017aaecac17df6bab3591209466ab7aa9",
+    "q3-n5": "1c0ab24c10d9e2e303f3b1be6c56109b1aacc186dd403410612aab5316a8b974",
+    "q5-n4": "f50651a7c7ddedb16404956f8cd9142ef2a243fbc5d734c8d67aca7bc523a53c",
+    "q7-n3": "027360babeb352c1a2e96abd16b0af7747c78e82a518899d7ad501e4df6b90ac",
+    "full-q2-n1": "59794cac235653057ff2be7696504a194045b07947eb652a4ba38ac98234bdb2",
+    "line-q3-n1": "c0da076d9d85caacc0665fe3406f33aa666182cceabbced5fe312ad45cd3c948",
+    "zero-q2-n0": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+    "full-q2-n0": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+    "zero-q3-n0": "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119",
+    "zero-q2-n6": "8526e61a1bb2161bef83df4c3895492a80a7011a066a769afb254fc769600806",
+    "zero-q3-n4": "9dce23f11fce6c6be853a65156dbb1a1c86cba11b15e55b82fd1b95c691a53bb",
+    "full-q2-n6": "0189e23f4456e8ccb85181c2cb94130c618cd9a576e55947ef3a3cc1838ac0a4",
+    "full-q3-n4": "3c4a038c7e847b4f23aa281e21a74bdac73fd1e5ff7d2d575314d8595985fea0",
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_support_table_bytes_are_pinned(name):
+    dims = _walk_case(name)._support_dims
+    joined = b"".join((dims.dim, dims.gram_rank, dims.rad, dims.dual))
+    assert hashlib.sha256(joined).hexdigest() == PINNED_TABLES[name]
 
 
 def test_gauge_walk_outgrows_its_initial_radical_rows():
