@@ -21,7 +21,7 @@ Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
 field owns the row format, the span routines, the Gram rows and radical,
-the projection onto factors and the walk's block operations, and keeps its
+the projection onto factors and the walk's ``cut``, and keeps its
 own storage in ``_rows``: over GF(2) a row is a packed Python int (bit j
 = coordinate j; adding rows is an XOR and a pivot is the lowest set bit),
 over odd q the rows are a read-only int64 matrix eliminated by
@@ -69,18 +69,18 @@ as for the normalizer of any isotropic space (every stabilizer code), one
 plain basis serves both.  So each support costs a few row operations and no
 elimination or evaluation of the product.
 
-The rules are written once, over four operations on a basis held as one
-block by the field object: ``take`` (the first row nonzero at c, scaled to
-1 there), ``clear`` (every row minus the multiple of a pivot that zeroes c,
-the pivot's own row becoming 0), ``take_pair`` (rule (b)'s u, the vector
-it clears with, and the pairs without the dropped pair) and ``put`` (one
-more radical row).  A zero row counts as absent, so the row counts travel
-beside the blocks.  Over odd q a block is a list of residue tuples.  Over
-GF(2) it is one int of 2n slots of 2n bits, slot i holding row i, so a cut
-costs a few big-int operations however many rows there are: with
-``at[c]`` the mask of bit c in every slot, ``h = B & at[c]`` marks the
-rows nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly those
-slots, clearing c from every row and zeroing p's own slot.
+Each field writes the rules in its own ``cut``, which takes the walk state
+to the support without factor j: it cuts both coordinates 2j and 2j+1 from
+the symplectic basis by rules (a)-(c) and from the plain bases by rule (a),
+cutting one plain basis when it serves both.  So a support costs one visit
+and one call of ``cut``.  A zero row counts as absent, so the row counts
+travel beside the bases.  Over odd q a basis is a list of residue tuples,
+and ``cut`` goes through row helpers.  Over GF(2) a basis is one int of 2n
+slots of 2n bits, slot i holding row i, and ``cut`` writes every rule
+inline as a few big-int operations however many rows there are: with
+``at[c]`` the mask of bit c in every slot, ``h = B & at[c]`` marks the rows
+nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly those slots,
+clearing c from every row and zeroing p's own slot.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -447,8 +447,9 @@ class _Gf2:
         """Each row v minus by_w[i] * u plus by_u[i] * w."""
         return [v ^ (u if a else 0) ^ (w if b else 0) for v, a, b in zip(rows, by_w, by_u)]
 
-    # The walk's block operations.  No walk basis holds more than 2n rows
-    # (see :meth:`put`), so 2n slots serve every block.
+    # The walk.  Rule (b) puts a radical row in the slot above the highest
+    # one, once per pair it drops, so no block reaches past its initial rows
+    # plus pairs, at most 2n: 2n slots serve every block.
 
     @_cached_property
     def at(self) -> list[int]:
@@ -470,51 +471,48 @@ class _Gf2:
         width = 2 * self.n
         return sum(r << i * width for i, r in enumerate(rows))
 
-    def take(self, block: int, c: int) -> int | None:
-        """The first row nonzero at c (a set bit is a unit already), or None."""
-        hit = block & self.at[c]
-        if not hit:
-            return None
-        return block >> (hit & -hit).bit_length() - 1 - c & self.full
+    def cut(self, state: tuple, j: int, shared: bool) -> tuple:
+        """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1, inline.
 
-    def clear(self, block: int, p: int, c: int) -> int:
-        """Every row minus the multiple of ``p`` (1 at c) that zeroes c; p's own slot becomes 0.
-
-        ``(block & at[c]) >> c`` has bit 0 set in every slot nonzero at c,
-        and multiplying it by p puts p in each of them, so one XOR clears
-        them all.
+        With ``m = at[c]``, ``h = B & m`` marks the rows nonzero at c, the
+        first of them is the pivot p (a set bit is a unit already), and
+        ``B ^ (h >> c) * p`` puts p into exactly the marked slots: it
+        clears c from every row and zeroes p's own slot.  For rule (b) the
+        marked pair slots, moved onto their partners and widened to whole
+        slots, select lambda(e_i) f_i and lambda(f_i) e_i; u is the XOR of
+        that selection, folded in halves, and goes into the slot above the
+        radical block's highest row.
         """
-        return block ^ ((block & self.at[c]) >> c) * p
-
-    def take_pair(self, pairs: int, c: int) -> tuple | None:
-        """Rule (b)'s pieces, or None: (u, the first vector nonzero at c, pairs without its pair).
-
-        The slots nonzero at c, moved onto their partners and widened to
-        whole slots, select lambda(e_i) f_i and lambda(f_i) e_i, and u is
-        the XOR of all slots of that selection, folded in halves.
-        """
-        hit = pairs & self.at[c]
-        if not hit:
-            return None
-        width, full = 2 * self.n, self.full
-        pair_starts, folds = self._pairing
-        shift = (hit & -hit).bit_length() - 1 - c
-        first = shift - shift % (2 * width)
-        hit >>= c
-        u = ((hit & pair_starts) << width | hit >> width & pair_starts) * full & pairs
-        for k in folds:
-            u ^= u >> k
-        rest = pairs & ~((full << width | full) << first)
-        return u & full, pairs >> shift & full, rest
-
-    def put(self, block: int, u: int) -> int:
-        """``block`` with ``u`` in the slot above its highest row.
-
-        Only rule (b) puts, once per pair it drops, so the radical block's
-        highest slot stays below its initial rows plus pairs, at most 2n.
-        """
-        width = 2 * self.n
-        return block | u << -(-block.bit_length() // width) * width
+        rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
+        at, full, width = self.at, self.full, 2 * self.n
+        for c in (2 * j, 2 * j + 1):
+            m = at[c]
+            if hit := rad & m:  # rule (a)
+                p = rad >> (hit & -hit).bit_length() - 1 - c & full
+                rad ^= (hit >> c) * p
+                pairs ^= ((pairs & m) >> c) * p
+                n_rad -= 1
+            elif hit := pairs & m:  # rule (b)
+                pair_starts, folds = self._pairing
+                shift = (hit & -hit).bit_length() - 1 - c
+                p = pairs >> shift & full
+                hit >>= c
+                u = ((hit & pair_starts) << width | hit >> width & pair_starts) * full & pairs
+                for k in folds:
+                    u ^= u >> k
+                rad |= (u & full) << -(-rad.bit_length() // width) * width
+                pairs &= ~((full << width | full) << shift - shift % (2 * width))
+                pairs ^= ((pairs & m) >> c) * p
+                n_rad, n_pairs = n_rad + 1, n_pairs - 2
+            if hit := part & m:
+                part ^= (hit >> c) * (part >> (hit & -hit).bit_length() - 1 - c & full)
+                n_part -= 1
+            if not shared and (hit := dual & m):
+                dual ^= (hit >> c) * (dual >> (hit & -hit).bit_length() - 1 - c & full)
+                n_dual -= 1
+        if shared:
+            dual, n_dual = part, n_part
+        return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
 
 
 class _Odd:
@@ -613,9 +611,32 @@ class _Odd:
             for v, a, b in zip(rows, by_w, by_u)
         ]
 
-    # The walk's block operations.
+    # The walk.
 
     block = staticmethod(list)
+
+    def cut(self, state: tuple, j: int, shared: bool) -> tuple:
+        """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1."""
+        rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
+        take, clear = self.take, self.clear
+        for c in (2 * j, 2 * j + 1):
+            p = take(rad, c)
+            if p is not None:  # rule (a)
+                rad, n_rad, pairs = clear(rad, p, c), n_rad - 1, clear(pairs, p, c)
+            else:
+                taken = self.take_pair(pairs, c)
+                if taken is not None:  # rule (b)
+                    u, p, pairs = taken
+                    rad, n_rad, pairs, n_pairs = rad + [u], n_rad + 1, clear(pairs, p, c), n_pairs - 2
+            p = take(part, c)
+            if p is not None:
+                part, n_part = clear(part, p, c), n_part - 1
+            p = None if shared else take(dual, c)
+            if p is not None:
+                dual, n_dual = clear(dual, p, c), n_dual - 1
+        if shared:
+            dual, n_dual = part, n_part
+        return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
 
     def take(self, rows: list, c: int) -> tuple | None:
         """The first row nonzero at c, scaled to 1 there, or None."""
@@ -644,10 +665,6 @@ class _Odd:
         i -= i % 2
         return tuple(x % q for x in u), self.scale(p, p[c]), pairs[:i] + pairs[i + 2 :]
 
-    @staticmethod
-    def put(rows: list, u: tuple) -> list:
-        return rows + [u]
-
 
 def _gram_schmidt(ops, rows) -> tuple[list, list]:
     """One symplectic Gram-Schmidt pass: (radical rows, flat pairs e_1, f_1, ...).
@@ -672,26 +689,6 @@ def _gram_schmidt(ops, rows) -> tuple[list, list]:
         pairs += (u, w)
         rest = ops.combine(rest, u, ops.forms(rest, w), w, by_u)
     return rad, pairs
-
-
-def _cut_plain(ops, block, count: int, c: int) -> tuple:
-    """Rule (a) on a plain basis of ``count`` rows: (its part where coordinate c is 0, rows)."""
-    p = ops.take(block, c)
-    if p is None:
-        return block, count
-    return ops.clear(block, p, c), count - 1
-
-
-def _cut_symplectic(ops, rad, n_rad: int, pairs, n_pairs: int, c: int) -> tuple:
-    """Rules (a)-(c) on a symplectic basis: (radical rows, their count, pairs, flat count)."""
-    p = ops.take(rad, c)
-    if p is not None:
-        return ops.clear(rad, p, c), n_rad - 1, ops.clear(pairs, p, c), n_pairs
-    taken = ops.take_pair(pairs, c)
-    if taken is None:
-        return rad, n_rad, pairs, n_pairs
-    u, p, pairs = taken
-    return ops.put(rad, u), n_rad + 1, ops.clear(pairs, p, c), n_pairs - 2
 
 
 class Subspace:
@@ -849,14 +846,14 @@ class Subspace:
         One depth-first walk of the support lattice with no budget check of
         its own: the public entry points check the budget before reading
         it.  The walk removes factors in decreasing order, so it reaches
-        every support once, and cuts the two coordinates of each removed
-        factor from three bases by the rules in the module docstring: a
-        symplectic basis of C's part (rules (a)-(c)) and plain bases of the
-        radical's and the dual's parts (rule (a)), one basis for both when
-        they are equal.  Each visit writes the support's four slots from the
-        row counts carried with the blocks: ``dim`` = 2 * pairs + radical
-        rows, ``gram_rank`` = 2 * pairs, ``rad`` and ``dual`` the plain
-        bases' row counts.
+        every support once, and reaches each by one call of the field's
+        ``cut``, which cuts the removed factor from three bases by the rules
+        in the module docstring: a symplectic basis of C's part (rules
+        (a)-(c)) and plain bases of the radical's and the dual's parts (rule
+        (a)), one basis for both when they are equal.  Each visit writes the
+        support's four slots from the row counts carried with the bases:
+        ``dim`` = 2 * pairs + radical rows, ``gram_rank`` = 2 * pairs,
+        ``rad`` and ``dual`` the plain bases' row counts.
         """
         n = self.n
         ops = self._field
@@ -864,14 +861,7 @@ class Subspace:
         # The radical lies in the dual, so equal dimensions mean one plain basis serves both.
         shared = self._radical.dim_f == self._perp.dim_f
 
-        def cut(state, j):
-            """The state on the support without factor j: both its coordinates cut."""
-            rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
-            for c in (2 * j, 2 * j + 1):
-                rad, n_rad, pairs, n_pairs = _cut_symplectic(ops, rad, n_rad, pairs, n_pairs, c)
-                part, n_part = _cut_plain(ops, part, n_part, c)
-                dual, n_dual = (part, n_part) if shared else _cut_plain(ops, dual, n_dual, c)
-            return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
+        cut = ops.cut  # one lookup per table, not per support
 
         def visit(mask, below, state):
             _, n_rad, _, n_pairs, _, n_part, _, n_dual = state
@@ -880,7 +870,7 @@ class Subspace:
             rad_dim[mask] = n_part
             dual_dim[mask] = n_dual
             for j in range(below):
-                visit(mask ^ 1 << j, j, cut(state, j))
+                visit(mask ^ 1 << j, j, cut(state, j, shared))
 
         rad, pairs = self._split
         state = [ops.block(rad), len(rad), ops.block(pairs), len(pairs)]

@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -566,6 +567,35 @@ def test_support_table_bytes_are_pinned(name):
     dims = _walk_case(name)._support_dims
     joined = b"".join((dims.dim, dims.gram_rank, dims.rad, dims.dual))
     assert hashlib.sha256(joined).hexdigest() == PINNED_TABLES[name]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_walk_cuts_once_per_support_below_the_full_one(monkeypatch, q):
+    w = random_subspace(np.random.default_rng(q), q, 6, rows=7)
+    field = type(w._field)
+    real, calls = field.cut, []
+    monkeypatch.setattr(field, "cut", lambda *args: calls.append(args) or real(*args))
+    w._support_dims
+    assert len(calls) == 2**6 - 1
+
+
+def test_binary_walk_calls_nothing_per_support_but_visit_and_cut():
+    # At q=2 the rules run inline in the field's cut: no call layer below it.
+    w = random_subspace(np.random.default_rng(2), 2, 8, rows=9)
+    w._split, w._radical, w._perp
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        w._support_dims
+    finally:
+        sys.setprofile(None)
+    assert (seen.pop("visit"), seen.pop("cut")) == (2**8, 2**8 - 1)
+    assert max(seen.values()) < 2**8 - 1, seen
 
 
 def test_gauge_walk_outgrows_its_initial_radical_rows():
