@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense import vanishing_part
+
 from qsymp import anticodes
 from qsymp.anticodes import (
     Anticode,
@@ -20,7 +22,6 @@ from qsymp.codes import (
     repetition_code,
     shor_stabilizer_rows,
 )
-from qsymp.linalg import vanishing_part
 from qsymp.oracle import brute_codeword_set
 from qsymp.suites import all_subspaces
 from qsymp.symplectic import Subspace, _Gf2, hamming_weight

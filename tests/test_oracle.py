@@ -185,18 +185,25 @@ def test_weight_routes_match_counting_route(w):
 
 
 # ---------------------------------------------------------------------------
-# every packed GF(2) operation against literal codeword sets
+# every packed operation against literal codeword sets
 
 
 @st.composite
-def binary_pairs(draw):
-    """Two spans of drawn rows over F_2 on the same n <= 3 factors."""
-    n = draw(st.integers(1, 3))
+def field_pairs(draw):
+    """Two spans of drawn rows over F_q, q in {2, 3, 5, 7}, on the same n <= 3 factors.
+
+    The ambient space has at most 5**6 vectors (n <= 2 at q=7), and the row
+    counts keep every codeword set, and every sum of two words, to a few
+    thousand words.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 2 if q == 7 else 3))
+    most = min(2 * n, {2: 6, 3: 4, 5: 3, 7: 2}[q])
 
     def space():
-        rows = draw(st.integers(0, 2 * n))
-        cells = draw(st.lists(st.integers(0, 1), min_size=rows * 2 * n, max_size=rows * 2 * n))
-        return Subspace(np.array(cells, dtype=np.int64).reshape(rows, 2 * n), 2, n)
+        rows = draw(st.integers(0, most))
+        cells = draw(st.lists(st.integers(0, q - 1), min_size=rows * 2 * n, max_size=rows * 2 * n))
+        return Subspace(np.array(cells, dtype=np.int64).reshape(rows, 2 * n), q, n)
 
     return space(), space(), frozenset(draw(st.sets(st.integers(0, n - 1))))
 
@@ -213,23 +220,27 @@ def _project(v, support):
     return tuple(x for j in sorted(support) for x in v[2 * j : 2 * j + 2])
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=binary_pairs())
+@settings(max_examples=80, deadline=None)
+@given(case=field_pairs())
+@example(case=(Subspace([[1, 2, 0, 1]], 3, 2), Subspace([[2, 1, 1, 0], [0, 1, 2, 2]], 3, 2), frozenset({1})))
+@example(case=(Subspace([[1, 0, 3, 0, 4, 2]], 5, 3), Subspace([[0, 1, 4, 0, 0, 4]], 5, 3), frozenset({0, 2})))
 def test_packed_operations_match_codeword_sets(case):
     a, b, support = case
-    n = a.n
+    q, n = a.q, a.n
     words_a, words_b = brute_codeword_set(a), brute_codeword_set(b)
-    ambient = set(product(range(2), repeat=2 * n))
-    sums = {tuple((x + y) % 2 for x, y in zip(u, v)) for u in words_a for v in words_b}
+    ambient = set(product(range(q), repeat=2 * n))
+    sums = {tuple((x + y) % q for x, y in zip(u, v)) for u in words_a for v in words_b}
     assert brute_codeword_set(a + b) == sums
     assert brute_codeword_set(a & b) == words_a & words_b
-    assert brute_codeword_set(a.perp()) == {
-        v for v in ambient if all(_orthogonal(u, v) for u in words_a)
-    }
+    perp = {v for v in ambient if all(_orthogonal(u, v, q) for u in words_a)}
+    assert brute_codeword_set(a.perp()) == perp
     assert brute_codeword_set(a.radical()) == {
-        v for v in words_a if all(_orthogonal(u, v) for u in words_a)
+        v for v in words_a if all(_orthogonal(u, v, q) for u in words_a)
     }
-    assert {v for v in ambient if v in a} == words_a
+    # Past a few thousand vectors, membership is asked of every word named
+    # above: the words of both spaces, their sums and the complement.
+    asked = ambient if len(ambient) <= 4096 else words_a | words_b | sums | perp
+    assert {v for v in asked if v in a} == words_a & asked
     assert a.contains_space(b) == (words_b <= words_a)
     anticode = Anticode(n, support)
     inner = {v for v in words_a if _inside(v, support)}

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense
+from dense import in_row_space
+
 import qsymp
 
-from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
+from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
 from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace, vector_to_pauli
 from qsymp.errors import DimensionMismatchError
-from qsymp.linalg import in_row_space
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
@@ -400,6 +402,39 @@ def test_largest_field_is_exact_at_one_factor():
     assert w.sym_dim == 1
 
 
+@pytest.mark.parametrize("q, n", [(2**31 - 1, 1), (65521, 4)])
+def test_widest_lanes_match_the_dense_route(q, n):
+    # The largest prime of the one-factor range, and a 16-bit prime on four
+    # factors, with entries drawn half from the extremes 0, 1, q - 2, q - 1.
+    rng = np.random.default_rng(n)
+    extremes = np.array([0, 1, q - 2, q - 1], dtype=np.int64)
+
+    def rows(count):
+        drawn = rng.integers(0, q, size=(count, 2 * n))
+        return np.where(rng.integers(0, 2, size=drawn.shape) == 1, drawn, rng.choice(extremes, drawn.shape))
+
+    spaces = [Subspace(rows(count), q, n) for count in sorted({1, 2, n + 1, 2 * n - 1})]
+    for a in spaces:
+        A = a.basis
+        assert a._field.unpack(a._gram_rows, a.dim_f).tolist() == dense.gram(A, q).tolist()
+        assert 2 * a.sym_dim == dense.rref(dense.gram(A, q), q).shape[0]
+        assert a.perp().basis.tolist() == dense.perp(A, q).tolist()
+        assert a.radical().basis.tolist() == dense.radical(A, q).tolist()
+        dims = a._support_dims
+        assert [dims.dim, dims.gram_rank, dims.rad, dims.dual] == dense.support_table(A, q, n)
+        for mask in range(1 << n):
+            factors = [j for j in range(n) if mask >> j & 1]
+            anticode = Anticode(n, factors)
+            inner = dense.vanishing_part(A, dense.outside_columns(n, factors), q)
+            assert puncture(a, anticode).basis.tolist() == dense.rref(dense.project(A, factors), q).tolist()
+            assert shorten(a, anticode).basis.tolist() == dense.project(inner, factors).tolist()
+        for b in spaces:
+            B = b.basis
+            assert (a + b).basis.tolist() == dense.space_sum(A, B, q).tolist()
+            assert (a & b).basis.tolist() == dense.meet(A, B, q).tolist()
+            assert a.contains_space(b) == all(dense.in_row_space(A, v, q) for v in B)
+
+
 @pytest.mark.parametrize("q, n", [(2**31 - 1, 2), (2147483659, 1)])
 def test_fields_beyond_the_range_are_rejected(q, n):
     with pytest.raises(ValueError, match="supported range"):
@@ -481,6 +516,9 @@ def _walk_case(name: str) -> Subspace:
         return random_stabilizer_code(rng, 12).space
     if name == "gauge-q2-n7":
         return random_subspace(rng, 2, 7, rows=9)
+    if name == "gauge-q3-n8":
+        # radical and dual differ, and rule (b) outgrows the initial radical rows
+        return random_subspace(rng, 3, 8, rows=11)
     if name == "q3-n5":
         return random_subspace(rng, 3, 5, rows=6)
     if name == "q5-n4":
@@ -499,6 +537,7 @@ WALK_CASES = [
     "gauge-q2-n7",
     "gauge-q2-n8",
     "gauge-q2-n10",
+    "gauge-q3-n8",
     "q3-n5",
     "q5-n4",
     "q7-n3",
@@ -519,9 +558,13 @@ def test_support_walk_matches_literal_intersections(name):
     w = _walk_case(name)
     if name in ("gauge-q2-n7", "gauge-q2-n8"):
         assert w.dim_f == 9 and w.radical().dim_f > 0 and w.sym_dim > 0
-    if name == "gauge-q2-n7":
+    if name in ("gauge-q2-n7", "gauge-q3-n8"):
         assert w.radical() != w.perp()
     dims = w._support_dims
+    if name == "gauge-q3-n8":
+        # rule (b) puts radical rows past the ones the walk starts with
+        radical_rows = [d - g for d, g in zip(dims.dim, dims.gram_rank)]
+        assert max(radical_rows) > radical_rows[-1]
     columns = (dims.dim, dims.gram_rank, dims.rad, dims.dual)
     assert dims.n == w.n and [len(col) for col in columns] == [2**w.n] * 4
     rad, dual = w.radical(), w.perp()
@@ -541,12 +584,14 @@ def test_support_table_columns_are_bytes_of_at_most_2n(name):
 
 
 # sha256 of the four columns (dim, gram_rank, rad, dual) joined, per walk
-# case, taken before the walk's cut moved into the field objects.
+# case, taken before the walk's cut moved into the field objects
+# (gauge-q3-n8: before the odd-q rows became residue lanes).
 PINNED_TABLES = {
     "stabilizer-q2-n8": "a5213081dacf834bd90561936a548d60d40cf777b7775b7266cd092f9ed363ce",
     "gauge-q2-n7": "8834cf2081db98a49ad90d7925e00f0d313a811b88bfd8b505ba534507ab65cc",
     "gauge-q2-n8": "a73ceda1b9ef81bfcce8f9f0a4c5fdc9afa4c97afb8c92366fce5ad1ad3052bf",
     "gauge-q2-n10": "98cd20ae13cdc4ac150f68e790dbcec017aaecac17df6bab3591209466ab7aa9",
+    "gauge-q3-n8": "2b41c17e2e7e667360f157c56561143d899bf60c7879a8e3e433af718bdd58af",
     "q3-n5": "1c0ab24c10d9e2e303f3b1be6c56109b1aacc186dd403410612aab5316a8b974",
     "q5-n4": "f50651a7c7ddedb16404956f8cd9142ef2a243fbc5d734c8d67aca7bc523a53c",
     "q7-n3": "027360babeb352c1a2e96abd16b0af7747c78e82a518899d7ad501e4df6b90ac",
@@ -567,6 +612,29 @@ def test_support_table_bytes_are_pinned(name):
     dims = _walk_case(name)._support_dims
     joined = b"".join((dims.dim, dims.gram_rank, dims.rad, dims.dual))
     assert hashlib.sha256(joined).hexdigest() == PINNED_TABLES[name]
+
+
+@st.composite
+def odd_spaces(draw):
+    """Span of up to 2n + 1 drawn rows over F_q, q in {3, 5, 7}, on n <= 6 factors."""
+    q = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, 2 * n + 1))
+    cells = rows * 2 * n
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
+    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(w=odd_spaces())
+def test_odd_support_walk_matches_literal_intersections(w):
+    dims = w._support_dims
+    rad, dual = w.radical(), w.perp()
+    for a in all_anticodes(w.n):
+        inner, m = intersect_with_anticode(w, a), _mask(a.support)
+        assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
+        assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
+        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 @pytest.mark.parametrize("q", [2, 3])
