@@ -87,8 +87,8 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
 
     Equivalent to intersecting with the materialized free subspace, but
     read off the canonical basis as its vanishing part on the coordinates
-    outside the support, with no re-elimination of the basis (see
-    :func:`~qsymp.linalg.vanishing_part`).
+    outside the support, with no re-elimination of the basis (the field
+    object's ``vanishing_part``).
     """
     _check_factors(space, a)
     outside = [j for j in range(a.n) if j not in a.support]
@@ -186,9 +186,8 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     usable rows of ``radical_rows`` (default: the canonical radical basis).
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
-    of that choice.  The field object makes the choice (``transversal``):
-    at q=2 from a packed echelon, at odd q from one elimination with the
-    rows as columns.
+    of that choice.  The field object makes the choice (``transversal``)
+    from an echelon of packed rows.
     """
     space = _space_of(code)
     rad = space.radical()

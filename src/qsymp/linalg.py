@@ -1,33 +1,12 @@
-"""Exact linear algebra over prime fields.
+"""Caller values as exact matrices over prime fields, and the matrix text format.
 
 Matrices are dense row-major numpy ``int64`` arrays with entries reduced
-modulo a prime ``q``.  A subspace is always represented by the reduced row
-echelon form of a spanning set with zero rows dropped, so two spanning sets
-generate the same subspace iff their canonical forms are byte-identical.
-Elimination is deterministic: pivots are chosen as the first usable row in
-the first nonzero column, scanning left to right.
-
-These are the dense routines, one per question: canonical form
-(:func:`rref`), kernel (:func:`kernel`), the span's vectors that are zero
-on given columns (:func:`vanishing_part`) and membership
-(:func:`in_row_space`).  Over odd q a :class:`~qsymp.symplectic.Subspace`
-reaches them through its field object; over GF(2) its field object answers
-the same questions on word-packed rows (see :mod:`qsymp.symplectic`).
-
-The vanishing part and membership take a canonical basis and use its
-structure.  A vanishing part never re-eliminates the basis: a row whose
-pivot is a given column cannot take part, and the others are already
-reduced against each other, so it costs at most min(rows with their pivot
-elsewhere, non-pivot given columns) pivots instead of dim_F.
-
-A sum is the canonical form of the stacked rows.  An intersection is a
-vanishing part (Zassenhaus): the rows ``(x, x)`` for x in A and ``(y, 0)``
-for y in B span the vectors ``(u + v, u)`` with u in A and v in B; where
-the first half vanishes, u = -v lies in both, and the second halves of
-that vanishing part are the intersection's canonical basis.  At odd q the
-stacked rows are put in canonical form first, which is the one
-elimination an intersection costs; the packed pass at q=2 needs no
-elimination first.
+modulo a prime ``q``.  :func:`as_matrix` is the one converter of caller
+values, :func:`checked_order` admits a field order, and
+:func:`matrix_to_text` / :func:`matrix_from_text` read and write the text
+format.  Elimination is not done here: a :class:`~qsymp.symplectic.Subspace`
+answers every span question through its field object, on packed rows (see
+:mod:`qsymp.symplectic`).
 """
 
 from __future__ import annotations
@@ -119,100 +98,6 @@ def as_vector(v, q: int | None) -> np.ndarray:
     if np.ndim(v) != 1:
         raise DimensionMismatchError(f"expected one vector, got an array of ndim {np.ndim(v)}")
     return as_matrix(v, q, cols=0).reshape(-1)
-
-
-def rref(a: Matrix, q: int) -> Matrix:
-    """Reduced row echelon form with zero rows removed (the canonical form).
-
-    Row space is preserved; output rows have strictly increasing pivot
-    columns with unit pivots and zeros elsewhere in pivot columns.
-    """
-    a = np.asarray(a, dtype=np.int64) % q
-    if not a.any():  # a zero Gram matrix (every isotropic space) skips the column loop
-        return a[:0]
-    m, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == m:
-            break
-        piv = None
-        for i in range(r, m):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), q - 2, q)
-        if inv != 1:
-            a[r] = (a[r] * inv) % q
-        hits = np.nonzero(a[:, c])[0]
-        hits = hits[hits != r]
-        if hits.size:
-            a[hits] = (a[hits] - np.outer(a[hits, c], a[r])) % q
-        r += 1
-    return a[:r]
-
-
-def pivot_columns(rref_matrix: Matrix) -> list[int]:
-    """Pivot column of each row of a matrix already in canonical form."""
-    return np.argmax(rref_matrix != 0, axis=1).tolist() if rref_matrix.shape[0] else []
-
-
-def kernel(a: Matrix, q: int) -> Matrix:
-    """Basis of the right null space, one vector per row.
-
-    Uses the free-variable convention: each free column contributes one
-    basis vector with a 1 in that column.  Satisfies
-    ``rref(a).shape[0] + kernel(a).shape[0] == a.shape[1]``.
-    """
-    n = a.shape[1]
-    r = rref(a, q)
-    piv = pivot_columns(r)
-    pivset = set(piv)
-    free = [j for j in range(n) if j not in pivset]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, piv] = (-r[:, free].T) % q
-    return out
-
-
-def vanishing_part(basis: Matrix, cols: list[int], q: int) -> Matrix:
-    """Canonical basis of the row space's vectors that are zero on every column in ``cols``.
-
-    ``basis`` must be canonical (:func:`rref`).  A row whose pivot is in
-    ``cols`` cannot take part, since its pivot column is zero in every other
-    row.  The other rows B_I are already reduced against each other, so the
-    part is c B_I for c in the kernel of the transposed restriction of B_I
-    to the non-pivot columns of ``cols``.  That kernel is eliminated with
-    the rows of B_I reversed, as :attr:`Subspace._perp
-    <qsymp.symplectic.Subspace._perp>` does with its columns: each vector
-    then leads with its own free row and is zero on the others, so the
-    combinations, and with them the part, come out canonical.  The cost is
-    at most min(|I|, non-pivot columns of ``cols``) pivots, not dim_F.
-    """
-    first = set(cols)
-    rows = basis[[p not in first for p in pivot_columns(basis)]]
-    restricted = rows[:, cols]
-    restricted = restricted[:, restricted.any(axis=0)]
-    if not restricted.size:
-        return rows
-    coeffs = kernel(restricted.T[:, ::-1], q)[::-1, ::-1]
-    return (coeffs @ rows) % q
-
-
-def in_row_space(basis: Matrix, v, q: int) -> bool:
-    """Membership test against a canonical (rref) basis."""
-    v = as_vector(v, q)
-    if basis.shape[1] != v.shape[0]:
-        raise DimensionMismatchError(
-            f"vector of length {v.shape[0]} against basis with {basis.shape[1]} columns"
-        )
-    for i, p in enumerate(pivot_columns(basis)):
-        if v[p]:
-            v = (v - v[p] * basis[i]) % q
-    return not v.any()
 
 
 def matrix_to_text(a: Matrix, q: int) -> str:

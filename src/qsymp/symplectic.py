@@ -21,13 +21,18 @@ Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
 field owns the row format, the span routines, the Gram rows and radical,
-the projection onto factors and the walk's ``cut``, and keeps its
-own storage in ``_rows``: over GF(2) a row is a packed Python int (bit j
-= coordinate j; adding rows is an XOR and a pivot is the lowest set bit),
-over odd q the rows are a read-only int64 matrix eliminated by
-:mod:`qsymp.linalg`.  Results that an operation returns in canonical form
-(sums, intersections, anticode parts) are stored with no second
-elimination.
+the projection onto factors and the walk's ``cut``, and keeps its own
+storage in ``_rows``.  Both fields hold a row as one Python int of 2n
+lanes, lane c holding coordinate c: one bit per lane over GF(2), where
+adding rows is an XOR and a pivot is the lowest set bit, and a residue of
+8, 16 or 32 bits per lane over odd q, where rows are added lane by lane
+with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
+nonzero lane.  Both run the same span routines on those rows: echelon
+insertion for the canonical form, the vanishing part read from the highest
+pivot down, Zassenhaus intersection with no elimination first, the
+free-column kernel, projection by shift and mask, and the transversal from
+an echelon.  Results that an operation returns in canonical form (sums,
+intersections, anticode parts) are stored with no second elimination.
 
 Both fields read the product through a swap of the two coordinates of
 every factor, which turns it into a plain dot product: at q=2 <u, v> is
@@ -74,13 +79,15 @@ to the support without factor j: it cuts both coordinates 2j and 2j+1 from
 the symplectic basis by rules (a)-(c) and from the plain bases by rule (a),
 cutting one plain basis when it serves both.  So a support costs one visit
 and one call of ``cut``.  A zero row counts as absent, so the row counts
-travel beside the bases.  Over odd q a basis is a list of residue tuples,
-and ``cut`` goes through row helpers.  Over GF(2) a basis is one int of 2n
-slots of 2n bits, slot i holding row i, and ``cut`` writes every rule
-inline as a few big-int operations however many rows there are: with
-``at[c]`` the mask of bit c in every slot, ``h = B & at[c]`` marks the rows
-nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly those slots,
-clearing c from every row and zeroing p's own slot.
+travel beside the bases.  A basis is one block int of 2n slots of one row
+each, slot i holding row i, and ``cut`` writes every rule inline as a few
+big-int operations on the whole block, however many rows there are.  Over
+GF(2), with ``at[c]`` the mask of bit c in every slot, ``h = B & at[c]``
+marks the rows nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly
+those slots, clearing c from every row and zeroing p's own slot.  Over odd
+q the values at c of every slot are read with one shift and mask, and the
+multiples of the pivot that clear them are added bit by bit of those
+values, one lane addition on the block per bit of q - 1.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -97,17 +104,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import (
-    Matrix,
-    as_matrix,
-    as_vector,
-    checked_order,
-    in_row_space,
-    kernel,
-    pivot_columns,
-    rref,
-    vanishing_part,
-)
+from .linalg import Matrix, as_matrix, as_vector, checked_order
 
 Vector = np.ndarray
 
@@ -230,18 +227,87 @@ def _set_bits(v: int) -> list[int]:
     return out
 
 
-class _Gf2:
+class _Packed:
+    """What both fields share: a row is a Python int of 2n lanes of ``b`` bits, lane c = coordinate c.
+
+    A walk basis is one block int of 2n slots of one row each, slot i
+    holding row i (an empty slot is 0); a pairs block holds e_i in slot 2i
+    and f_i in slot 2i + 1.
+    """
+
+    b = 1  # bits per lane
+
+    def __init__(self, n: int):
+        self.n = n
+        self.slot = 2 * n * self.b  # the bits of one row: one walk slot
+        self.coords = self.columns(range(n))  # bit 0 of every lane of a row
+
+    freeze = walk = key = staticmethod(tuple)  # the stored tuple serves walk and hashing
+
+    def columns(self, factors) -> int:
+        """The bottom bit of each lane of the factors' coordinates."""
+        pair = 1 | 1 << self.b
+        return sum(pair << 2 * j * self.b for j in factors)
+
+    def sum(self, a: tuple, b: tuple) -> list[int]:
+        return self.canonical(a + b)
+
+    def intersect(self, a: tuple, b: tuple) -> list[int]:
+        """The Zassenhaus part, with no elimination first.
+
+        B's rows are independent, so none of them clears, and the second
+        halves are A's canonical rows and zeros: taken from the last row up,
+        each part row's second half is a row of A plus rows of A of higher
+        pivot, so the part comes out canonical.
+        """
+        width = self.slot
+        joint = [x | x << width for x in a] + list(b)  # rows on 2n factors
+        return [r >> width for r in _field(self.q, 2 * self.n).vanishing_part(joint, self.coords)]
+
+    def perp(self, rows: tuple) -> list[int]:
+        return self.kernel([self.swap(b) for b in rows], 2 * self.n)
+
+    def project(self, rows, factors: tuple[int, ...]) -> list[int]:
+        """The rows on the given factors, not re-eliminated: a shift and mask per run of factors."""
+        runs: list[list[int]] = []  # [first factor, its position in factors, length]
+        for i, j in enumerate(factors):
+            if runs and runs[-1][0] + runs[-1][2] == j:
+                runs[-1][2] += 1
+            else:
+                runs.append([j, i, 1])
+        lane = 2 * self.b
+        moves = [(j * lane, (1 << length * lane) - 1, i * lane) for j, i, length in runs]
+        out = []
+        for r in rows:
+            v = 0
+            for shift_in, mask, shift_out in moves:
+                v |= (r >> shift_in & mask) << shift_out
+            out.append(v)
+        return out
+
+    def block(self, rows) -> int:
+        """Walk rows as one block: row i in slot i."""
+        return sum(r << i * self.slot for i, r in enumerate(rows))
+
+    @_cached_property
+    def _pairing(self) -> tuple[int, list[int]]:
+        """(bit 0 of every e slot, the shifts that fold 2n slots into one)."""
+        width = self.slot
+        span = 1 << (2 * self.n - 1).bit_length()  # 2n rounded up to a power of 2
+        folds = [width * (span >> k) for k in range(1, span.bit_length())]
+        return sum(1 << 2 * i * width for i in range(self.n)), folds
+
+
+class _Gf2(_Packed):
     """GF(2) on n factors: a row is a Python int with bit j = coordinate j.
 
-    A walk basis is one block int of 2n slots of 2n bits, slot i holding row
-    i (an empty slot is 0); a pairs block holds e_i in slot 2i and f_i in
-    slot 2i + 1.
+    Adding rows is an XOR, and a pivot is the lowest set bit.
     """
 
     q = 2
 
     def __init__(self, n: int):
-        self.n = n
+        super().__init__(n)
         self.even = (4**n - 1) // 3  # bits 0, 2, ..., 2n - 2: the x coordinates
         self.full = (1 << 2 * n) - 1  # one walk slot
 
@@ -260,13 +326,6 @@ class _Gf2:
         buf = b"".join(x.to_bytes(nbytes, "little") for x in rows)
         bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
         return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
-
-    freeze = walk = key = staticmethod(tuple)  # the stored tuple serves walk and hashing
-
-    @staticmethod
-    def columns(factors) -> int:
-        """The mask of the factors' coordinates."""
-        return sum(3 << 2 * j for j in factors)
 
     @staticmethod
     def canonical(rows) -> list[int]:
@@ -297,6 +356,21 @@ class _Gf2:
                 x ^= bit
             basis[low] = r
         return [basis[low] for low in order]
+
+    @staticmethod
+    def rank(rows) -> int:
+        """The dimension of the span: the insertion of :meth:`canonical` alone."""
+        basis: dict[int, int] = {}
+        pivots = 0
+        for r in rows:
+            x = r & pivots
+            while x:
+                r ^= basis[x & -x]
+                x = r & pivots
+            if r:
+                basis[r & -r] = r
+                pivots |= r & -r
+        return len(basis)
 
     @staticmethod
     def contains(rows, v: int) -> bool:
@@ -347,21 +421,6 @@ class _Gf2:
                 part.append(r)
         return part[::-1]
 
-    def sum(self, a: tuple, b: tuple) -> list[int]:
-        return self.canonical(a + b)
-
-    def intersect(self, a: tuple, b: tuple) -> list[int]:
-        """The Zassenhaus part, with no elimination first.
-
-        B's rows are independent, so none of them clears, and the second
-        halves are A's canonical rows and zeros: taken from the last row up,
-        each part row's second half is a row of A plus rows of A of higher
-        pivot, so the part comes out canonical.
-        """
-        width = 2 * self.n
-        joint = [x | x << width for x in a] + list(b)
-        return [r >> width for r in self.vanishing_part(joint, (1 << width) - 1)]
-
     def gram(self, rows: tuple) -> list[int]:
         """The Gram matrix rows packed, bit j of row i = <b_i, b_j>.
 
@@ -383,9 +442,6 @@ class _Gf2:
             gram.append(g)
         return gram
 
-    def perp(self, rows: tuple) -> list[int]:
-        return self.kernel([self.swap(b) for b in rows], 2 * self.n)
-
     def radical(self, rows: tuple, gram: list[int]) -> list[int]:
         """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
         out = []
@@ -395,24 +451,6 @@ class _Gf2:
                 v ^= rows[j]
             out.append(v)
         return self.canonical(out)
-
-    @staticmethod
-    def project(rows, factors: tuple[int, ...]) -> list[int]:
-        """The rows on the given factors, not re-eliminated: a shift and mask per run of factors."""
-        runs: list[list[int]] = []  # [first factor, its position in factors, length]
-        for i, j in enumerate(factors):
-            if runs and runs[-1][0] + runs[-1][2] == j:
-                runs[-1][2] += 1
-            else:
-                runs.append([j, i, 1])
-        moves = [(2 * j, (1 << 2 * length) - 1, 2 * i) for j, i, length in runs]
-        out = []
-        for r in rows:
-            v = 0
-            for shift_in, mask, shift_out in moves:
-                v |= (r >> shift_in & mask) << shift_out
-            out.append(v)
-        return out
 
     def transversal(self, parts: tuple, rows) -> list[int]:
         """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
@@ -458,19 +496,6 @@ class _Gf2:
         starts = sum(1 << i * width for i in range(width))
         return [starts << c for c in range(width)]
 
-    @_cached_property
-    def _pairing(self) -> tuple[int, list[int]]:
-        """(bit 0 of every e slot, the shifts that fold 2n slots into one)."""
-        width = 2 * self.n
-        span = 1 << (width - 1).bit_length()  # 2n rounded up to a power of 2
-        folds = [width * (span >> k) for k in range(1, span.bit_length())]
-        return sum(1 << 2 * i * width for i in range(self.n)), folds
-
-    def block(self, rows) -> int:
-        """Walk rows as one block: row i in slot i."""
-        width = 2 * self.n
-        return sum(r << i * width for i, r in enumerate(rows))
-
     def cut(self, state: tuple, j: int, shared: bool) -> tuple:
         """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1, inline.
 
@@ -515,155 +540,357 @@ class _Gf2:
         return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
 
 
-class _Odd:
-    """F_q for odd q on n factors: the rows are a read-only int64 matrix.
+class _Odd(_Packed):
+    """F_q for odd q on n factors: a row is a Python int of 2n residue lanes.
 
-    The span routines are the dense ones of :mod:`qsymp.linalg`.  A walk
-    basis is a list of residue tuples (``walk``, then ``block``), a pairs
-    block the flat list e_1, f_1, ...: int64 walk rows were 2.6-4.1x slower.
+    A lane is the smallest of 8, 16 or 32 bits that holds 2q - 1, so the
+    rows are also little-endian arrays of unsigned ints, packed and
+    unpacked by numpy.  Rows are added lane by lane with no carry between
+    lanes (SWAR: SIMD within a register): ``s = x + y``, then
+    ``s - (s + H >> t & one) * q``, where every lane of ``H`` holds
+    ``2**t - q`` with ``t = b - 1``, subtracts q from exactly the lanes of
+    s that are at least q, since those carry into the lane's top bit.  With
+    x and y reduced, the largest value a lane holds is ``2q - 2`` in s and
+    ``2**t + q - 2 < 2**b`` in ``s + H``; every q in the supported range
+    has ``q < 2**31``, so 32-bit lanes serve all of them.  Likewise
+    ``s + N >> t & one``, with ``2**t - 1`` in every lane of ``N``, has bit
+    0 of exactly the nonzero lanes set, and a pivot is the lowest of them.
+
+    A pivot row p is held as its doublings ``[p, 2p, 4p, ...]``, one per
+    bit of q - 1, so adding a p to a row takes one lane addition per set
+    bit of a.  The span routines are those of :class:`_Gf2`, with that
+    addition in place of XOR.
     """
 
     def __init__(self, q: int, n: int):
-        self.q, self.n = q, n
+        self.q, self.b = q, 8 if q < 1 << 7 else 16 if q < 1 << 15 else 32
+        super().__init__(n)
+        self.t = self.b - 1
+        self.dtype = np.dtype(f"<u{self.b // 8}")
+        self.mask = (1 << self.b) - 1  # one lane
+        # Constants of a whole row: a constant longer than a row would leave
+        # the row's missing lanes at 0, a shorter one would skip its top lanes.
+        self.one = ((1 << self.slot) - 1) // self.mask
+        self.h = ((1 << self.t) - q) * self.one
+        self.nz = (self.mask >> 1) * self.one  # 2**t - 1 in every lane
+        self.even = sum(self.mask << 2 * i * self.b for i in range(n))  # the x lanes
+        self.bits = range((q - 1).bit_length())  # the bits of a residue
 
-    pack = staticmethod(np.asarray)  # int64 rows are the format
+    def pack(self, a: Matrix) -> list[int]:
+        """The rows of an int64 matrix, reduced mod q, as lane ints."""
+        a = np.asarray(a) % self.q
+        width = a.shape[1] * self.dtype.itemsize
+        data = a.astype(self.dtype).tobytes()
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width or 1)]
 
-    @staticmethod
-    def unpack(rows, cols: int) -> Matrix:
-        """The matrix itself, or the walk's tuples as a matrix with ``cols`` columns."""
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), cols)
+    def unpack(self, rows, cols: int) -> Matrix:
+        """The inverse of :meth:`pack`: an int64 matrix with ``cols`` columns."""
+        width = cols * self.dtype.itemsize
+        buf = b"".join(x.to_bytes(width, "little") for x in rows)
+        return np.frombuffer(buf, dtype=self.dtype).reshape(len(rows), cols).astype(np.int64)
 
-    @staticmethod
-    def freeze(rows: Matrix) -> Matrix:
-        rows.setflags(write=False)
-        return rows
+    def _doublings(self, p: int) -> list[int]:
+        """[p, 2p, 4p, ...], one per bit of q - 1."""
+        h, t, one, q = self.h, self.t, self.one, self.q
+        out = [p]
+        for _ in self.bits[1:]:
+            p += p
+            p -= (p + h >> t & one) * q
+            out.append(p)
+        return out
 
-    @staticmethod
-    def walk(rows: Matrix) -> tuple:
-        return tuple(map(tuple, rows.tolist()))
+    def _plus(self, r: int, a: int, doublings: list[int]) -> int:
+        """r + a p, for a residue a and the doublings of p."""
+        h, t, one, q = self.h, self.t, self.one, self.q
+        for d in doublings:
+            if a & 1:
+                r += d
+                r -= (r + h >> t & one) * q
+            a >>= 1
+            if not a:
+                break
+        return r
 
-    key = staticmethod(np.ndarray.tobytes)  # canonical rows on 2n columns: equal iff equal bytes
+    def _pivot(self, r: int, bit: int) -> tuple[int, list[int]]:
+        """(1 / r's value in the lane whose bit 0 is ``bit``, the doublings of r): a pivot row."""
+        return pow(r >> bit.bit_length() - 1 & self.mask, -1, self.q), self._doublings(r)
 
-    @staticmethod
-    def columns(factors) -> list[int]:
-        """The columns of the factors' coordinates, in factor order."""
-        return [c for j in factors for c in (2 * j, 2 * j + 1)]
+    def _lanes(self, r: int) -> int:
+        """Bit 0 of every nonzero lane of r."""
+        return r + self.nz >> self.t & self.one
 
-    def canonical(self, rows: Matrix) -> Matrix:
-        return rref(rows, self.q)
+    def _reduce(self, r: int, basis: dict, mask: int) -> int:
+        """r cleared at its masked nonzero lanes, lowest first, up to the first that keys no pivot row.
 
-    def contains(self, rows: Matrix, v) -> bool:
-        return in_row_space(rows, v, self.q)
+        ``basis`` maps the bit 0 of a lane to a pivot row p nonzero there
+        (see :meth:`_pivot`); the lane, holding v, is cleared by adding
+        -v / p[lane] times p.
+        """
+        q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
+        x = r + nz >> t & one & mask
+        while x and (bit := x & -x) in basis:
+            inverse, doublings = basis[bit]
+            a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
+            for d in doublings:
+                if a & 1:
+                    r += d
+                    r -= (r + h >> t & one) * q
+                a >>= 1
+            x = r + nz >> t & one & mask
+        return r
 
-    def vanishing_part(self, rows: Matrix, cols: list[int]) -> Matrix:
-        return vanishing_part(rows, cols, self.q)
+    def _echelon(self, rows, top: bool = False) -> dict:
+        """The rows inserted one at a time into a basis of pivot rows keyed by pivot lane.
 
-    def sum(self, a: Matrix, b: Matrix) -> Matrix:
-        return rref(np.vstack([a, b]), self.q)
+        A row's pivot is its lowest nonzero lane, or its highest with
+        ``top``; each insert first clears the pivot lanes it meets, from the
+        pivot end inward, so that a clear only adds lanes past the one it
+        clears.  Rows are not reduced against later pivots.
+        """
+        q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
+        basis: dict[int, tuple[int, list[int]]] = {}
+        pivots = 0
+        for r in rows:
+            x = r + nz >> t & one & pivots
+            while x:
+                bit = 1 << x.bit_length() - 1 if top else x & -x
+                inverse, doublings = basis[bit]
+                a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
+                for d in doublings:
+                    if a & 1:
+                        r += d
+                        r -= (r + h >> t & one) * q
+                    a >>= 1
+                x = r + nz >> t & one & pivots
+            if r:
+                x = r + nz >> t & one
+                bit = 1 << x.bit_length() - 1 if top else x & -x
+                basis[bit] = self._pivot(r, bit)
+                pivots |= bit
+        return basis
 
-    def intersect(self, a: Matrix, b: Matrix) -> Matrix:
-        """The Zassenhaus rows are put in canonical form first: one elimination."""
-        width = 2 * self.n
-        joint = rref(np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])]), self.q)
-        return vanishing_part(joint, list(range(width)), self.q)[:, width:]
+    def _reduced(self, basis: dict, top: bool = False) -> list[int]:
+        """The echelon's rows by pivot, each cleared at every other pivot and scaled to 1 at its own.
 
-    def gram(self, rows: Matrix) -> Matrix:
-        return (_swap(rows, self.q) @ rows.T) % self.q
+        A row meets only pivots on the far side of its own, above it (or
+        below it, with ``top``), so those rows are reduced first.
+        """
+        order = sorted(basis)
+        pivots = sum(order)
+        for bit in order if top else order[::-1]:
+            inverse, doublings = basis[bit]
+            if self._lanes(doublings[0]) & pivots ^ bit:
+                basis[bit] = inverse, self._doublings(self._reduce(doublings[0], basis, pivots ^ bit))
+        return [self._plus(0, *basis[bit]) for bit in order]
 
-    def perp(self, rows: Matrix) -> Matrix:
-        # With the columns eliminated in reverse order, each free-variable
-        # kernel vector leads with its own free column and is zero on the
-        # others, so the basis read back in the original order is canonical.
-        return kernel(_swap(rows, self.q)[:, ::-1], self.q)[::-1, ::-1].copy()
+    def canonical(self, rows) -> list[int]:
+        """Canonical form of lane rows: the insertion and reduction of :meth:`_Gf2.canonical`."""
+        return self._reduced(self._echelon(rows))
 
-    def radical(self, rows: Matrix, gram: Matrix) -> Matrix:
+    def rank(self, rows) -> int:
+        """The dimension of the span: the insertion of :meth:`canonical` alone."""
+        return len(self._echelon(rows))
+
+    def contains(self, rows, v: int) -> bool:
+        """Whether ``v`` lies in the span of canonical ``rows``."""
+        for r in rows:
+            x = self._lanes(r)
+            v = self._reduce(v, {x & -x: (1, self._doublings(r))}, x & -x)
+        return not v
+
+    def kernel(self, rows, cols: int) -> list[int]:
+        """Canonical basis of the vectors orthogonal to every row (plain dot product).
+
+        The rows are reduced with each pivot at its row's highest nonzero
+        lane.  The free-column vector of a free lane c is then 1 at c, zero
+        at every other free lane, and nonzero elsewhere only at pivots,
+        which lie above c: read by c, the vectors are canonical as they
+        stand.  They are written as one int64 matrix and packed.
+        """
+        basis = self._echelon(rows, top=True)
+        reduced = self.unpack(self._reduced(basis, top=True), cols)
+        tops = [(bit.bit_length() - 1) // self.b for bit in sorted(basis)]
+        free = sorted(set(range(cols)).difference(tops))
+        out = np.zeros((len(free), cols), dtype=np.int64)
+        out[np.arange(len(free)), free] = 1
+        out[:, tops] = -reduced[:, free].T
+        return self.pack(out)
+
+    def vanishing_part(self, rows, mask: int) -> list[int]:
+        """Canonical basis of the span's vectors that are zero on every lane of ``mask``.
+
+        The pass of :meth:`_Gf2.vanishing_part`, with a pivot row kept for
+        the lowest masked lane of each row that does not clear.
+        """
+        pivots: dict[int, tuple[int, list[int]]] = {}
+        part = []
+        for r in reversed(rows):
+            r = self._reduce(r, pivots, mask)
+            if x := self._lanes(r) & mask:
+                pivots[x & -x] = self._pivot(r, x & -x)
+            else:
+                part.append(r)
+        return part[::-1]
+
+    def gram(self, rows: tuple) -> list[int]:
+        """The Gram matrix swap(B) B^T as lane rows, from one int64 product (exact in range)."""
+        basis = self.unpack(rows, 2 * self.n)
+        return self.pack(_swap(basis, self.q) @ basis.T)
+
+    def radical(self, rows: tuple, gram: list[int]) -> list[int]:
         """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
-        return rref((kernel(gram, self.q) @ rows) % self.q, self.q)
+        b, mask = self.b, self.mask
+        doublings = [self._doublings(r) for r in rows]
+        out = []
+        for c in self.kernel(gram, len(rows)):
+            v = 0
+            for j, d in enumerate(doublings):
+                v = self._plus(v, c >> j * b & mask, d)
+            out.append(v)
+        return self.canonical(out)
 
-    def project(self, rows: Matrix, factors: tuple[int, ...]) -> Matrix:
-        """The rows on the given factors, not re-eliminated."""
-        return rows[:, self.columns(factors)]
+    def transversal(self, parts: tuple, rows) -> list[int]:
+        """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
+        echelon: dict[int, list[int]] = {}
+        chosen = []
+        for i, r in enumerate([*parts, *rows]):
+            if x := self._reduce(r, echelon, self.coords):
+                low = self._lanes(x) & -self._lanes(x)
+                echelon[low] = self._pivot(x, low)
+                if i >= len(parts):
+                    chosen.append(r)
+        return self.canonical(chosen)
 
-    def transversal(self, parts: Matrix, rows: Matrix) -> Matrix:
-        """Canonical span of the earliest rows that extend ``parts``: the pivots past the parts."""
-        pivots = pivot_columns(rref(np.vstack([parts, rows]).T, self.q))
-        return rref(rows[[p - len(parts) for p in pivots if p >= len(parts)]], self.q)
+    def swap(self, v: int) -> int:
+        """v with (x_i, z_i) mapped to (-z_i, x_i) on every factor: swap(u) . v = <u, v>."""
+        z = self.q * self.one & self.even  # q in every x lane, minus z_i
+        z -= v >> self.b & self.even
+        z -= (z + self.h >> self.t & self.one) * self.q
+        return z | (v & self.even) << self.b
 
-    def forms(self, rows: list, u: tuple) -> list:
-        """The products <v, u> for v in rows."""
-        ux, uz = u[0::2], u[1::2]
-        return [
-            (sum(map(int.__mul__, v[0::2], uz)) - sum(map(int.__mul__, v[1::2], ux))) % self.q
-            for v in rows
-        ]
+    def forms(self, rows: list, u: int) -> list:
+        """The products <v, u> for v in rows, from one int64 product (exact in range)."""
+        if not rows:
+            return []
+        su = self.unpack([self.swap(u)], 2 * self.n)[0]  # swap(u) . v = <u, v> = -<v, u>
+        return (-(self.unpack(rows, 2 * self.n) @ su) % self.q).tolist()
 
-    def scale(self, v: tuple, c: int) -> tuple:
-        """v divided by the (nonzero) scalar c."""
-        q = self.q
-        inv = pow(c % q, q - 2, q)
-        return tuple(a * inv % q for a in v)
+    def scale(self, p: int, c: int) -> int:
+        """p divided by the (nonzero) scalar c."""
+        return self._plus(0, pow(c % self.q, -1, self.q), self._doublings(p))
 
-    def combine(self, rows: list, u: tuple, by_w: list, w: tuple, by_u: list) -> list:
+    def combine(self, rows: list, u: int, by_w: list, w: int, by_u: list) -> list:
         """Each row v minus by_w[i] * u plus by_u[i] * w."""
-        q = self.q
-        return [
-            tuple((x - a * y + b * z) % q for x, y, z in zip(v, u, w)) if a or b else v
-            for v, a, b in zip(rows, by_w, by_u)
-        ]
+        q, plus = self.q, self._plus
+        du, dw = self._doublings(u), self._doublings(w)
+        return [plus(plus(v, -a % q, du), b, dw) for v, a, b in zip(rows, by_w, by_u)]
 
-    # The walk.
+    # The walk.  A slot is one row of 2n lanes, and the block operations
+    # below run on every slot at once, with lane constants of 2n slots.
 
-    block = staticmethod(list)
+    @_cached_property
+    def _slots(self) -> tuple[int, int, int, int, int]:
+        """(bit 0 of every block lane, the block's H, lane 0 of every slot, bit 0 of every slot, one slot)."""
+        one = ((1 << 2 * self.n * self.slot) - 1) // self.mask
+        starts = sum(1 << i * self.slot for i in range(2 * self.n))
+        full = (1 << self.slot) - 1
+        return one, ((1 << self.t) - self.q) * one, starts * self.mask, starts, full
 
     def cut(self, state: tuple, j: int, shared: bool) -> tuple:
-        """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1."""
+        """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1, inline.
+
+        ``B >> c * b & low`` holds, in lane 0 of each slot i, the value v_i
+        of row i at c.  The pivot p, the first row nonzero at c, is scaled
+        to d = -p / p[c], and adding v_i d to every slot i clears c from
+        every row and zeroes p's own slot: bit k of every v_i at once,
+        spread to whole slots by a multiplication with 2^k d, costs one
+        lane addition per bit.  For rule (b), the coefficients of u,
+        lambda(e_i) on slot 2i + 1 and -lambda(f_i) on slot 2i, select the
+        doublings of the pairs block bit by bit; the selection is summed,
+        folded in halves, and goes into the slot above the radical block's
+        highest row.
+        """
         rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
-        take, clear = self.take, self.clear
+        q, b, t, mask, slot, bits = self.q, self.b, self.t, self.mask, self.slot, self.bits
+        h, one, last = self.h, self.one, self.bits[-1]
+        block_one, block_h, low, starts, full = self._slots
         for c in (2 * j, 2 * j + 1):
-            p = take(rad, c)
-            if p is not None:  # rule (a)
-                rad, n_rad, pairs = clear(rad, p, c), n_rad - 1, clear(pairs, p, c)
+            at = c * b
+            if v_rad := rad >> at & low:  # rule (a)
+                sym, v_sym, v_pairs = rad, v_rad, pairs >> at & low
+                n_rad -= 1
+            elif v_sym := pairs >> at & low:  # rule (b)
+                pair_starts, folds = self._pairing
+                e_low = pair_starts * mask
+                coef = (v_sym & e_low) << slot | q * pair_starts - (v_sym >> slot & e_low)
+                coef -= (coef + block_h >> t & block_one) * q
+                u, x = 0, pairs
+                for k in bits:
+                    if sel := coef >> k & starts:
+                        u += x & sel * full
+                        u -= (u + block_h >> t & block_one) * q
+                    x += x
+                    x -= (x + block_h >> t & block_one) * q
+                for k in folds:
+                    u += u >> k
+                    u -= (u + block_h >> t & block_one) * q
+                rad |= (u & full) << -(-rad.bit_length() // slot) * slot
+                sym, i = pairs, (v_sym & -v_sym).bit_length() - 1
+                pairs &= ~((full << slot | full) << i - i % (2 * slot))
+                v_pairs = pairs >> at & low
+                n_rad, n_pairs = n_rad + 1, n_pairs - 2
             else:
-                taken = self.take_pair(pairs, c)
-                if taken is not None:  # rule (b)
-                    u, p, pairs = taken
-                    rad, n_rad, pairs, n_pairs = rad + [u], n_rad + 1, clear(pairs, p, c), n_pairs - 2
-            p = take(part, c)
-            if p is not None:
-                part, n_part = clear(part, p, c), n_part - 1
-            p = None if shared else take(dual, c)
-            if p is not None:
-                dual, n_dual = clear(dual, p, c), n_dual - 1
+                sym = v_pairs = 0
+            if v_part := part >> at & low:
+                n_part -= 1
+            if v_dual := 0 if shared else dual >> at & low:
+                n_dual -= 1
+            ds = []  # d for the symplectic basis, the part's and the dual's
+            for block, v in ((sym, v_sym), (part, v_part), (dual, v_dual)):
+                d = 0
+                if v:
+                    i = (v & -v).bit_length() - 1
+                    i -= i % slot
+                    p = block >> i & full
+                    a = q - pow(v >> i & mask, -1, q)
+                    while True:  # d = a p
+                        if a & 1:
+                            d += p
+                            d -= (d + h >> t & one) * q
+                        a >>= 1
+                        if not a:
+                            break
+                        p += p
+                        p -= (p + h >> t & one) * q
+                ds.append(d)
+            d, d_part, d_dual = ds
+            for k in bits:  # every block plus v d, bit k of the v at a time
+                if sel := v_rad >> k & starts:
+                    rad += sel * d
+                    rad -= (rad + block_h >> t & block_one) * q
+                if sel := v_pairs >> k & starts:
+                    pairs += sel * d
+                    pairs -= (pairs + block_h >> t & block_one) * q
+                if sel := v_part >> k & starts:
+                    part += sel * d_part
+                    part -= (part + block_h >> t & block_one) * q
+                if sel := v_dual >> k & starts:
+                    dual += sel * d_dual
+                    dual -= (dual + block_h >> t & block_one) * q
+                if k == last:
+                    break
+                if d:
+                    d += d
+                    d -= (d + h >> t & one) * q
+                if d_part:
+                    d_part += d_part
+                    d_part -= (d_part + h >> t & one) * q
+                if d_dual:
+                    d_dual += d_dual
+                    d_dual -= (d_dual + h >> t & one) * q
         if shared:
             dual, n_dual = part, n_part
         return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
-
-    def take(self, rows: list, c: int) -> tuple | None:
-        """The first row nonzero at c, scaled to 1 there, or None."""
-        for r in rows:
-            if r[c]:
-                return self.scale(r, r[c])
-        return None
-
-    def clear(self, rows: list, p: tuple, c: int) -> list:
-        """Every row minus the multiple of ``p`` (1 at c) that zeroes c; p's own row becomes 0."""
-        q = self.q
-        return [tuple((a - r[c] * b) % q for a, b in zip(r, p)) if r[c] else r for r in rows]
-
-    def take_pair(self, pairs: list, c: int) -> tuple | None:
-        """Rule (b)'s pieces, or None: (u, the first vector nonzero at c, pairs without its pair)."""
-        for i, p in enumerate(pairs):
-            if p[c]:
-                break
-        else:
-            return None
-        q = self.q
-        u = [0] * len(p)
-        for e, f in zip(pairs[0::2], pairs[1::2]):
-            if e[c] or f[c]:
-                u = [x + e[c] * b - f[c] * a for x, a, b in zip(u, e, f)]
-        i -= i % 2
-        return tuple(x % q for x in u), self.scale(p, p[c]), pairs[:i] + pairs[i + 2 :]
 
 
 def _gram_schmidt(ops, rows) -> tuple[list, list]:
@@ -712,7 +939,7 @@ class Subspace:
         if n is not None and 2 * n != basis.shape[1]:
             raise DimensionMismatchError(f"expected {n} factors, rows have {basis.shape[1] // 2}")
         n = basis.shape[1] // 2
-        field = _field(checked_order(q, n), n)  # pack (q=2) or rref (odd q) reduces mod q
+        field = _field(checked_order(q, n), n)  # pack reduces mod q
         self._set(field, field.canonical(field.pack(basis)))
 
     def _set(self, field, canonical) -> None:
@@ -780,7 +1007,7 @@ class Subspace:
         return Subspace._canonical(self._field, self._field.sum(self._rows, other._rows))
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """The intersection: the Zassenhaus rows' vanishing part (see :mod:`qsymp.linalg`)."""
+        """The intersection: the Zassenhaus rows' vanishing part (see ``_Packed.intersect``)."""
         self._check_compatible(other)
         return Subspace._canonical(self._field, self._field.intersect(self._rows, other._rows))
 
@@ -832,7 +1059,7 @@ class Subspace:
     @_cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
-        return len(self._field.canonical(self._gram_rows)) // 2
+        return self._field.rank(self._gram_rows) // 2
 
     @_cached_property
     def isorank(self) -> int:

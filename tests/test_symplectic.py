@@ -666,6 +666,25 @@ def test_binary_walk_calls_nothing_per_support_but_visit_and_cut():
     assert max(seen.values()) < 2**8 - 1, seen
 
 
+def test_odd_walk_calls_nothing_per_support_but_visit_and_cut():
+    # At odd q too the rules run inline in the field's cut, on whole blocks of lanes.
+    w = random_subspace(np.random.default_rng(3), 3, 8, rows=9)
+    w._split, w._radical, w._perp
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        w._support_dims
+    finally:
+        sys.setprofile(None)
+    assert (seen.pop("visit"), seen.pop("cut")) == (2**8, 2**8 - 1)
+    assert max(seen.values()) < 2**8 - 1, seen
+
+
 def test_gauge_walk_outgrows_its_initial_radical_rows():
     # Radical and dual differ, so both plain bases are cut, and rule (b)
     # puts radical rows past the ones the walk starts with.
