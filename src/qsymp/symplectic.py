@@ -252,6 +252,9 @@ class _Packed:
     def sum(self, a: tuple, b: tuple) -> list[int]:
         return self.canonical(a + b)
 
+    def rank(self, rows) -> int:
+        return len(self.canonical(rows))
+
     def intersect(self, a: tuple, b: tuple) -> list[int]:
         """The Zassenhaus part, with no elimination first.
 
@@ -356,21 +359,6 @@ class _Gf2(_Packed):
                 x ^= bit
             basis[low] = r
         return [basis[low] for low in order]
-
-    @staticmethod
-    def rank(rows) -> int:
-        """The dimension of the span: the insertion of :meth:`canonical` alone."""
-        basis: dict[int, int] = {}
-        pivots = 0
-        for r in rows:
-            x = r & pivots
-            while x:
-                r ^= basis[x & -x]
-                x = r & pivots
-            if r:
-                basis[r & -r] = r
-                pivots |= r & -r
-        return len(basis)
 
     @staticmethod
     def contains(rows, v: int) -> bool:
@@ -543,8 +531,8 @@ class _Gf2(_Packed):
 class _Odd(_Packed):
     """F_q for odd q on n factors: a row is a Python int of 2n residue lanes.
 
-    A lane is the smallest of 8, 16 or 32 bits that holds 2q - 1, so the
-    rows are also little-endian arrays of unsigned ints, packed and
+    A lane has b bits, the smallest of 8, 16 or 32 with ``q < 2**(b - 1)``,
+    so the rows are also little-endian arrays of unsigned ints, packed and
     unpacked by numpy.  Rows are added lane by lane with no carry between
     lanes (SWAR: SIMD within a register): ``s = x + y``, then
     ``s - (s + H >> t & one) * q``, where every lane of ``H`` holds
@@ -619,16 +607,17 @@ class _Odd(_Packed):
         """Bit 0 of every nonzero lane of r."""
         return r + self.nz >> self.t & self.one
 
-    def _reduce(self, r: int, basis: dict, mask: int) -> int:
-        """r cleared at its masked nonzero lanes, lowest first, up to the first that keys no pivot row.
+    def _reduce(self, r: int, basis: dict, mask: int, top: bool = False) -> int:
+        """r cleared at its masked nonzero lanes, up to the first that keys no pivot row.
 
         ``basis`` maps the bit 0 of a lane to a pivot row p nonzero there
         (see :meth:`_pivot`); the lane, holding v, is cleared by adding
-        -v / p[lane] times p.
+        -v / p[lane] times p.  Lanes are cleared lowest first, or highest
+        first with ``top``.
         """
         q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
         x = r + nz >> t & one & mask
-        while x and (bit := x & -x) in basis:
+        while x and (bit := 1 << x.bit_length() - 1 if top else x & -x) in basis:
             inverse, doublings = basis[bit]
             a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
             for d in doublings:
@@ -643,27 +632,15 @@ class _Odd(_Packed):
         """The rows inserted one at a time into a basis of pivot rows keyed by pivot lane.
 
         A row's pivot is its lowest nonzero lane, or its highest with
-        ``top``; each insert first clears the pivot lanes it meets, from the
-        pivot end inward, so that a clear only adds lanes past the one it
-        clears.  Rows are not reduced against later pivots.
+        ``top``.  Each insert first clears the pivot lanes it meets from
+        that end inward, so a clear only adds lanes past the one it clears.
+        Rows are not reduced against later pivots.
         """
-        q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
         basis: dict[int, tuple[int, list[int]]] = {}
         pivots = 0
         for r in rows:
-            x = r + nz >> t & one & pivots
-            while x:
-                bit = 1 << x.bit_length() - 1 if top else x & -x
-                inverse, doublings = basis[bit]
-                a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
-                for d in doublings:
-                    if a & 1:
-                        r += d
-                        r -= (r + h >> t & one) * q
-                    a >>= 1
-                x = r + nz >> t & one & pivots
-            if r:
-                x = r + nz >> t & one
+            if r := self._reduce(r, basis, pivots, top):
+                x = self._lanes(r)
                 bit = 1 << x.bit_length() - 1 if top else x & -x
                 basis[bit] = self._pivot(r, bit)
                 pivots |= bit
@@ -751,11 +728,12 @@ class _Odd(_Packed):
 
     def transversal(self, parts: tuple, rows) -> list[int]:
         """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
-        echelon: dict[int, list[int]] = {}
+        echelon: dict[int, tuple[int, list[int]]] = {}
         chosen = []
         for i, r in enumerate([*parts, *rows]):
             if x := self._reduce(r, echelon, self.coords):
-                low = self._lanes(x) & -self._lanes(x)
+                low = self._lanes(x)
+                low &= -low
                 echelon[low] = self._pivot(x, low)
                 if i >= len(parts):
                     chosen.append(r)

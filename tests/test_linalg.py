@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from qsymp.errors import DimensionMismatchError, ParseError
 from dense import in_row_space, kernel, rref, vanishing_part
 from qsymp.linalg import as_matrix, checked_order, matrix_from_text, matrix_to_text
-from qsymp.symplectic import Subspace, _Gf2
+from qsymp.symplectic import Subspace, _Gf2, _field
 
 PRIMES = (2, 3, 5, 7)
 
@@ -79,20 +79,22 @@ def test_equal_row_space_iff_equal_rref(rng):
     assert distinct[0].tolist() != distinct[1].tolist()
 
 
-def _packed_rref(a):
-    """The packed GF(2) echelon of a matrix, unpacked."""
-    return _Gf2.unpack(_Gf2.canonical(_Gf2.pack(a)), a.shape[1])
+def _packed_rref(a, q=2):
+    """The packed echelon of a matrix over F_q, unpacked: its rows fit a field on ceil(cols / 2) factors."""
+    field = _field(q, (a.shape[1] + 1) // 2)
+    return field.unpack(field.canonical(field.pack(a)), a.shape[1])
 
 
 def test_packed_and_dense_paths_are_bit_exact(rng):
-    for _ in range(80):
-        m = int(rng.integers(0, 8))
-        n = int(rng.integers(1, 12))
-        a = rng.integers(0, 2, size=(m, n))
-        packed = _packed_rref(a)
-        dense = rref(a, 2)
-        assert packed.shape == dense.shape
-        assert (packed == dense).all()
+    for q in PRIMES:
+        for _ in range(80):
+            m = int(rng.integers(0, 8))
+            n = int(rng.integers(1, 12))
+            a = rng.integers(0, q, size=(m, n))
+            packed = _packed_rref(a, q)
+            dense = rref(a, q)
+            assert packed.shape == dense.shape, q
+            assert (packed == dense).all(), q
 
 
 def test_packed_path_wide_matrix(rng):
@@ -220,20 +222,15 @@ def test_vanishing_parts_match_the_column_first_elimination(data):
     space = Subspace(_spanning_rows(data, q, n), q, n)
     cols = data.draw(st.permutations(sorted(data.draw(st.sets(st.integers(0, 2 * n - 1))))))
     expected = _column_first_vanishing_part(space.basis, cols, q)
-    if q == 2:
-        packed = _Gf2.vanishing_part(list(space._rows), sum(1 << c for c in cols))
-        assert packed == _Gf2.canonical(packed)
-        part = _Gf2.unpack(packed, 2 * n)
-    else:
-        part = vanishing_part(space.basis, cols, q)
-        assert part.dtype == np.int64
-        assert rref(part, q).tobytes() == part.tobytes()
+    field = space._field
+    packed = field.vanishing_part(list(space._rows), sum(1 << c * field.b for c in cols))
+    assert packed == field.canonical(packed)
+    part = field.unpack(packed, 2 * n)
     assert part.shape == expected.shape
     assert part.tobytes() == expected.tobytes()
-    if q == 2:
-        # The dense route is exact at q=2 too.
-        assert vanishing_part(space.basis, cols, 2).tobytes() == expected.tobytes()
-        assert _Gf2.pack(expected) == packed
+    assert field.pack(expected) == packed
+    # The dense reference route agrees.
+    assert vanishing_part(space.basis, cols, q).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
