@@ -807,6 +807,8 @@ class _Odd(_Packed):
                     if sel := coef >> k & starts:
                         u += x & sel * full
                         u -= (u + block_h >> t & block_one) * q
+                    if k == last:
+                        break
                     x += x
                     x -= (x + block_h >> t & block_one) * q
                 for k in folds:

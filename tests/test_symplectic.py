@@ -402,10 +402,12 @@ def test_largest_field_is_exact_at_one_factor():
     assert w.sym_dim == 1
 
 
-@pytest.mark.parametrize("q, n", [(2**31 - 1, 1), (65521, 4)])
+@pytest.mark.parametrize("q, n", [(127, 3), (131, 2), (32749, 2), (65521, 4), (2**31 - 1, 1)])
 def test_widest_lanes_match_the_dense_route(q, n):
-    # The largest prime of the one-factor range, and a 16-bit prime on four
-    # factors, with entries drawn half from the extremes 0, 1, q - 2, q - 1.
+    # The largest prime of each lane width (8, 16 and 32 bits: 127, 32749
+    # and 2**31 - 1, the last prime of the one-factor range), the smallest
+    # prime past 8-bit lanes, and a 16-bit prime on four factors in 32-bit
+    # lanes, with entries drawn half from the extremes 0, 1, q - 2, q - 1.
     rng = np.random.default_rng(n)
     extremes = np.array([0, 1, q - 2, q - 1], dtype=np.int64)
 
