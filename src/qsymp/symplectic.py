@@ -278,8 +278,8 @@ class _Packed:
                 runs[-1][2] += 1
             else:
                 runs.append([j, i, 1])
-        lane = 2 * self.b
-        moves = [(j * lane, (1 << length * lane) - 1, i * lane) for j, i, length in runs]
+        width = 2 * self.b  # the bits of one factor
+        moves = [(j * width, (1 << length * width) - 1, i * width) for j, i, length in runs]
         out = []
         for r in rows:
             v = 0
