@@ -22,6 +22,7 @@ from qsymp.codes import (
     repetition_code,
     shor_stabilizer_rows,
 )
+from qsymp.errors import DimensionMismatchError
 from qsymp.oracle import brute_codeword_set
 from qsymp.suites import all_subspaces
 from qsymp.symplectic import Subspace, _Gf2, hamming_weight
@@ -220,6 +221,30 @@ def test_shortening_stores_the_re_eliminated_projection(data):
     assert short.basis.shape == expected.basis.shape
     assert short.basis.tobytes() == expected.basis.tobytes()
     assert short._field.key(short._rows) == expected._field.key(expected._rows)
+
+
+# ---------------------------------------------------------------------------
+# the per-space cache of anticode views
+
+VIEWS = {"part": intersect_with_anticode, "puncture": puncture, "shorten": shorten}
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_equal_but_distinct_spaces_share_no_views(view, rng):
+    space = random_code(rng, 3, 4).space
+    twin = Subspace(space.basis, 3, 4)
+    assert twin == space and twin is not space
+    a = Anticode(4, {0, 2})
+    assert VIEWS[view](twin, a) is not VIEWS[view](space, a)
+    assert VIEWS[view](twin, a) == VIEWS[view](space, a)
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_a_wrong_n_anticode_raises_on_every_call(view, repetition):
+    VIEWS[view](repetition.space, Anticode(2, {0}))  # the same support, on the right n
+    for _ in range(2):
+        with pytest.raises(DimensionMismatchError):
+            VIEWS[view](repetition.space, Anticode(3, {0}))
 
 
 # ---------------------------------------------------------------------------

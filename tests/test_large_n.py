@@ -3,8 +3,10 @@
 The pinned CLI reports stop at n=9.  These cases replay the large-n
 benchmark's operations (pair count, isorank, perp, radical, puncture,
 shorten, and the cleaning and complementarity checks) on codes with
-n=12..25, over supports made of one run, of alternate factors and of a
-seeded scatter, and pin the sha256 of every result.
+n=12..70, over supports made of one run, of alternate factors and of a
+seeded scatter, and pin the sha256 of every result.  Two binary cases,
+surface-d7 (98 columns) and stab-q2-n70 (140 columns), hold rows wider
+than one 64-bit word.
 """
 
 import hashlib
@@ -30,21 +32,27 @@ from qsymp.codes import (
 # leave them as they are.
 PINNED = {
     "surface-d5": "06f27d075d9e99c5de5be1cb45ec0aefb9a548758cd0964810ff78d5456649f7",
+    "surface-d7": "6eb4c62ae832a99b9c91fa3805a0899ac4be4fe8a13a38246693956a12df8ea9",
     "bacon-shor-5x5-gauge": "f4c18e31860d05ff9d6f2558320606427d3f5a5f042f44d32e554086d32f4724",
     "bacon-shor-5x5-normalizer": "e6bbd09889e54b8b2afcfcd8cd62fca4a0ad75e59a3a66bb68095cc84728c2b2",
+    "stab-q2-n70": "bb6b67fa42fcb0217cdf6bef0caff66cd1bd8138b4aff4c6317fda22af3cd7d8",
     "stab-q3-n16": "fee21e96a2915abb649deeff278ff9cc59aff203769212b7d4897758b24cd075",
     "stab-q5-n12": "2151eecdaacd997a512f73574b63581851956d4d0c50aae2f18c79345a71224d",
 }
 
 
 def _space(name):
-    if name == "surface-d5":
-        return rotated_surface_code(5).space
+    if name in ("surface-d5", "surface-d7"):
+        return rotated_surface_code(int(name[-1])).space
     if name == "bacon-shor-5x5-gauge":
         return bacon_shor_code(5).gauge.space
     if name == "bacon-shor-5x5-normalizer":
         return bacon_shor_code(5).normalizer.space
-    q, n, dim = {"stab-q3-n16": (3, 16, 6), "stab-q5-n12": (5, 12, 5)}[name]
+    q, n, dim = {
+        "stab-q2-n70": (2, 70, 30),
+        "stab-q3-n16": (3, 16, 6),
+        "stab-q5-n12": (5, 12, 5),
+    }[name]
     rng = np.random.default_rng(20261018)
     return stabilizer_code_from_isotropic(random_isotropic(rng, q, n, dim)).space
 

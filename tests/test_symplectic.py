@@ -203,6 +203,32 @@ def test_transposed_gram_rows_give_the_product_matrix(data):
     assert w._gram_rows == literal
 
 
+@st.composite
+def binary_rows(draw):
+    """(rows, cols): packed GF(2) rows on up to 140 columns, with zero rows and repeats, or of full rank."""
+    cols = draw(st.integers(1, 140))
+    word = st.integers(0, (1 << cols) - 1)
+    if draw(st.booleans()):  # full row rank: row c has its lowest bit at c
+        above = draw(st.lists(word, min_size=cols, max_size=cols))
+        rows = draw(st.permutations([1 << c | w >> c + 1 << c + 1 for c, w in enumerate(above)]))
+        return rows[: draw(st.integers(1, cols))], cols
+    rows = draw(st.lists(word, max_size=cols + 2))
+    return rows + draw(st.lists(st.sampled_from([0, *rows]), max_size=3)), cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=binary_rows())
+def test_binary_kernel_and_rank_match_the_dense_route(case):
+    # Rows past one 64-bit word (cols > 64) take the same routes.
+    rows, cols = case
+    ops = _Gf2(70)  # the span routines read the width from their arguments, not from n
+    a = ops.unpack(rows, cols)
+    out = ops.kernel(rows, cols)
+    assert ops.unpack(out, cols).tolist() == dense.rref(dense.kernel(a, 2), 2).tolist()
+    assert ops.canonical(out) == out
+    assert ops.rank(rows) == dense.rref(a, 2).shape[0]
+
+
 @settings(max_examples=80, deadline=None)
 @given(w=spanned_spaces())
 def test_gram_schmidt_split_is_valid(w):
