@@ -10,12 +10,22 @@ Puncturing projects onto the factors in J; shortening punctures the part of
 a code already supported inside J.  The two operations are dual to each
 other through orthogonal complements, which is the executable form of the
 cleaning lemma for stabilizer codes.
+
+The part, the puncture and the shortening of a space on a support are each
+computed once and cached on the space, keyed by the operation and the
+support, so the cleaning and complementarity checks, alpha/beta and the
+caller's own cuts share one answer (and its cached pair count, complement
+and Gram rows) per support.  The cache lives and dies with the space, and
+it holds only the supports that were asked for: a scan of all 2^n supports
+reads the support table instead (see :class:`qsymp.symplectic.SupportTable`).
+Equal but distinct spaces keep separate caches.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import combinations
 
 import numpy as np
@@ -77,11 +87,35 @@ def all_anticodes(n: int):
             yield Anticode(n, frozenset(s))
 
 
-def _check_factors(space: Subspace, a: Anticode) -> None:
-    if space.n != a.n:
-        raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
+def _space_of(obj) -> Subspace:
+    return obj.space if hasattr(obj, "space") else obj
 
 
+def _per_space(make):
+    """``make(space, a)``, computed once per space and support and cached on the space.
+
+    The factor count is checked before the lookup, so a wrong-n anticode
+    raises on every call.  A view that is the space itself is not stored,
+    so no space refers to itself.
+    """
+
+    @wraps(make)
+    def view(obj, a: Anticode) -> Subspace:
+        space = _space_of(obj)
+        if space.n != a.n:
+            raise DimensionMismatchError(f"anticode on {a.n} factors, space on {space.n}")
+        views = space._anticode_views
+        key = make, a.support
+        if (out := views.get(key)) is None:
+            out = make(space, a)
+            if out is not space:
+                views[key] = out
+        return out
+
+    return view
+
+
+@_per_space
 def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     """The part of a subspace supported inside the anticode.
 
@@ -90,7 +124,6 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     outside the support, with no re-elimination of the basis (the field
     object's ``vanishing_part``).
     """
-    _check_factors(space, a)
     outside = [j for j in range(a.n) if j not in a.support]
     if not outside:
         return space
@@ -98,27 +131,22 @@ def intersect_with_anticode(space: Subspace, a: Anticode) -> Subspace:
     return Subspace._canonical(field, field.vanishing_part(space._rows, field.columns(outside)))
 
 
-def _space_of(obj) -> Subspace:
-    return obj.space if hasattr(obj, "space") else obj
-
-
-def puncture(obj, a: Anticode) -> Subspace:
+@_per_space
+def puncture(space: Subspace, a: Anticode) -> Subspace:
     """Project a code onto the anticode's factors (sorted factor order), re-eliminated."""
-    space = _space_of(obj)
-    _check_factors(space, a)
     field = _field(space.q, a.dim)
     rows = space._field.project(space._rows, a.sorted_support())
     return Subspace._canonical(field, field.canonical(rows))
 
 
-def shorten(obj, a: Anticode) -> Subspace:
+@_per_space
+def shorten(space: Subspace, a: Anticode) -> Subspace:
     """Puncture the part of the code already supported inside the anticode.
 
-    The part (:func:`intersect_with_anticode`) is canonical and zero off
-    the support, so its projection keeps every pivot in order and is
+    The part (:func:`intersect_with_anticode`, cached) is canonical and zero
+    off the support, so its projection keeps every pivot in order and is
     stored as it is, with no second elimination.
     """
-    space = _space_of(obj)
     part = intersect_with_anticode(space, a)
     rows = space._field.project(part._rows, a.sorted_support())
     return Subspace._canonical(_field(space.q, a.dim), rows)
@@ -224,9 +252,9 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     p_b = puncture(dec.s_prime, comp)
     rad_p_a = puncture(rad, a)
     rad_p_b = puncture(rad, comp)
-    # The radical's parts in A and in its complement are already in dec.
-    rad_s_a = puncture(dec.rad_in_a, a)
-    rad_s_b = puncture(dec.rad_in_aperp, comp)
+    # Their parts in A and in its complement are dec's, cached on rad.
+    rad_s_a = shorten(rad, a)
+    rad_s_b = shorten(rad, comp)
     checks = [
         equal("sprime-puncture-dim", p_a.sym_dim, p_b.sym_dim),
         equal("sprime-puncture-irk", p_a.isorank, p_b.isorank),

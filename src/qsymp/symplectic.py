@@ -253,7 +253,8 @@ class _Packed:
         return self.canonical(a + b)
 
     def rank(self, rows) -> int:
-        return len(self.canonical(rows))
+        """The dimension of the span: the echelon insertion alone, with no reduction."""
+        return len(self._echelon(rows))
 
     def intersect(self, a: tuple, b: tuple) -> list[int]:
         """The Zassenhaus part, with no elimination first.
@@ -331,34 +332,47 @@ class _Gf2(_Packed):
         return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
     @staticmethod
-    def canonical(rows) -> list[int]:
-        """Canonical form of packed rows: nonzero rows sorted by pivot.
+    def _echelon(rows, top: bool = False) -> dict[int, int]:
+        """The rows inserted one at a time into a basis keyed by pivot bit.
 
-        Rows are inserted one at a time into an echelon basis keyed by pivot
-        bit (each insert clears the basis pivots it meets, lowest first), then
-        the basis is reduced from the highest pivot down.
+        A row's pivot is its lowest set bit, or its highest with ``top``.
+        Each insert clears the pivots it meets from that end inward, up to
+        the first bit that keys no basis row, which becomes its pivot.  Rows
+        are not reduced against later pivots.
         """
         basis: dict[int, int] = {}
-        pivots = 0
         for r in rows:
-            x = r & pivots
-            while x:
-                r ^= basis[x & -x]
-                x = r & pivots
-            if r:
-                low = r & -r
-                basis[low] = r
-                pivots |= low
+            while r:
+                bit = 1 << r.bit_length() - 1 if top else r & -r
+                if bit not in basis:
+                    basis[bit] = r
+                    break
+                r ^= basis[bit]
+        return basis
+
+    @staticmethod
+    def _reduced(basis: dict, top: bool = False) -> list[int]:
+        """The echelon's rows by pivot, each cleared at every other pivot.
+
+        A row meets only pivots on the far side of its own, above it (or
+        below it, with ``top``), so those rows are reduced first.
+        """
         order = sorted(basis)
-        for low in reversed(order):
+        pivots = sum(order)
+        for low in order if top else order[::-1]:
             r = basis[low]
-            x = (r & pivots) ^ low
+            x = r & pivots ^ low
             while x:
                 bit = x & -x
                 r ^= basis[bit]
                 x ^= bit
             basis[low] = r
         return [basis[low] for low in order]
+
+    @staticmethod
+    def canonical(rows) -> list[int]:
+        """Canonical form of packed rows: nonzero rows sorted by pivot, the echelon reduced."""
+        return _Gf2._reduced(_Gf2._echelon(rows))
 
     @staticmethod
     def contains(rows, v: int) -> bool:
@@ -368,23 +382,24 @@ class _Gf2(_Packed):
                 v ^= r
         return not v
 
-    def kernel(self, rows, cols: int) -> list[int]:
-        """Canonical basis of the vectors orthogonal to every row (plain dot product)."""
-        basis = self.canonical(rows)
+    @staticmethod
+    def kernel(rows, cols: int) -> list[int]:
+        """Canonical basis of the vectors orthogonal to every row (plain dot product).
+
+        The routine of :meth:`_Odd.kernel`: the rows are reduced with each
+        pivot at its row's highest set bit, and the free-column vector of a
+        free column c has bit c and the pivot of every reduced row with bit
+        c, all above c: read by c, the vectors are canonical as they stand.
+        """
         pivots = 0
-        for r in basis:
-            pivots |= r & -r
-        out = []
-        for c in range(cols):
-            bit = 1 << c
-            if pivots & bit:
-                continue
-            v = bit
-            for r in basis:
-                if r & bit:
-                    v |= r & -r
-            out.append(v)
-        return self.canonical(out)
+        out = {}
+        for r in _Gf2._reduced(_Gf2._echelon(rows, top=True), top=True):
+            top = 1 << r.bit_length() - 1
+            pivots |= top
+            for c in _set_bits(r ^ top):
+                out[c] = out.get(c, 1 << c) | top
+        free = _set_bits((1 << cols) - 1 & ~pivots)
+        return [out.get(c, 1 << c) for c in free]
 
     @staticmethod
     def vanishing_part(rows, mask: int) -> list[int]:
@@ -664,10 +679,6 @@ class _Odd(_Packed):
         """Canonical form of lane rows: the insertion and reduction of :meth:`_Gf2.canonical`."""
         return self._reduced(self._echelon(rows))
 
-    def rank(self, rows) -> int:
-        """The dimension of the span: the insertion of :meth:`canonical` alone."""
-        return len(self._echelon(rows))
-
     def contains(self, rows, v: int) -> bool:
         """Whether ``v`` lies in the span of canonical ``rows``."""
         for r in rows:
@@ -905,8 +916,9 @@ class Subspace:
     because the stored basis is the reduced row echelon form of any spanning
     set.  The canonical rows ``_rows`` are in the format of the field object
     ``_field``, which runs every operation; the int64 ``basis`` is made on
-    first use.  Derived data (complement, radical, splitting) is cached
-    lazily.
+    first use.  Derived data (complement, radical, splitting, and the
+    anticode views of :mod:`qsymp.anticodes`: parts, punctures and
+    shortenings by support) is cached lazily.
 
     Construction rejects fields outside the supported range,
     ``2n (q - 1)**2 < 2**63``, where the int64 Gram product cannot overflow.
@@ -990,6 +1002,11 @@ class Subspace:
         """The intersection: the Zassenhaus rows' vanishing part (see ``_Packed.intersect``)."""
         self._check_compatible(other)
         return Subspace._canonical(self._field, self._field.intersect(self._rows, other._rows))
+
+    @_cached_property
+    def _anticode_views(self) -> dict:
+        """The anticode views asked of this space, by (operation, support); see :mod:`qsymp.anticodes`."""
+        return {}
 
     @_cached_property
     def _gram_rows(self):

@@ -25,7 +25,7 @@ from qsymp.codes import (
 from qsymp.errors import DimensionMismatchError
 from qsymp.oracle import brute_codeword_set
 from qsymp.suites import all_subspaces
-from qsymp.symplectic import Subspace, _Gf2, hamming_weight
+from qsymp.symplectic import Subspace, _Gf2, _Packed, hamming_weight
 
 FRONT = Anticode(9, frozenset(range(4)))
 
@@ -227,6 +227,52 @@ def test_shortening_stores_the_re_eliminated_projection(data):
 # the per-space cache of anticode views
 
 VIEWS = {"part": intersect_with_anticode, "puncture": puncture, "shorten": shorten}
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_a_repeated_view_is_the_same_object(view, rng):
+    space = random_code(rng, 2, 4).space
+    for support in ({1}, {0, 3}, set(), {0, 1, 2, 3}):
+        first = VIEWS[view](space, Anticode(4, support))
+        assert VIEWS[view](space, Anticode(4, support)) is first, sorted(support)
+
+
+def test_a_code_and_its_space_share_views(rng):
+    code = random_code(rng, 3, 4)
+    a = Anticode(4, {1, 2})
+    assert puncture(code, a) is puncture(code.space, a)
+    assert shorten(code.space, a) is shorten(code, a)
+    assert intersect_with_anticode(code, a) is intersect_with_anticode(code.space, a)
+
+
+def test_each_view_is_projected_once_per_space(monkeypatch, rng):
+    asked, projected = [], []  # asked keeps every space alive, so no id is reused
+
+    def counted(name):
+        real = getattr(anticodes, name)
+
+        def view(obj, a):
+            asked.append((name, anticodes._space_of(obj), a.support))
+            return real(obj, a)
+
+        return view
+
+    def project(self, rows, factors, real=_Packed.project):
+        projected.append(factors)
+        return real(self, rows, factors)
+
+    for name in ("puncture", "shorten"):
+        monkeypatch.setattr(anticodes, name, counted(name))
+    monkeypatch.setattr(_Packed, "project", project)
+    code = random_stabilizer_code(rng, 6)
+    for support in ({0, 1}, {2, 4, 5}):
+        a = Anticode(6, support)
+        verify_cleaning(code, a)
+        complementarity_check(code, a)
+        anticodes.puncture(code, a)
+        anticodes.shorten(code, a)
+    distinct = {(name, id(space), support) for name, space, support in asked}
+    assert len(projected) == len(distinct) < len(asked)
 
 
 @pytest.mark.parametrize("view", VIEWS)
