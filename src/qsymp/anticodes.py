@@ -252,7 +252,7 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     p_b = puncture(dec.s_prime, comp)
     rad_p_a = puncture(rad, a)
     rad_p_b = puncture(rad, comp)
-    # Their parts in A and in its complement are dec's, cached on rad.
+    # The radical's shortenings project dec's parts, which are cached on rad.
     rad_s_a = shorten(rad, a)
     rad_s_b = shorten(rad, comp)
     checks = [

@@ -29,10 +29,12 @@ adding rows is an XOR and a pivot is the lowest set bit, and a residue of
 with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
 nonzero lane.  Both run the same span routines on those rows: echelon
 insertion for the canonical form, the vanishing part read from the highest
-pivot down, Zassenhaus intersection with no elimination first, the
-free-column kernel, projection by shift and mask, and the transversal from
-an echelon.  Results that an operation returns in canonical form (sums,
-intersections, anticode parts) are stored with no second elimination.
+pivot down, Zassenhaus intersection with no elimination first, the rank
+from the echelon insertion alone, the free-column kernel read canonical
+from an echelon keyed by each row's highest pivot, projection by shift and
+mask, and the transversal from an echelon.  Results that an operation
+returns in canonical form (sums, intersections, kernels, anticode parts)
+are stored with no second elimination.
 
 Both fields read the product through a swap of the two coordinates of
 every factor, which turns it into a plain dot product: at q=2 <u, v> is
@@ -359,15 +361,15 @@ class _Gf2(_Packed):
         """
         order = sorted(basis)
         pivots = sum(order)
-        for low in order if top else order[::-1]:
-            r = basis[low]
-            x = r & pivots ^ low
+        for pivot in order if top else order[::-1]:
+            r = basis[pivot]
+            x = (r & pivots) ^ pivot
             while x:
                 bit = x & -x
                 r ^= basis[bit]
                 x ^= bit
-            basis[low] = r
-        return [basis[low] for low in order]
+            basis[pivot] = r
+        return [basis[pivot] for pivot in order]
 
     @staticmethod
     def canonical(rows) -> list[int]:
@@ -386,20 +388,24 @@ class _Gf2(_Packed):
     def kernel(rows, cols: int) -> list[int]:
         """Canonical basis of the vectors orthogonal to every row (plain dot product).
 
-        The routine of :meth:`_Odd.kernel`: the rows are reduced with each
-        pivot at its row's highest set bit, and the free-column vector of a
-        free column c has bit c and the pivot of every reduced row with bit
-        c, all above c: read by c, the vectors are canonical as they stand.
+        The kernel routine of both fields (see :meth:`_Odd.kernel`): one
+        echelon with each pivot at its row's highest set bit, reduced.  The
+        free-column vector of a free column c is bit c plus the pivot of
+        every reduced row with bit c, and those pivots lie above c: read by
+        c, the vectors are canonical as they stand, with no second
+        elimination.  Each reduced row writes its pivot into the vectors of
+        its other set bits.
         """
-        pivots = 0
-        out = {}
-        for r in _Gf2._reduced(_Gf2._echelon(rows, top=True), top=True):
+        basis = _Gf2._echelon(rows, top=True)
+        out = [1 << c for c in range(cols)]
+        for r in _Gf2._reduced(basis, top=True):
             top = 1 << r.bit_length() - 1
-            pivots |= top
-            for c in _set_bits(r ^ top):
-                out[c] = out.get(c, 1 << c) | top
-        free = _set_bits((1 << cols) - 1 & ~pivots)
-        return [out.get(c, 1 << c) for c in free]
+            x = r ^ top
+            while x:
+                low = x & -x
+                out[low.bit_length() - 1] |= top
+                x ^= low
+        return [out[c] for c in range(cols) if 1 << c not in basis]
 
     @staticmethod
     def vanishing_part(rows, mask: int) -> list[int]:
@@ -689,11 +695,13 @@ class _Odd(_Packed):
     def kernel(self, rows, cols: int) -> list[int]:
         """Canonical basis of the vectors orthogonal to every row (plain dot product).
 
-        The rows are reduced with each pivot at its row's highest nonzero
-        lane.  The free-column vector of a free lane c is then 1 at c, zero
-        at every other free lane, and nonzero elsewhere only at pivots,
-        which lie above c: read by c, the vectors are canonical as they
-        stand.  They are written as one int64 matrix and packed.
+        The kernel routine of both fields (see :meth:`_Gf2.kernel`): one
+        echelon with each pivot at its row's highest nonzero lane, reduced.
+        The free-column vector of a free lane c is then 1 at c, zero at
+        every other free lane, and nonzero elsewhere only at pivots, which
+        lie above c: read by c, the vectors are canonical as they stand,
+        with no second elimination.  They are written as one int64 matrix
+        and packed.
         """
         basis = self._echelon(rows, top=True)
         reduced = self.unpack(self._reduced(basis, top=True), cols)
