@@ -16,9 +16,11 @@ computed once and cached on the space, keyed by the operation and the
 support, so the cleaning and complementarity checks, alpha/beta and the
 caller's own cuts share one answer (and its cached pair count, complement
 and Gram rows) per support.  The cache lives and dies with the space, and
-it holds only the supports that were asked for: a scan of all 2^n supports
-reads the support table instead (see :class:`qsymp.symplectic.SupportTable`).
-Equal but distinct spaces keep separate caches.
+it holds only the supports that were asked for: the invariants over all
+2^n supports are read from the support table instead (see
+:class:`qsymp.symplectic.SupportTable`), so only a caller that asks about
+every support itself keeps a view per support.  Equal but distinct spaces
+keep separate caches.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ __all__ = [
 
 def alpha(code, a: Anticode) -> int:
     """Symplectic pair count of the code's part supported in the anticode."""
-    return intersect_with_anticode(code, a).sym_dim
+    return intersect_with_anticode(_space_of(code), a).sym_dim
 
 
 def beta(code, a: Anticode) -> int:
