@@ -275,6 +275,37 @@ def test_each_view_is_projected_once_per_space(monkeypatch, rng):
     assert len(projected) == len(distinct) < len(asked)
 
 
+def _support_off_the_radical(code):
+    """The first support on which the code's radical has no part on either side."""
+    rad = code.space.radical()
+    for a in all_anticodes(code.n):
+        if not intersect_with_anticode(rad, a).dim_f + intersect_with_anticode(rad, a.complement()).dim_f:
+            return a
+    raise AssertionError("every support cuts a part out of the radical")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_radical_off_both_sides_is_its_own_transversal_summand(monkeypatch, q):
+    projected = []
+
+    def project(self, rows, factors, real=_Packed.project):
+        projected.append((tuple(rows), factors))
+        return real(self, rows, factors)
+
+    monkeypatch.setattr(_Packed, "project", project)
+    code = random_stabilizer_code(np.random.default_rng(q), 6, q)
+    rad, dual = code.space.radical(), code.space.perp()
+    a = _support_off_the_radical(code)
+    assert rad.dim_f and a.support
+    assert s_prime_decompose(code, a).s_prime is rad
+    del projected[:]
+    verify_cleaning(code, a)
+    complementarity_check(code, a)
+    # The dual spans the radical too, but it is its own object with its own views.
+    sides = [factors for rows, factors in projected if rows == rad._rows and rows is not dual._rows]
+    assert sorted(sides) == sorted([a.sorted_support(), a.complement().sorted_support()])
+
+
 @pytest.mark.parametrize("view", VIEWS)
 def test_equal_but_distinct_spaces_share_no_views(view, rng):
     space = random_code(rng, 3, 4).space

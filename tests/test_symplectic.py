@@ -229,6 +229,26 @@ def test_binary_kernel_and_rank_match_the_dense_route(case):
     assert ops.rank(rows) == dense.rref(a, 2).shape[0]
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_gram_matrix_is_eliminated_once(monkeypatch, q):
+    w = random_subspace(np.random.default_rng(q), q, 6, 9)
+    gram = w._field.gram(w._rows)
+    cls = type(w._field)
+    static = isinstance(cls.__dict__["_echelon"], staticmethod)
+    real = cls._echelon  # a plain function for both fields
+    eliminated = []
+
+    def echelon(*args, top=False):
+        *field, rows = args
+        rows = list(rows)
+        eliminated.append(rows == gram)
+        return real(*field, rows, top=top)
+
+    monkeypatch.setattr(cls, "_echelon", staticmethod(echelon) if static else echelon)
+    assert 0 < w.sym_dim < w.dim_f / 2 and w.isorank and w.radical().dim_f
+    assert eliminated.count(True) == 1
+
+
 @settings(max_examples=80, deadline=None)
 @given(w=spanned_spaces())
 def test_gram_schmidt_split_is_valid(w):
