@@ -230,10 +230,13 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
             raise ValueError("supplied rows must lie in the radical")
         if span != rad:
             raise ValueError("supplied rows must span the radical")
-    parts = rad_in_a + rad_in_aperp
-    field = space._field
-    rows = rad._rows if radical_rows is None else field.pack(given)
-    s_prime = Subspace._canonical(field, field.transversal(parts._rows, rows))
+    if rad_in_a.dim_f or rad_in_aperp.dim_f:
+        parts = rad_in_a + rad_in_aperp
+        field = space._field
+        rows = rad._rows if radical_rows is None else field.pack(given)
+        s_prime = Subspace._canonical(field, field.transversal(parts._rows, rows))
+    else:  # the radical meets neither side: it is its own transversal summand
+        s_prime = rad
     return SPrimeDecomposition(rad_in_a=rad_in_a, rad_in_aperp=rad_in_aperp, s_prime=s_prime)
 
 

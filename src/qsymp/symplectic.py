@@ -254,10 +254,6 @@ class _Packed:
     def sum(self, a: tuple, b: tuple) -> list[int]:
         return self.canonical(a + b)
 
-    def rank(self, rows) -> int:
-        """The dimension of the span: the echelon insertion alone, with no reduction."""
-        return len(self._echelon(rows))
-
     def intersect(self, a: tuple, b: tuple) -> list[int]:
         """The Zassenhaus part, with no elimination first.
 
@@ -269,6 +265,14 @@ class _Packed:
         width = self.slot
         joint = [x | x << width for x in a] + list(b)  # rows on 2n factors
         return [r >> width for r in _field(self.q, 2 * self.n).vanishing_part(joint, self.coords)]
+
+    def kernel(self, rows, cols: int) -> list[int]:
+        """Canonical basis of the vectors orthogonal to every row (plain dot product).
+
+        The free-column vectors (see ``free``) of an echelon with each pivot
+        at its row's highest lane.
+        """
+        return self.free(self._echelon(rows, top=True), cols)
 
     def perp(self, rows: tuple) -> list[int]:
         return self.kernel([self.swap(b) for b in rows], 2 * self.n)
@@ -385,20 +389,18 @@ class _Gf2(_Packed):
         return not v
 
     @staticmethod
-    def kernel(rows, cols: int) -> list[int]:
-        """Canonical basis of the vectors orthogonal to every row (plain dot product).
+    def free(basis: dict, cols: int) -> list[int]:
+        """The free-column vectors of a highest-bit echelon: a canonical basis of its kernel.
 
-        The kernel routine of both fields (see :meth:`_Odd.kernel`): one
-        echelon with each pivot at its row's highest set bit, reduced.  The
-        free-column vector of a free column c is bit c plus the pivot of
-        every reduced row with bit c, and those pivots lie above c: read by
-        c, the vectors are canonical as they stand, with no second
-        elimination.  Each reduced row writes its pivot into the vectors of
-        its other set bits.
+        The reader of both fields (see :meth:`_Odd.free`), which leaves the
+        echelon as it is.  With the echelon reduced, the free-column vector
+        of a free column c is bit c plus the pivot of every reduced row with
+        bit c, and those pivots lie above c: read by c, the vectors are
+        canonical as they stand, with no second elimination.  Each reduced
+        row writes its pivot into the vectors of its other set bits.
         """
-        basis = _Gf2._echelon(rows, top=True)
         out = [1 << c for c in range(cols)]
-        for r in _Gf2._reduced(basis, top=True):
+        for r in _Gf2._reduced(dict(basis), top=True):
             top = 1 << r.bit_length() - 1
             x = r ^ top
             while x:
@@ -451,10 +453,10 @@ class _Gf2(_Packed):
             gram.append(g)
         return gram
 
-    def radical(self, rows: tuple, gram: list[int]) -> list[int]:
-        """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
+    def radical(self, rows: tuple, gram: dict) -> list[int]:
+        """The combinations of ``rows`` whose coefficients a highest-bit echelon of the Gram matrix kills."""
         out = []
-        for c in self.kernel(gram, len(rows)):
+        for c in self.free(gram, len(rows)):
             v = 0
             for j in _set_bits(c):
                 v ^= rows[j]
@@ -692,19 +694,17 @@ class _Odd(_Packed):
             v = self._reduce(v, {x & -x: (1, self._doublings(r))}, x & -x)
         return not v
 
-    def kernel(self, rows, cols: int) -> list[int]:
-        """Canonical basis of the vectors orthogonal to every row (plain dot product).
+    def free(self, basis: dict, cols: int) -> list[int]:
+        """The free-column vectors of a highest-lane echelon: a canonical basis of its kernel.
 
-        The kernel routine of both fields (see :meth:`_Gf2.kernel`): one
-        echelon with each pivot at its row's highest nonzero lane, reduced.
-        The free-column vector of a free lane c is then 1 at c, zero at
-        every other free lane, and nonzero elsewhere only at pivots, which
-        lie above c: read by c, the vectors are canonical as they stand,
-        with no second elimination.  They are written as one int64 matrix
-        and packed.
+        The reader of both fields (see :meth:`_Gf2.free`), which leaves the
+        echelon as it is.  With the echelon reduced, the free-column vector
+        of a free lane c is 1 at c, zero at every other free lane, and
+        nonzero elsewhere only at pivots, which lie above c: read by c, the
+        vectors are canonical as they stand, with no second elimination.
+        They are written as one int64 matrix and packed.
         """
-        basis = self._echelon(rows, top=True)
-        reduced = self.unpack(self._reduced(basis, top=True), cols)
+        reduced = self.unpack(self._reduced(dict(basis), top=True), cols)
         tops = [(bit.bit_length() - 1) // self.b for bit in sorted(basis)]
         free = sorted(set(range(cols)).difference(tops))
         out = np.zeros((len(free), cols), dtype=np.int64)
@@ -733,12 +733,12 @@ class _Odd(_Packed):
         basis = self.unpack(rows, 2 * self.n)
         return self.pack(_swap(basis, self.q) @ basis.T)
 
-    def radical(self, rows: tuple, gram: list[int]) -> list[int]:
-        """The combinations of ``rows`` whose coefficients the Gram matrix kills."""
+    def radical(self, rows: tuple, gram: dict) -> list[int]:
+        """The combinations of ``rows`` whose coefficients a highest-lane echelon of the Gram matrix kills."""
         b, mask = self.b, self.mask
         doublings = [self._doublings(r) for r in rows]
         out = []
-        for c in self.kernel(gram, len(rows)):
+        for c in self.free(gram, len(rows)):
             v = 0
             for j, d in enumerate(doublings):
                 v = self._plus(v, c >> j * b & mask, d)
@@ -1017,9 +1017,9 @@ class Subspace:
         return {}
 
     @_cached_property
-    def _gram_rows(self):
-        """The Gram matrix in the field's format (packed rows at q=2)."""
-        return self._field.gram(self._rows)
+    def _gram_echelon(self) -> dict:
+        """The Gram matrix's rows in an echelon keyed by each row's highest pivot: its rank and its kernel."""
+        return self._field._echelon(self._field.gram(self._rows), top=True)
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
@@ -1040,7 +1040,7 @@ class Subspace:
     @_cached_property
     def _radical(self) -> "Subspace":
         # Coefficient vectors killed by the restricted product give the radical.
-        return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram_rows))
+        return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram_echelon))
 
     def orthogonal_split(self) -> SplitDecomposition:
         """Split into a radical basis plus pairwise-orthogonal symplectic pairs.
@@ -1064,7 +1064,7 @@ class Subspace:
     @_cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
-        return self._field.rank(self._gram_rows) // 2
+        return len(self._gram_echelon) // 2
 
     @_cached_property
     def isorank(self) -> int:

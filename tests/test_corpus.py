@@ -100,7 +100,7 @@ def _outputs():
         out["perp"].append(_key(space.perp()))
         rad = space.radical()
         out["radical"].append(_key(rad))
-        gram = space._field.unpack(space._gram_rows, space.dim_f)
+        gram = space._field.unpack(space._field.gram(space._rows), space.dim_f)
         out["gram"].append((gram.tolist(), space.sym_dim, space.isorank))
         out["check-commuting"].append(
             [

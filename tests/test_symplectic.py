@@ -200,7 +200,7 @@ def test_transposed_gram_rows_give_the_product_matrix(data):
         return sum(u[i] * v[i + 1] - u[i + 1] * v[i] for i in range(0, len(u), 2)) % 2
 
     literal = [sum(form(u, v) << j for j, v in enumerate(basis)) for u in basis]
-    assert w._gram_rows == literal
+    assert w._field.gram(w._rows) == literal
 
 
 @st.composite
@@ -226,7 +226,7 @@ def test_binary_kernel_and_rank_match_the_dense_route(case):
     out = ops.kernel(rows, cols)
     assert ops.unpack(out, cols).tolist() == dense.rref(dense.kernel(a, 2), 2).tolist()
     assert ops.canonical(out) == out
-    assert ops.rank(rows) == dense.rref(a, 2).shape[0]
+    assert len(ops._echelon(rows)) == dense.rref(a, 2).shape[0]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -444,7 +444,7 @@ def test_largest_field_is_exact_at_one_factor():
     w = Subspace(rows, q, 1)
     b = [[int(x) for x in row] for row in w.basis]
     exact = [[(u[0] * v[1] - u[1] * v[0]) % q for v in b] for u in b]
-    assert w._field.unpack(w._gram_rows, w.dim_f).tolist() == exact
+    assert w._field.unpack(w._field.gram(w._rows), w.dim_f).tolist() == exact
     assert w.sym_dim == 1
 
 
@@ -464,7 +464,7 @@ def test_widest_lanes_match_the_dense_route(q, n):
     spaces = [Subspace(rows(count), q, n) for count in sorted({1, 2, n + 1, 2 * n - 1})]
     for a in spaces:
         A = a.basis
-        assert a._field.unpack(a._gram_rows, a.dim_f).tolist() == dense.gram(A, q).tolist()
+        assert a._field.unpack(a._field.gram(a._rows), a.dim_f).tolist() == dense.gram(A, q).tolist()
         assert 2 * a.sym_dim == dense.rref(dense.gram(A, q), q).shape[0]
         assert a.perp().basis.tolist() == dense.perp(A, q).tolist()
         assert a.radical().basis.tolist() == dense.radical(A, q).tolist()
