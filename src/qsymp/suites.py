@@ -260,17 +260,16 @@ def general_identity_suite(
 
 def all_subspaces(q: int, n: int) -> list[Subspace]:
     """Every subspace of the 2n-dimensional ambient space (small cases only)."""
-    vectors = [np.array(v, dtype=np.int64) for v in product(range(q), repeat=2 * n)]
-    vectors = [v for v in vectors if v.any()]
+    lines = [Subspace([v], q, n) for v in product(range(q), repeat=2 * n) if any(v)]
     zero = Subspace.zero(q, n)
     seen = {zero}
     frontier = [zero]
     while frontier:
         fresh = []
         for w in frontier:
-            for v in vectors:
-                if v not in w:
-                    bigger = w + Subspace(v.reshape(1, -1), q, n)
+            for line in lines:
+                if not w.contains_space(line):
+                    bigger = w + line
                     if bigger not in seen:
                         seen.add(bigger)
                         fresh.append(bigger)
