@@ -15,12 +15,18 @@ The part, the puncture and the shortening of a space on a support are each
 computed once and cached on the space, keyed by the operation and the
 support, so the cleaning and complementarity checks, alpha/beta and the
 caller's own cuts share one answer (and its cached pair count, complement
-and Gram rows) per support.  The cache lives and dies with the space, and
+and Gram echelon) per support.  The cache lives and dies with the space, and
 it holds only the supports that were asked for: the invariants over all
 2^n supports are read from the support table instead (see
 :class:`qsymp.symplectic.SupportTable`), so only a caller that asks about
 every support itself keeps a view per support.  Equal but distinct spaces
 keep separate caches.
+
+The radical's transversal summand S' on a support is the radical itself
+when the radical has no part on either side, as for the supports of most
+stabilizer codes: :func:`s_prime_decompose` then returns the radical object,
+so the complementarity check's punctures of S' are the radical's own
+cached views.
 """
 
 from __future__ import annotations
@@ -217,7 +223,8 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
     of that choice.  The field object makes the choice (``transversal``)
-    from an echelon of packed rows.
+    from an echelon of packed rows.  When both supported parts are zero the
+    summand is the whole radical, and the radical object itself is returned.
     """
     space = _space_of(code)
     rad = space.radical()

@@ -20,7 +20,7 @@ indexed by support mask (bit j = factor j), with no per-support object.
 Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
-field owns the row format, the span routines, the Gram rows and radical,
+field owns the row format, the span routines, the Gram matrix and radical,
 the projection onto factors and the walk's ``cut``, and keeps its own
 storage in ``_rows``.  Both fields hold a row as one Python int of 2n
 lanes, lane c holding coordinate c: one bit per lane over GF(2), where
@@ -29,12 +29,14 @@ adding rows is an XOR and a pivot is the lowest set bit, and a residue of
 with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
 nonzero lane.  Both run the same span routines on those rows: echelon
 insertion for the canonical form, the vanishing part read from the highest
-pivot down, Zassenhaus intersection with no elimination first, the rank
-from the echelon insertion alone, the free-column kernel read canonical
-from an echelon keyed by each row's highest pivot, projection by shift and
-mask, and the transversal from an echelon.  Results that an operation
-returns in canonical form (sums, intersections, kernels, anticode parts)
-are stored with no second elimination.
+pivot down, Zassenhaus intersection with no elimination first, the kernel
+as an echelon keyed by each row's highest pivot and its free-column vectors
+read canonical from it (``_echelon``, then ``free``), projection by shift
+and mask, and the transversal from an echelon.  A rank is the echelon's row
+count, so each Gram matrix is eliminated once, into one highest-pivot
+echelon that gives both the pair count and the radical's coefficients.
+Results that an operation returns in canonical form (sums, intersections,
+kernels, anticode parts) are stored with no second elimination.
 
 Both fields read the product through a swap of the two coordinates of
 every factor, which turns it into a plain dot product: at q=2 <u, v> is
@@ -924,8 +926,9 @@ class Subspace:
     because the stored basis is the reduced row echelon form of any spanning
     set.  The canonical rows ``_rows`` are in the format of the field object
     ``_field``, which runs every operation; the int64 ``basis`` is made on
-    first use.  Derived data (complement, radical, splitting, and the
-    anticode views of :mod:`qsymp.anticodes`: parts, punctures and
+    first use.  Derived data (the Gram matrix's one echelon, which gives the
+    pair count and the radical, the complement, the radical, the splitting,
+    and the anticode views of :mod:`qsymp.anticodes`: parts, punctures and
     shortenings by support) is cached lazily.
 
     Construction rejects fields outside the supported range,
