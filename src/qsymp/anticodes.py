@@ -22,11 +22,9 @@ it holds only the supports that were asked for: the invariants over all
 every support itself keeps a view per support.  Equal but distinct spaces
 keep separate caches.
 
-The radical's transversal summand S' on a support is the radical itself
-when the radical has no part on either side, as for the supports of most
-stabilizer codes: :func:`s_prime_decompose` then returns the radical object,
-so the complementarity check's punctures of S' are the radical's own
-cached views.
+When the radical has no part on either side of a support, its transversal
+summand S' is the radical object itself, so the complementarity check's
+punctures of S' are the radical's own cached views.
 """
 
 from __future__ import annotations
