@@ -215,6 +215,31 @@ def test_a_complement_sits_at_the_mirrored_mask(rng):
             assert c == 2**n - 1 - m
 
 
+def test_the_dual_column_is_the_duals_own_walk(rng):
+    # General codes whose radical is not the dual: the column is C-perp's
+    # dim column, checked against the literal intersections too.
+    for q, n in ((2, 3), (2, 6), (3, 3), (3, 4), (5, 2), (5, 3)):
+        code = random_code(rng, q, n)
+        while code.space.radical() == code.space.perp():
+            code = random_code(rng, q, n)
+        column, dual = invariants.dual_dims(code), code.space.perp()
+        assert list(column) == list(support_dims(code.dual()).dim)
+        for a in all_anticodes(n):
+            assert column[mask_of(a.support)] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+
+
+def test_duality_checks_of_a_stabilizer_code_walk_no_dual(rng):
+    # A stabilizer code's radical is its dual, so the dual's column is the
+    # radical column of the code's own table, and C-perp gets no table.
+    for q, n in ((2, 6), (3, 4), (5, 3)):
+        code = random_stabilizer_code(rng, n, q)
+        assert all(c.passed for c in macwilliams_check(code) + verify_bounds(code))
+        assert "_support_dims" not in code.space.perp().__dict__
+        assert invariants.dual_dims(code) == support_dims(code).rad
+    with pytest.raises(BudgetExceededError):
+        invariants.dual_dims(code, budget=2**n - 1)
+
+
 def test_support_check_compares_by_mask_within_the_size_bound():
     # n = 2: masks 0..3 are the supports {}, {0}, {1} and {0, 1}.
     lhs, rhs = [0, 2, 1, 5], [0, 1, 1, 0]
