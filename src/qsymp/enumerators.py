@@ -35,7 +35,7 @@ import math
 
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET
-from .invariants import support_check, support_dims, supported_moments
+from .invariants import dual_dims, support_check, support_dims, supported_moments
 from .report import CheckResult, batch
 
 __all__ = [
@@ -158,16 +158,16 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     """
     space = _space_of(code)
     n, q = space.n, space.q
-    table = support_dims(space, budget)
+    table, dual = support_dims(space, budget), dual_dims(space, budget)
     k = space.sym_dim
     dim_f = space.dim_f
 
     # The complement of mask m is 2^n - 1 - m, so the complements' column is the reversed column.
     rhs = [2 * m.bit_count() - dim_f + d for m, d in enumerate(reversed(table.dim))]
-    checks = [support_check("macwilliams-per-anticode", table.dual, rhs)]
+    checks = [support_check("macwilliams-per-anticode", dual, rhs)]
 
     moments_self = supported_moments(table.dim, q)
-    moments_dual = supported_moments(table.dual, q)
+    moments_dual = supported_moments(dual, q)
 
     def moment_items(exponent):
         # The dual's b-th moment is q**(2b - exponent) times the code's

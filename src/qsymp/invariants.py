@@ -10,10 +10,10 @@ Because the anticode lattice is the subset lattice of the factor set, both
 maps are tabulated over all 2^n supports, from ranks in the space's shared
 support table: alpha is half the Gram rank of the supported part, beta its
 dimension minus alpha minus that of the (isotropic) radical's part.
-This module is the one reader of that table, behind the budget check of
-:func:`support_dims`.  The table's columns are indexed by support mask, so
-a support's complement sits at the mirrored position and the readers run
-over the masks.  Every identity over all supports is one call of
+This module is the one reader of that table, behind the budget checks of
+:func:`support_dims` and :func:`dual_dims`.  The columns are indexed by
+support mask, so a support's complement sits at the mirrored position and
+the readers run over the masks.  Every identity over all supports is one call of
 :func:`support_check` on two columns, which alone decides its witness: the
 first failing support by size, then lexicographically.  Profiles take
 maxima at fixed support size; generalized weights are the least sizes at
@@ -47,6 +47,7 @@ __all__ = [
     "alpha",
     "beta",
     "support_dims",
+    "dual_dims",
     "profiles",
     "generalized_weights",
     "InvariantTable",
@@ -77,6 +78,20 @@ def support_dims(code, budget: int = DEFAULT_BUDGET) -> SupportTable:
     space = _space_of(code)
     check_budget(2**space.n, budget, "support scan")
     return space._support_dims
+
+
+def dual_dims(code, budget: int = DEFAULT_BUDGET) -> bytes:
+    """dim_F of the dual's part in every support, by mask, after the same budget check.
+
+    The radical lies in the dual, so equal dimensions make them one space:
+    the column is then C's own ``rad`` column, with no C-perp built, and
+    otherwise the ``dim`` column of C-perp's table.
+    """
+    space = _space_of(code)
+    check_budget(2**space.n, budget, "support scan")
+    if space.radical().dim_f == 2 * space.n - space.dim_f:
+        return space._support_dims.rad
+    return space.perp()._support_dims.dim
 
 
 def support_check(
@@ -110,11 +125,11 @@ def supported_moments(column, q: int) -> list[int]:
     return moments
 
 
-def rank_identity(space, table: SupportTable) -> CheckResult:
+def rank_identity(space, table: SupportTable, budget: int = DEFAULT_BUDGET) -> CheckResult:
     """``duality-rank-identity``: C's part in each support against the dual's part in its complement."""
     n, dim_f = space.n, space.dim_f
     # The complement of mask m is 2^n - 1 - m, so the complements' column is the reversed column.
-    rhs = [dim_f - 2 * (n - m.bit_count()) + d for m, d in enumerate(reversed(table.dual))]
+    rhs = [dim_f - 2 * (n - m.bit_count()) + d for m, d in enumerate(reversed(dual_dims(space, budget)))]
     return support_check("duality-rank-identity", table.dim, rhs)
 
 
@@ -267,7 +282,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     # Pointwise facts over every support; the complements' columns are the reversed columns.
     checks.append(support_check("alpha-le-beta", alphas, betas, at_most=True))
-    checks.append(rank_identity(space, dims))
+    checks.append(rank_identity(space, dims, budget))
 
     if self_orthogonal:
         lhs = [b + a for b, a in zip(betas, reversed(alphas))]

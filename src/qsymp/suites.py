@@ -181,7 +181,7 @@ def fixture_suite(budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
 def _per_support_general(tally: Tally, code: Code, tag: str, budget: int) -> None:
     table = iv.support_dims(code, budget)
-    tally.add_batch(iv.rank_identity(code.space, table), tag)
+    tally.add_batch(iv.rank_identity(code.space, table, budget), tag)
     tally.add_batch(iv.support_check("alpha-le-beta", table.alpha, table.beta, at_most=True), tag)
     _cleaning_checks(tally, code.space, tag)
 

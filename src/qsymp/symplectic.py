@@ -14,7 +14,7 @@ matrix G of the restricted product: the pair count ``sym_dim = rank(G)/2``
 and the maximal isotropic dimension ``isorank = dim_F - rank(G)/2``.  Each
 subspace also carries one table over its 2^n supports, built on first use,
 from which every support-indexed invariant (alpha/beta, profiles, weights,
-moments, duality) is read: a :class:`SupportTable` of four byte columns
+moments, duality) is read: a :class:`SupportTable` of three byte columns
 indexed by support mask (bit j = factor j), with no per-support object.
 
 Each subspace does its row algebra through one private field object,
@@ -57,8 +57,8 @@ starts at the full support and reaches each support S minus {j} from S by
 cutting the coordinates 2j and 2j+1, that is by intersecting with the
 hyperplane where the coordinate c is zero.  It carries a symplectic basis
 of C's part in F_S (pairs (e_i, f_i) with product 1 plus radical rows,
-seeded from the Gram-Schmidt splitting) and plain bases of the radical's
-and the dual's parts.  With lambda(v) = v[c], a cut follows three rules:
+seeded from the Gram-Schmidt splitting) and a plain basis of the
+radical's part.  With lambda(v) = v[c], a cut follows three rules:
 
 (a) if a radical row r has lambda(r) != 0, clear c from every other row
     with r and drop r: the pair count stays;
@@ -73,25 +73,24 @@ for every v in the part, so the cut part is u's orthogonal inside it, and u
 lies in the cut part orthogonal to all of it: the dimension falls by one
 and the radical grows by one.  Clearing with a vector of a dropped pair
 keeps the other pairs symplectic, since it is orthogonal to them and to
-itself.  The plain bases use rule (a) only; when the radical is the dual,
-as for the normalizer of any isotropic space (every stabilizer code), one
-plain basis serves both.  So each support costs a few row operations and no
-elimination or evaluation of the product.
+itself.  The plain basis uses rule (a) only.  So each support costs a few
+row operations and no elimination or evaluation of the product.  The dual's
+parts are C-perp's own table, or the radical column when the radical is the
+dual (see :func:`qsymp.invariants.dual_dims`).
 
 Each field writes the rules in its own ``cut``, which takes the walk state
 to the support without factor j: it cuts both coordinates 2j and 2j+1 from
-the symplectic basis by rules (a)-(c) and from the plain bases by rule (a),
-cutting one plain basis when it serves both.  So a support costs one visit
-and one call of ``cut``.  A zero row counts as absent, so the row counts
-travel beside the bases.  A basis is one block int of 2n slots of one row
-each, slot i holding row i, and ``cut`` writes every rule inline as a few
-big-int operations on the whole block, however many rows there are.  Over
-GF(2), with ``at[c]`` the mask of bit c in every slot, ``h = B & at[c]``
-marks the rows nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly
-those slots, clearing c from every row and zeroing p's own slot.  Over odd
-q the values at c of every slot are read with one shift and mask, and the
-multiples of the pivot that clear them are added bit by bit of those
-values, one lane addition on the block per bit of q - 1.
+the symplectic basis by rules (a)-(c) and from the plain basis by rule (a).
+So a support costs one visit and one call of ``cut``.  A zero row counts as
+absent, so the row counts travel beside the bases.  A basis is one block
+int of 2n slots of one row each, slot i holding row i, and ``cut`` writes
+every rule inline as a few big-int operations on the whole block, however
+many rows there are.  Over GF(2), with ``at[c]`` the mask of bit c in every
+slot, ``h = B & at[c]`` marks the rows nonzero at c, and ``B ^ (h >> c) * p``
+puts p into exactly those slots, clearing c from every row and zeroing p's
+own slot.  Over odd q the values at c of every slot are read with one shift
+and mask, and the multiples of the pivot that clear them are added bit by
+bit of those values, one lane addition on the block per bit of q - 1.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -190,7 +189,7 @@ class SplitDecomposition:
 
 @dataclass(frozen=True)
 class SupportTable:
-    """Dimensions seen inside every support S, for a space C: four columns by support mask.
+    """Dimensions seen inside every support S, for a space C: three columns by support mask.
 
     Entry ``mask`` of each column belongs to the support whose factors are
     the set bits of ``mask`` (bit j = factor j), so the full support is the
@@ -202,7 +201,6 @@ class SupportTable:
     dim: bytes  # dim_F of C's part in F_S
     gram_rank: bytes  # rank of the product on that part: twice its pair count
     rad: bytes  # dim_F of the radical's part in F_S
-    dual: bytes  # dim_F of the dual's part in F_S
 
     @property
     def alpha(self) -> list[int]:
@@ -509,7 +507,7 @@ class _Gf2(_Packed):
         starts = sum(1 << i * width for i in range(width))
         return [starts << c for c in range(width)]
 
-    def cut(self, state: tuple, j: int, shared: bool) -> tuple:
+    def cut(self, state: tuple, j: int) -> tuple:
         """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1, inline.
 
         With ``m = at[c]``, ``h = B & m`` marks the rows nonzero at c, the
@@ -521,7 +519,7 @@ class _Gf2(_Packed):
         that selection, folded in halves, and goes into the slot above the
         radical block's highest row.
         """
-        rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
+        rad, n_rad, pairs, n_pairs, part, n_part = state
         at, full, width = self.at, self.full, 2 * self.n
         for c in (2 * j, 2 * j + 1):
             m = at[c]
@@ -545,12 +543,7 @@ class _Gf2(_Packed):
             if hit := part & m:
                 part ^= (hit >> c) * (part >> (hit & -hit).bit_length() - 1 - c & full)
                 n_part -= 1
-            if not shared and (hit := dual & m):
-                dual ^= (hit >> c) * (dual >> (hit & -hit).bit_length() - 1 - c & full)
-                n_dual -= 1
-        if shared:
-            dual, n_dual = part, n_part
-        return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
+        return rad, n_rad, pairs, n_pairs, part, n_part
 
 
 class _Odd(_Packed):
@@ -795,7 +788,7 @@ class _Odd(_Packed):
         full = (1 << self.slot) - 1
         return one, ((1 << self.t) - self.q) * one, starts * self.mask, starts, full
 
-    def cut(self, state: tuple, j: int, shared: bool) -> tuple:
+    def cut(self, state: tuple, j: int) -> tuple:
         """The walk state without factor j: rules (a)-(c) on coordinates 2j and 2j + 1, inline.
 
         ``B >> c * b & low`` holds, in lane 0 of each slot i, the value v_i
@@ -809,7 +802,7 @@ class _Odd(_Packed):
         folded in halves, and goes into the slot above the radical block's
         highest row.
         """
-        rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual = state
+        rad, n_rad, pairs, n_pairs, part, n_part = state
         q, b, t, mask, slot, bits = self.q, self.b, self.t, self.mask, self.slot, self.bits
         h, one, last = self.h, self.one, self.bits[-1]
         block_one, block_h, low, starts, full = self._slots
@@ -844,10 +837,8 @@ class _Odd(_Packed):
                 sym = v_pairs = 0
             if v_part := part >> at & low:
                 n_part -= 1
-            if v_dual := 0 if shared else dual >> at & low:
-                n_dual -= 1
-            ds = []  # d for the symplectic basis, the part's and the dual's
-            for block, v in ((sym, v_sym), (part, v_part), (dual, v_dual)):
+            ds = []  # d for the symplectic basis and the part's
+            for block, v in ((sym, v_sym), (part, v_part)):
                 d = 0
                 if v:
                     i = (v & -v).bit_length() - 1
@@ -864,7 +855,7 @@ class _Odd(_Packed):
                         p += p
                         p -= (p + h >> t & one) * q
                 ds.append(d)
-            d, d_part, d_dual = ds
+            d, d_part = ds
             for k in bits:  # every block plus v d, bit k of the v at a time
                 if sel := v_rad >> k & starts:
                     rad += sel * d
@@ -875,9 +866,6 @@ class _Odd(_Packed):
                 if sel := v_part >> k & starts:
                     part += sel * d_part
                     part -= (part + block_h >> t & block_one) * q
-                if sel := v_dual >> k & starts:
-                    dual += sel * d_dual
-                    dual -= (dual + block_h >> t & block_one) * q
                 if k == last:
                     break
                 if d:
@@ -886,12 +874,7 @@ class _Odd(_Packed):
                 if d_part:
                     d_part += d_part
                     d_part -= (d_part + h >> t & one) * q
-                if d_dual:
-                    d_dual += d_dual
-                    d_dual -= (d_dual + h >> t & one) * q
-        if shared:
-            dual, n_dual = part, n_part
-        return rad, n_rad, pairs, n_pairs, part, n_part, dual, n_dual
+        return rad, n_rad, pairs, n_pairs, part, n_part
 
 
 def _gram_schmidt(ops, rows) -> tuple[list, list]:
@@ -1082,38 +1065,32 @@ class Subspace:
         its own: the public entry points check the budget before reading
         it.  The walk removes factors in decreasing order, so it reaches
         every support once, and reaches each by one call of the field's
-        ``cut``, which cuts the removed factor from three bases by the rules
+        ``cut``, which cuts the removed factor from two bases by the rules
         in the module docstring: a symplectic basis of C's part (rules
-        (a)-(c)) and plain bases of the radical's and the dual's parts (rule
-        (a)), one basis for both when they are equal.  Each visit writes the
-        support's four slots from the row counts carried with the bases:
-        ``dim`` = 2 * pairs + radical rows, ``gram_rank`` = 2 * pairs,
-        ``rad`` and ``dual`` the plain bases' row counts.
+        (a)-(c)) and a plain basis of the radical's part (rule (a)).  Each
+        visit writes the support's three slots from the row counts carried
+        with the bases: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
+        2 * pairs, ``rad`` the plain basis's row count.
         """
         n = self.n
         ops = self._field
-        dim, gram_rank, rad_dim, dual_dim = (bytearray(1 << n) for _ in range(4))
-        # The radical lies in the dual, so equal dimensions mean one plain basis serves both.
-        shared = self._radical.dim_f == self._perp.dim_f
-
+        dim, gram_rank, rad_dim = (bytearray(1 << n) for _ in range(3))
         cut = ops.cut  # one lookup per table, not per support
 
         def visit(mask, below, state):
-            _, n_rad, _, n_pairs, _, n_part, _, n_dual = state
+            _, n_rad, _, n_pairs, _, n_part = state
             dim[mask] = n_rad + n_pairs
             gram_rank[mask] = n_pairs
             rad_dim[mask] = n_part
-            dual_dim[mask] = n_dual
             for j in range(below):
-                visit(mask ^ 1 << j, j, cut(state, j, shared))
+                visit(mask ^ 1 << j, j, cut(state, j))
 
         rad, pairs = self._split
-        state = [ops.block(rad), len(rad), ops.block(pairs), len(pairs)]
-        for space in (self._radical, self._perp):
-            state += ops.block(ops.walk(space._rows)), space.dim_f
-        visit((1 << n) - 1, n, tuple(state))
+        part = ops.walk(self._radical._rows)
+        state = ops.block(rad), len(rad), ops.block(pairs), len(pairs), ops.block(part), len(part)
+        visit((1 << n) - 1, n, state)
         del visit  # it refers to itself: without this, the columns wait for the cycle collector
-        return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim), bytes(dual_dim))
+        return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim))
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank saturates the ambient bound ``n``."""

@@ -146,7 +146,7 @@ def project(b, factors) -> np.ndarray:
 
 
 def support_table(b, q: int, n: int) -> list[bytes]:
-    """The four support table columns (dim, gram rank, radical's dim, dual's dim) by mask."""
+    """The support table's three columns (dim, gram rank, radical's dim) and the dual's column, by mask."""
     rad, dual = radical(b, q), perp(b, q)
     columns = [bytearray(1 << n) for _ in range(4)]
     for mask in range(1 << n):

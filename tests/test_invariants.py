@@ -206,9 +206,10 @@ def test_weights_from_maxima_match_a_first_hit_scan(rng, repetition, bacon_shor,
 
 def test_a_complement_sits_at_the_mirrored_mask(rng):
     for q, n in ((2, 1), (3, 3), (5, 4), (2, 8)):
-        table = support_dims(random_code(rng, q, n))
+        code = random_code(rng, q, n)
+        table = support_dims(code)
         supports = [a.support for a in all_anticodes(n)]
-        columns = (table.dim, table.gram_rank, table.rad, table.dual)
+        columns = (table.dim, table.gram_rank, table.rad, invariants.dual_dims(code))
         assert len(supports) == 2**n and {len(column) for column in columns} == {2**n}
         for supp in supports:
             m, c = mask_of(supp), mask_of(j for j in range(n) if j not in supp)

@@ -11,7 +11,7 @@ from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, pu
 from qsymp.codes import Code, from_pauli, random_code, weights_from_codewords, weights_from_supports
 from qsymp.enumerators import binomial_moments, distance_from_enumerators, weight_distribution
 from qsymp.errors import BudgetExceededError
-from qsymp.invariants import alpha, beta, support_dims
+from qsymp.invariants import alpha, beta, dual_dims, support_dims
 from qsymp.oracle import (
     brute_alpha_beta,
     brute_binomial_moments,
@@ -150,7 +150,7 @@ def test_rank_route_matches_counting_route(w):
 @settings(max_examples=40, deadline=None)
 @given(w=route_spaces())
 def test_support_table_matches_oracle_and_literal_intersections(w):
-    dims = support_dims(w)
+    dims, dual_column = support_dims(w), dual_dims(w)
     supports = [a.support for a in all_anticodes(w.n)]
     rad, dual = w.radical(), w.perp()
     brute = brute_alpha_beta(w, supports)
@@ -160,7 +160,7 @@ def test_support_table_matches_oracle_and_literal_intersections(w):
         assert dims.dim[m] == inner.dim_f
         assert dims.gram_rank[m] == 2 * inner.orthogonal_split().pair_count
         assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f
-        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f
+        assert dual_column[m] == intersect_with_anticode(dual, a).dim_f
         assert (dims.alpha[m], dims.beta[m]) == pair
 
 

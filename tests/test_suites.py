@@ -52,23 +52,23 @@ def test_tally_add_batch_keeps_the_first_failing_item():
 
 @pytest.fixture
 def off_by_one_dual(monkeypatch):
-    """Make the table report one more dual dimension on the full support than there is."""
-    real = invariants.support_dims
+    """Make the dual's column report one more dimension on the full support than there is."""
+    real = invariants.dual_dims
 
     def wrong(code, budget=invariants.DEFAULT_BUDGET):
-        table = real(code, budget)
-        return _dual_faults(table, [range(table.n)])
+        column = real(code, budget)
+        return _dual_faults(column, [range(len(column).bit_length() - 1)])
 
-    monkeypatch.setattr(invariants, "support_dims", wrong)
-    monkeypatch.setattr(enumerators, "support_dims", wrong)
+    monkeypatch.setattr(invariants, "dual_dims", wrong)
+    monkeypatch.setattr(enumerators, "dual_dims", wrong)
 
 
-def _dual_faults(table, supports):
-    """The table with one more dual dimension than there is on each given support."""
-    dual = list(table.dual)
+def _dual_faults(column, supports):
+    """The dual's column with one more dimension than there is on each given support."""
+    dual = list(column)
     for s in supports:
         dual[sum(1 << j for j in s)] += 1
-    return replace(table, dual=tuple(dual))
+    return tuple(dual)
 
 
 def test_witness_is_the_first_failure_by_size_then_lexicographic(monkeypatch):
@@ -77,14 +77,14 @@ def test_witness_is_the_first_failure_by_size_then_lexicographic(monkeypatch):
     # first.  The per-anticode check reads each support's own dual entry,
     # the rank identity its complement's, and the two supports are each
     # other's complement, so both checks fail on both.
-    real = invariants.support_dims
+    real = invariants.dual_dims
     faults = [frozenset({1, 2}), frozenset({0, 3})]
 
     def wrong(code, budget=DEFAULT_BUDGET):
         return _dual_faults(real(code, budget), faults)
 
-    monkeypatch.setattr(invariants, "support_dims", wrong)
-    monkeypatch.setattr(enumerators, "support_dims", wrong)
+    monkeypatch.setattr(invariants, "dual_dims", wrong)
+    monkeypatch.setattr(enumerators, "dual_dims", wrong)
     code = random_stabilizer_code(np.random.default_rng(4), 4)
     (per, *_) = enumerators.macwilliams_check(code)
     (rank,) = [c for c in invariants.verify_bounds(code) if c.identity == "duality-rank-identity"]

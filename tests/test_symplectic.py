@@ -17,6 +17,7 @@ import qsymp
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
 from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace, vector_to_pauli
 from qsymp.errors import DimensionMismatchError
+from qsymp.invariants import dual_dims
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
@@ -469,7 +470,7 @@ def test_widest_lanes_match_the_dense_route(q, n):
         assert a.perp().basis.tolist() == dense.perp(A, q).tolist()
         assert a.radical().basis.tolist() == dense.radical(A, q).tolist()
         dims = a._support_dims
-        assert [dims.dim, dims.gram_rank, dims.rad, dims.dual] == dense.support_table(A, q, n)
+        assert [dims.dim, dims.gram_rank, dims.rad, dual_dims(a)] == dense.support_table(A, q, n)
         for mask in range(1 << n):
             factors = [j for j in range(n) if mask >> j & 1]
             anticode = Anticode(n, factors)
@@ -613,27 +614,28 @@ def test_support_walk_matches_literal_intersections(name):
         # rule (b) puts radical rows past the ones the walk starts with
         radical_rows = [d - g for d, g in zip(dims.dim, dims.gram_rank)]
         assert max(radical_rows) > radical_rows[-1]
-    columns = (dims.dim, dims.gram_rank, dims.rad, dims.dual)
+    columns = (dims.dim, dims.gram_rank, dims.rad, dual_dims(w))
     assert dims.n == w.n and [len(col) for col in columns] == [2**w.n] * 4
     rad, dual = w.radical(), w.perp()
     for a in all_anticodes(w.n):
         inner, m = intersect_with_anticode(w, a), _mask(a.support)
         assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
         assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
-        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+        assert columns[3][m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 @pytest.mark.parametrize("name", WALK_CASES)
 def test_support_table_columns_are_bytes_of_at_most_2n(name):
     w = _walk_case(name)
     dims = w._support_dims
-    for column in (dims.dim, dims.gram_rank, dims.rad, dims.dual):
+    for column in (dims.dim, dims.gram_rank, dims.rad, dual_dims(w)):
         assert type(column) is bytes and max(column) <= 2 * w.n
 
 
-# sha256 of the four columns (dim, gram_rank, rad, dual) joined, per walk
-# case, taken before the walk's cut moved into the field objects
-# (gauge-q3-n8: before the odd-q rows became residue lanes).
+# sha256 of the table's three columns (dim, gram_rank, rad) and the dual's
+# column joined, per walk case, taken before the walk's cut moved into the
+# field objects (gauge-q3-n8: before the odd-q rows became residue lanes),
+# when the walk still carried the dual's basis.
 PINNED_TABLES = {
     "stabilizer-q2-n8": "a5213081dacf834bd90561936a548d60d40cf777b7775b7266cd092f9ed363ce",
     "gauge-q2-n7": "8834cf2081db98a49ad90d7925e00f0d313a811b88bfd8b505ba534507ab65cc",
@@ -657,8 +659,9 @@ PINNED_TABLES = {
 
 @pytest.mark.parametrize("name", WALK_CASES)
 def test_support_table_bytes_are_pinned(name):
-    dims = _walk_case(name)._support_dims
-    joined = b"".join((dims.dim, dims.gram_rank, dims.rad, dims.dual))
+    w = _walk_case(name)
+    dims = w._support_dims
+    joined = b"".join((dims.dim, dims.gram_rank, dims.rad, dual_dims(w)))
     assert hashlib.sha256(joined).hexdigest() == PINNED_TABLES[name]
 
 
@@ -676,13 +679,13 @@ def odd_spaces(draw):
 @settings(max_examples=30, deadline=None)
 @given(w=odd_spaces())
 def test_odd_support_walk_matches_literal_intersections(w):
-    dims = w._support_dims
+    dims, dual_column = w._support_dims, dual_dims(w)
     rad, dual = w.radical(), w.perp()
     for a in all_anticodes(w.n):
         inner, m = intersect_with_anticode(w, a), _mask(a.support)
         assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
         assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
-        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+        assert dual_column[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -734,8 +737,8 @@ def test_odd_walk_calls_nothing_per_support_but_visit_and_cut():
 
 
 def test_gauge_walk_outgrows_its_initial_radical_rows():
-    # Radical and dual differ, so both plain bases are cut, and rule (b)
-    # puts radical rows past the ones the walk starts with.
+    # Radical and dual differ, so the dual's column is a walk of its own,
+    # and rule (b) puts radical rows past the ones the walk starts with.
     w = _walk_case("gauge-q2-n10")
     assert w.radical() != w.perp()
     dims = w._support_dims
@@ -746,9 +749,9 @@ def test_gauge_walk_outgrows_its_initial_radical_rows():
 
 def test_support_walk_at_twelve_factors_matches_sampled_intersections():
     w = _walk_case("stabilizer-q2-n12")
-    assert w.radical() == w.perp()  # one plain basis serves both
-    dims = w._support_dims
-    assert [len(col) for col in (dims.dim, dims.gram_rank, dims.rad, dims.dual)] == [2**12] * 4
+    assert w.radical() == w.perp()  # the radical column serves as the dual's
+    dims, dual_column = w._support_dims, dual_dims(w)
+    assert [len(col) for col in (dims.dim, dims.gram_rank, dims.rad, dual_column)] == [2**12] * 4
     rng = np.random.default_rng(12)
     rad, dual = w.radical(), w.perp()
     for _ in range(200):
@@ -756,7 +759,7 @@ def test_support_walk_at_twelve_factors_matches_sampled_intersections():
         inner, m = intersect_with_anticode(w, a), _mask(a.support)
         assert (dims.dim[m], dims.gram_rank[m]) == (inner.dim_f, 2 * inner.sym_dim), sorted(a.support)
         assert dims.rad[m] == intersect_with_anticode(rad, a).dim_f, sorted(a.support)
-        assert dims.dual[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
+        assert dual_column[m] == intersect_with_anticode(dual, a).dim_f, sorted(a.support)
 
 
 def test_cached_values_call_the_current_func_once(monkeypatch):
