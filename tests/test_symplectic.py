@@ -633,9 +633,9 @@ def test_support_table_columns_are_bytes_of_at_most_2n(name):
 
 
 # sha256 of the table's three columns (dim, gram_rank, rad) and the dual's
-# column joined, per walk case, taken before the walk's cut moved into the
-# field objects (gauge-q3-n8: before the odd-q rows became residue lanes),
-# when the walk still carried the dual's basis.
+# column (dual_dims) joined, per walk case, taken before the walk's cut moved
+# into the field objects (gauge-q3-n8: before the odd-q rows became residue
+# lanes).
 PINNED_TABLES = {
     "stabilizer-q2-n8": "a5213081dacf834bd90561936a548d60d40cf777b7775b7266cd092f9ed363ce",
     "gauge-q2-n7": "8834cf2081db98a49ad90d7925e00f0d313a811b88bfd8b505ba534507ab65cc",
@@ -701,7 +701,7 @@ def test_walk_cuts_once_per_support_below_the_full_one(monkeypatch, q):
 def test_binary_walk_calls_nothing_per_support_but_visit_and_cut():
     # At q=2 the rules run inline in the field's cut: no call layer below it.
     w = random_subspace(np.random.default_rng(2), 2, 8, rows=9)
-    w._split, w._radical, w._perp
+    w._split, w._radical
     seen = Counter()
 
     def profile(frame, event, arg):
@@ -720,7 +720,7 @@ def test_binary_walk_calls_nothing_per_support_but_visit_and_cut():
 def test_odd_walk_calls_nothing_per_support_but_visit_and_cut():
     # At odd q too the rules run inline in the field's cut, on whole blocks of lanes.
     w = random_subspace(np.random.default_rng(3), 3, 8, rows=9)
-    w._split, w._radical, w._perp
+    w._split, w._radical
     seen = Counter()
 
     def profile(frame, event, arg):
