@@ -160,6 +160,7 @@ def test_support_scan_budget_guard(shor):
     "entry",
     [
         support_dims,
+        invariants.dual_dims,
         profiles,
         generalized_weights,
         invariant_table,
@@ -237,8 +238,6 @@ def test_duality_checks_of_a_stabilizer_code_walk_no_dual(rng):
         assert all(c.passed for c in macwilliams_check(code) + verify_bounds(code))
         assert "_support_dims" not in code.space.perp().__dict__
         assert invariants.dual_dims(code) == support_dims(code).rad
-    with pytest.raises(BudgetExceededError):
-        invariants.dual_dims(code, budget=2**n - 1)
 
 
 def test_support_check_compares_by_mask_within_the_size_bound():
