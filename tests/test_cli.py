@@ -201,6 +201,26 @@ def test_input_that_contradicts_itself_exit_3(argv, stdin, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, stdin, fragment",
+    [
+        (["analyze", "--fixture", "shor", "--as", "code"], "", "cannot be combined with --fixture"),
+        (["analyze", "--json", "-"], "[1, 0, 0, 1]", "must be an object"),
+        (["puncture", "--fixture", "shor", "--support", "1,x"], "", "bad support '1,x'"),
+        (["analyze", "--pauli", "-"], "izz\nixx\n", "unknown Pauli letter 'z'"),
+    ],
+    ids=["as-with-fixture", "json-not-object", "support-not-integer", "pauli-lowercase"],
+)
+def test_refused_input_exits_3_with_its_reason(argv, stdin, fragment, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = json.loads(captured.err)
+    assert reason["error"] == "input"
+    assert fragment in reason["detail"]
+
+
+@pytest.mark.parametrize(
     "data, bad",
     [
         ({"q": 3, "n": 2, "basis": [[0.5, 1, 0, 1]]}, "0.5"),

@@ -68,6 +68,20 @@ def test_pauli_parse_errors():
     with pytest.raises(ParseError) as err:
         parse_pauli_text("XX\nXB\n")
     assert "line 2" in str(err.value)
+    with pytest.raises(ParseError, match="inconsistent lengths"):
+        parse_pauli_text("XX\nXXX\n")
+    with pytest.raises(ValueError, match="empty generator list"):
+        from_pauli([])
+
+
+def test_lowercase_pauli_letters_are_refused():
+    # A leading lowercase i is the phase unit, so "izz" must not read as ZZ.
+    with pytest.raises(ParseError, match="unknown Pauli letter 'z'"):
+        parse_pauli_text("izz\nixx\n")
+    with pytest.raises(ParseError, match="unknown Pauli letter 'z'"):
+        parse_pauli_text("zzi\n")
+    with pytest.raises(ParseError, match="unknown Pauli letter 'x'"):
+        pauli_to_vector("xz")
 
 
 def test_pauli_file_comments_and_blanks():
@@ -145,6 +159,13 @@ def test_rotated_surface_code_parameters(d):
 
 def test_rotated_surface_code_distance():
     assert rotated_surface_code(3).distance() == 3
+
+
+def test_code_families_refuse_an_empty_grid():
+    with pytest.raises(ValueError, match="distance must be at least 1"):
+        rotated_surface_code(0)
+    with pytest.raises(ValueError, match="grid side must be at least 1"):
+        bacon_shor_code(0)
 
 
 def test_bacon_shor_default_is_the_two_by_two_code():

@@ -240,6 +240,17 @@ def test_duality_checks_of_a_stabilizer_code_walk_no_dual(rng):
         assert invariants.dual_dims(code) == support_dims(code).rad
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_a_table_and_the_duals_column_build_no_radical(q):
+    # The walk seeds the radical's part from the splitting, and the dual's
+    # column reads the radical's dimension off the table's full support.
+    rng = np.random.default_rng(q)
+    for code in (random_stabilizer_code(rng, 4, q), random_code(rng, q, 4)):
+        support_dims(code), invariants.dual_dims(code)
+        assert "_radical" not in code.space.__dict__
+    assert "_radical" not in code.space.perp().__dict__
+
+
 def test_support_check_compares_by_mask_within_the_size_bound():
     # n = 2: masks 0..3 are the supports {}, {0}, {1} and {0, 1}.
     lhs, rhs = [0, 2, 1, 5], [0, 1, 1, 0]

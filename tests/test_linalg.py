@@ -271,6 +271,17 @@ def test_matrix_text_headers():
         matrix_from_text("2 1\n1 0\n")
     with pytest.raises(ParseError):
         matrix_from_text("4 1 2\n1 0\n")  # composite modulus
+    with pytest.raises(ParseError, match="three integers"):
+        matrix_from_text("2 x 2\n")
+    with pytest.raises(ParseError, match="negative dimensions"):
+        matrix_from_text("2 -1 2\n")
+
+
+def test_a_matrix_needs_a_width_and_two_axes():
+    with pytest.raises(ValueError, match="explicit column count"):
+        as_matrix([], None)
+    with pytest.raises(ValueError, match="ndim 3"):
+        as_matrix(np.zeros((2, 2, 2), dtype=np.int64), None)
 
 
 def test_matrix_text_row_errors():

@@ -257,6 +257,11 @@ def test_single_suite_equals_its_section_of_all(suite, all_sections):
     assert section == all_sections[suite]
 
 
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suites("bogus")
+
+
 def test_failing_bounds_witness_names_the_code_and_the_support(off_by_one_dual):
     (section,) = run_suites("bounds", seed=7)["sections"]
     failing = [c for c in section["checks"] if not c["pass"]]

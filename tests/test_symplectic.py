@@ -21,6 +21,7 @@ from qsymp.invariants import dual_dims
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
+    _field,
     hamming_weight,
     support_of,
     symplectic_form,
@@ -51,6 +52,13 @@ def test_binary_product_examples():
 def test_product_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         symplectic_form([1, 0], [1, 0, 0, 0], 2)
+    with pytest.raises(DimensionMismatchError, match="even length"):
+        symplectic_form([1, 0, 1], [0, 1, 0], 2)
+
+
+def test_factors_must_come_as_pairs():
+    with pytest.raises(ValueError, match=r"sequence of \(x, z\) pairs"):
+        vector_from_factors([1, 0, 1])
 
 
 MATRIX_AS_VECTOR = {
@@ -230,6 +238,18 @@ def test_binary_kernel_and_rank_match_the_dense_route(case):
     assert len(ops._echelon(rows)) == dense.rref(a, 2).shape[0]
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_an_echelon_extends_a_given_one_in_place(q):
+    ops = _field(q, 4)
+    rows = ops.pack(np.random.default_rng(q).integers(0, q, size=(12, 8)))
+    rows[6] = rows[1]  # a row already in the span
+    parts, rest = rows[:5], rows[5:]
+    start = ops._echelon(parts)
+    extended = ops._echelon(rest, basis=start)
+    assert extended is start
+    assert extended == ops._echelon(parts + rest)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_the_gram_matrix_is_eliminated_once(monkeypatch, q):
     w = random_subspace(np.random.default_rng(q), q, 6, 9)
@@ -378,6 +398,8 @@ def test_radical_inside_dual_with_equality_iff_stabilizer(rng):
 def test_json_round_trip(rng):
     w = random_subspace(rng, 3, 2)
     assert Subspace.from_json_dict(w.to_json_dict()) == w
+    with pytest.raises(DimensionMismatchError, match="malformed subspace object"):
+        Subspace.from_json_dict({"q": 3, "n": 2})  # no basis
 
 
 def test_equality_and_hash():
