@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import as_matrix
-from .report import CheckResult, equal
+from .report import CheckResult, equal, skipped
 from .symplectic import Subspace, _field
 
 __all__ = [
@@ -173,27 +173,18 @@ def verify_cleaning(code, a: Anticode) -> list[CheckResult]:
         ("cleaning-shorten-dual", shorten(dual, a), puncture(space, a).perp()),
         ("cleaning-puncture-dual", puncture(dual, a), shorten(space, a).perp()),
     ):
-        ok = lhs == rhs
-        witness = None
-        if not ok:
-            for row in lhs.basis:
-                if row not in rhs:
-                    witness = {"side": "lhs", "vector": [int(x) for x in row]}
-                    break
-            else:
-                for row in rhs.basis:
-                    if row not in lhs:
-                        witness = {"side": "rhs", "vector": [int(x) for x in row]}
-                        break
-        checks.append(
-            CheckResult(
-                identity=name,
-                passed=ok,
-                lhs=lhs,
-                rhs=rhs,
-                witness=witness,
+        check = equal(name, lhs, rhs)
+        if not check.passed:
+            check.witness = next(
+                (
+                    {"side": side, "vector": [int(x) for x in row]}
+                    for side, mine, other in (("lhs", lhs, rhs), ("rhs", rhs, lhs))
+                    for row in mine.basis
+                    if row not in other
+                ),
+                None,
             )
-        )
+        checks.append(check)
     return checks
 
 
@@ -220,9 +211,10 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
     usable rows of ``radical_rows`` (default: the canonical radical basis).
     Passing the rows in a preferred presentation order steers which
     complement is produced; every identity checked downstream is independent
-    of that choice.  The field object makes the choice (``transversal``)
-    from an echelon of packed rows.  When both supported parts are zero the
-    summand is the whole radical, and the radical object itself is returned.
+    of that choice.  The field object makes the choice (``transversal``),
+    extending an echelon of the two parts' rows, which are not summed
+    first.  When both supported parts are zero the summand is the whole
+    radical, and the radical object itself is returned.
     """
     space = _space_of(code)
     rad = space.radical()
@@ -236,10 +228,9 @@ def s_prime_decompose(code, a: Anticode, radical_rows=None) -> SPrimeDecompositi
         if span != rad:
             raise ValueError("supplied rows must span the radical")
     if rad_in_a.dim_f or rad_in_aperp.dim_f:
-        parts = rad_in_a + rad_in_aperp
         field = space._field
         rows = rad._rows if radical_rows is None else field.pack(given)
-        s_prime = Subspace._canonical(field, field.transversal(parts._rows, rows))
+        s_prime = Subspace._canonical(field, field.transversal(rad_in_a._rows + rad_in_aperp._rows, rows))
     else:  # the radical meets neither side: it is its own transversal summand
         s_prime = rad
     return SPrimeDecomposition(rad_in_a=rad_in_a, rad_in_aperp=rad_in_aperp, s_prime=s_prime)
@@ -294,11 +285,5 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
             ),
         ]
     else:
-        checks.append(
-            CheckResult(
-                "self-orthogonal-shortening-dim",
-                True,
-                note="skipped: radical differs from the dual",
-            )
-        )
+        checks.append(skipped("self-orthogonal-shortening-dim", "radical differs from the dual"))
     return checks

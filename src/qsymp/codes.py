@@ -60,10 +60,10 @@ def _strip_phase(s: str) -> str:
 
 
 def pauli_to_vector(s: str) -> Vector:
-    """Parse a Pauli word over I/X/Z/Y into interleaved coordinates (q=2)."""
+    """Parse a Pauli word over uppercase I/X/Z/Y into interleaved coordinates (q=2)."""
     word = _strip_phase(s)
     coords = np.zeros(2 * len(word), dtype=np.int64)
-    for i, letter in enumerate(word.upper()):
+    for i, letter in enumerate(word):
         try:
             x, z = PAULI_TO_FACTOR[letter]
         except KeyError:
@@ -84,17 +84,17 @@ def vector_to_pauli(v) -> str:
 def parse_pauli_text(text: str) -> list[str]:
     """Read one generator per line; '#' starts a comment, blanks are skipped.
 
-    Leading signs/phases (``-``, ``+``, lowercase ``i``) are discarded.
+    Leading signs/phases (``-``, ``+``, lowercase ``i``) are discarded; the
+    letters are uppercase ``I X Z Y``, so a lowercase letter is refused.
     """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_phase(raw.split("#", 1)[0].strip())
         if not line:
             continue
-        if any(c not in PAULI_TO_FACTOR for c in line.upper()):
-            bad = next(c for c in line.upper() if c not in PAULI_TO_FACTOR)
+        if (bad := next((c for c in line if c not in PAULI_TO_FACTOR), None)) is not None:
             raise ParseError(f"unknown Pauli letter {bad!r}", line=lineno)
-        out.append(line.upper())
+        out.append(line)
     lengths = {len(s) for s in out}
     if len(lengths) > 1:
         raise ParseError(f"generators have inconsistent lengths {sorted(lengths)}")

@@ -36,7 +36,7 @@ import math
 from .anticodes import _space_of
 from .errors import DEFAULT_BUDGET
 from .invariants import dual_dims, support_check, support_dims, supported_moments
-from .report import CheckResult, batch
+from .report import CheckResult, batch, skipped
 
 __all__ = [
     "weight_distribution",
@@ -192,13 +192,10 @@ def macwilliams_check(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
         )
     else:
         checks.append(
-            CheckResult(
+            skipped(
                 "macwilliams-moments-unshifted",
-                True,
-                note=(
-                    "skipped: nontrivial radical (dim_F != 2k); the shifted "
-                    "exponent 2*dim(A) - dim_F is the one that holds"
-                ),
+                "nontrivial radical (dim_F != 2k); the shifted "
+                "exponent 2*dim(A) - dim_F is the one that holds",
             )
         )
     return checks

@@ -40,7 +40,7 @@ from math import comb
 
 from .anticodes import Anticode, _space_of, intersect_with_anticode
 from .errors import DEFAULT_BUDGET, check_budget
-from .report import CheckResult, batch, equal
+from .report import CheckResult, batch, equal, skipped
 from .symplectic import SupportTable
 
 __all__ = [
@@ -83,14 +83,17 @@ def support_dims(code, budget: int = DEFAULT_BUDGET) -> SupportTable:
 def dual_dims(code, budget: int = DEFAULT_BUDGET) -> bytes:
     """dim_F of the dual's part in every support, by mask, after the same budget check.
 
-    The radical lies in the dual, so equal dimensions make them one space:
-    the column is then C's own ``rad`` column, with no C-perp built, and
-    otherwise the ``dim`` column of C-perp's table.
+    The radical lies in the dual, so equal dimensions make them one space.
+    The radical's dimension is the table's full-support ``rad`` entry, so
+    no radical is built: when it equals the dual's, the column is C's own
+    ``rad`` column, with no C-perp built, and otherwise the ``dim`` column
+    of C-perp's table.
     """
     space = _space_of(code)
     check_budget(2**space.n, budget, "support scan")
-    if space.radical().dim_f == 2 * space.n - space.dim_f:
-        return space._support_dims.rad
+    table = space._support_dims
+    if table.rad[-1] == 2 * space.n - space.dim_f:
+        return table.rad
     return space.perp()._support_dims.dim
 
 
@@ -277,9 +280,6 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     self_orthogonal = space.radical() == space.perp()
     checks: list[CheckResult] = []
 
-    def add(identity, passed, lhs=None, rhs=None, note=None):
-        checks.append(CheckResult(identity, passed, lhs=lhs, rhs=rhs, note=note))
-
     # Pointwise facts over every support; the complements' columns are the reversed columns.
     checks.append(support_check("alpha-le-beta", alphas, betas, at_most=True))
     checks.append(rank_identity(space, dims, budget))
@@ -293,7 +293,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             zero = [(0, 0)] * len(diff)
             checks.append(support_check("small-support-trivial", list(zip(alphas, betas)), zero, below=d))
     else:
-        add("weight-complementarity", True, note="skipped: radical differs from the dual (not applicable)")
+        checks.append(skipped("weight-complementarity", "radical differs from the dual (not applicable)"))
 
     checks.append(batch("profile-steps", profile_step_items(theta, phi), key="step"))
 
@@ -337,11 +337,13 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     # Distance-dependent bounds.
     if d is None:
-        add("singleton", True, note="skipped: no codewords outside the radical")
-        add("generalized-singleton-upper", True, note="skipped: distance undefined")
-        add("generalized-singleton-self-orthogonal", True, note="skipped: distance undefined")
+        checks += [
+            skipped("singleton", "no codewords outside the radical"),
+            skipped("generalized-singleton-upper", "distance undefined"),
+            skipped("generalized-singleton-self-orthogonal", "distance undefined"),
+        ]
     else:
-        add("singleton", 2 * (d - 1) <= n - k, lhs=2 * (d - 1), rhs=n - k)
+        checks.append(CheckResult("singleton", 2 * (d - 1) <= n - k, lhs=2 * (d - 1), rhs=n - k))
         gs_items = []
         for a_level in range(1, k + 1):
             da = delta[a_level - 1]
@@ -360,9 +362,5 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
             if k >= 1 and varphi[0] is not None:
                 checks.append(equal("anticode-distance", varphi[0], d))
         else:
-            add(
-                "generalized-singleton-self-orthogonal",
-                True,
-                note="skipped: radical differs from the dual",
-            )
+            checks.append(skipped("generalized-singleton-self-orthogonal", "radical differs from the dual"))
     return checks

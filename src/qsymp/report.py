@@ -1,9 +1,10 @@
 """Pass/fail records emitted by the identity-checking suites, and the two ways to count them.
 
-A verifier that checks one identity over many items of its own (supports,
-profile steps, moment indices) folds them into one result with
-:func:`batch`.  A suite that replays identities over many instances
-accumulates per-identity counts in a :class:`Tally`.
+A two-sided check is :func:`equal`, and a check whose hypotheses fail is
+recorded by :func:`skipped`.  A verifier that checks one identity over many
+items of its own (supports, profile steps, moment indices) folds them into
+one result with :func:`batch`.  A suite that replays identities over many
+instances accumulates per-identity counts in a :class:`Tally`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ class CheckResult:
 def equal(identity: str, lhs: Any, rhs: Any, note: str | None = None) -> CheckResult:
     """The check that ``lhs`` equals ``rhs``, both sides kept."""
     return CheckResult(identity, lhs == rhs, lhs=lhs, rhs=rhs, note=note)
+
+
+def skipped(identity: str, reason: str) -> CheckResult:
+    """The record of a check whose hypotheses fail: it passes, noted ``skipped: <reason>``."""
+    return CheckResult(identity, True, note="skipped: " + reason)
 
 
 def batch(

@@ -31,10 +31,12 @@ nonzero lane.  Both run the same span routines on those rows: echelon
 insertion for the canonical form, the vanishing part read from the highest
 pivot down, Zassenhaus intersection with no elimination first, the kernel
 as an echelon keyed by each row's highest pivot and its free-column vectors
-read canonical from it (``_echelon``, then ``free``), projection by shift
-and mask, and the transversal from an echelon.  A rank is the echelon's row
-count, so each Gram matrix is eliminated once, into one highest-pivot
-echelon that gives both the pair count and the radical's coefficients.
+read canonical from it (``_echelon``, then ``free``), and projection by
+shift and mask.  The transversal exists once, on :class:`_Packed`: it
+extends an echelon of the parts in place, row by row.  A rank is the
+echelon's row count, so each Gram matrix is eliminated once, into one
+highest-pivot echelon that gives both the pair count and the radical's
+coefficients.
 Results that an operation returns in canonical form (sums, intersections,
 kernels, anticode parts) are stored with no second elimination.
 
@@ -58,7 +60,9 @@ cutting the coordinates 2j and 2j+1, that is by intersecting with the
 hyperplane where the coordinate c is zero.  It carries a symplectic basis
 of C's part in F_S (pairs (e_i, f_i) with product 1 plus radical rows,
 seeded from the Gram-Schmidt splitting) and a plain basis of the
-radical's part.  With lambda(v) = v[c], a cut follows three rules:
+radical's part, seeded from that splitting's unpaired rows, which span the
+radical: a table builds no radical.  With lambda(v) = v[c], a cut follows
+three rules:
 
 (a) if a radical row r has lambda(r) != 0, clear c from every other row
     with r and drop r: the pair count stays;
@@ -244,8 +248,6 @@ class _Packed:
         self.slot = 2 * n * self.b  # the bits of one row: one walk slot
         self.coords = self.columns(range(n))  # bit 0 of every lane of a row
 
-    freeze = walk = key = staticmethod(tuple)  # the stored tuple serves walk and hashing
-
     def columns(self, factors) -> int:
         """The bottom bit of each lane of the factors' coordinates."""
         pair = 1 | 1 << self.b
@@ -295,6 +297,16 @@ class _Packed:
             out.append(v)
         return out
 
+    def transversal(self, parts, rows) -> list[int]:
+        """Canonical span of the rows, in order, that each grow an echelon of ``parts``."""
+        echelon = self._echelon(parts)
+        chosen = []
+        for r in rows:
+            size = len(echelon)
+            if len(self._echelon([r], basis=echelon)) > size:
+                chosen.append(r)
+        return self.canonical(chosen)
+
     def block(self, rows) -> int:
         """Walk rows as one block: row i in slot i."""
         return sum(r << i * self.slot for i, r in enumerate(rows))
@@ -338,15 +350,17 @@ class _Gf2(_Packed):
         return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
     @staticmethod
-    def _echelon(rows, top: bool = False) -> dict[int, int]:
+    def _echelon(rows, top: bool = False, basis: dict | None = None) -> dict[int, int]:
         """The rows inserted one at a time into a basis keyed by pivot bit.
 
         A row's pivot is its lowest set bit, or its highest with ``top``.
         Each insert clears the pivots it meets from that end inward, up to
         the first bit that keys no basis row, which becomes its pivot.  Rows
-        are not reduced against later pivots.
+        are not reduced against later pivots.  A given ``basis``, an echelon
+        of the same end, is extended in place.
         """
-        basis: dict[int, int] = {}
+        if basis is None:
+            basis = {}
         for r in rows:
             while r:
                 bit = 1 << r.bit_length() - 1 if top else r & -r
@@ -462,20 +476,6 @@ class _Gf2(_Packed):
                 v ^= rows[j]
             out.append(v)
         return self.canonical(out)
-
-    def transversal(self, parts: tuple, rows) -> list[int]:
-        """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
-        echelon: dict[int, int] = {}
-        chosen = []
-        for i, r in enumerate([*parts, *rows]):
-            x = r
-            while x and (x & -x) in echelon:
-                x ^= echelon[x & -x]
-            if x:
-                echelon[x & -x] = x
-                if i >= len(parts):
-                    chosen.append(r)
-        return self.canonical(chosen)
 
     def swap(self, v: int) -> int:
         """v with x_i and z_i exchanged on every factor: <u, v> is the parity of u & swap(v)."""
@@ -646,16 +646,18 @@ class _Odd(_Packed):
             x = r + nz >> t & one & mask
         return r
 
-    def _echelon(self, rows, top: bool = False) -> dict:
+    def _echelon(self, rows, top: bool = False, basis: dict | None = None) -> dict:
         """The rows inserted one at a time into a basis of pivot rows keyed by pivot lane.
 
         A row's pivot is its lowest nonzero lane, or its highest with
         ``top``.  Each insert first clears the pivot lanes it meets from
         that end inward, so a clear only adds lanes past the one it clears.
-        Rows are not reduced against later pivots.
+        Rows are not reduced against later pivots.  A given ``basis``, an
+        echelon of the same end, is extended in place.
         """
-        basis: dict[int, tuple[int, list[int]]] = {}
-        pivots = 0
+        if basis is None:
+            basis = {}
+        pivots = sum(basis)  # the keys are distinct single bits
         for r in rows:
             if r := self._reduce(r, basis, pivots, top):
                 x = self._lanes(r)
@@ -739,19 +741,6 @@ class _Odd(_Packed):
                 v = self._plus(v, c >> j * b & mask, d)
             out.append(v)
         return self.canonical(out)
-
-    def transversal(self, parts: tuple, rows) -> list[int]:
-        """Canonical span of the earliest rows that leave a remainder in an echelon of ``parts``."""
-        echelon: dict[int, tuple[int, list[int]]] = {}
-        chosen = []
-        for i, r in enumerate([*parts, *rows]):
-            if x := self._reduce(r, echelon, self.coords):
-                low = self._lanes(x)
-                low &= -low
-                echelon[low] = self._pivot(x, low)
-                if i >= len(parts):
-                    chosen.append(r)
-        return self.canonical(chosen)
 
     def swap(self, v: int) -> int:
         """v with (x_i, z_i) mapped to (-z_i, x_i) on every factor: swap(u) . v = <u, v>."""
@@ -910,9 +899,10 @@ class Subspace:
     set.  The canonical rows ``_rows`` are in the format of the field object
     ``_field``, which runs every operation; the int64 ``basis`` is made on
     first use.  Derived data (the Gram matrix's one echelon, which gives the
-    pair count and the radical, the complement, the radical, the splitting,
-    and the anticode views of :mod:`qsymp.anticodes`: parts, punctures and
-    shortenings by support) is cached lazily.
+    pair count and the radical; the complement; the radical; the splitting;
+    the support table, walked from the splitting alone; and the anticode
+    views of :mod:`qsymp.anticodes`: parts, punctures and shortenings by
+    support) is cached lazily.
 
     Construction rejects fields outside the supported range,
     ``2n (q - 1)**2 < 2**63``, where the int64 Gram product cannot overflow.
@@ -931,7 +921,7 @@ class Subspace:
     def _set(self, field, canonical) -> None:
         self._field = field
         self.q, self.n = field.q, field.n
-        self._rows = field.freeze(canonical)
+        self._rows = tuple(canonical)
         self.dim_f = len(canonical)
 
     @classmethod
@@ -973,11 +963,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.q == other.q
             and self.n == other.n
-            and self._field.key(self._rows) == other._field.key(other._rows)
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.q, self.n, self._field.key(self._rows)))
+        return hash((self.q, self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, n={self.n}, dim_f={self.dim_f})"
@@ -1045,7 +1035,7 @@ class Subspace:
     @_cached_property
     def _split(self) -> tuple[list, list]:
         """(radical rows, flat pairs e_1, f_1, ...) in the walk's row form."""
-        return _gram_schmidt(self._field, self._field.walk(self._rows))
+        return _gram_schmidt(self._field, self._rows)
 
     @_cached_property
     def sym_dim(self) -> int:
@@ -1067,7 +1057,9 @@ class Subspace:
         every support once, and reaches each by one call of the field's
         ``cut``, which cuts the removed factor from two bases by the rules
         in the module docstring: a symplectic basis of C's part (rules
-        (a)-(c)) and a plain basis of the radical's part (rule (a)).  Each
+        (a)-(c)) and a plain basis of the radical's part (rule (a)).  Both
+        start from the splitting: the plain basis is its unpaired rows, a
+        basis of the radical, so the walk does not build the radical.  Each
         visit writes the support's three slots from the row counts carried
         with the bases: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
         2 * pairs, ``rad`` the plain basis's row count.
@@ -1086,8 +1078,7 @@ class Subspace:
                 visit(mask ^ 1 << j, j, cut(state, j))
 
         rad, pairs = self._split
-        part = ops.walk(self._radical._rows)
-        state = ops.block(rad), len(rad), ops.block(pairs), len(pairs), ops.block(part), len(part)
+        state = ops.block(rad), len(rad), ops.block(pairs), len(pairs), ops.block(rad), len(rad)
         visit((1 << n) - 1, n, state)
         del visit  # it refers to itself: without this, the columns wait for the cycle collector
         return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim))
