@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsymp.codes import Code, random_code
 from qsymp.enumerators import (
@@ -83,6 +84,28 @@ def test_transforms_are_mutually_inverse_on_arbitrary_tables(rng):
         table = [int(x) for x in rng.integers(0, 60, size=n + 1)]
         assert distribution_from_moments(moments_from_distribution(table)) == table
         assert moments_from_distribution(distribution_from_moments(table)) == table
+
+
+def _moments_by_comb(w):
+    """The binomial transform written out term by term: the reference for the sweep."""
+    n = len(w) - 1
+    return [sum(comb(n - a, b - a) * w[a] for a in range(b + 1)) for b in range(n + 1)]
+
+
+def _distribution_by_comb(b):
+    """The inverse transform written out term by term: the reference for the sweep."""
+    n = len(b) - 1
+    return [
+        sum((-1) ** (a - j) * comb(n - j, a - j) * b[j] for j in range(a + 1))
+        for a in range(n + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=st.lists(st.integers(-(2**70), 2**70), max_size=41))
+def test_sweeps_match_the_binomial_formulas(table):
+    assert moments_from_distribution(table) == _moments_by_comb(table)
+    assert distribution_from_moments(table) == _distribution_by_comb(table)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

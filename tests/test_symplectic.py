@@ -21,6 +21,7 @@ from qsymp.invariants import dual_dims
 from qsymp.symplectic import (
     Subspace,
     _Gf2,
+    _Odd,
     _field,
     hamming_weight,
     support_of,
@@ -270,6 +271,100 @@ def test_the_gram_matrix_is_eliminated_once(monkeypatch, q):
     assert eliminated.count(True) == 1
 
 
+def _count_top_echelons(monkeypatch, cls) -> list:
+    """Patch ``cls._echelon`` to record each call's ``top``; returns the record."""
+    static = isinstance(cls.__dict__["_echelon"], staticmethod)
+    real = cls._echelon
+    tops = []
+
+    def echelon(*args, top=False, basis=None):
+        tops.append(top)
+        return real(*args, top=top, basis=basis)
+
+    monkeypatch.setattr(cls, "_echelon", staticmethod(echelon) if static else echelon)
+    return tops
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_perp_of_a_large_space_takes_no_highest_pivot_echelon(monkeypatch, q):
+    # Past n the perp is the smaller side: it is read off the canonical rows,
+    # and only the smaller side's 2n - dim_f rows are eliminated.
+    n, rng = 5, np.random.default_rng(q)
+    large, small = random_subspace(rng, q, n, n + 3), random_subspace(rng, q, n, n)
+    assert large.dim_f > n and small.dim_f == n
+    tops = _count_top_echelons(monkeypatch, type(large._field))
+    large.perp()
+    assert tops.count(True) == 0
+    small.perp()
+    assert tops.count(True) == 1
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_odd_kernel_and_radical_read_lanes_only(monkeypatch, q):
+    n, rng = 5, np.random.default_rng(q)
+    w = random_subspace(rng, q, n, 7)
+    rows, cols = list(w._rows), 2 * n
+    assert w.sym_dim  # the Gram echelon, built before the count
+    calls = []
+    for name in ("pack", "unpack"):
+        real = getattr(_Odd, name)
+        monkeypatch.setattr(_Odd, name, lambda self, *a, real=real, name=name: calls.append(name) or real(self, *a))
+    kernel, radical = w._field.kernel(rows, cols), w.radical()
+    assert calls == []
+    monkeypatch.undo()
+    assert w._field.unpack(kernel, cols).tolist() == dense.rref(dense.kernel(w.basis, q), q).tolist()
+    assert radical.basis.tolist() == dense.radical(w.basis, q).tolist()
+
+
+@st.composite
+def perp_cases(draw):
+    """(q, n, rows, dim): rows spanning a space of dimension ``dim``, with zero and repeated rows.
+
+    The space is drawn in canonical form (``dim`` pivot columns, random
+    entries at the later free columns), then spanned by those rows in a
+    drawn order, some sums of them, zero rows and repeats.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 40 if q == 2 else 6))
+    dim = draw(st.integers(0, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pivots = np.sort(rng.choice(2 * n, size=dim, replace=False))
+    canonical = np.zeros((dim, 2 * n), dtype=np.int64)
+    for i, p in enumerate(pivots):
+        canonical[i, p + 1 :] = rng.integers(0, q, size=2 * n - p - 1)
+    canonical[:, pivots] = 0
+    canonical[np.arange(dim), pivots] = 1
+    sums = rng.integers(0, q, size=(draw(st.integers(0, 3)), dim)) @ canonical % q
+    zeros = np.zeros((draw(st.integers(0, 2)), 2 * n), dtype=np.int64)
+    repeats = canonical[rng.integers(0, dim, size=draw(st.integers(0, 2)))] if dim else zeros[:0]
+    rows = np.vstack([canonical, sums, zeros, repeats])
+    return q, n, rows[rng.permutation(len(rows))], dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=perp_cases())
+def test_perp_matches_the_dense_route_at_every_dimension(case):
+    q, n, rows, dim = case
+    w = Subspace(rows, q, n)
+    assert w.dim_f == dim
+    assert w.perp().basis.tolist() == dense.perp(w.basis, q).tolist()
+    assert w.perp().perp() == w
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 33), (3, 3), (5, 2), (7, 3)])
+def test_both_perp_routes_at_every_dimension_up_to_2n(q, n):
+    # Each dim_f from 0 to 2n, so both sides of the n, n + 1 boundary; at
+    # q=2, n=33 the rows are past one 64-bit word.
+    rng = np.random.default_rng(q * n)
+    unitriangular = np.eye(2 * n, dtype=np.int64) + np.triu(rng.integers(0, q, size=(2 * n, 2 * n)), 1)
+    full = unitriangular[:, rng.permutation(2 * n)]  # every prefix of rows is independent
+    for dim in range(2 * n + 1):
+        w = Subspace(full[:dim], q, n)
+        assert w.dim_f == dim
+        assert w.perp().basis.tolist() == dense.perp(w.basis, q).tolist()
+        assert w.perp().perp() == w
+
+
 @settings(max_examples=80, deadline=None)
 @given(w=spanned_spaces())
 def test_gram_schmidt_split_is_valid(w):
@@ -504,6 +599,19 @@ def test_widest_lanes_match_the_dense_route(q, n):
             assert (a + b).basis.tolist() == dense.space_sum(A, B, q).tolist()
             assert (a & b).basis.tolist() == dense.meet(A, B, q).tolist()
             assert a.contains_space(b) == all(dense.in_row_space(A, v, q) for v in B)
+
+
+def test_widest_lanes_take_both_perp_routes(monkeypatch):
+    # The largest supported prime at n = 1: dim_f 0 and 1 take the kernel of
+    # the swapped rows, dim_f 2 reads the perp off its canonical rows.
+    q = 2**31 - 1
+    tops = _count_top_echelons(monkeypatch, _Odd)
+    for rows in ([], [[q - 1, q - 2]], [[q - 1, q - 2], [q - 3, 5]]):
+        w = Subspace(np.array(rows, dtype=np.int64).reshape(-1, 2), q, 1)
+        before = tops.count(True)
+        assert w.perp().basis.tolist() == dense.perp(w.basis, q).tolist()
+        assert w.perp().perp() == w
+        assert tops.count(True) - before == (w.dim_f <= 1) + (w.perp().dim_f <= 1)
 
 
 @pytest.mark.parametrize("q, n", [(2**31 - 1, 2), (2147483659, 1)])
