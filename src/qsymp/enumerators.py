@@ -70,19 +70,28 @@ def binomial_moments(code, budget: int = DEFAULT_BUDGET) -> list[int]:
     return supported_moments(support_dims(space, budget).dim, space.q)
 
 
+def _sweep(table: list[int], sign: int) -> list[int]:
+    """Coefficients of sum_a table[a] x^a (1 + sign x)^(n - a): n(n+1)/2 additions, no binomials.
+
+    Pascal's rule: the entries are folded in one at a time, each step
+    multiplying the running list by 1 + sign x.
+    """
+    out: list[int] = []
+    for entry in table:
+        out.append(entry + sign * out[-1] if out else entry)
+        for i in range(len(out) - 2, 0, -1):
+            out[i] += sign * out[i - 1]
+    return out
+
+
 def moments_from_distribution(w: list[int]) -> list[int]:
-    """Binomial transform of a weight distribution (exact integer map)."""
-    n = len(w) - 1
-    return [sum(math.comb(n - a, b - a) * w[a] for a in range(b + 1)) for b in range(n + 1)]
+    """Binomial transform B_b = sum_a C(n-a, b-a) w_a: the sweep of sum_a w_a x^a (1 + x)^(n-a)."""
+    return _sweep(w, 1)
 
 
 def distribution_from_moments(b: list[int]) -> list[int]:
-    """Inverse binomial transform (exact integer map)."""
-    n = len(b) - 1
-    return [
-        sum((-1) ** (a - j) * math.comb(n - j, a - j) * b[j] for j in range(a + 1))
-        for a in range(n + 1)
-    ]
+    """Inverse transform w_a = sum_j (-1)^(a-j) C(n-j, a-j) B_j: the sweep with 1 - x."""
+    return _sweep(b, -1)
 
 
 def distribution_from_dual(dual_counts: list[int], q: int, dim_f: int) -> list[int]:

@@ -30,13 +30,13 @@ with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
 nonzero lane.  Both run the same span routines on those rows: echelon
 insertion for the canonical form, the vanishing part read from the highest
 pivot down, Zassenhaus intersection with no elimination first, the kernel
-as an echelon keyed by each row's highest pivot and its free-column vectors
-read canonical from it (``_echelon``, then ``free``), and projection by
-shift and mask.  The transversal exists once, on :class:`_Packed`: it
-extends an echelon of the parts in place, row by row.  A rank is the
-echelon's row count, so each Gram matrix is eliminated once, into one
-highest-pivot echelon that gives both the pair count and the radical's
-coefficients.
+read canonical off a reduced echelon keyed by each row's highest pivot by
+``free``, each field's one reader of free-column vectors (pivots at either
+end, written on lanes), and projection by shift and mask.  The transversal
+exists once, on :class:`_Packed`: it extends an echelon of the parts in
+place, row by row.  A rank is the echelon's row count, so each Gram matrix
+is eliminated once, into one highest-pivot echelon that gives both the pair
+count and the radical's coefficients.
 Results that an operation returns in canonical form (sums, intersections,
 kernels, anticode parts) are stored with no second elimination.
 
@@ -45,7 +45,10 @@ every factor, which turns it into a plain dot product: at q=2 <u, v> is
 the parity of ``u & swap(v)``, where swap exchanges x_i and z_i, and at
 odd q it is ``swap(u) . v``, where swap maps (x_i, z_i) to (-z_i, x_i).
 So the complement is the kernel of swap(B), and the Gram matrix is
-swap(B) B^T.
+swap(B) B^T.  Since swap(u) . swap(v) = u . v at every q, the complement is
+also swap of the plain kernel of B, which past n rows is read off B's
+canonical rows with no elimination: each complement eliminates the smaller
+side (see :meth:`_Packed.perp`).
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the
@@ -271,12 +274,20 @@ class _Packed:
     def kernel(self, rows, cols: int) -> list[int]:
         """Canonical basis of the vectors orthogonal to every row (plain dot product).
 
-        The free-column vectors (see ``free``) of an echelon with each pivot
-        at its row's highest lane.
+        The free-column vectors (see ``free``) of a reduced echelon with each
+        pivot at its row's highest lane: each has its free lane as its lowest
+        nonzero lane, so they are canonical as read.
         """
-        return self.free(self._echelon(rows, top=True), cols)
+        return self.free(self._reduced(self._echelon(rows, top=True), top=True), cols, top=True)
 
     def perp(self, rows: tuple) -> list[int]:
+        """The complement of the span of canonical ``rows``: the kernel of their swaps up to n rows.
+
+        Past n, the swaps of the rows' own free-column vectors span it, and
+        only those 2n - dim_F rows are eliminated.
+        """
+        if len(rows) > self.n:
+            return self.canonical([self.swap(v) for v in self.free(rows, 2 * self.n)])
         return self.kernel([self.swap(b) for b in rows], 2 * self.n)
 
     def project(self, rows, factors: tuple[int, ...]) -> list[int]:
@@ -403,25 +414,26 @@ class _Gf2(_Packed):
         return not v
 
     @staticmethod
-    def free(basis: dict, cols: int) -> list[int]:
-        """The free-column vectors of a highest-bit echelon: a canonical basis of its kernel.
+    def free(rows, cols: int, top: bool = False) -> list[int]:
+        """The free-column vectors of reduced rows, by free column: a basis of their kernel.
 
-        The reader of both fields (see :meth:`_Odd.free`), which leaves the
-        echelon as it is.  With the echelon reduced, the free-column vector
-        of a free column c is bit c plus the pivot of every reduced row with
-        bit c, and those pivots lie above c: read by c, the vectors are
-        canonical as they stand, with no second elimination.  Each reduced
-        row writes its pivot into the vectors of its other set bits.
+        A row's pivot is its lowest set bit, or its highest with ``top``.
+        The vector of a free column c is bit c plus the pivot of every row
+        with bit c: each row writes its pivot into the vectors of its other
+        set bits.  With ``top`` those pivots lie above c, so the vectors are
+        canonical as read.
         """
         out = [1 << c for c in range(cols)]
-        for r in _Gf2._reduced(dict(basis), top=True):
-            top = 1 << r.bit_length() - 1
-            x = r ^ top
+        pivots = 0
+        for r in rows:
+            pivot = 1 << r.bit_length() - 1 if top else r & -r
+            pivots |= pivot
+            x = r ^ pivot
             while x:
                 low = x & -x
-                out[low.bit_length() - 1] |= top
+                out[low.bit_length() - 1] |= pivot
                 x ^= low
-        return [out[c] for c in range(cols) if 1 << c not in basis]
+        return [v for c, v in enumerate(out) if not pivots >> c & 1]
 
     @staticmethod
     def vanishing_part(rows, mask: int) -> list[int]:
@@ -470,7 +482,7 @@ class _Gf2(_Packed):
     def radical(self, rows: tuple, gram: dict) -> list[int]:
         """The combinations of ``rows`` whose coefficients a highest-bit echelon of the Gram matrix kills."""
         out = []
-        for c in self.free(gram, len(rows)):
+        for c in self.free(self._reduced(dict(gram), top=True), len(rows), top=True):
             v = 0
             for j in _set_bits(c):
                 v ^= rows[j]
@@ -691,23 +703,29 @@ class _Odd(_Packed):
             v = self._reduce(v, {x & -x: (1, self._doublings(r))}, x & -x)
         return not v
 
-    def free(self, basis: dict, cols: int) -> list[int]:
-        """The free-column vectors of a highest-lane echelon: a canonical basis of its kernel.
+    def free(self, rows, cols: int, top: bool = False) -> list[int]:
+        """The free-column vectors of reduced rows, by free lane: :meth:`_Gf2.free` on lanes.
 
-        The reader of both fields (see :meth:`_Gf2.free`), which leaves the
-        echelon as it is.  With the echelon reduced, the free-column vector
-        of a free lane c is 1 at c, zero at every other free lane, and
-        nonzero elsewhere only at pivots, which lie above c: read by c, the
-        vectors are canonical as they stand, with no second elimination.
-        They are written as one int64 matrix and packed.
+        Each row is 1 at its pivot, its lowest nonzero lane or its highest
+        with ``top``.  The vector of a free lane c is 1 at c and -r[c] at the
+        pivot of every row r: each row writes the negated residue of each of
+        its other nonzero lanes into that lane's vector, at its pivot.
         """
-        reduced = self.unpack(self._reduced(dict(basis), top=True), cols)
-        tops = [(bit.bit_length() - 1) // self.b for bit in sorted(basis)]
-        free = sorted(set(range(cols)).difference(tops))
-        out = np.zeros((len(free), cols), dtype=np.int64)
-        out[np.arange(len(free)), free] = 1
-        out[:, tops] = -reduced[:, free].T
-        return self.pack(out)
+        q, b, mask = self.q, self.b, self.mask
+        out = [1 << c * b for c in range(cols)]
+        pivots = 0
+        for r in rows:
+            x = self._lanes(r)
+            pivot = 1 << x.bit_length() - 1 if top else x & -x
+            pivots |= pivot
+            at = pivot.bit_length() - 1
+            x ^= pivot
+            while x:
+                low = x & -x
+                i = low.bit_length() - 1
+                out[i // b] |= q - (r >> i & mask) << at
+                x ^= low
+        return [v for c, v in enumerate(out) if not pivots >> c * b & 1]
 
     def vanishing_part(self, rows, mask: int) -> list[int]:
         """Canonical basis of the span's vectors that are zero on every lane of ``mask``.
@@ -735,7 +753,7 @@ class _Odd(_Packed):
         b, mask = self.b, self.mask
         doublings = [self._doublings(r) for r in rows]
         out = []
-        for c in self.free(gram, len(rows)):
+        for c in self.free(self._reduced(dict(gram), top=True), len(rows), top=True):
             v = 0
             for j, d in enumerate(doublings):
                 v = self._plus(v, c >> j * b & mask, d)
@@ -1002,7 +1020,7 @@ class Subspace:
         return self.sym_dim == 0
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement with respect to the symplectic product."""
+        """Orthogonal complement with respect to the symplectic product, eliminated on the smaller side."""
         return self._perp
 
     @_cached_property
