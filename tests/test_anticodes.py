@@ -306,6 +306,15 @@ def test_a_radical_off_both_sides_is_its_own_transversal_summand(monkeypatch, q)
     assert sorted(sides) == sorted([a.sorted_support(), a.complement().sorted_support()])
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_complementarity_check_decides_self_orthogonality_with_no_dual(q):
+    # A stabilizer code's radical is its dual: the pair count decides that.
+    code = random_stabilizer_code(np.random.default_rng(q), 4, q)
+    checks = complementarity_check(code, Anticode(4, frozenset({0, 2})))
+    assert all(c.passed and c.note is None for c in checks)
+    assert "_perp" not in code.space.__dict__
+
+
 @pytest.mark.parametrize("view", VIEWS)
 def test_equal_but_distinct_spaces_share_no_views(view, rng):
     space = random_code(rng, 3, 4).space

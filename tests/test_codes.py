@@ -2,11 +2,15 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense
 
 from qsymp.codes import (
     SUPPORT_COST,
     Code,
     bacon_shor_code,
+    check_commuting,
     codeword_batches,
     from_pauli,
     parse_pauli_text,
@@ -131,6 +135,25 @@ def test_non_commuting_generators_are_rejected():
         stabilizer_code_from_isotropic(bad)
     msg = str(err.value)
     assert "generators 1 and 2" in msg
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_check_commuting_names_the_first_nonzero_gram_entry(q, data):
+    # The pair named is the first nonzero entry, row by row, of the dense Gram matrix.
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(0, 5))
+    entries = st.lists(st.integers(0, q - 1), min_size=2 * n, max_size=2 * n)
+    rows = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)), dtype=np.int64).reshape(m, 2 * n)
+    gram = dense.gram(rows, q)
+    bad = np.argwhere(gram)
+    if not bad.size:
+        check_commuting(rows, q, n)
+        return
+    i, j = (int(v) for v in bad[0])
+    with pytest.raises(CommutationError) as err:
+        check_commuting(rows, q, n)
+    assert (err.value.i, err.value.j, err.value.value) == (i, j, int(gram[i, j]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from qsymp import invariants
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode
-from qsymp.codes import Code, random_code, random_stabilizer_code, shor_code, weights_from_supports
+from qsymp.codes import (
+    Code,
+    random_code,
+    random_isotropic,
+    random_stabilizer_code,
+    shor_code,
+    stabilizer_code_from_isotropic,
+    weights_from_supports,
+)
 from qsymp.enumerators import binomial_moments, distribution_from_moments, macwilliams_check
 from qsymp.errors import BudgetExceededError
 from qsymp.invariants import (
@@ -249,6 +257,17 @@ def test_a_table_and_the_duals_column_build_no_radical(q):
         support_dims(code), invariants.dual_dims(code)
         assert "_radical" not in code.space.__dict__
     assert "_radical" not in code.space.perp().__dict__
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_verify_bounds_decides_self_orthogonality_with_no_dual(q):
+    # A Lagrangian code is its own radical and its own dual: the pair count
+    # decides that, and no complement is taken to compare them.
+    rng = np.random.default_rng(q)
+    code = stabilizer_code_from_isotropic(random_isotropic(rng, q, 3, 3))
+    checks = by_identity(verify_bounds(code))
+    assert checks["weight-complementarity"].passed
+    assert "_perp" not in code.space.__dict__
 
 
 def test_support_check_compares_by_mask_within_the_size_bound():
