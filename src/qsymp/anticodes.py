@@ -242,8 +242,9 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
     Punctured transversal summands on the two sides agree in pair count and
     isorank; the radical's puncturings agree in pair count and in the
     isorank excess over the shortenings.  When the code's radical equals its
-    dual (the self-orthogonal case) the shortening identities that express
-    complementary recovery are checked as exact integer equalities.
+    dual (the self-orthogonal case: isorank n, so no dual is built) the
+    shortening identities that express complementary recovery are checked
+    as exact integer equalities.
     """
     space = _space_of(code)
     comp = a.complement()
@@ -266,7 +267,7 @@ def complementarity_check(code, a: Anticode, radical_rows=None) -> list[CheckRes
             rad_p_b.isorank - rad_s_b.isorank,
         ),
     ]
-    if rad == space.perp():
+    if space.is_stabilizer():
         c_s_a = shorten(space, a)
         c_s_b = shorten(space, comp)
         checks += [

@@ -27,10 +27,11 @@ import numpy as np
 
 from .enumerators import distance_from_enumerators, distribution_from_dual
 from .enumerators import distribution_from_moments
-from .errors import DEFAULT_BUDGET, CommutationError, ParseError, check_budget
+from .errors import DEFAULT_BUDGET, CommutationError, DimensionMismatchError, ParseError
+from .errors import check_budget
 from .invariants import support_dims, supported_moments
-from .linalg import as_matrix
-from .symplectic import Subspace, Vector, _swap
+from .linalg import as_matrix, checked_order
+from .symplectic import Subspace, Vector, _field
 
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
@@ -263,10 +264,15 @@ def check_commuting(rows, q: int, n: int) -> None:
 
     Raises :class:`CommutationError` for the first pair ``i < j`` (by
     ``i``, then ``j``) of the given rows that do not commute: the first
-    nonzero entry of their Gram matrix, which is alternating.
+    nonzero entry of their Gram matrix, which is alternating, read through
+    the field's own Gram product.
     """
+    field = _field(checked_order(q, n), n)
     rows = as_matrix(rows, q, cols=2 * n)
-    gram = (_swap(rows, q) @ rows.T) % q
+    if rows.shape[1] != 2 * n:
+        raise DimensionMismatchError(f"rows of {rows.shape[1]} coordinates on {n} factors")
+    rows = field.pack(rows)
+    gram = field.unpack(field.gram(rows), len(rows))
     bad = np.argwhere(gram)
     if bad.size:
         i, j = (int(v) for v in bad[0])

@@ -87,7 +87,9 @@ def dual_dims(code, budget: int = DEFAULT_BUDGET) -> bytes:
     The radical's dimension is the table's full-support ``rad`` entry, so
     no radical is built: when it equals the dual's, the column is C's own
     ``rad`` column, with no C-perp built, and otherwise the ``dim`` column
-    of C-perp's table.
+    of C-perp's table.  It asks the table, not ``is_stabilizer()`` as the
+    verifiers do: they agree on working code, and the identities suite's
+    pinned report under a faulted isorank is the one this read gives.
     """
     space = _space_of(code)
     check_budget(2**space.n, budget, "support scan")
@@ -264,7 +266,8 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
 
     Failures become report entries, never exceptions.  Checks whose
     hypotheses fail (no minimum distance, or a radical different from the
-    dual) are recorded as skipped.
+    dual) are recorded as skipped.  The radical is the dual exactly when
+    the isorank is n (``is_stabilizer()``), so no dual is built to decide it.
     """
     from .codes import Code
 
@@ -277,7 +280,7 @@ def verify_bounds(code, budget: int = DEFAULT_BUDGET) -> list[CheckResult]:
     dims = support_dims(space, budget)
     alphas, betas = dims.alpha, dims.beta
     d = code_obj.distance(budget)
-    self_orthogonal = space.radical() == space.perp()
+    self_orthogonal = space.is_stabilizer()
     checks: list[CheckResult] = []
 
     # Pointwise facts over every support; the complements' columns are the reversed columns.

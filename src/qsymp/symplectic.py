@@ -134,19 +134,6 @@ class _cached_property(cached_property):
         return value
 
 
-def _swap(b: Matrix, q: int) -> Matrix:
-    """Rows with (x_i, z_i) mapped to (-z_i mod q, x_i) on every factor.
-
-    The plain dot product ``_swap(u, q) @ v`` is the product <u, v>, so
-    ``_swap(B, q) @ B.T`` is the Gram matrix of the rows of B and the
-    kernel of ``_swap(B, q)`` is their orthogonal complement.
-    """
-    out = np.empty_like(b)
-    out[:, 0::2] = -b[:, 1::2] % q
-    out[:, 1::2] = b[:, 0::2]
-    return out
-
-
 def symplectic_form(u, v, q: int) -> int:
     """Symplectic product of two vectors in interleaved coordinates."""
     u, v = as_vector(u, None), as_vector(v, None)
@@ -256,8 +243,9 @@ class _Packed:
         pair = 1 | 1 << self.b
         return sum(pair << 2 * j * self.b for j in factors)
 
-    def sum(self, a: tuple, b: tuple) -> list[int]:
-        return self.canonical(a + b)
+    def canonical(self, rows) -> list[int]:
+        """Canonical form of packed rows: nonzero rows sorted by pivot, the echelon reduced."""
+        return self._reduced(self._echelon(rows))
 
     def intersect(self, a: tuple, b: tuple) -> list[int]:
         """The Zassenhaus part, with no elimination first.
@@ -399,11 +387,6 @@ class _Gf2(_Packed):
                 x ^= bit
             basis[pivot] = r
         return [basis[pivot] for pivot in order]
-
-    @staticmethod
-    def canonical(rows) -> list[int]:
-        """Canonical form of packed rows: nonzero rows sorted by pivot, the echelon reduced."""
-        return _Gf2._reduced(_Gf2._echelon(rows))
 
     @staticmethod
     def contains(rows, v: int) -> bool:
@@ -692,10 +675,6 @@ class _Odd(_Packed):
                 basis[bit] = inverse, self._doublings(self._reduce(doublings[0], basis, pivots ^ bit))
         return [self._plus(0, *basis[bit]) for bit in order]
 
-    def canonical(self, rows) -> list[int]:
-        """Canonical form of lane rows: the insertion and reduction of :meth:`_Gf2.canonical`."""
-        return self._reduced(self._echelon(rows))
-
     def contains(self, rows, v: int) -> bool:
         """Whether ``v`` lies in the span of canonical ``rows``."""
         for r in rows:
@@ -743,10 +722,18 @@ class _Odd(_Packed):
                 part.append(r)
         return part[::-1]
 
+    def _products(self, rows, others) -> Matrix:
+        """The int64 matrix of <r, o> for r in rows and o in others, from one product (exact in range).
+
+        swap(o) . r = <o, r> = -<r, o>, so the others are swapped on lanes
+        and each side is unpacked once.
+        """
+        swapped = self.unpack([self.swap(o) for o in others], 2 * self.n)
+        return -(self.unpack(rows, 2 * self.n) @ swapped.T) % self.q
+
     def gram(self, rows: tuple) -> list[int]:
-        """The Gram matrix swap(B) B^T as lane rows, from one int64 product (exact in range)."""
-        basis = self.unpack(rows, 2 * self.n)
-        return self.pack(_swap(basis, self.q) @ basis.T)
+        """The Gram matrix as lane rows: lane j of row i = <b_i, b_j>."""
+        return self.pack(self._products(rows, rows))
 
     def radical(self, rows: tuple, gram: dict) -> list[int]:
         """The combinations of ``rows`` whose coefficients a highest-lane echelon of the Gram matrix kills."""
@@ -768,11 +755,8 @@ class _Odd(_Packed):
         return z | (v & self.even) << self.b
 
     def forms(self, rows: list, u: int) -> list:
-        """The products <v, u> for v in rows, from one int64 product (exact in range)."""
-        if not rows:
-            return []
-        su = self.unpack([self.swap(u)], 2 * self.n)[0]  # swap(u) . v = <u, v> = -<v, u>
-        return (-(self.unpack(rows, 2 * self.n) @ su) % self.q).tolist()
+        """The products <v, u> for v in rows."""
+        return self._products(rows, [u])[:, 0].tolist() if rows else []
 
     def scale(self, p: int, c: int) -> int:
         """p divided by the (nonzero) scalar c."""
@@ -998,7 +982,7 @@ class Subspace:
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace._canonical(self._field, self._field.sum(self._rows, other._rows))
+        return Subspace._canonical(self._field, self._field.canonical(self._rows + other._rows))
 
     def __and__(self, other: "Subspace") -> "Subspace":
         """The intersection: the Zassenhaus rows' vanishing part (see ``_Packed.intersect``)."""

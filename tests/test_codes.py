@@ -26,7 +26,7 @@ from qsymp.codes import (
     vector_to_pauli,
 )
 from qsymp.enumerators import enumerator_polys, weight_distribution
-from qsymp.errors import BudgetExceededError, CommutationError, ParseError
+from qsymp.errors import BudgetExceededError, CommutationError, DimensionMismatchError, ParseError
 from qsymp.symplectic import Subspace
 
 
@@ -135,6 +135,12 @@ def test_non_commuting_generators_are_rejected():
         stabilizer_code_from_isotropic(bad)
     msg = str(err.value)
     assert "generators 1 and 2" in msg
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_check_commuting_refuses_rows_of_another_width(q):
+    with pytest.raises(DimensionMismatchError):
+        check_commuting([[1, 0, 0, 1, 0, 0]], q, 2)
 
 
 @settings(max_examples=150, deadline=None)

@@ -108,7 +108,7 @@ def test_packed_path_wide_matrix(rng):
             assert packed.dtype == dense.dtype == np.int64
             assert packed.shape == dense.shape, (rows, cols)
             assert (packed == dense).all(), (rows, cols)
-            assert len(_Gf2.canonical(_Gf2.pack(a))) == dense.shape[0], (rows, cols)
+            assert len(_Gf2(cols).canonical(_Gf2.pack(a))) == dense.shape[0], (rows, cols)
 
 
 # ---------------------------------------------------------------------------
