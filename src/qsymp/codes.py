@@ -31,7 +31,7 @@ from .errors import DEFAULT_BUDGET, CommutationError, DimensionMismatchError, Pa
 from .errors import check_budget
 from .invariants import support_dims, supported_moments
 from .linalg import as_matrix, checked_order
-from .symplectic import Subspace, Vector, _field
+from .symplectic import Subspace, Vector, _factor_pairs, _field
 
 CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
@@ -76,7 +76,7 @@ def pauli_to_vector(s: str) -> Vector:
 
 def vector_to_pauli(v) -> str:
     """Inverse of :func:`pauli_to_vector`; requires binary coordinates."""
-    v = as_matrix(v, None, cols=0).reshape(-1, 2)
+    v = _factor_pairs(v)
     if ((v != 0) & (v != 1)).any():
         raise ValueError("Pauli words exist only over the two-element field")
     return "".join(FACTOR_TO_PAULI[(int(x), int(z))] for x, z in v)

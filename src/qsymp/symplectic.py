@@ -134,26 +134,31 @@ class _cached_property(cached_property):
         return value
 
 
-def symplectic_form(u, v, q: int) -> int:
-    """Symplectic product of two vectors in interleaved coordinates."""
-    u, v = as_vector(u, None), as_vector(v, None)
-    if u.shape != v.shape:
-        raise DimensionMismatchError(f"vector lengths differ: {u.shape[0]} vs {v.shape[0]}")
-    if u.shape[0] % 2:
+def _factor_pairs(v) -> np.ndarray:
+    """One caller vector as its per-factor ``(x, z)`` rows: a matrix or an odd length is refused."""
+    v = as_vector(v, None)
+    if v.shape[0] % 2:
         raise DimensionMismatchError("vectors must have even length")
-    return int((u[0::2] @ v[1::2] - u[1::2] @ v[0::2]) % q)
+    return v.reshape(-1, 2)
+
+
+def symplectic_form(u, v, q: int) -> int:
+    """Symplectic product of two vectors in interleaved coordinates, over a checked field order."""
+    u, v = _factor_pairs(u), _factor_pairs(v)
+    if u.shape != v.shape:
+        raise DimensionMismatchError(f"vector lengths differ: {u.size} vs {v.size}")
+    q = checked_order(q, u.shape[0])
+    return int((u[:, 0] @ v[:, 1] - u[:, 1] @ v[:, 0]) % q)
 
 
 def hamming_weight(v) -> int:
     """Number of factors where a vector is nonzero."""
-    v = as_vector(v, None).reshape(-1, 2)
-    return int((v != 0).any(axis=1).sum())
+    return int((_factor_pairs(v) != 0).any(axis=1).sum())
 
 
 def support_of(v) -> tuple[int, ...]:
     """0-based factor indices where a vector is nonzero."""
-    v = as_vector(v, None).reshape(-1, 2)
-    return tuple(int(i) for i in np.nonzero((v != 0).any(axis=1))[0])
+    return tuple(int(i) for i in np.nonzero((_factor_pairs(v) != 0).any(axis=1))[0])
 
 
 def vector_from_factors(factors, q: int = 2) -> Vector:

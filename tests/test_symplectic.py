@@ -70,6 +70,14 @@ MATRIX_AS_VECTOR = {
     "support_of": lambda: support_of([[1, 0], [0, 1]]),
     "in_row_space": lambda: in_row_space(np.eye(2, dtype=np.int64), [[1], [0]], 2),
     "scalar": lambda: hamming_weight(1),
+    "vector_to_pauli": lambda: vector_to_pauli([[1, 0], [0, 1]]),
+}
+
+ODD_LENGTH = {
+    "symplectic_form": lambda: symplectic_form([1, 0, 1], [0, 1, 0], 2),
+    "hamming_weight": lambda: hamming_weight([1, 0, 1]),
+    "support_of": lambda: support_of([1, 0, 1]),
+    "vector_to_pauli": lambda: vector_to_pauli([1, 0, 1]),
 }
 
 
@@ -78,6 +86,18 @@ def test_only_one_vector_is_taken_as_a_vector(name):
     """A matrix (or a scalar) is refused where a vector is meant, not read as its concatenated rows."""
     with pytest.raises(DimensionMismatchError):
         MATRIX_AS_VECTOR[name]()
+
+
+@pytest.mark.parametrize("name", ODD_LENGTH)
+def test_an_odd_length_is_refused_as_a_dimension_mismatch(name):
+    with pytest.raises(DimensionMismatchError, match="even length"):
+        ODD_LENGTH[name]()
+
+
+@pytest.mark.parametrize("q", [0, -3, 4, 2.5])
+def test_the_product_refuses_a_modulus_that_is_not_a_field_order(q):
+    with pytest.raises(ValueError, match="prime integer"):
+        symplectic_form([1, 0], [0, 1], q)
 
 
 @settings(max_examples=120, deadline=None)
