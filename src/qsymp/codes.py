@@ -27,8 +27,7 @@ import numpy as np
 
 from .enumerators import distance_from_enumerators, distribution_from_dual
 from .enumerators import distribution_from_moments
-from .errors import DEFAULT_BUDGET, CommutationError, DimensionMismatchError, ParseError
-from .errors import check_budget
+from .errors import DEFAULT_BUDGET, CommutationError, DimensionMismatchError, ParseError, check_budget
 from .invariants import support_dims, supported_moments
 from .linalg import as_matrix, checked_order
 from .symplectic import Subspace, Vector, _factor_pairs, _field
@@ -264,8 +263,7 @@ def check_commuting(rows, q: int, n: int) -> None:
 
     Raises :class:`CommutationError` for the first pair ``i < j`` (by
     ``i``, then ``j``) of the given rows that do not commute: the first
-    nonzero entry of their Gram matrix, which is alternating, read through
-    the field's own Gram product.
+    nonzero entry of the field's Gram matrix of the rows, which is alternating.
     """
     field = _field(checked_order(q, n), n)
     rows = as_matrix(rows, q, cols=2 * n)

@@ -32,11 +32,12 @@ insertion for the canonical form, the vanishing part read from the highest
 pivot down, Zassenhaus intersection with no elimination first, the kernel
 read canonical off a reduced echelon keyed by each row's highest pivot by
 ``free``, each field's one reader of free-column vectors (pivots at either
-end, written on lanes), and projection by shift and mask.  The transversal
-exists once, on :class:`_Packed`: it extends an echelon of the parts in
-place, row by row.  A rank is the echelon's row count, so each Gram matrix
-is eliminated once, into one highest-pivot echelon that gives both the pair
-count and the radical's coefficients.
+end, written on lanes), and projection by shift and mask.  The canonical
+form (a sum's too) and the transversal exist once, on :class:`_Packed`:
+the transversal extends an echelon of the parts in place, row by row.  A
+rank is the echelon's row count, so each Gram matrix is eliminated once,
+into one highest-pivot echelon that gives both the pair count and the
+radical's coefficients.
 Results that an operation returns in canonical form (sums, intersections,
 kernels, anticode parts) are stored with no second elimination.
 
@@ -45,10 +46,13 @@ every factor, which turns it into a plain dot product: at q=2 <u, v> is
 the parity of ``u & swap(v)``, where swap exchanges x_i and z_i, and at
 odd q it is ``swap(u) . v``, where swap maps (x_i, z_i) to (-z_i, x_i).
 So the complement is the kernel of swap(B), and the Gram matrix is
-swap(B) B^T.  Since swap(u) . swap(v) = u . v at every q, the complement is
-also swap of the plain kernel of B, which past n rows is read off B's
-canonical rows with no elimination: each complement eliminates the smaller
-side (see :meth:`_Packed.perp`).
+swap(B) B^T, which each field writes once: over GF(2) from the transposed
+rows, over odd q by one int64 routine, x(A) z(B)^T - z(A) x(B)^T, that the
+Gram-Schmidt pass shares.
+Since swap(u) . swap(v) = u . v at every q, the complement is also swap of
+the plain kernel of B, which past n rows is read off B's canonical rows
+with no elimination: each complement eliminates the smaller side (see
+:meth:`_Packed.perp`).
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the
@@ -727,18 +731,14 @@ class _Odd(_Packed):
                 part.append(r)
         return part[::-1]
 
-    def _products(self, rows, others) -> Matrix:
-        """The int64 matrix of <r, o> for r in rows and o in others, from one product (exact in range).
-
-        swap(o) . r = <o, r> = -<r, o>, so the others are swapped on lanes
-        and each side is unpacked once.
-        """
-        swapped = self.unpack([self.swap(o) for o in others], 2 * self.n)
-        return -(self.unpack(rows, 2 * self.n) @ swapped.T) % self.q
+    def _products(self, a: Matrix, b: Matrix) -> Matrix:
+        """<a_i, b_j> for the rows of two unpacked matrices, exact in int64: x(a) z(b)^T - z(a) x(b)^T."""
+        return (a[:, 0::2] @ b[:, 1::2].T - a[:, 1::2] @ b[:, 0::2].T) % self.q
 
     def gram(self, rows: tuple) -> list[int]:
-        """The Gram matrix as lane rows: lane j of row i = <b_i, b_j>."""
-        return self.pack(self._products(rows, rows))
+        """The Gram matrix as lane rows, lane j of row i = <b_i, b_j>: the rows unpacked once."""
+        basis = self.unpack(rows, 2 * self.n)
+        return self.pack(self._products(basis, basis))
 
     def radical(self, rows: tuple, gram: dict) -> list[int]:
         """The combinations of ``rows`` whose coefficients a highest-lane echelon of the Gram matrix kills."""
@@ -761,7 +761,9 @@ class _Odd(_Packed):
 
     def forms(self, rows: list, u: int) -> list:
         """The products <v, u> for v in rows."""
-        return self._products(rows, [u])[:, 0].tolist() if rows else []
+        if not rows:
+            return []
+        return self._products(self.unpack(rows, 2 * self.n), self.unpack([u], 2 * self.n))[:, 0].tolist()
 
     def scale(self, p: int, c: int) -> int:
         """p divided by the (nonzero) scalar c."""
@@ -1091,7 +1093,7 @@ class Subspace:
         return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim))
 
     def is_stabilizer(self) -> bool:
-        """True iff the isorank saturates the ambient bound ``n``."""
+        """True iff the isorank is ``n``: the radical, which lies in the complement, is all of it."""
         return self.isorank == self.n
 
     def to_json_dict(self) -> dict:
