@@ -48,11 +48,10 @@ odd q it is ``swap(u) . v``, where swap maps (x_i, z_i) to (-z_i, x_i).
 So the complement is the kernel of swap(B), and the Gram matrix is
 swap(B) B^T, which each field writes once: over GF(2) from the transposed
 rows, over odd q by one int64 routine, x(A) z(B)^T - z(A) x(B)^T, that the
-Gram-Schmidt pass shares.
-Since swap(u) . swap(v) = u . v at every q, the complement is also swap of
-the plain kernel of B, which past n rows is read off B's canonical rows
-with no elimination: each complement eliminates the smaller side (see
-:meth:`_Packed.perp`).
+Gram-Schmidt pass shares.  Since swap(u) . swap(v) = u . v at every q, the
+complement is also swap of the plain kernel of B, which past n rows is read
+off B's canonical rows with no elimination: each complement eliminates the
+smaller side (see :meth:`_Packed.perp`).
 
 An explicit splitting into symplectic pairs plus radical is built only on
 request, by one symplectic Gram-Schmidt pass over the basis rows: the

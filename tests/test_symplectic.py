@@ -73,8 +73,7 @@ MATRIX_AS_VECTOR = {
     "vector_to_pauli": lambda: vector_to_pauli([[1, 0], [0, 1]]),
 }
 
-ODD_LENGTH = {
-    "symplectic_form": lambda: symplectic_form([1, 0, 1], [0, 1, 0], 2),
+ODD_LENGTH = {  # symplectic_form's case is in test_product_mismatch_raises
     "hamming_weight": lambda: hamming_weight([1, 0, 1]),
     "support_of": lambda: support_of([1, 0, 1]),
     "vector_to_pauli": lambda: vector_to_pauli([1, 0, 1]),
