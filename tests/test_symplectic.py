@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense
 from dense import in_row_space
@@ -15,7 +15,7 @@ from dense import in_row_space
 import qsymp
 
 from qsymp.anticodes import Anticode, all_anticodes, intersect_with_anticode, puncture, shorten
-from qsymp.codes import from_pauli, random_stabilizer_code, random_subspace, vector_to_pauli
+from qsymp.codes import from_pauli, random_isotropic, random_stabilizer_code, random_subspace, vector_to_pauli
 from qsymp.errors import DimensionMismatchError
 from qsymp.invariants import dual_dims
 from qsymp.symplectic import (
@@ -384,7 +384,42 @@ def test_both_perp_routes_at_every_dimension_up_to_2n(q, n):
         assert w.perp().perp() == w
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def radical_cases(draw):
+    """(q, n, rows, probes): a space on n <= 4 factors spanned with zero and repeated rows, and vectors to test.
+
+    The spanning rows are an isotropic space's basis or up to 2n random rows
+    (so dim_F may pass n), with sums of them, zero rows and repeats mixed in.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        basis = np.array(random_isotropic(rng, q, n).basis)
+    else:
+        basis = rng.integers(0, q, size=(draw(st.integers(0, 2 * n)), 2 * n))
+    sums = rng.integers(0, q, size=(draw(st.integers(0, 2)), len(basis))) @ basis % q
+    zeros = np.zeros((draw(st.integers(0, 2)), 2 * n), dtype=np.int64)
+    repeats = basis[rng.integers(0, len(basis), size=draw(st.integers(0, 2)))] if len(basis) else zeros[:0]
+    rows = np.vstack([basis, sums, zeros, repeats])
+    return q, n, rows[rng.permutation(len(rows))], rng.integers(0, q, size=(3, 2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=radical_cases())
+@example(case=(3, 2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0], [0] * 4]), np.eye(4, dtype=int)))
+@example(case=(5, 2, np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0] * 4, [1, 0, 1, 0]]), np.eye(4, dtype=int)))
+def test_radical_rank_and_membership_match_the_dense_route(case):
+    q, n, rows, probes = case
+    w = Subspace(rows, q, n)
+    assert w.radical().basis.tolist() == dense.radical(w.basis, q).tolist()
+    assert 2 * w.sym_dim == dense.rref(dense.gram(w.basis, q), q).shape[0]
+    assert w.isorank == w.dim_f - w.sym_dim
+    assert w.is_isotropic() == (w.sym_dim == 0)
+    for v in [*rows, *probes]:
+        assert (v in w) == in_row_space(w.basis, v, q)
+    for o in (w.radical(), w.perp(), Subspace([*rows[:2], probes[0]], q, n)):
+        assert w.contains_space(o) == all(in_row_space(w.basis, v, q) for v in o.basis)
 @given(w=spanned_spaces())
 def test_gram_schmidt_split_is_valid(w):
     _assert_valid_split(w)
