@@ -102,14 +102,14 @@ def parse_pauli_text(text: str) -> list[str]:
 
 
 def from_pauli(generators: list[str]) -> Subspace:
-    """Span of the parsed generators, canonicalized, over the binary field."""
+    """Span of the parsed generators, canonicalized, over the binary field: a phase prefix is no factor."""
     if not generators:
         raise ValueError("cannot infer the factor count from an empty generator list")
-    lengths = {len(s) for s in generators}
+    lengths = {len(_strip_phase(s)) for s in generators}
     if len(lengths) > 1:
         raise ParseError(f"generators have inconsistent lengths {sorted(lengths)}")
     rows = np.array([pauli_to_vector(s) for s in generators], dtype=np.int64)
-    return Subspace(rows, 2, len(generators[0]))
+    return Subspace(rows, 2, lengths.pop())
 
 
 class Code:

@@ -100,6 +100,13 @@ def test_pauli_signs_and_phases_are_discarded():
     assert parse_pauli_text("-IXZ\n") == ["IXZ"]
 
 
+@pytest.mark.parametrize("prefix", ["+", "-", "i", "-i"])
+def test_from_pauli_reads_a_phase_prefix_as_no_factor(prefix):
+    words = ["XZ", "ZX"]
+    assert from_pauli([prefix + words[0], words[1]]) == from_pauli(words)
+    assert from_pauli([prefix + w for w in words]) == from_pauli(words)
+
+
 def test_vector_to_pauli_rejects_larger_fields():
     with pytest.raises(ValueError):
         vector_to_pauli([2, 0])
