@@ -20,26 +20,28 @@ indexed by support mask (bit j = factor j), with no per-support object.
 Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
-field owns the row format, the span routines, the Gram matrix and radical,
-the projection onto factors and the walk's ``cut``, and keeps its own
+field owns the row format, the span routines, the Gram matrix, the
+projection onto factors and the walk's ``cut``, and keeps its own
 storage in ``_rows``.  Both fields hold a row as one Python int of 2n
 lanes, lane c holding coordinate c: one bit per lane over GF(2), where
 adding rows is an XOR and a pivot is the lowest set bit, and a residue of
 8, 16 or 32 bits per lane over odd q, where rows are added lane by lane
 with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
 nonzero lane.  Both run the same span routines on those rows: echelon
-insertion for the canonical form, the vanishing part read from the highest
-pivot down, Zassenhaus intersection with no elimination first, the kernel
+insertion, the vanishing part read from the highest pivot down, the kernel
 read canonical off a reduced echelon keyed by each row's highest pivot by
 ``free``, each field's one reader of free-column vectors (pivots at either
-end, written on lanes), and projection by shift and mask.  The canonical
-form (a sum's too) and the transversal exist once, on :class:`_Packed`:
-the transversal extends an echelon of the parts in place, row by row.  A
-rank is the echelon's row count, so each Gram matrix is eliminated once,
-into one highest-pivot echelon that gives both the pair count and the
-radical's coefficients.
+end, written on lanes), and projection by shift and mask.  What is built
+from them exists once, on :class:`_Packed`: the canonical form (a sum's
+too), Zassenhaus intersection with no elimination first, the radical, and
+the transversal, which extends an echelon of the parts in place, row by
+row.  A rank is an echelon's size: the pair count is half the size of one
+echelon of the Gram rows, and a space contains the rows that grow no
+echelon of its own.  The radical is one vanishing part, of each row joined
+to its Gram row, on the Gram lanes: it is read canonical as an
+intersection is, with no elimination of the Gram matrix.
 Results that an operation returns in canonical form (sums, intersections,
-kernels, anticode parts) are stored with no second elimination.
+radicals, kernels, anticode parts) are stored with no second elimination.
 
 Both fields read the product through a swap of the two coordinates of
 every factor, which turns it into a plain dot product: at q=2 <u, v> is
@@ -267,6 +269,18 @@ class _Packed:
         joint = [x | x << width for x in a] + list(b)  # rows on 2n factors
         return [r >> width for r in _field(self.q, 2 * self.n).vanishing_part(joint, self.coords)]
 
+    def radical(self, rows: tuple, gram: list) -> list[int]:
+        """Canonical basis of the span's vectors orthogonal to every row, from the rows' Gram matrix.
+
+        Row i joined to Gram row i, ``b_i | G_i``, spans the pairs of a
+        vector and its products with every row, so the radical is the part
+        where the Gram lanes vanish; that part holds no Gram lanes, and it
+        comes out canonical by the argument of :meth:`intersect`.
+        """
+        wide, width = _field(self.q, 2 * self.n), self.slot
+        joint = [b | g << width for b, g in zip(rows, gram)]
+        return wide.vanishing_part(joint, wide.coords >> width << width)
+
     def kernel(self, rows, cols: int) -> list[int]:
         """Canonical basis of the vectors orthogonal to every row (plain dot product).
 
@@ -397,14 +411,6 @@ class _Gf2(_Packed):
         return [basis[pivot] for pivot in order]
 
     @staticmethod
-    def contains(rows, v: int) -> bool:
-        """Whether ``v`` lies in the span of canonical ``rows``."""
-        for r in rows:
-            if v & r & -r:
-                v ^= r
-        return not v
-
-    @staticmethod
     def free(rows, cols: int, top: bool = False) -> list[int]:
         """The free-column vectors of reduced rows, by free column: a basis of their kernel.
 
@@ -469,16 +475,6 @@ class _Gf2(_Packed):
                 g ^= cols[k]
             gram.append(g)
         return gram
-
-    def radical(self, rows: tuple, gram: dict) -> list[int]:
-        """The combinations of ``rows`` whose coefficients a highest-bit echelon of the Gram matrix kills."""
-        out = []
-        for c in self.free(self._reduced(dict(gram), top=True), len(rows), top=True):
-            v = 0
-            for j in _set_bits(c):
-                v ^= rows[j]
-            out.append(v)
-        return self.canonical(out)
 
     def swap(self, v: int) -> int:
         """v with x_i and z_i exchanged on every factor: <u, v> is the parity of u & swap(v)."""
@@ -683,13 +679,6 @@ class _Odd(_Packed):
                 basis[bit] = inverse, self._doublings(self._reduce(doublings[0], basis, pivots ^ bit))
         return [self._plus(0, *basis[bit]) for bit in order]
 
-    def contains(self, rows, v: int) -> bool:
-        """Whether ``v`` lies in the span of canonical ``rows``."""
-        for r in rows:
-            x = self._lanes(r)
-            v = self._reduce(v, {x & -x: (1, self._doublings(r))}, x & -x)
-        return not v
-
     def free(self, rows, cols: int, top: bool = False) -> list[int]:
         """The free-column vectors of reduced rows, by free lane: :meth:`_Gf2.free` on lanes.
 
@@ -738,18 +727,6 @@ class _Odd(_Packed):
         """The Gram matrix as lane rows, lane j of row i = <b_i, b_j>: the rows unpacked once."""
         basis = self.unpack(rows, 2 * self.n)
         return self.pack(self._products(basis, basis))
-
-    def radical(self, rows: tuple, gram: dict) -> list[int]:
-        """The combinations of ``rows`` whose coefficients a highest-lane echelon of the Gram matrix kills."""
-        b, mask = self.b, self.mask
-        doublings = [self._doublings(r) for r in rows]
-        out = []
-        for c in self.free(self._reduced(dict(gram), top=True), len(rows), top=True):
-            v = 0
-            for j, d in enumerate(doublings):
-                v = self._plus(v, c >> j * b & mask, d)
-            out.append(v)
-        return self.canonical(out)
 
     def swap(self, v: int) -> int:
         """v with (x_i, z_i) mapped to (-z_i, x_i) on every factor: swap(u) . v = <u, v>."""
@@ -906,11 +883,11 @@ class Subspace:
     because the stored basis is the reduced row echelon form of any spanning
     set.  The canonical rows ``_rows`` are in the format of the field object
     ``_field``, which runs every operation; the int64 ``basis`` is made on
-    first use.  Derived data (the Gram matrix's one echelon, which gives the
-    pair count and the radical; the complement; the radical; the splitting;
-    the support table, walked from the splitting alone; and the anticode
-    views of :mod:`qsymp.anticodes`: parts, punctures and shortenings by
-    support) is cached lazily.
+    first use.  Derived data (the Gram matrix, whose rank is twice the
+    pair count and whose rows give the radical; the complement; the
+    radical; the splitting; the support table, walked from the splitting
+    alone; and the anticode views of :mod:`qsymp.anticodes`: parts,
+    punctures and shortenings by support) is cached lazily.
 
     Construction rejects fields outside the supported range,
     ``2n (q - 1)**2 < 2**63``, where the int64 Gram product cannot overflow.
@@ -960,11 +937,12 @@ class Subspace:
             raise DimensionMismatchError(
                 f"vector of length {v.shape[0]} against a space on {self.n} factors"
             )
-        return self._field.contains(self._rows, self._field.pack(v.reshape(1, -1))[0])
+        return len(self._field._echelon([*self._rows, *self._field.pack(v.reshape(1, -1))])) == self.dim_f
 
     def contains_space(self, other: "Subspace") -> bool:
+        """Whether ``other`` lies in this space: its rows grow no echelon of this space's rows."""
         self._check_compatible(other)
-        return all(self._field.contains(self._rows, r) for r in other._rows)
+        return len(self._field._echelon(self._rows + other._rows)) == self.dim_f
 
     def __eq__(self, other) -> bool:
         return (
@@ -1001,9 +979,9 @@ class Subspace:
         return {}
 
     @_cached_property
-    def _gram_echelon(self) -> dict:
-        """The Gram matrix's rows in an echelon keyed by each row's highest pivot: its rank and its kernel."""
-        return self._field._echelon(self._field.gram(self._rows), top=True)
+    def _gram(self) -> list[int]:
+        """The Gram matrix's rows in the field's row format: twice the pair count is its rank."""
+        return self._field.gram(self._rows)
 
     def is_isotropic(self) -> bool:
         """True iff the product vanishes identically on this subspace."""
@@ -1023,8 +1001,7 @@ class Subspace:
 
     @_cached_property
     def _radical(self) -> "Subspace":
-        # Coefficient vectors killed by the restricted product give the radical.
-        return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram_echelon))
+        return Subspace._canonical(self._field, self._field.radical(self._rows, self._gram))
 
     def orthogonal_split(self) -> SplitDecomposition:
         """Split into a radical basis plus pairwise-orthogonal symplectic pairs.
@@ -1048,7 +1025,7 @@ class Subspace:
     @_cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
-        return len(self._gram_echelon) // 2
+        return len(self._field._echelon(self._gram)) // 2
 
     @_cached_property
     def isorank(self) -> int:

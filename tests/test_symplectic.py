@@ -270,24 +270,34 @@ def test_an_echelon_extends_a_given_one_in_place(q):
     assert extended == ops._echelon(parts + rest)
 
 
+def _record_rows(monkeypatch, cls, name) -> list:
+    """Patch ``cls.<name>`` to record the rows of each call (its first argument after the field)."""
+    static = isinstance(cls.__dict__[name], staticmethod)
+    real = getattr(cls, name)  # a plain function for both fields
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(list(args[0 if static else 1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, staticmethod(recorded) if static else recorded)
+    return calls
+
+
 @pytest.mark.parametrize("q", [2, 3])
-def test_the_gram_matrix_is_eliminated_once(monkeypatch, q):
+def test_one_gram_matrix_gives_one_echelon_and_one_vanishing_part(monkeypatch, q):
+    # The pair count (and so the isorank and isotropy) is the size of one
+    # echelon of the Gram rows, and the radical is one vanishing part of the
+    # rows joined to them; the Gram matrix is built once for both.
     w = random_subspace(np.random.default_rng(q), q, 6, 9)
     gram = w._field.gram(w._rows)
     cls = type(w._field)
-    static = isinstance(cls.__dict__["_echelon"], staticmethod)
-    real = cls._echelon  # a plain function for both fields
-    eliminated = []
-
-    def echelon(*args, top=False):
-        *field, rows = args
-        rows = list(rows)
-        eliminated.append(rows == gram)
-        return real(*field, rows, top=top)
-
-    monkeypatch.setattr(cls, "_echelon", staticmethod(echelon) if static else echelon)
-    assert w.sym_dim and w.isorank and w.radical().dim_f
-    assert eliminated.count(True) == 1
+    assert type(_field(q, 2 * w.n)) is cls  # the radical's wide field
+    grams, echelons, parts = (_record_rows(monkeypatch, cls, name) for name in ("gram", "_echelon", "vanishing_part"))
+    assert w.sym_dim and w.isorank and not w.is_isotropic() and w.radical().dim_f
+    assert grams == [list(w._rows)]
+    assert echelons == [gram]
+    assert len(parts) == 1
 
 
 def _count_top_echelons(monkeypatch, cls) -> list:
@@ -323,7 +333,7 @@ def test_odd_kernel_and_radical_read_lanes_only(monkeypatch, q):
     n, rng = 5, np.random.default_rng(q)
     w = random_subspace(rng, q, n, 7)
     rows, cols = list(w._rows), 2 * n
-    assert w.sym_dim  # the Gram echelon, built before the count
+    assert w.sym_dim  # the Gram matrix, built (and unpacked) for the count
     calls = []
     for name in ("pack", "unpack"):
         real = getattr(_Odd, name)
