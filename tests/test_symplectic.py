@@ -405,7 +405,7 @@ def radical_cases(draw):
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        basis = np.array(random_isotropic(rng, q, n).basis)
+        basis = random_isotropic(rng, q, n).basis
     else:
         basis = rng.integers(0, q, size=(draw(st.integers(0, 2 * n)), 2 * n))
     sums = rng.integers(0, q, size=(draw(st.integers(0, 2)), len(basis))) @ basis % q
