@@ -258,6 +258,34 @@ def test_binary_kernel_and_rank_match_the_dense_route(case):
     assert len(ops._echelon(rows)) == dense.rref(a, 2).shape[0]
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_an_echelon_keys_each_row_at_its_pivot_lane_and_has_the_dense_rank(data):
+    # Either end: a stored row is nonzero at its key and zero on the near
+    # side of it, over odd q with the inverse of its key's value beside it.
+    q = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 4))
+    top = data.draw(st.booleans())
+    word = st.lists(st.integers(0, q - 1), min_size=2 * n, max_size=2 * n)
+    drawn = data.draw(st.lists(word, max_size=2 * n + 2))
+    drawn += data.draw(st.lists(st.sampled_from([[0] * 2 * n, *drawn]), max_size=2))
+    a = np.array(drawn, dtype=np.int64).reshape(-1, 2 * n)
+    ops = _field(q, n)
+    rows = ops.pack(a)
+    basis = ops._echelon(rows, top=top)
+    for key, stored in basis.items():
+        lane = key.bit_length() - 1
+        assert key == 1 << lane and lane % ops.b == 0 and lane < 2 * n * ops.b
+        row = stored if q == 2 else stored[1][0]
+        value = row >> lane & (1 << ops.b) - 1
+        assert value
+        assert (row >> lane + ops.b if top else row & key - 1) == 0
+        if q != 2:
+            assert stored[0] * value % q == 1
+    assert len(basis) == dense.rref(a, q).shape[0]
+    assert ops.unpack(ops.canonical(rows), 2 * n).tolist() == dense.rref(a, q).tolist()
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_an_echelon_extends_a_given_one_in_place(q):
     ops = _field(q, 4)
