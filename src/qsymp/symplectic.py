@@ -20,26 +20,30 @@ indexed by support mask (bit j = factor j), with no per-support object.
 Each subspace does its row algebra through one private field object,
 chosen once from q by :func:`_field` (:class:`_Gf2` or :class:`_Odd`), so
 :class:`Subspace` and :mod:`qsymp.anticodes` never test the field.  The
-field owns the row format, the span routines, the Gram matrix, the
-projection onto factors and the walk's ``cut``, and keeps its own
-storage in ``_rows``.  Both fields hold a row as one Python int of 2n
-lanes, lane c holding coordinate c: one bit per lane over GF(2), where
-adding rows is an XOR and a pivot is the lowest set bit, and a residue of
-8, 16 or 32 bits per lane over odd q, where rows are added lane by lane
-with a few big-int operations (see :class:`_Odd`) and a pivot is the lowest
-nonzero lane.  Both run the same span routines on those rows: echelon
-insertion, the vanishing part read from the highest pivot down, the kernel
-read canonical off a reduced echelon keyed by each row's highest pivot by
-``free``, each field's one reader of free-column vectors (pivots at either
-end, written on lanes), and projection by shift and mask.  What is built
-from them exists once, on :class:`_Packed`: the canonical form (a sum's
-too), Zassenhaus intersection with no elimination first, the radical, and
-the transversal, which extends an echelon of the parts in place, row by
-row.  A rank is an echelon's size: the pair count is half the size of one
-echelon of the Gram rows, and a space contains the rows that grow no
-echelon of its own.  The radical is one vanishing part, of each row joined
-to its Gram row, on the Gram lanes: it is read canonical as an
-intersection is, with no elimination of the Gram matrix.
+field owns the row format and its arithmetic, the Gram matrix and the
+walk's ``cut``, and keeps its own storage in ``_rows``.  Both fields hold
+a row as one Python int of 2n lanes, lane c holding coordinate c: one bit
+per lane over GF(2), where adding rows is an XOR and a pivot is the lowest
+set bit, and a residue of 8, 16 or 32 bits per lane over odd q, where rows
+are added lane by lane with a few big-int operations (see :class:`_Odd`)
+and a pivot is the lowest nonzero lane.  Each field writes one elimination
+pass, ``_eliminate``: it clears rows at a mask of lanes against a basis of
+pivot rows, stores each row that does not clear at its first lane that
+keys no row, and returns the rows that clear.  Beside it a field writes
+only the reduction of an echelon, which clears each row with that pass,
+and ``free``, its one reader of free-column vectors (pivots at either end,
+written on lanes).  Everything built from them exists once, on
+:class:`_Packed`: the echelon (one pass over every lane), the vanishing
+part (one pass from the highest pivot down), the canonical form (a sum's
+too), the kernel (read canonical off a reduced echelon keyed by each row's
+highest pivot), Zassenhaus intersection with no elimination first, the
+radical, the transversal (the rows that one pass against an echelon of
+the parts does not clear), and projection by shift and mask.  A rank is an
+echelon's size: the pair count is half the size of one echelon of the
+Gram rows, and a space contains the rows that grow no echelon of its own.
+The radical is one vanishing part, of each row joined to its Gram row, on
+the Gram lanes: it is read canonical as an intersection is, with no
+elimination of the Gram matrix.
 Results that an operation returns in canonical form (sums, intersections,
 radicals, kernels, anticode parts) are stored with no second elimination.
 
@@ -236,7 +240,11 @@ def _set_bits(v: int) -> list[int]:
 class _Packed:
     """What both fields share: a row is a Python int of 2n lanes of ``b`` bits, lane c = coordinate c.
 
-    A walk basis is one block int of 2n slots of one row each, slot i
+    A field supplies its arithmetic and one elimination pass, ``_eliminate``,
+    which takes a set of lanes as the bit 0 of each (``coords`` is every
+    lane).  The echelon, the vanishing part, the canonical form, the
+    kernel, intersection, the radical and the transversal are written here,
+    once, on that pass.  A walk basis is one block int of 2n slots of one row each, slot i
     holding row i (an empty slot is 0); a pairs block holds e_i in slot 2i
     and f_i in slot 2i + 1.
     """
@@ -253,6 +261,18 @@ class _Packed:
         pair = 1 | 1 << self.b
         return sum(pair << 2 * j * self.b for j in factors)
 
+    def _echelon(self, rows, top: bool = False) -> dict:
+        """The rows inserted one at a time into a new basis of pivot rows, keyed by pivot lane.
+
+        One pass of ``_eliminate`` over every lane: a row is cleared from its
+        lowest lane up (its highest down, with ``top``) at each lane that
+        keys a row, and stored at the first that keys none.  Rows are not
+        reduced against later pivots.
+        """
+        basis: dict = {}
+        self._eliminate(rows, basis, self.coords, top)
+        return basis
+
     def canonical(self, rows) -> list[int]:
         """Canonical form of packed rows: nonzero rows sorted by pivot, the echelon reduced."""
         return self._reduced(self._echelon(rows))
@@ -268,6 +288,18 @@ class _Packed:
         width = self.slot
         joint = [x | x << width for x in a] + list(b)  # rows on 2n factors
         return [r >> width for r in _field(self.q, 2 * self.n).vanishing_part(joint, self.coords)]
+
+    def vanishing_part(self, rows, mask: int) -> list[int]:
+        """Canonical basis of the span's vectors that are zero on every lane of ``mask``.
+
+        ``rows`` must be canonical.  Taken from the highest pivot down, a row
+        whose masked lanes clear against the rows kept so far joins the part;
+        any other is kept as the pivot row of its lowest masked lane.  A part
+        row keeps its pivot and is zero at every other part row's, so the
+        part, read back lowest pivot first, is canonical with no closing
+        elimination.  It is one pass of ``_eliminate``, on the rows reversed.
+        """
+        return self._eliminate(reversed(rows), {}, mask)[::-1]
 
     def radical(self, rows: tuple, gram: list) -> list[int]:
         """Canonical basis of the span's vectors orthogonal to every row, from the rows' Gram matrix.
@@ -319,14 +351,9 @@ class _Packed:
         return out
 
     def transversal(self, parts, rows) -> list[int]:
-        """Canonical span of the rows, in order, that each grow an echelon of ``parts``."""
+        """Canonical span of the rows, in order, that each grow an echelon of ``parts``: the rows that do not clear."""
         echelon = self._echelon(parts)
-        chosen = []
-        for r in rows:
-            size = len(echelon)
-            if len(self._echelon([r], basis=echelon)) > size:
-                chosen.append(r)
-        return self.canonical(chosen)
+        return self.canonical([r for r in rows if not self._eliminate([r], echelon, self.coords)])
 
     def block(self, rows) -> int:
         """Walk rows as one block: row i in slot i."""
@@ -371,43 +398,39 @@ class _Gf2(_Packed):
         return np.unpackbits(bits, axis=1, count=cols, bitorder="little").astype(np.int64)
 
     @staticmethod
-    def _echelon(rows, top: bool = False, basis: dict | None = None) -> dict[int, int]:
-        """The rows inserted one at a time into a basis keyed by pivot bit.
+    def _eliminate(rows, basis: dict, mask: int, top: bool = False) -> list[int]:
+        """The rows that clear at every bit of ``mask`` against ``basis``, cleared, in order.
 
-        A row's pivot is its lowest set bit, or its highest with ``top``.
-        Each insert clears the pivots it meets from that end inward, up to
-        the first bit that keys no basis row, which becomes its pivot.  Rows
-        are not reduced against later pivots.  A given ``basis``, an echelon
-        of the same end, is extended in place.
+        ``basis`` maps a bit to a row set there and zero on the near side of
+        it (below it, or above it with ``top``).  A row's masked set bits
+        are cleared from its lowest, or its highest with ``top``, up to the
+        first that keys no row: the row is stored there, and so ``basis``
+        grows by each row that does not clear.
         """
-        if basis is None:
-            basis = {}
+        out = []
         for r in rows:
-            while r:
-                bit = 1 << r.bit_length() - 1 if top else r & -r
+            while x := r & mask:
+                bit = 1 << x.bit_length() - 1 if top else x & -x
                 if bit not in basis:
                     basis[bit] = r
                     break
                 r ^= basis[bit]
-        return basis
+            else:
+                out.append(r)
+        return out
 
     @staticmethod
     def _reduced(basis: dict, top: bool = False) -> list[int]:
         """The echelon's rows by pivot, each cleared at every other pivot.
 
         A row meets only pivots on the far side of its own, above it (or
-        below it, with ``top``), so those rows are reduced first.
+        below it, with ``top``), so those rows are reduced first.  Every
+        other pivot keys a row, so one pass clears a row at all of them.
         """
         order = sorted(basis)
         pivots = sum(order)
         for pivot in order if top else order[::-1]:
-            r = basis[pivot]
-            x = (r & pivots) ^ pivot
-            while x:
-                bit = x & -x
-                r ^= basis[bit]
-                x ^= bit
-            basis[pivot] = r
+            basis[pivot] = _Gf2._eliminate([basis[pivot]], basis, pivots ^ pivot)[0]
         return [basis[pivot] for pivot in order]
 
     @staticmethod
@@ -431,29 +454,6 @@ class _Gf2(_Packed):
                 out[low.bit_length() - 1] |= pivot
                 x ^= low
         return [v for c, v in enumerate(out) if not pivots >> c & 1]
-
-    @staticmethod
-    def vanishing_part(rows, mask: int) -> list[int]:
-        """Canonical basis of the span's vectors that are zero on every bit of ``mask``.
-
-        ``rows`` must be canonical.  Taken from the highest pivot down, a row
-        whose masked bits clear against the rows kept so far joins the part;
-        any other is kept as the pivot of its lowest masked bit.  A part row
-        keeps its pivot and is zero at every other part row's, so the part,
-        read back lowest pivot first, is canonical with no closing elimination.
-        """
-        pivots: dict[int, int] = {}
-        part = []
-        for r in reversed(rows):
-            x = r & mask
-            while x and (x & -x) in pivots:
-                r ^= pivots[x & -x]
-                x = r & mask
-            if x:
-                pivots[x & -x] = r
-            else:
-                part.append(r)
-        return part[::-1]
 
     def gram(self, rows: tuple) -> list[int]:
         """The Gram matrix rows packed, bit j of row i = <b_i, b_j>.
@@ -563,7 +563,7 @@ class _Odd(_Packed):
 
     A pivot row p is held as its doublings ``[p, 2p, 4p, ...]``, one per
     bit of q - 1, so adding a p to a row takes one lane addition per set
-    bit of a.  The span routines are those of :class:`_Gf2`, with that
+    bit of a.  Its elimination pass is that of :class:`_Gf2`, with that
     addition in place of XOR.
     """
 
@@ -624,59 +624,47 @@ class _Odd(_Packed):
         """Bit 0 of every nonzero lane of r."""
         return r + self.nz >> self.t & self.one
 
-    def _reduce(self, r: int, basis: dict, mask: int, top: bool = False) -> int:
-        """r cleared at its masked nonzero lanes, up to the first that keys no pivot row.
+    def _eliminate(self, rows, basis: dict, mask: int, top: bool = False) -> list[int]:
+        """The rows that clear at every lane of ``mask`` against ``basis``, cleared, in order.
 
-        ``basis`` maps the bit 0 of a lane to a pivot row p nonzero there
-        (see :meth:`_pivot`); the lane, holding v, is cleared by adding
-        -v / p[lane] times p.  Lanes are cleared lowest first, or highest
-        first with ``top``.
+        :meth:`_Gf2._eliminate` on lanes.  ``basis`` maps the bit 0 of a lane
+        to a pivot row p nonzero there (see :meth:`_pivot`); the lane,
+        holding v, is cleared by adding -v / p[lane] times p.  A row that
+        does not clear is stored, as a pivot row, at the first of its masked
+        nonzero lanes that keys no row.
         """
         q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
-        x = r + nz >> t & one & mask
-        while x and (bit := 1 << x.bit_length() - 1 if top else x & -x) in basis:
-            inverse, doublings = basis[bit]
-            a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
-            for d in doublings:
-                if a & 1:
-                    r += d
-                    r -= (r + h >> t & one) * q
-                a >>= 1
-            x = r + nz >> t & one & mask
-        return r
-
-    def _echelon(self, rows, top: bool = False, basis: dict | None = None) -> dict:
-        """The rows inserted one at a time into a basis of pivot rows keyed by pivot lane.
-
-        A row's pivot is its lowest nonzero lane, or its highest with
-        ``top``.  Each insert first clears the pivot lanes it meets from
-        that end inward, so a clear only adds lanes past the one it clears.
-        Rows are not reduced against later pivots.  A given ``basis``, an
-        echelon of the same end, is extended in place.
-        """
-        if basis is None:
-            basis = {}
-        pivots = sum(basis)  # the keys are distinct single bits
+        out = []
         for r in rows:
-            if r := self._reduce(r, basis, pivots, top):
-                x = self._lanes(r)
+            while x := r + nz >> t & mask:
                 bit = 1 << x.bit_length() - 1 if top else x & -x
-                basis[bit] = self._pivot(r, bit)
-                pivots |= bit
-        return basis
+                if bit not in basis:
+                    basis[bit] = self._pivot(r, bit)
+                    break
+                inverse, doublings = basis[bit]
+                a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
+                for d in doublings:
+                    if a & 1:
+                        r += d
+                        r -= (r + h >> t & one) * q
+                    a >>= 1
+            else:
+                out.append(r)
+        return out
 
     def _reduced(self, basis: dict, top: bool = False) -> list[int]:
         """The echelon's rows by pivot, each cleared at every other pivot and scaled to 1 at its own.
 
         A row meets only pivots on the far side of its own, above it (or
-        below it, with ``top``), so those rows are reduced first.
+        below it, with ``top``), so those rows are reduced first.  Every
+        other pivot keys a row, so one pass clears a row at all of them.
         """
         order = sorted(basis)
         pivots = sum(order)
         for bit in order if top else order[::-1]:
             inverse, doublings = basis[bit]
             if self._lanes(doublings[0]) & pivots ^ bit:
-                basis[bit] = inverse, self._doublings(self._reduce(doublings[0], basis, pivots ^ bit))
+                basis[bit] = inverse, self._doublings(self._eliminate([doublings[0]], basis, pivots ^ bit)[0])
         return [self._plus(0, *basis[bit]) for bit in order]
 
     def free(self, rows, cols: int, top: bool = False) -> list[int]:
@@ -702,22 +690,6 @@ class _Odd(_Packed):
                 out[i // b] |= q - (r >> i & mask) << at
                 x ^= low
         return [v for c, v in enumerate(out) if not pivots >> c * b & 1]
-
-    def vanishing_part(self, rows, mask: int) -> list[int]:
-        """Canonical basis of the span's vectors that are zero on every lane of ``mask``.
-
-        The pass of :meth:`_Gf2.vanishing_part`, with a pivot row kept for
-        the lowest masked lane of each row that does not clear.
-        """
-        pivots: dict[int, tuple[int, list[int]]] = {}
-        part = []
-        for r in reversed(rows):
-            r = self._reduce(r, pivots, mask)
-            if x := self._lanes(r) & mask:
-                pivots[x & -x] = self._pivot(r, x & -x)
-            else:
-                part.append(r)
-        return part[::-1]
 
     def _products(self, a: Matrix, b: Matrix) -> Matrix:
         """<a_i, b_j> for the rows of two unpacked matrices, exact in int64: x(a) z(b)^T - z(a) x(b)^T."""

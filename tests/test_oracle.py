@@ -336,7 +336,8 @@ def test_oracle_stays_independent_of_the_fast_paths():
     assert imported == {"__future__", "functools", "itertools", "numpy", "anticodes", "errors"}
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     fast = {
-        "_field", "_rows", "_gram", "_gram_rows", "_gram_echelon", "_split", "_support_dims", "_perp",
-        "_radical", "perp", "sym_dim", "isorank", "orthogonal_split", "contains_space",
+        "_field", "_rows", "_gram", "_split", "_support_dims", "_perp", "_radical", "perp", "sym_dim",
+        "isorank", "orthogonal_split", "contains_space", "_echelon", "_eliminate", "vanishing_part",
+        "canonical", "intersect", "transversal", "kernel", "free", "gram",
     }
     assert attributes & fast == set()

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import subprocess
 import sys
 from collections import Counter
@@ -287,20 +288,21 @@ def test_an_echelon_keys_each_row_at_its_pivot_lane_and_has_the_dense_rank(data)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
-def test_an_echelon_extends_a_given_one_in_place(q):
+def test_eliminating_more_rows_extends_an_echelon_in_place(q):
     ops = _field(q, 4)
     rows = ops.pack(np.random.default_rng(q).integers(0, q, size=(12, 8)))
     rows[6] = rows[1]  # a row already in the span
     parts, rest = rows[:5], rows[5:]
-    start = ops._echelon(parts)
-    extended = ops._echelon(rest, basis=start)
-    assert extended is start
-    assert extended == ops._echelon(parts + rest)
+    echelon = ops._echelon(parts)
+    size = len(echelon)
+    cleared = ops._eliminate(rest, echelon, ops.coords)
+    assert echelon == ops._echelon(parts + rest)  # extended in place
+    assert cleared == [0] * (len(rest) - (len(echelon) - size))  # each row that grew it was stored
 
 
 def _record_rows(monkeypatch, cls, name) -> list:
     """Patch ``cls.<name>`` to record the rows of each call (its first argument after the field)."""
-    static = isinstance(cls.__dict__[name], staticmethod)
+    static = isinstance(inspect.getattr_static(cls, name), staticmethod)
     real = getattr(cls, name)  # a plain function for both fields
     calls = []
 
@@ -330,13 +332,13 @@ def test_one_gram_matrix_gives_one_echelon_and_one_vanishing_part(monkeypatch, q
 
 def _count_top_echelons(monkeypatch, cls) -> list:
     """Patch ``cls._echelon`` to record each call's ``top``; returns the record."""
-    static = isinstance(cls.__dict__["_echelon"], staticmethod)
+    static = isinstance(inspect.getattr_static(cls, "_echelon"), staticmethod)
     real = cls._echelon
     tops = []
 
-    def echelon(*args, top=False, basis=None):
+    def echelon(*args, top=False):
         tops.append(top)
-        return real(*args, top=top, basis=basis)
+        return real(*args, top=top)
 
     monkeypatch.setattr(cls, "_echelon", staticmethod(echelon) if static else echelon)
     return tops
