@@ -31,22 +31,16 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _in_range(q: int, n: int) -> bool:
-    """Whether a Gram product sum on n factors, 2n (q - 1)**2 at most, fits in int64."""
-    return 2 * n * (q - 1) ** 2 < 2**63
-
-
 def checked_order(q, n: int) -> int:
     """``q`` as an int, once it is a prime integer in the supported range for n factors.
 
     The range, ``2n (q - 1)**2 < 2**63``, keeps every int64 Gram product
-    sum exact.  It is checked before the primality test, with n at least 1
-    (as in :func:`matrix_from_text`), so an order far beyond the one-factor
-    range is refused at once even for a space on no factors.  A bool is
-    not a field order.
+    sum exact.  It is checked before the primality test, with n at least 1,
+    so an order far beyond the one-factor range is refused at once even for
+    a space on no factors.  A bool is not a field order.
     """
     integer = isinstance(q, (int, np.integer)) and not isinstance(q, bool)
-    if integer and not _in_range(int(q), max(n, 1)):
+    if integer and 2 * max(n, 1) * (int(q) - 1) ** 2 >= 2**63:
         raise ValueError(
             f"field order {q} is too large for n={n}: the supported range is "
             "2n (q - 1)^2 < 2^63"
@@ -128,11 +122,10 @@ def matrix_from_text(text: str) -> tuple[Matrix, int]:
         raise ParseError("header must contain three integers", line=1) from None
     if rows < 0 or cols < 0:
         raise ParseError("negative dimensions", line=1)
-    # Any space on at least one factor refuses q beyond the one-factor range.
-    if not _in_range(q, max(cols // 2, 1)):
-        raise ParseError(f"modulus {q} is beyond the supported range 2n (q - 1)^2 < 2^63", line=1)
-    if not _is_prime(q):
-        raise ParseError(f"modulus {q} is not prime", line=1)
+    try:
+        checked_order(q, cols // 2)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=1) from None
     data = []
     for i in range(rows):
         lineno = i + 2

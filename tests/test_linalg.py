@@ -275,6 +275,9 @@ def test_matrix_text_headers():
         matrix_from_text("2 x 2\n")
     with pytest.raises(ParseError, match="negative dimensions"):
         matrix_from_text("2 -1 2\n")
+    with pytest.raises(ParseError, match="supported range") as err:
+        matrix_from_text("2305843009213693951 1 2\n1 2\n")  # 2^61 - 1: prime, but far too large
+    assert err.value.line == 1
 
 
 def test_a_matrix_needs_a_width_and_two_axes():
