@@ -244,7 +244,9 @@ class _Packed:
     which takes a set of lanes as the bit 0 of each (``coords`` is every
     lane).  The echelon, the vanishing part, the canonical form, the
     kernel, intersection, the radical and the transversal are written here,
-    once, on that pass.  A walk basis is one block int of 2n slots of one row each, slot i
+    once, on that pass.
+
+    A walk basis is one block int of 2n slots of one row each, slot i
     holding row i (an empty slot is 0); a pairs block holds e_i in slot 2i
     and f_i in slot 2i + 1.
     """

@@ -251,7 +251,7 @@ def binary_rows(draw):
 def test_binary_kernel_and_rank_match_the_dense_route(case):
     # Rows past one 64-bit word (cols > 64) take the same routes.
     rows, cols = case
-    ops = _Gf2(70)  # the span routines read the width from their arguments, not from n
+    ops = _Gf2(70)  # rows of up to 140 columns; the kernel reads its width from cols
     a = ops.unpack(rows, cols)
     out = ops.kernel(rows, cols)
     assert ops.unpack(out, cols).tolist() == dense.rref(dense.kernel(a, 2), 2).tolist()
