@@ -43,7 +43,7 @@ def checked_order(q, n: int) -> int:
     if integer and 2 * max(n, 1) * (int(q) - 1) ** 2 >= 2**63:
         raise ValueError(
             f"field order {q} is too large for n={n}: the supported range is "
-            "2n (q - 1)^2 < 2^63"
+            "2n (q - 1)^2 < 2^63, with n at least 1"
         )
     if not integer or not _is_prime(int(q)):
         raise ValueError(f"field order must be a prime integer, got {q!r}")

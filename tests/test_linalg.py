@@ -278,6 +278,8 @@ def test_matrix_text_headers():
     with pytest.raises(ParseError, match="supported range") as err:
         matrix_from_text("2305843009213693951 1 2\n1 2\n")  # 2^61 - 1: prime, but far too large
     assert err.value.line == 1
+    with pytest.raises(ParseError, match="with n at least 1"):  # no factors: checked as one
+        matrix_from_text("2305843009213693951 0 0\n")
 
 
 def test_a_matrix_needs_a_width_and_two_axes():
