@@ -890,19 +890,26 @@ def test_support_table_bytes_are_pinned(name):
 
 
 @st.composite
-def odd_spaces(draw):
-    """Span of up to 2n + 1 drawn rows over F_q, q in {3, 5, 7}, on n <= 6 factors."""
-    q = draw(st.sampled_from([3, 5, 7]))
+def walk_spaces(draw):
+    """Span of up to 2n + 1 drawn rows over F_q, q in {2, 3, 5, 7}, on n <= 6 factors.
+
+    In half the draws a random isotropic space is added to the span, so one
+    walk meets both radical rows and pairs.
+    """
+    q = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 6))
     rows = draw(st.integers(0, 2 * n + 1))
     cells = rows * 2 * n
     entries = draw(st.lists(st.integers(0, q - 1), min_size=cells, max_size=cells))
-    return Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+    w = Subspace(np.array(entries, dtype=np.int64).reshape(rows, 2 * n), q, n)
+    if draw(st.booleans()):
+        w = w + random_isotropic(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, n)
+    return w
 
 
-@settings(max_examples=30, deadline=None)
-@given(w=odd_spaces())
-def test_odd_support_walk_matches_literal_intersections(w):
+@settings(max_examples=60, deadline=None)
+@given(w=walk_spaces())
+def test_random_support_walk_matches_literal_intersections(w):
     dims, dual_column = w._support_dims, dual_dims(w)
     rad, dual = w.radical(), w.perp()
     for a in all_anticodes(w.n):
