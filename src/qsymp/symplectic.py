@@ -69,16 +69,14 @@ unpaired are a basis of the radical.
 The table is built by a depth-first walk of the support lattice.  The walk
 starts at the full support and reaches each support S minus {j} from S by
 cutting the coordinates 2j and 2j+1, that is by intersecting with the
-hyperplane where the coordinate c is zero.  It carries a symplectic basis
-of C's part in F_S (pairs (e_i, f_i) with product 1 plus radical rows,
-seeded from the Gram-Schmidt splitting) and a plain basis of the
-radical's part, seeded from that splitting's unpaired rows, which span the
-radical: a table builds no radical.  With lambda(v) = v[c], a cut follows
-three rules:
+hyperplane where the coordinate c is zero.  It carries one symplectic basis
+of C's part in F_S: pairs (e_i, f_i) with product 1 plus radical rows,
+seeded from the Gram-Schmidt splitting, whose r0 unpaired rows span the
+radical.  With lambda(v) = v[c], a cut follows three rules:
 
-(a) if a radical row r has lambda(r) != 0, clear c from every other row
-    with r and drop r: the pair count stays;
-(b) otherwise, if some pair is nonzero at c, append
+(a) if a radical row has lambda != 0, take the one in the lowest slot, clear
+    c from every other row with it and drop it: the pair count stays;
+(b) otherwise, if some pair is nonzero at c, add
     u = sum_i (lambda(e_i) f_i - lambda(f_i) e_i) to the radical rows, drop
     the first such pair, and clear c from the other pairs with whichever of
     its two vectors is nonzero at c: the pair count falls by one;
@@ -89,24 +87,31 @@ for every v in the part, so the cut part is u's orthogonal inside it, and u
 lies in the cut part orthogonal to all of it: the dimension falls by one
 and the radical grows by one.  Clearing with a vector of a dropped pair
 keeps the other pairs symplectic, since it is orthogonal to them and to
-itself.  The plain basis uses rule (a) only.  So each support costs a few
-row operations and no elimination or evaluation of the product.  The dual's
-parts are C-perp's own table, or the radical column when the radical is the
-dual (see :func:`qsymp.invariants.dual_dims`).
+itself.  So each support costs a few row operations and no elimination or
+evaluation of the product.
 
-Each field writes the rules in its own ``cut``, which takes the walk state
-to the support without factor j: it cuts both coordinates 2j and 2j+1 from
-the symplectic basis by rules (a)-(c) and from the plain basis by rule (a).
-So a support costs one visit and one call of ``cut``.  A zero row counts as
-absent, so the row counts travel beside the bases.  A basis is one block
-int of 2n slots of one row each, slot i holding row i, and ``cut`` writes
-every rule inline as a few big-int operations on the whole block, however
-many rows there are.  Over GF(2), with ``at[c]`` the mask of bit c in every
-slot, ``h = B & at[c]`` marks the rows nonzero at c, and ``B ^ (h >> c) * p``
-puts p into exactly those slots, clearing c from every row and zeroing p's
-own slot.  Over odd q the values at c of every slot are read with one shift
-and mask, and the multiples of the pivot that clear them are added bit by
-bit of those values, one lane addition on the block per bit of q - 1.
+The radical's part in F_S is read off the same rows, so a table builds no
+radical.  The splitting's unpaired rows fill radical slots 0 to r0 - 1, and
+rule (b) writes u at a counter that starts at slot r0 and rises one slot
+per dropped pair, so the radical rows fit in r0 + (2n - r0) / 2 <= 2n
+slots.  The first r0 slots then hold the radical's part, cut by rule (a)
+alone: rule (a) pivots on a splitting row whenever one is nonzero at c, and
+otherwise every splitting row is zero at c and stays.  So the part loses a
+row exactly when rule (a)'s pivot slot is below r0.  The dual's parts are
+C-perp's own table, or the radical column when the radical is the dual (see
+:func:`qsymp.invariants.dual_dims`).
+
+Each field writes the rules in its own ``cut``, which cuts both coordinates
+2j and 2j+1, so a support costs one visit and one call of ``cut``.  A zero
+row counts as absent, so the row counts travel beside the blocks.  A block
+is one int of 2n slots, slot i holding row i, and ``cut`` writes every rule
+inline as a few big-int operations on the whole block.  Over GF(2), with
+``at[c]`` the mask of bit c in every slot, ``h = B & at[c]`` marks the rows
+nonzero at c, and ``B ^ (h >> c) * p`` puts p into exactly those slots,
+clearing c from every row and zeroing p's own slot.  Over odd q the values
+at c of every slot are read with one shift and mask, and the multiples of
+the pivot that clear them are added bit by bit of those values, one lane
+addition on the block per bit of q - 1.
 
 Both invariants are monotone under inclusion and modular on orthogonal
 pairs of subspaces, but unlike the plain linear dimension they are not
@@ -497,9 +502,7 @@ class _Gf2(_Packed):
         """Each row v minus by_w[i] * u plus by_u[i] * w."""
         return [v ^ (u if a else 0) ^ (w if b else 0) for v, a, b in zip(rows, by_w, by_u)]
 
-    # The walk.  Rule (b) puts a radical row in the slot above the highest
-    # one, once per pair it drops, so no block reaches past its initial rows
-    # plus pairs, at most 2n: 2n slots serve every block.
+    # The walk.  2n slots serve both blocks: see the module docstring's bound.
 
     @_cached_property
     def at(self) -> list[int]:
@@ -517,18 +520,19 @@ class _Gf2(_Packed):
         clears c from every row and zeroes p's own slot.  For rule (b) the
         marked pair slots, moved onto their partners and widened to whole
         slots, select lambda(e_i) f_i and lambda(f_i) e_i; u is the XOR of
-        that selection, folded in halves, and goes into the slot above the
-        radical block's highest row.
+        that selection, folded in halves, and goes into the slot at ``top``.
+        The radical's part loses a row when rule (a)'s pivot is below ``base``.
         """
-        rad, n_rad, pairs, n_pairs, part, n_part = state
+        rad, n_rad, pairs, n_pairs, n_part, base, top = state
         at, full, width = self.at, self.full, 2 * self.n
         for c in (2 * j, 2 * j + 1):
             m = at[c]
             if hit := rad & m:  # rule (a)
-                p = rad >> (hit & -hit).bit_length() - 1 - c & full
+                i = (hit & -hit).bit_length() - 1 - c
+                p = rad >> i & full
                 rad ^= (hit >> c) * p
                 pairs ^= ((pairs & m) >> c) * p
-                n_rad -= 1
+                n_rad, n_part = n_rad - 1, n_part - (i < base)
             elif hit := pairs & m:  # rule (b)
                 pair_starts, folds = self._pairing
                 shift = (hit & -hit).bit_length() - 1 - c
@@ -537,14 +541,12 @@ class _Gf2(_Packed):
                 u = ((hit & pair_starts) << width | hit >> width & pair_starts) * full & pairs
                 for k in folds:
                     u ^= u >> k
-                rad |= (u & full) << -(-rad.bit_length() // width) * width
+                rad |= (u & full) << top
+                top += width
                 pairs &= ~((full << width | full) << shift - shift % (2 * width))
                 pairs ^= ((pairs & m) >> c) * p
                 n_rad, n_pairs = n_rad + 1, n_pairs - 2
-            if hit := part & m:
-                part ^= (hit >> c) * (part >> (hit & -hit).bit_length() - 1 - c & full)
-                n_part -= 1
-        return rad, n_rad, pairs, n_pairs, part, n_part
+        return rad, n_rad, pairs, n_pairs, n_part, base, top
 
 
 class _Odd(_Packed):
@@ -747,22 +749,27 @@ class _Odd(_Packed):
         lane addition per bit.  For rule (b), the coefficients of u,
         lambda(e_i) on slot 2i + 1 and -lambda(f_i) on slot 2i, select the
         doublings of the pairs block bit by bit; the selection is summed,
-        folded in halves, and goes into the slot above the radical block's
-        highest row.
+        folded in halves, and goes into the slot at ``top``.  The radical's
+        part loses a row when rule (a)'s pivot is below ``base``.
         """
-        rad, n_rad, pairs, n_pairs, part, n_part = state
+        rad, n_rad, pairs, n_pairs, n_part, base, top = state
         q, b, t, mask, slot, bits = self.q, self.b, self.t, self.mask, self.slot, self.bits
         h, one, last = self.h, self.one, self.bits[-1]
         block_one, block_h, low, starts, full = self._slots
         for c in (2 * j, 2 * j + 1):
             at = c * b
-            if v_rad := rad >> at & low:  # rule (a)
-                sym, v_sym, v_pairs = rad, v_rad, pairs >> at & low
-                n_rad -= 1
-            elif v_sym := pairs >> at & low:  # rule (b)
+            v_rad = rad >> at & low
+            if not (v := v_rad or pairs >> at & low):  # rule (c)
+                continue
+            i = (v & -v).bit_length() - 1
+            i -= i % slot  # the pivot's slot
+            if v_rad:  # rule (a)
+                block, v_pairs = rad, pairs >> at & low
+                n_rad, n_part = n_rad - 1, n_part - (i < base)
+            else:  # rule (b)
                 pair_starts, folds = self._pairing
                 e_low = pair_starts * mask
-                coef = (v_sym & e_low) << slot | q * pair_starts - (v_sym >> slot & e_low)
+                coef = (v & e_low) << slot | q * pair_starts - (v >> slot & e_low)
                 coef -= (coef + block_h >> t & block_one) * q
                 u, x = 0, pairs
                 for k in bits:
@@ -776,53 +783,36 @@ class _Odd(_Packed):
                 for k in folds:
                     u += u >> k
                     u -= (u + block_h >> t & block_one) * q
-                rad |= (u & full) << -(-rad.bit_length() // slot) * slot
-                sym, i = pairs, (v_sym & -v_sym).bit_length() - 1
+                rad |= (u & full) << top
+                top += slot
+                block = pairs
                 pairs &= ~((full << slot | full) << i - i % (2 * slot))
                 v_pairs = pairs >> at & low
                 n_rad, n_pairs = n_rad + 1, n_pairs - 2
-            else:
-                sym = v_pairs = 0
-            if v_part := part >> at & low:
-                n_part -= 1
-            ds = []  # d for the symplectic basis and the part's
-            for block, v in ((sym, v_sym), (part, v_part)):
-                d = 0
-                if v:
-                    i = (v & -v).bit_length() - 1
-                    i -= i % slot
-                    p = block >> i & full
-                    a = q - pow(v >> i & mask, -1, q)
-                    while True:  # d = a p
-                        if a & 1:
-                            d += p
-                            d -= (d + h >> t & one) * q
-                        a >>= 1
-                        if not a:
-                            break
-                        p += p
-                        p -= (p + h >> t & one) * q
-                ds.append(d)
-            d, d_part = ds
-            for k in bits:  # every block plus v d, bit k of the v at a time
+            p = block >> i & full
+            a = q - pow(v >> i & mask, -1, q)
+            d = 0
+            while True:  # d = a p
+                if a & 1:
+                    d += p
+                    d -= (d + h >> t & one) * q
+                a >>= 1
+                if not a:
+                    break
+                p += p
+                p -= (p + h >> t & one) * q
+            for k in bits:  # both blocks plus v d, bit k of the v at a time
                 if sel := v_rad >> k & starts:
                     rad += sel * d
                     rad -= (rad + block_h >> t & block_one) * q
                 if sel := v_pairs >> k & starts:
                     pairs += sel * d
                     pairs -= (pairs + block_h >> t & block_one) * q
-                if sel := v_part >> k & starts:
-                    part += sel * d_part
-                    part -= (part + block_h >> t & block_one) * q
                 if k == last:
                     break
-                if d:
-                    d += d
-                    d -= (d + h >> t & one) * q
-                if d_part:
-                    d_part += d_part
-                    d_part -= (d_part + h >> t & one) * q
-        return rad, n_rad, pairs, n_pairs, part, n_part
+                d += d
+                d -= (d + h >> t & one) * q
+        return rad, n_rad, pairs, n_pairs, n_part, base, top
 
 
 def _gram_schmidt(ops, rows) -> tuple[list, list]:
@@ -1013,15 +1003,12 @@ class Subspace:
         One depth-first walk of the support lattice with no budget check of
         its own: the public entry points check the budget before reading
         it.  The walk removes factors in decreasing order, so it reaches
-        every support once, and reaches each by one call of the field's
-        ``cut``, which cuts the removed factor from two bases by the rules
-        in the module docstring: a symplectic basis of C's part (rules
-        (a)-(c)) and a plain basis of the radical's part (rule (a)).  Both
-        start from the splitting: the plain basis is its unpaired rows, a
-        basis of the radical, so the walk does not build the radical.  Each
-        visit writes the support's three slots from the row counts carried
-        with the bases: ``dim`` = 2 * pairs + radical rows, ``gram_rank`` =
-        2 * pairs, ``rad`` the plain basis's row count.
+        every support once, each by one call of the field's ``cut`` (see
+        the module docstring).  The state is the splitting's radical and
+        pairs blocks with their row counts, the rows left in the first r0
+        radical slots, and the bit offsets of slot r0 and of rule (b)'s
+        next slot.  Each visit writes ``dim`` = 2 * pairs + radical rows,
+        ``gram_rank`` = 2 * pairs and ``rad`` the rows left in those slots.
         """
         n = self.n
         ops = self._field
@@ -1029,7 +1016,7 @@ class Subspace:
         cut = ops.cut  # one lookup per table, not per support
 
         def visit(mask, below, state):
-            _, n_rad, _, n_pairs, _, n_part = state
+            _, n_rad, _, n_pairs, n_part, _, _ = state
             dim[mask] = n_rad + n_pairs
             gram_rank[mask] = n_pairs
             rad_dim[mask] = n_part
@@ -1037,8 +1024,8 @@ class Subspace:
                 visit(mask ^ 1 << j, j, cut(state, j))
 
         rad, pairs = self._split
-        state = ops.block(rad), len(rad), ops.block(pairs), len(pairs), ops.block(rad), len(rad)
-        visit((1 << n) - 1, n, state)
+        base = len(rad) * ops.slot
+        visit((1 << n) - 1, n, (ops.block(rad), len(rad), ops.block(pairs), len(pairs), len(rad), base, base))
         del visit  # it refers to itself: without this, the columns wait for the cycle collector
         return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim))
 
