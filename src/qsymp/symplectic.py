@@ -176,11 +176,11 @@ def support_of(v) -> tuple[int, ...]:
 
 
 def vector_from_factors(factors, q: int = 2) -> Vector:
-    """Build a vector from per-factor ``(x, z)`` pairs."""
-    a = as_matrix(factors, q, cols=2)
+    """Build a vector from per-factor ``(x, z)`` pairs, reduced mod a checked field order."""
+    a = as_matrix(factors, None, cols=2)
     if np.ndim(factors) != 2 or a.shape[1] != 2:
         raise ValueError("expected a sequence of (x, z) pairs")
-    return a.reshape(-1)
+    return a.reshape(-1) % checked_order(q, a.shape[0])
 
 
 @dataclass(frozen=True)

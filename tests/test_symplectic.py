@@ -98,6 +98,8 @@ def test_an_odd_length_is_refused_as_a_dimension_mismatch(name):
 def test_the_product_refuses_a_modulus_that_is_not_a_field_order(q):
     with pytest.raises(ValueError, match="prime integer"):
         symplectic_form([1, 0], [0, 1], q)
+    with pytest.raises(ValueError, match="prime integer"):
+        vector_from_factors([(1, 2), (3, 4)], q)
 
 
 @settings(max_examples=120, deadline=None)
