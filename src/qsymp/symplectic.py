@@ -989,7 +989,7 @@ class Subspace:
     @_cached_property
     def sym_dim(self) -> int:
         """Number of symplectic pairs in any orthogonal splitting: rank(G) / 2."""
-        return len(self._field._echelon(self._gram)) // 2
+        return len(self._field._echelon(self._gram, top=True)) // 2
 
     @_cached_property
     def isorank(self) -> int:
