@@ -207,6 +207,8 @@ def test_code_families_refuse_an_empty_grid():
 def test_bacon_shor_default_is_the_two_by_two_code():
     assert bacon_shor_code().gauge.space == from_pauli(["XXII", "IIXX", "ZIZI", "IZIZ"])
     assert bacon_shor_code(2).gauge == bacon_shor_code().gauge
+    assert hash(bacon_shor_code(2).gauge) == hash(bacon_shor_code().gauge)
+    assert {bacon_shor_code(2).gauge: "2x2"}[bacon_shor_code().gauge] == "2x2"
 
 
 @pytest.mark.parametrize("m", [3, 5])
