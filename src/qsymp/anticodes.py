@@ -15,7 +15,7 @@ The part, the puncture and the shortening of a space on a support are each
 computed once and cached on the space, keyed by the operation and the
 support, so the cleaning and complementarity checks, alpha/beta and the
 caller's own cuts share one answer (and its cached pair count, complement
-and Gram echelon) per support.  The cache lives and dies with the space, and
+and Gram rows) per support.  The cache lives and dies with the space, and
 it holds only the supports that were asked for: the invariants over all
 2^n supports are read from the support table instead (see
 :class:`qsymp.symplectic.SupportTable`), so only a caller that asks about
