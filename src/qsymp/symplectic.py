@@ -59,12 +59,14 @@ complement is also swap of the plain kernel of B, which past n rows is read
 off B's canonical rows with no elimination: each complement eliminates the
 smaller side (see :meth:`_Packed.perp`).
 
-An explicit splitting into symplectic pairs plus radical is built only on
-request, by one symplectic Gram-Schmidt pass over the basis rows: the
-first remaining row u takes the first later row v with <u, v> != 0 as its
-partner w = v / <u, v>, every other remaining row is projected off the
-pair, and a row that finds no partner is a radical row.  The rows left
-unpaired are a basis of the radical.
+An explicit splitting into symplectic pairs plus radical is built by one
+symplectic Gram-Schmidt pass over the basis rows, which seeds the walk
+below and backs ``orthogonal_split``: the first remaining row u takes the
+first later row v with <u, v> != 0 as its partner w = v / <u, v>, every
+other remaining row is projected off the pair, and a row that finds no
+partner is a radical row.  The rows left unpaired are a basis of the
+radical.  The pass is written once, on each field's ``forms`` (products
+with one row) and scaled add (``_plus`` on a row's ``_doublings``).
 
 The table is built by a depth-first walk of the support lattice.  The walk
 starts at the full support and reaches each support S minus {j} from S by
@@ -378,7 +380,8 @@ class _Packed:
 class _Gf2(_Packed):
     """GF(2) on n factors: a row is a Python int with bit j = coordinate j.
 
-    Adding rows is an XOR, and a pivot is the lowest set bit.
+    Adding rows is an XOR, and a pivot is the lowest set bit, so a scaled
+    add is an XOR or nothing: p's doublings are ``[p]``, added when odd.
     """
 
     q = 2
@@ -397,8 +400,6 @@ class _Gf2(_Packed):
     @staticmethod
     def unpack(rows, cols: int) -> Matrix:
         """The inverse of :meth:`pack`: an int64 matrix with ``cols`` columns."""
-        if not rows:
-            return np.zeros((0, cols), dtype=np.int64)
         nbytes = (cols + 7) // 8
         buf = b"".join(x.to_bytes(nbytes, "little") for x in rows)
         bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
@@ -493,14 +494,14 @@ class _Gf2(_Packed):
         return [(v & su).bit_count() & 1 for v in rows]
 
     @staticmethod
-    def scale(p: int, c: int) -> int:
-        """p divided by the scalar c: over GF(2) it is 1."""
-        return p
+    def _doublings(p: int) -> list[int]:
+        """[p]: the one multiple of p a scaled add needs over GF(2)."""
+        return [p]
 
     @staticmethod
-    def combine(rows: list, u, by_w: list, w, by_u: list) -> list:
-        """Each row v minus by_w[i] * u plus by_u[i] * w."""
-        return [v ^ (u if a else 0) ^ (w if b else 0) for v, a, b in zip(rows, by_w, by_u)]
+    def _plus(r: int, a: int, doublings: list[int]) -> int:
+        """r + a p, for a scalar a and the doublings [p] of p: an XOR when a is odd."""
+        return r ^ doublings[0] if a & 1 else r
 
     # The walk.  2n slots serve both blocks: see the module docstring's bound.
 
@@ -567,8 +568,8 @@ class _Odd(_Packed):
 
     A pivot row p is held as its doublings ``[p, 2p, 4p, ...]``, one per
     bit of q - 1, so adding a p to a row takes one lane addition per set
-    bit of a.  Its elimination pass is that of :class:`_Gf2`, with that
-    addition in place of XOR.
+    bit of a (``_plus``).  Its elimination pass is that of :class:`_Gf2`,
+    with that addition in place of XOR.
     """
 
     def __init__(self, q: int, n: int):
@@ -713,19 +714,7 @@ class _Odd(_Packed):
 
     def forms(self, rows: list, u: int) -> list:
         """The products <v, u> for v in rows."""
-        if not rows:
-            return []
         return self._products(self.unpack(rows, 2 * self.n), self.unpack([u], 2 * self.n))[:, 0].tolist()
-
-    def scale(self, p: int, c: int) -> int:
-        """p divided by the (nonzero) scalar c."""
-        return self._plus(0, pow(c % self.q, -1, self.q), self._doublings(p))
-
-    def combine(self, rows: list, u: int, by_w: list, w: int, by_u: list) -> list:
-        """Each row v minus by_w[i] * u plus by_u[i] * w."""
-        q, plus = self.q, self._plus
-        du, dw = self._doublings(u), self._doublings(w)
-        return [plus(plus(v, -a % q, du), b, dw) for v, a, b in zip(rows, by_w, by_u)]
 
     # The walk.  A slot is one row of 2n lanes, and the block operations
     # below run on every slot at once, with lane constants of 2n slots.
@@ -825,6 +814,7 @@ def _gram_schmidt(ops, rows) -> tuple[list, list]:
     remaining rows and to every pair, so it lies in the radical, and the
     rows left without partners are a basis of the radical.
     """
+    q, plus, doublings = ops.q, ops._plus, ops._doublings
     rad, pairs = [], []
     rest = list(rows)
     while rest:
@@ -834,9 +824,10 @@ def _gram_schmidt(ops, rows) -> tuple[list, list]:
         if i is None:
             rad.append(u)
             continue
-        w = ops.scale(rest.pop(i), -by_u.pop(i))
+        w = plus(0, pow(-by_u.pop(i), -1, q), doublings(rest.pop(i)))
         pairs += (u, w)
-        rest = ops.combine(rest, u, ops.forms(rest, w), w, by_u)
+        du, dw = doublings(u), doublings(w)
+        rest = [plus(plus(v, -a % q, du), b, dw) for v, a, b in zip(rest, ops.forms(rest, w), by_u)]
     return rad, pairs
 
 
