@@ -83,19 +83,15 @@ def support_dims(code, budget: int = DEFAULT_BUDGET) -> SupportTable:
 def dual_dims(code, budget: int = DEFAULT_BUDGET) -> bytes:
     """dim_F of the dual's part in every support, by mask, after the same budget check.
 
-    The radical lies in the dual, so equal dimensions make them one space.
-    The radical's dimension is the table's full-support ``rad`` entry, so
-    no radical is built: when it equals the dual's, the column is C's own
-    ``rad`` column, with no C-perp built, and otherwise the ``dim`` column
-    of C-perp's table.  It asks the table, not ``is_stabilizer()`` as the
-    verifiers do: they agree on working code, and the identities suite's
-    pinned report under a faulted isorank is the one this read gives.
+    The radical lies in the dual, so equal dimensions make them one space,
+    which ``is_stabilizer()`` decides with no radical built: the column is
+    then C's own ``rad`` column, with no C-perp built, and otherwise the
+    ``dim`` column of C-perp's table.
     """
     space = _space_of(code)
     check_budget(2**space.n, budget, "support scan")
-    table = space._support_dims
-    if table.rad[-1] == 2 * space.n - space.dim_f:
-        return table.rad
+    if space.is_stabilizer():
+        return space._support_dims.rad
     return space.perp()._support_dims.dim
 
 

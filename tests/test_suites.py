@@ -148,7 +148,7 @@ PINNED_FAULT_REPORTS = {
     ),
     "identities": (
         _isorank_one_too_many,
-        "799727b665663d09cba1c529428f7cae251580cd96a24518ef80b0e2e553609b",
+        "598000ea5a37effb4e0af960bb11570bdf8eef6d014b785ec662b501f526aaff",
     ),
     "stabilizer": (
         _distance_one_too_many,
