@@ -19,11 +19,16 @@ PACKAGE_ROOT = str(Path(qsymp.__file__).resolve().parents[1])
 
 
 def run_cli(args, env=None, **kwargs):
-    """``python -m qsymp`` on the imported package, in the inherited or a given environment."""
+    """``python -m qsymp`` on the imported package, in the inherited or a given environment.
+
+    A given environment keeps the caller's ``PYTHONDONTWRITEBYTECODE``, so
+    the child writes no bytecode beside the source when the caller forbids it.
+    """
     if env is None:
         env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
     else:
-        env = {"PYTHONPATH": PACKAGE_ROOT, **env}
+        keep = {k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"}
+        env = {"PYTHONPATH": PACKAGE_ROOT, **keep, **env}
     return subprocess.run(
         [sys.executable, "-m", "qsymp", *args],
         capture_output=True,

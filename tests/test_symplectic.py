@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -716,6 +717,17 @@ def test_fields_beyond_the_range_are_rejected(q, n):
         Subspace([[1] * (2 * n)], q, n)
 
 
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """``python -c code`` on the imported package, in a bare environment.
+
+    The environment keeps the caller's ``PYTHONDONTWRITEBYTECODE``, so the
+    child writes no bytecode beside the source when the caller forbids it.
+    """
+    env = {"PYTHONPATH": str(Path(qsymp.__file__).resolve().parents[1]), "PATH": "/usr/bin:/bin"}
+    env.update((k, v) for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
+
+
 def test_a_field_far_beyond_the_range_is_refused_at_once():
     # The range is checked before the primality test, which would take
     # hours of trial division on this modulus.
@@ -726,14 +738,7 @@ def test_a_field_far_beyond_the_range_is_refused_at_once():
         "except ValueError as exc:\n"
         "    print(exc)\n"
     )
-    root = str(Path(qsymp.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={"PYTHONPATH": root, "PATH": "/usr/bin:/bin"},
-    )
+    proc = run_child(code)
     assert "supported range" in proc.stdout
 
 
@@ -750,14 +755,7 @@ def test_a_huge_field_on_no_factors_is_refused_at_once():
         "    print(exc)\n"
         "print(time.perf_counter() - start)\n"
     )
-    root = str(Path(qsymp.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        timeout=30,
-        env={"PYTHONPATH": root, "PATH": "/usr/bin:/bin"},
-    )
+    proc = run_child(code)
     message, elapsed = proc.stdout.splitlines()
     assert "supported range" in message
     assert float(elapsed) < 1.0
