@@ -36,8 +36,9 @@ CodeParams = namedtuple("CodeParams", ["n", "k", "s", "d", "maxwt"])
 
 # The weight tables scan the supports when the words to enumerate outnumber
 # them by more than this factor; at q=2 they never do (at most 2 * 2^n words).
-# At odd q, on 2 CPUs, a support costs 45-150 us (n=3..8) and a codeword 0.4-1.2
-# us: break-even at 90-400 words per support at n=3, 4, 70-200 at 5, 25-100 at 6..8.
+# At odd q (2 CPUs, Python 3.11, balanced random codes, whole routes) a support
+# costs 9-22 us and a codeword 0.2-0.8 us at q=3..7, n=4..10: break-even at 10-25
+# words per support at q=3, 30-55 at q=5, 7. 100 stays until both are re-timed.
 SUPPORT_COST = 100
 _BATCH_SIZE = 1 << 13  # codewords per batch of codeword_batches
 
