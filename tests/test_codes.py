@@ -134,6 +134,7 @@ def test_shor_construction():
     c = shor_code()
     assert (c.n, c.dim_f, c.k, c.s) == (9, 10, 1, 9)
     assert c.is_stabilizer()
+    assert repr(c) == "Code(q=2, n=9, dim_f=10)"
 
 
 def test_non_commuting_generators_are_rejected():
