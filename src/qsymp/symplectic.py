@@ -381,7 +381,7 @@ class _Gf2(_Packed):
     """GF(2) on n factors: a row is a Python int with bit j = coordinate j.
 
     Adding rows is an XOR, and a pivot is the lowest set bit, so a scaled
-    add is an XOR or nothing: p's doublings are ``[p]``, added when odd.
+    add is an XOR or nothing: p's doublings are ``[p]``, added at odd scalars.
     """
 
     q = 2

@@ -723,8 +723,8 @@ def run_child(code: str) -> subprocess.CompletedProcess:
     The environment keeps the caller's ``PYTHONDONTWRITEBYTECODE``, so the
     child writes no bytecode beside the source when the caller forbids it.
     """
-    env = {"PYTHONPATH": str(Path(qsymp.__file__).resolve().parents[1]), "PATH": "/usr/bin:/bin"}
-    env.update((k, v) for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE")
+    keep = {k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"}
+    env = {"PYTHONPATH": str(Path(qsymp.__file__).resolve().parents[1]), "PATH": "/usr/bin:/bin", **keep}
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env)
 
 
