@@ -288,6 +288,10 @@ def test_an_echelon_keys_each_row_at_its_pivot_lane_and_has_the_dense_rank(data)
             assert stored[0] * value % q == 1
     assert len(basis) == dense.rref(a, q).shape[0]
     assert ops.unpack(ops.canonical(rows), 2 * n).tolist() == dense.rref(a, q).tolist()
+    # Reduced at either end: the dense canonical form, with the columns
+    # read from the other side at the top.
+    reduced = dense.rref(a[:, ::-1], q)[:, ::-1][::-1] if top else dense.rref(a, q)
+    assert ops.unpack(ops._reduced(basis, top), 2 * n).tolist() == reduced.tolist()
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
