@@ -28,22 +28,22 @@ set bit, and a residue of 8, 16 or 32 bits per lane over odd q, where rows
 are added lane by lane with a few big-int operations (see :class:`_Odd`)
 and a pivot is the lowest nonzero lane.  Each field writes one elimination
 pass, ``_eliminate``: it clears rows at a mask of lanes against a basis of
-pivot rows, stores each row that does not clear at its first lane that
-keys no row, and returns the rows that clear.  Beside it a field writes
-only the reduction of an echelon, which clears each row with that pass,
-and ``free``, its one reader of free-column vectors (pivots at either end,
-written on lanes).  Everything built from them exists once, on
-:class:`_Packed`: the echelon (one pass over every lane), the vanishing
-part (one pass from the highest pivot down), the canonical form (a sum's
-too), the kernel (read canonical off a reduced echelon keyed by each row's
-highest pivot), Zassenhaus intersection with no elimination first, the
-radical, the transversal (the rows that one pass against an echelon of
-the parts does not clear), and projection by shift and mask.  A rank is an
-echelon's size: the pair count is half the size of one echelon of the
-Gram rows, and a space contains the rows that grow no echelon of its own.
-The radical is one vanishing part, of each row joined to its Gram row, on
-the Gram lanes: it is read canonical as an intersection is, with no
-elimination of the Gram matrix.
+pivot rows, each held as its doublings ``[p, 2p, 4p, ...]`` (``[p]`` over
+GF(2)) with p 1 at its pivot, stores each row that does not clear at its
+first lane that keys no row, and returns the rows that clear.  Beside it a
+field writes only ``free``, its one reader of free-column vectors (pivots
+at either end, written on lanes).  Everything built from them exists once,
+on :class:`_Packed`: the echelon (one pass over every lane), its reduction
+(one pass per row), the vanishing part (one pass from the highest pivot
+down), the canonical form (a sum's too), the kernel (read canonical off a
+reduced echelon keyed by each row's highest pivot), Zassenhaus
+intersection with no elimination first, the radical, the transversal (the
+rows that one pass against an echelon of the parts does not clear), and
+projection by shift and mask.  A rank is an echelon's size: the pair count
+is half the size of one echelon of the Gram rows, and a space contains the
+rows that grow no echelon of its own.  The radical is one vanishing part,
+of each row joined to its Gram row, on the Gram lanes: it is read
+canonical as an intersection is, with no elimination of the Gram matrix.
 Results that an operation returns in canonical form (sums, intersections,
 radicals, kernels, anticode parts) are stored with no second elimination.
 
@@ -212,7 +212,6 @@ class SupportTable:
     Every entry is at most 2n, so a column is one byte per support.
     """
 
-    n: int
     dim: bytes  # dim_F of C's part in F_S
     gram_rank: bytes  # rank of the product on that part: twice its pair count
     rad: bytes  # dim_F of the radical's part in F_S
@@ -249,9 +248,10 @@ class _Packed:
 
     A field supplies its arithmetic and one elimination pass, ``_eliminate``,
     which takes a set of lanes as the bit 0 of each (``coords`` is every
-    lane).  The echelon, the vanishing part, the canonical form, the
-    kernel, intersection, the radical and the transversal are written here,
-    once, on that pass.
+    lane).  A pivot row p is held as its doublings (``_doublings``), with p
+    1 at its pivot.  The echelon, its reduction, the vanishing part, the
+    canonical form, the kernel, intersection, the radical and the
+    transversal are written here, once, on that pass.
 
     A walk basis is one block int of 2n slots of one row each, slot i
     holding row i (an empty slot is 0); a pairs block holds e_i in slot 2i
@@ -281,6 +281,21 @@ class _Packed:
         basis: dict = {}
         self._eliminate(rows, basis, self.coords, top)
         return basis
+
+    def _reduced(self, basis: dict, top: bool = False) -> list[int]:
+        """The echelon's rows by pivot, each cleared at every other pivot and 1 at its own.
+
+        A row meets only pivots on the far side of its own, above it (or
+        below it, with ``top``), so those rows are reduced first.  Every
+        other pivot keys a row, so one pass clears a row at all of them.
+        """
+        order = sorted(basis)
+        pivots = sum(order)
+        for bit in order if top else order[::-1]:
+            row = basis[bit][0]
+            if (cleared := self._eliminate([row], basis, pivots ^ bit)[0]) != row:
+                basis[bit] = self._doublings(cleared)
+        return [basis[bit][0] for bit in order]
 
     def canonical(self, rows) -> list[int]:
         """Canonical form of packed rows: nonzero rows sorted by pivot, the echelon reduced."""
@@ -409,37 +424,23 @@ class _Gf2(_Packed):
     def _eliminate(rows, basis: dict, mask: int, top: bool = False) -> list[int]:
         """The rows that clear at every bit of ``mask`` against ``basis``, cleared, in order.
 
-        ``basis`` maps a bit to a row set there and zero on the near side of
-        it (below it, or above it with ``top``).  A row's masked set bits
-        are cleared from its lowest, or its highest with ``top``, up to the
-        first that keys no row: the row is stored there, and so ``basis``
-        grows by each row that does not clear.
+        ``basis`` maps a bit to the doublings ``[p]`` of a row p set there and
+        zero on the near side of it (below it, or above it with ``top``).  A
+        row's masked set bits are cleared from its lowest, or its highest
+        with ``top``, up to the first that keys no row: the row is stored
+        there, and so ``basis`` grows by each row that does not clear.
         """
         out = []
         for r in rows:
             while x := r & mask:
                 bit = 1 << x.bit_length() - 1 if top else x & -x
                 if bit not in basis:
-                    basis[bit] = r
+                    basis[bit] = [r]
                     break
-                r ^= basis[bit]
+                r ^= basis[bit][0]
             else:
                 out.append(r)
         return out
-
-    @staticmethod
-    def _reduced(basis: dict, top: bool = False) -> list[int]:
-        """The echelon's rows by pivot, each cleared at every other pivot.
-
-        A row meets only pivots on the far side of its own, above it (or
-        below it, with ``top``), so those rows are reduced first.  Every
-        other pivot keys a row, so one pass clears a row at all of them.
-        """
-        order = sorted(basis)
-        pivots = sum(order)
-        for pivot in order if top else order[::-1]:
-            basis[pivot] = _Gf2._eliminate([basis[pivot]], basis, pivots ^ pivot)[0]
-        return [basis[pivot] for pivot in order]
 
     @staticmethod
     def free(rows, cols: int, top: bool = False) -> list[int]:
@@ -566,10 +567,10 @@ class _Odd(_Packed):
     ``s + N >> t & one``, with ``2**t - 1`` in every lane of ``N``, has bit
     0 of exactly the nonzero lanes set, and a pivot is the lowest of them.
 
-    A pivot row p is held as its doublings ``[p, 2p, 4p, ...]``, one per
-    bit of q - 1, so adding a p to a row takes one lane addition per set
-    bit of a (``_plus``).  Its elimination pass is that of :class:`_Gf2`,
-    with that addition in place of XOR.
+    A pivot row p, 1 at its pivot, is held as its doublings ``[p, 2p, 4p,
+    ...]``, one per bit of q - 1, so adding a p to a row takes one lane
+    addition per set bit of a (``_plus``).  Its elimination pass is that of
+    :class:`_Gf2`, with that addition in place of XOR.
     """
 
     def __init__(self, q: int, n: int):
@@ -621,9 +622,10 @@ class _Odd(_Packed):
                 break
         return r
 
-    def _pivot(self, r: int, bit: int) -> tuple[int, list[int]]:
-        """(1 / r's value in the lane whose bit 0 is ``bit``, the doublings of r): a pivot row."""
-        return pow(r >> bit.bit_length() - 1 & self.mask, -1, self.q), self._doublings(r)
+    def _pivot(self, r: int, bit: int) -> list[int]:
+        """The doublings of r scaled to 1 in the lane whose bit 0 is ``bit``: a pivot row."""
+        inverse = pow(r >> bit.bit_length() - 1 & self.mask, -1, self.q)
+        return self._doublings(r if inverse == 1 else self._plus(0, inverse, self._doublings(r)))
 
     def _lanes(self, r: int) -> int:
         """Bit 0 of every nonzero lane of r."""
@@ -633,9 +635,9 @@ class _Odd(_Packed):
         """The rows that clear at every lane of ``mask`` against ``basis``, cleared, in order.
 
         :meth:`_Gf2._eliminate` on lanes.  ``basis`` maps the bit 0 of a lane
-        to a pivot row p nonzero there (see :meth:`_pivot`); the lane,
-        holding v, is cleared by adding -v / p[lane] times p.  A row that
-        does not clear is stored, as a pivot row, at the first of its masked
+        to the doublings of a pivot row p, 1 there (see :meth:`_pivot`); the
+        lane, holding v, is cleared by adding q - v times p.  A row that does
+        not clear is stored, as a pivot row, at the first of its masked
         nonzero lanes that keys no row.
         """
         q, h, t, one, nz, lane = self.q, self.h, self.t, self.one, self.nz, self.mask
@@ -646,9 +648,8 @@ class _Odd(_Packed):
                 if bit not in basis:
                     basis[bit] = self._pivot(r, bit)
                     break
-                inverse, doublings = basis[bit]
-                a = (q - (r >> bit.bit_length() - 1 & lane)) * inverse % q
-                for d in doublings:
+                a = q - (r >> bit.bit_length() - 1 & lane)
+                for d in basis[bit]:
                     if a & 1:
                         r += d
                         r -= (r + h >> t & one) * q
@@ -656,21 +657,6 @@ class _Odd(_Packed):
             else:
                 out.append(r)
         return out
-
-    def _reduced(self, basis: dict, top: bool = False) -> list[int]:
-        """The echelon's rows by pivot, each cleared at every other pivot and scaled to 1 at its own.
-
-        A row meets only pivots on the far side of its own, above it (or
-        below it, with ``top``), so those rows are reduced first.  Every
-        other pivot keys a row, so one pass clears a row at all of them.
-        """
-        order = sorted(basis)
-        pivots = sum(order)
-        for bit in order if top else order[::-1]:
-            inverse, doublings = basis[bit]
-            if self._lanes(doublings[0]) & pivots ^ bit:
-                basis[bit] = inverse, self._doublings(self._eliminate([doublings[0]], basis, pivots ^ bit)[0])
-        return [self._plus(0, *basis[bit]) for bit in order]
 
     def free(self, rows, cols: int, top: bool = False) -> list[int]:
         """The free-column vectors of reduced rows, by free lane: :meth:`_Gf2.free` on lanes.
@@ -1018,7 +1004,7 @@ class Subspace:
         base = len(rad) * ops.slot
         visit((1 << n) - 1, n, (ops.block(rad), len(rad), ops.block(pairs), len(pairs), len(rad), base, base))
         del visit  # it refers to itself: without this, the columns wait for the cycle collector
-        return SupportTable(n, bytes(dim), bytes(gram_rank), bytes(rad_dim))
+        return SupportTable(bytes(dim), bytes(gram_rank), bytes(rad_dim))
 
     def is_stabilizer(self) -> bool:
         """True iff the isorank is ``n``: the radical, which lies in the complement, is all of it."""

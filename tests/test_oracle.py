@@ -110,6 +110,12 @@ def test_codeword_set_is_a_subspace(rng):
     assert len(words) == 3**code.dim_f
 
 
+def test_a_set_size_off_the_powers_of_q_is_refused():
+    assert oracle._log_size(8, 2) == 3
+    with pytest.raises(AssertionError, match="not a power of 2"):
+        oracle._log_size(6, 2)
+
+
 # ---------------------------------------------------------------------------
 # the rank route and the shared support table against the counting route
 

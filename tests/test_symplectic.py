@@ -265,8 +265,8 @@ def test_binary_kernel_and_rank_match_the_dense_route(case):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_an_echelon_keys_each_row_at_its_pivot_lane_and_has_the_dense_rank(data):
-    # Either end: a stored row is nonzero at its key and zero on the near
-    # side of it, over odd q with the inverse of its key's value beside it.
+    # Either end: a stored entry is a row's doublings, the row 1 at its key
+    # and zero on the near side of it.
     q = data.draw(st.sampled_from([2, 3, 5, 7]))
     n = data.draw(st.integers(1, 4))
     top = data.draw(st.booleans())
@@ -280,12 +280,10 @@ def test_an_echelon_keys_each_row_at_its_pivot_lane_and_has_the_dense_rank(data)
     for key, stored in basis.items():
         lane = key.bit_length() - 1
         assert key == 1 << lane and lane % ops.b == 0 and lane < 2 * n * ops.b
-        row = stored if q == 2 else stored[1][0]
-        value = row >> lane & (1 << ops.b) - 1
-        assert value
+        row = stored[0]
+        assert stored == ops._doublings(row)
+        assert row >> lane & (1 << ops.b) - 1 == 1
         assert (row >> lane + ops.b if top else row & key - 1) == 0
-        if q != 2:
-            assert stored[0] * value % q == 1
     assert len(basis) == dense.rref(a, q).shape[0]
     assert ops.unpack(ops.canonical(rows), 2 * n).tolist() == dense.rref(a, q).tolist()
     # Reduced at either end: the dense canonical form, with the columns
@@ -843,7 +841,7 @@ def test_support_walk_matches_literal_intersections(name):
         radical_rows = [d - g for d, g in zip(dims.dim, dims.gram_rank)]
         assert max(radical_rows) > radical_rows[-1]
     columns = (dims.dim, dims.gram_rank, dims.rad, dual_dims(w))
-    assert dims.n == w.n and [len(col) for col in columns] == [2**w.n] * 4
+    assert [len(col) for col in columns] == [2**w.n] * 4
     rad, dual = w.radical(), w.perp()
     for a in all_anticodes(w.n):
         inner, m = intersect_with_anticode(w, a), _mask(a.support)
